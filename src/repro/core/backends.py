@@ -57,26 +57,24 @@ from ..instrumentation import (
     GROUP_PAIRS,
     GROUP_PAIRS_CANDIDATES,
     GROUP_PAIRS_SKIPPED,
-    KERNEL_BATCHES,
-    KERNEL_PAIRS,
-    PAIRS_SCORED,
     SUBGRAPHS_BUILT,
     Instrumentation,
 )
 from ..model.households import Household
 from ..model.mappings import RecordMapping
-from ..model.records import PersonRecord
 from .config import LinkageConfig
 from .prematching import PreMatchResult
 from .scoring import score_subgraphs
 from .selection import SelectionResult, select_group_matches
 from .subgraph import (
     GroupPairIndex,
+    Member,
     SubgraphMatch,
-    _age_deviation,
-    _anchors_for_pair,
+    anchors_by_group_pair,
     brute_force_group_pairs,
     build_all_subgraphs,
+    greedy_assignment,
+    plausible_pairs,
 )
 
 
@@ -237,78 +235,33 @@ def _candidate_pairs(ctx: GroupRoundContext) -> List[Tuple[str, str]]:
 def _fresh_members(
     household: Household,
     is_linked: Callable[[str], bool],
-) -> List[PersonRecord]:
-    """Members not yet linked in an earlier δ round, in member-id order."""
+) -> List[Member]:
+    """(record id, age) of the members not yet linked in an earlier δ
+    round, in member-id order."""
     return [
-        record
+        (record.record_id, record.age)
         for record in household.iter_records()
         if not is_linked(record.record_id)
     ]
 
 
-def _pairwise_sims(
+def _plausible_rows(
     ctx: GroupRoundContext,
-    old_members: Sequence[PersonRecord],
-    new_members: Sequence[PersonRecord],
-) -> Dict[Tuple[str, str], float]:
-    """``agg_sim`` for the full member cross product of one household
-    pair, memoised in the round's shared score store.
-
-    Pairs the pre-matching stage already scored are read back from the
-    cache; the missing remainder is batched through the PR-6 vectorized
-    kernel in one ``agg_sim_chunk`` call when it is available (scores
-    are bit-identical to the scalar path), falling back to per-pair
-    :meth:`PreMatchResult.pair_sim` otherwise.
-    """
-    prematch = ctx.prematch
-    sims: Dict[Tuple[str, str], float] = {}
-    missing: List[Tuple[str, str]] = []
-    for old_record in old_members:
-        for new_record in new_members:
-            key = (old_record.record_id, new_record.record_id)
-            score = prematch.scores.get(key)
-            if score is None:
-                missing.append(key)
-            else:
-                sims[key] = score
-    if missing and ctx.kernel is not None:
-        scores = ctx.kernel.agg_sim_chunk(missing)
-        for key, score in zip(missing, scores):
-            prematch.scores[key] = score
-            sims[key] = score
-        if prematch.instrumentation is not None:
-            prematch.instrumentation.count(PAIRS_SCORED, len(missing))
-            prematch.instrumentation.count(KERNEL_BATCHES)
-            prematch.instrumentation.count(KERNEL_PAIRS, len(missing))
-    else:
-        for key in missing:
-            sims[key] = prematch.pair_sim(*key)
-    return sims
-
-
-def _greedy_assignment(
-    scored: List[Tuple[float, float, str, str]],
-) -> List[Tuple[str, str, float]]:
-    """Greedy 1:1 assignment over ``(-rounded sim, age deviation, old id,
-    new id)`` rows — the same deterministic order as the default
-    engine's per-label assignment (best similarity first, age
-    plausibility as tie-breaker, then lexicographic ids)."""
-    order = sorted(
-        (
-            (-round(sim, 2), deviation, old_id, new_id, sim)
-            for sim, deviation, old_id, new_id in scored
-        )
-    )
-    used_old: set = set()
-    used_new: set = set()
-    assigned: List[Tuple[str, str, float]] = []
-    for _, _, old_id, new_id, sim in order:
-        if old_id in used_old or new_id in used_new:
-            continue
-        used_old.add(old_id)
-        used_new.add(new_id)
-        assigned.append((old_id, new_id, sim))
-    return assigned
+    old_members: Sequence[Member],
+    new_members: Sequence[Member],
+    sims: Dict[Tuple[str, str], float],
+) -> List[Tuple[float, float, str, str]]:
+    """``(sim, age deviation, old id, new id)`` rows of the age-plausible
+    member pairs that reach the round's δ — the input of
+    :func:`~repro.core.subgraph.greedy_assignment`."""
+    rows: List[Tuple[float, float, str, str]] = []
+    for old_id, new_id, deviation in plausible_pairs(
+        old_members, new_members, ctx.config
+    ):
+        sim = sims[(old_id, new_id)]
+        if sim >= ctx.delta:
+            rows.append((sim, deviation, old_id, new_id))
+    return rows
 
 
 # -- the paper's engine -------------------------------------------------------
@@ -334,7 +287,6 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
 
     def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
         config = ctx.config
-        group_parallel = config.n_workers != 1
         with ctx.stage("subgraphs"):
             subgraphs = build_all_subgraphs(
                 ctx.prematch,
@@ -346,11 +298,7 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
                 index=ctx.group_index,
                 n_workers=config.n_workers,
                 chunk_size=config.group_worker_chunk_size,
-                # Workers score their own subgraphs (g_sim, Eq. 4-7)
-                # so the fan-out covers construction and scoring in
-                # one round trip; the serial scoring stage below then
-                # re-derives the same numbers from cached pair sims.
-                score=group_parallel,
+                kernel=ctx.kernel,
             )
         with ctx.stage("scoring"):
             score_subgraphs(subgraphs, ctx.prematch, config)
@@ -365,10 +313,83 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
         return RoundOutcome(selection=selection, candidate_units=len(subgraphs))
 
 
+# -- member-matrix backends ---------------------------------------------------
+
+
+class _MemberMatrixBackend(GroupMatcherBackend):
+    """The round loop shared by the backends that judge a candidate
+    household pair from the ``agg_sim`` matrix of its fresh members.
+
+    Anchors (earlier links inside a pair) come from one pass per round
+    (:func:`~repro.core.subgraph.anchors_by_group_pair`); each pair's
+    matrix comes from :meth:`PreMatchResult.pair_sims`, one kernel batch
+    when the kernel is available.  Candidates go through Alg. 2
+    selection.
+    """
+
+    def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
+        mapping = ctx.record_mapping
+        with ctx.stage("group_matching"):
+            group_pairs = _candidate_pairs(ctx)
+            anchors = anchors_by_group_pair(
+                group_pairs, ctx.old_households,
+                ctx.group_index.new_group_of, mapping,
+            )
+            candidates: List[SubgraphMatch] = []
+            for old_group_id, new_group_id in group_pairs:
+                old_household = ctx.old_households[old_group_id]
+                new_household = ctx.new_households[new_group_id]
+                old_fresh = _fresh_members(old_household, mapping.contains_old)
+                new_fresh = _fresh_members(new_household, mapping.contains_new)
+                if not old_fresh or not new_fresh:
+                    continue
+                sims = ctx.prematch.pair_sims(
+                    [
+                        (old_id, new_id)
+                        for old_id, _ in old_fresh
+                        for new_id, _ in new_fresh
+                    ],
+                    kernel=ctx.kernel,
+                )
+                candidate = self._match_pair(
+                    ctx, old_household, new_household,
+                    anchors.get((old_group_id, new_group_id), []),
+                    old_fresh, new_fresh, sims,
+                )
+                if candidate is not None:
+                    candidates.append(candidate)
+            if ctx.instrumentation is not None:
+                ctx.instrumentation.count(SUBGRAPHS_BUILT, len(candidates))
+        with ctx.stage("selection"):
+            selection = select_group_matches(
+                candidates,
+                instrumentation=ctx.instrumentation,
+                prematch=ctx.prematch,
+                config=ctx.config,
+                requeue_stale=False,
+            )
+        return RoundOutcome(
+            selection=selection, candidate_units=len(candidates)
+        )
+
+    @abc.abstractmethod
+    def _match_pair(
+        self,
+        ctx: GroupRoundContext,
+        old_household: Household,
+        new_household: Household,
+        anchors: List[Tuple[str, str]],
+        old_fresh: List[Member],
+        new_fresh: List[Member],
+        sims: Dict[Tuple[str, str], float],
+    ) -> Optional[SubgraphMatch]:
+        """The pair's candidate group link, or ``None``."""
+
+
 # -- Robust Group Linkage (two-stage CORE + refinement) -----------------------
 
 
-class RobustGroupLinkageBackend(GroupMatcherBackend):
+class RobustGroupLinkageBackend(_MemberMatrixBackend):
     """Two-stage group matcher in the spirit of *Robust Group Linkage*
     (Li et al.): CORE seeds, then refinement of ambiguous members.
 
@@ -400,66 +421,21 @@ class RobustGroupLinkageBackend(GroupMatcherBackend):
     #: Weight of seed strength vs member coverage in the group score.
     SEED_WEIGHT = 0.7
 
-    def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
-        with ctx.stage("group_matching"):
-            candidates: List[SubgraphMatch] = []
-            for old_group_id, new_group_id in _candidate_pairs(ctx):
-                candidate = self._match_pair(
-                    ctx,
-                    ctx.old_households[old_group_id],
-                    ctx.new_households[new_group_id],
-                )
-                if candidate is not None:
-                    candidates.append(candidate)
-            if ctx.instrumentation is not None:
-                ctx.instrumentation.count(SUBGRAPHS_BUILT, len(candidates))
-        with ctx.stage("selection"):
-            selection = select_group_matches(
-                candidates,
-                instrumentation=ctx.instrumentation,
-                prematch=ctx.prematch,
-                config=ctx.config,
-                requeue_stale=False,
-            )
-        return RoundOutcome(
-            selection=selection, candidate_units=len(candidates)
-        )
-
     def _match_pair(
         self,
         ctx: GroupRoundContext,
         old_household: Household,
         new_household: Household,
+        anchors: List[Tuple[str, str]],
+        old_fresh: List[Member],
+        new_fresh: List[Member],
+        sims: Dict[Tuple[str, str], float],
     ) -> Optional[SubgraphMatch]:
-        config = ctx.config
-        mapping = ctx.record_mapping
-        anchors = _anchors_for_pair(old_household, new_household, mapping)
-        old_fresh = _fresh_members(old_household, mapping.contains_old)
-        new_fresh = _fresh_members(new_household, mapping.contains_new)
-        if not old_fresh or not new_fresh:
-            return None
-        sims = _pairwise_sims(ctx, old_fresh, new_fresh)
-        core_delta = max(ctx.delta, config.delta_high)
-        scored: List[Tuple[float, float, str, str]] = []
-        for old_record in old_fresh:
-            for new_record in new_fresh:
-                deviation = _age_deviation(
-                    old_record, new_record, config.year_gap
-                )
-                if (
-                    old_record.age is not None
-                    and new_record.age is not None
-                    and deviation > config.max_normalised_age_difference
-                ):
-                    continue
-                sim = sims[(old_record.record_id, new_record.record_id)]
-                if sim < ctx.delta:
-                    continue  # refinement floor: the round's δ
-                scored.append(
-                    (sim, deviation, old_record.record_id,
-                     new_record.record_id)
-                )
-        assigned = _greedy_assignment(scored)
+        core_delta = max(ctx.delta, ctx.config.delta_high)
+        # Refinement floor: the round's δ.
+        assigned = greedy_assignment(
+            _plausible_rows(ctx, old_fresh, new_fresh, sims)
+        )
         core = [(o, n, s) for o, n, s in assigned if s >= core_delta - 1e-9]
         if not core and not anchors:
             return None  # no high-confidence seed: RGL refuses the pair
@@ -523,7 +499,7 @@ def hausdorff_similarity(
     return min(forward, backward)
 
 
-class HausdorffBackend(GroupMatcherBackend):
+class HausdorffBackend(_MemberMatrixBackend):
     """Set-distance household matcher (after Menezes et al.): a
     household pair scores the Hausdorff similarity of its member sets —
     min-max over the pairwise ``agg_sim`` matrix.
@@ -547,72 +523,26 @@ class HausdorffBackend(GroupMatcherBackend):
         "matrix (Menezes et al.)",
     )
 
-    def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
-        with ctx.stage("group_matching"):
-            candidates: List[SubgraphMatch] = []
-            for old_group_id, new_group_id in _candidate_pairs(ctx):
-                candidate = self._match_pair(
-                    ctx,
-                    ctx.old_households[old_group_id],
-                    ctx.new_households[new_group_id],
-                )
-                if candidate is not None:
-                    candidates.append(candidate)
-            if ctx.instrumentation is not None:
-                ctx.instrumentation.count(SUBGRAPHS_BUILT, len(candidates))
-        with ctx.stage("selection"):
-            selection = select_group_matches(
-                candidates,
-                instrumentation=ctx.instrumentation,
-                prematch=ctx.prematch,
-                config=ctx.config,
-                requeue_stale=False,
-            )
-        return RoundOutcome(
-            selection=selection, candidate_units=len(candidates)
-        )
-
     def _match_pair(
         self,
         ctx: GroupRoundContext,
         old_household: Household,
         new_household: Household,
+        anchors: List[Tuple[str, str]],
+        old_fresh: List[Member],
+        new_fresh: List[Member],
+        sims: Dict[Tuple[str, str], float],
     ) -> Optional[SubgraphMatch]:
-        config = ctx.config
-        mapping = ctx.record_mapping
-        anchors = _anchors_for_pair(old_household, new_household, mapping)
-        old_fresh = _fresh_members(old_household, mapping.contains_old)
-        new_fresh = _fresh_members(new_household, mapping.contains_new)
-        if not old_fresh or not new_fresh:
-            return None
-        sims = _pairwise_sims(ctx, old_fresh, new_fresh)
         group_sim = hausdorff_similarity(
-            [record.record_id for record in old_fresh],
-            [record.record_id for record in new_fresh],
+            [old_id for old_id, _ in old_fresh],
+            [new_id for new_id, _ in new_fresh],
             lambda old_id, new_id: sims[(old_id, new_id)],
         )
         if group_sim < ctx.delta:
             return None
-        scored: List[Tuple[float, float, str, str]] = []
-        for old_record in old_fresh:
-            for new_record in new_fresh:
-                deviation = _age_deviation(
-                    old_record, new_record, config.year_gap
-                )
-                if (
-                    old_record.age is not None
-                    and new_record.age is not None
-                    and deviation > config.max_normalised_age_difference
-                ):
-                    continue
-                sim = sims[(old_record.record_id, new_record.record_id)]
-                if sim < ctx.delta:
-                    continue
-                scored.append(
-                    (sim, deviation, old_record.record_id,
-                     new_record.record_id)
-                )
-        assigned = _greedy_assignment(scored)
+        assigned = greedy_assignment(
+            _plausible_rows(ctx, old_fresh, new_fresh, sims)
+        )
         if not assigned:
             return None  # every ≥ δ pair was age-implausible
         member_sims = [sim for _, _, sim in assigned]

@@ -25,27 +25,20 @@ copy-on-write under ``fork``), and each worker then resolves its chunks
 with one vectorized call instead of a per-pair loop — same chunks, same
 merge order, bit-identical outcomes.
 
-:func:`build_subgraphs_chunked` extends the same contract to the group
-stage (§3.3–§3.4): candidate group pairs are chunked, each worker builds
-(and optionally scores) the common subgraphs of its chunk against a
-snapshot of the shared similarity store, and the parent merges chunks in
-order.  Pair similarities computed lazily inside workers are shipped
-back and folded into the shared store with first-seen-wins
-deduplication, so the subgraph list, every score field and the
-``pairs_scored`` tally are byte-identical to a serial run.
+:func:`build_subgraphs_chunked` extends the same contract to §3.3
+subgraph construction: candidate group pairs are chunked, each worker
+builds the common subgraphs of its chunk from the δ round's vertex-pair
+scores, which the parent computed before the fan-out, and the parent
+merges chunks in order.  Workers only read, so the subgraph list is
+byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..instrumentation import (
-    FULL_AGG_SIM_CALLS,
-    PAIRS_SCORED,
-    Instrumentation,
-)
 from ..model.records import PersonRecord
 from ..similarity.vector import SimilarityFunction
 from .filtering import CandidateFilter, PairOutcome, filter_pairs
@@ -263,153 +256,63 @@ def filter_and_score_chunked(
     return merged
 
 
-# -- group stage (§3.3 subgraph construction + §3.4 scoring) ------------------
+# -- group stage (§3.3 subgraph construction) ---------------------------------
 
-#: One unit of group-stage work: (old group id, new group id, anchors).
-GroupTask = Tuple[str, str, List[PairKey]]
-
-
-class GroupStageView:
-    """Minimal picklable stand-in for ``PreMatchResult`` inside workers.
-
-    Provides exactly the surface :func:`repro.core.subgraph.build_subgraph`
-    and :func:`repro.core.scoring.score_subgraph` touch — ``sim_func``,
-    ``labels``, ``pair_sim`` and ``cluster_size`` — without dragging the
-    parent's similarity cache or instrumentation into the worker.
-    Lazy ``pair_sim`` computations land in :attr:`fresh`; the parent
-    merges them back into the shared store (first seen wins), which keeps
-    the cross-worker score state — and the ``pairs_scored`` tally —
-    byte-identical to a serial run, since ``agg_sim`` is a pure function
-    of its two records.
-    """
-
-    def __init__(
-        self,
-        sim_func: SimilarityFunction,
-        old_index: Dict[str, PersonRecord],
-        new_index: Dict[str, PersonRecord],
-        labels: Dict[str, int],
-        clusters: Dict[int, List[str]],
-        base_scores: Dict[PairKey, float],
-    ) -> None:
-        self.sim_func = sim_func
-        self.old_index = old_index
-        self.new_index = new_index
-        self.labels = labels
-        self.clusters = clusters
-        self.base_scores = base_scores
-        self.fresh: Dict[PairKey, float] = {}
-
-    def pair_sim(self, old_id: str, new_id: str) -> float:
-        key = (old_id, new_id)
-        score = self.base_scores.get(key)
-        if score is None:
-            score = self.fresh.get(key)
-        if score is None:
-            score = self.sim_func.agg_sim(
-                self.old_index[old_id], self.new_index[new_id]
-            )
-            self.fresh[key] = score
-        return score
-
-    def cluster_size(self, record_id: str) -> int:
-        return len(self.clusters[self.labels[record_id]])
+#: One unit of group-stage work: (old group id, new group id, anchors,
+#: vertex candidates as (old id, new id, age deviation) triples).
+GroupTask = Tuple[str, str, List[PairKey], List[Tuple[str, str, float]]]
 
 
 def _init_group_worker(
-    view: GroupStageView,
+    sims: Dict[PairKey, float],
+    delta: float,
     old_households: Dict[str, object],
     new_households: Dict[str, object],
     config: object,
-    score: bool,
 ) -> None:
-    # Imported here: subgraph/scoring import this module at load time.
-    from .scoring import score_subgraph
-    from .subgraph import build_subgraph
-
-    _WORKER_STATE["view"] = view
+    _WORKER_STATE["sims"] = sims
+    _WORKER_STATE["delta"] = delta
     _WORKER_STATE["old_households"] = old_households
     _WORKER_STATE["new_households"] = new_households
     _WORKER_STATE["config"] = config
-    _WORKER_STATE["score"] = score
-    _WORKER_STATE["build_subgraph"] = build_subgraph
-    _WORKER_STATE["score_subgraph"] = score_subgraph
 
 
-def _group_chunk(chunk: Sequence[GroupTask]):
-    """Build (and optionally score) one chunk of candidate group pairs.
+def _group_chunk(chunk: Sequence[GroupTask]) -> list:
+    """The common subgraph (or ``None``) of every task of one chunk, in
+    order."""
+    # Imported here: subgraph imports this module at load time.
+    from .subgraph import assemble_subgraph
 
-    Returns ``(subgraphs, fresh_pairs)`` where ``subgraphs`` has one
-    ``Optional[SubgraphMatch]`` per task (order preserved) and
-    ``fresh_pairs`` lists the (pair, score) similarities this chunk had
-    to compute beyond the snapshot the worker was initialised with —
-    sorted, so the parent's merge order is deterministic.
-    """
-    view: GroupStageView = _WORKER_STATE["view"]
-    old_households = _WORKER_STATE["old_households"]
-    new_households = _WORKER_STATE["new_households"]
-    config = _WORKER_STATE["config"]
-    build = _WORKER_STATE["build_subgraph"]
-    score_one = _WORKER_STATE["score_subgraph"]
-    scoring = _WORKER_STATE["score"]
-
-    known_before = set(view.fresh)
-    subgraphs = []
-    for old_group_id, new_group_id, anchors in chunk:
-        subgraph = build(
-            old_households[old_group_id],
-            new_households[new_group_id],
-            view,
-            config,
-            anchors=anchors,
+    state = _WORKER_STATE
+    return [
+        assemble_subgraph(
+            state["old_households"][old_group_id],
+            state["new_households"][new_group_id],
+            candidates, state["sims"], state["delta"], state["config"],
+            anchors,
         )
-        if subgraph is not None and scoring:
-            score_one(subgraph, view, config)
-        subgraphs.append(subgraph)
-    fresh_pairs = sorted(
-        (pair, score)
-        for pair, score in view.fresh.items()
-        if pair not in known_before
-    )
-    return subgraphs, fresh_pairs
-
-
-def _store_snapshot(scores) -> Dict[PairKey, float]:
-    """A plain-dict copy of the shared score store (cache or dict)."""
-    items = scores.items() if hasattr(scores, "items") else []
-    return dict(items)
+        for old_group_id, new_group_id, anchors, candidates in chunk
+    ]
 
 
 def build_subgraphs_chunked(
     tasks: Sequence[GroupTask],
     old_households: Dict[str, object],
     new_households: Dict[str, object],
-    prematch,
+    sims: Dict[PairKey, float],
+    delta: float,
     config,
     n_workers: int = 1,
     chunk_size: int = 32,
-    score: bool = False,
-    instrumentation: Optional[Instrumentation] = None,
-):
-    """Fan the §3.3 subgraph construction (and §3.4 scoring) over workers.
+) -> list:
+    """Fan the §3.3 subgraph construction over workers.
 
     ``tasks`` must already be in the deterministic (sorted candidate)
-    order; chunks are merged back in that order, so the returned subgraph
-    list is byte-identical to a serial loop.  Worker-computed pair
-    similarities are folded into ``prematch.scores`` with
-    first-seen-wins deduplication and tallied under ``pairs_scored`` /
-    ``full_agg_sim_calls`` — exactly once per pair the serial run would
-    have computed lazily.
+    order and ``sims`` must hold the score of every vertex candidate;
+    chunks are merged back in order, so the returned subgraph list is
+    byte-identical to a serial loop.
     """
     workers = resolve_workers(n_workers)
-    view = GroupStageView(
-        sim_func=prematch.sim_func,
-        old_index=prematch.old_index,
-        new_index=prematch.new_index,
-        labels=prematch.labels,
-        clusters=prematch.clusters,
-        base_scores=_store_snapshot(prematch.scores),
-    )
     chunks = [
         list(tasks[start : start + chunk_size])
         for start in range(0, len(tasks), chunk_size)
@@ -418,22 +321,12 @@ def build_subgraphs_chunked(
     with context.Pool(
         processes=min(workers, len(chunks)),
         initializer=_init_group_worker,
-        initargs=(view, old_households, new_households, config, score),
+        initargs=(sims, delta, old_households, new_households, config),
     ) as pool:
         chunk_results = pool.map(_group_chunk, chunks)
-
-    subgraphs = []
-    peek = getattr(prematch.scores, "peek", prematch.scores.get)
-    for chunk_subgraphs, fresh_pairs in chunk_results:
-        subgraphs.extend(
-            subgraph for subgraph in chunk_subgraphs if subgraph is not None
-        )
-        for pair, pair_score in fresh_pairs:
-            # First seen wins: a later chunk recomputing the same pair
-            # (pure function, same value) must not double-count it.
-            if peek(pair) is None:
-                prematch.scores[pair] = pair_score
-                if instrumentation is not None:
-                    instrumentation.count(PAIRS_SCORED)
-                    instrumentation.count(FULL_AGG_SIM_CALLS)
-    return subgraphs
+    return [
+        subgraph
+        for chunk_subgraphs in chunk_results
+        for subgraph in chunk_subgraphs
+        if subgraph is not None
+    ]

@@ -112,6 +112,44 @@ class PreMatchResult:
                 self.instrumentation.count(FULL_AGG_SIM_CALLS)
         return score
 
+    def pair_sims(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        kernel=None,
+        n_workers: int = 1,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+    ) -> Dict[Tuple[str, str], float]:
+        """:meth:`pair_sim` for many pairs: each is looked up in
+        :attr:`scores` once, and the missing ones are scored in one
+        :func:`~repro.core.parallel.score_pairs_chunked` call (one
+        ``kernel`` batch when given), then memoised and counted as
+        :meth:`pair_sim` does — plus ``kernel_batches`` /
+        ``kernel_pairs`` when the kernel scored them."""
+        sims: Dict[Tuple[str, str], float] = {}
+        missing: List[Tuple[str, str]] = []
+        for pair in pairs:
+            score = self.scores.get(pair)
+            if score is None:
+                missing.append(pair)
+            else:
+                sims[pair] = score
+        if not missing:
+            return sims
+        fresh = score_pairs_chunked(
+            missing, self.old_index, self.new_index, self.sim_func,
+            n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
+        )
+        for pair, score in fresh.items():
+            self.scores[pair] = score
+        sims.update(fresh)
+        if self.instrumentation is not None:
+            self.instrumentation.count(PAIRS_SCORED, len(fresh))
+            self.instrumentation.count(FULL_AGG_SIM_CALLS, len(fresh))
+            if kernel is not None:
+                self.instrumentation.count(KERNEL_BATCHES)
+                self.instrumentation.count(KERNEL_PAIRS, len(fresh))
+        return sims
+
     @property
     def num_clusters(self) -> int:
         return len(self.clusters)

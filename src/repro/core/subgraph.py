@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..instrumentation import (
     GROUP_PAIRS,
@@ -25,9 +25,9 @@ from ..instrumentation import (
 )
 from ..model.households import Household
 from ..model.mappings import RecordMapping
-from ..model.records import PersonRecord
 from ..similarity.numeric import age_difference_similarity
 from .config import LinkageConfig
+from .parallel import GroupTask, build_subgraphs_chunked, resolve_workers
 from .prematching import PreMatchResult
 
 
@@ -89,72 +89,100 @@ class SubgraphMatch:
         )
 
 
-def _age_deviation(
-    old_record: PersonRecord, new_record: PersonRecord, year_gap: int
-) -> float:
-    """Normalised age deviation used only as an assignment tie-breaker."""
-    if old_record.age is None or new_record.age is None:
-        return float(year_gap)  # unknown: worst tie-break, still assignable
-    return abs(new_record.age - (old_record.age + year_gap))
-
-
-def _assign_label_pairs(
-    old_members: List[PersonRecord],
-    new_members: List[PersonRecord],
-    prematch: PreMatchResult,
-    year_gap: int,
-    max_age_deviation: float,
-    require_direct_threshold: bool = True,
-) -> List[Tuple[str, str]]:
-    """Greedy 1:1 assignment of equally-labelled members of two groups.
-
-    Usually each group has one record per label; when a household holds
-    homonyms (e.g. father and son John), the best-scoring disjoint pairs
-    win, with age plausibility as tie-breaker.  Two guards keep label
-    transitivity honest: a vertex pair must itself reach the current
-    threshold δ (shared labels arise transitively, so two records in one
-    cluster can be direct non-matches), and pairs whose normalised age
-    difference exceeds ``max_age_deviation`` are never vertices —
-    subgraph matching must not accept temporally impossible links
-    (footnote 2 of the paper).
-    """
-    delta = prematch.sim_func.threshold
-    candidates = []
-    for old_record in old_members:
-        for new_record in new_members:
-            deviation = _age_deviation(old_record, new_record, year_gap)
-            if (
-                old_record.age is not None
-                and new_record.age is not None
-                and deviation > max_age_deviation
-            ):
-                continue
-            pair_sim = prematch.pair_sim(
-                old_record.record_id, new_record.record_id
-            )
-            if require_direct_threshold and pair_sim < delta:
-                continue
-            # Round the similarity so that attribute noise does not
-            # outweigh age plausibility between namesake siblings.
-            candidates.append(
-                (
-                    -round(pair_sim, 2),
-                    deviation,
-                    old_record.record_id,
-                    new_record.record_id,
-                )
-            )
-    candidates.sort()
+def greedy_assignment(
+    scored: List[Tuple[float, float, str, str]],
+) -> List[Tuple[str, str, float]]:
+    """Greedy 1:1 assignment over ``(sim, age deviation, old id, new id)``
+    rows: best similarity first — rounded, so that attribute noise does
+    not outweigh age plausibility between namesake siblings — then age
+    plausibility, then lexicographic ids."""
+    order = sorted(
+        (-round(sim, 2), deviation, old_id, new_id, sim)
+        for sim, deviation, old_id, new_id in scored
+    )
     used_old: Set[str] = set()
     used_new: Set[str] = set()
-    assigned: List[Tuple[str, str]] = []
-    for _, _, old_id, new_id in candidates:
+    assigned: List[Tuple[str, str, float]] = []
+    for _, _, old_id, new_id, sim in order:
         if old_id in used_old or new_id in used_new:
             continue
         used_old.add(old_id)
         used_new.add(new_id)
-        assigned.append((old_id, new_id))
+        assigned.append((old_id, new_id, sim))
     return assigned
+
+
+#: An age-plausible member pair: (old record id, new record id, age
+#: deviation).
+VertexCandidate = Tuple[str, str, float]
+
+#: (record id, age) of a household member.
+Member = Tuple[str, Optional[int]]
+
+#: Cluster label → a household's labelled members.
+LabelBuckets = Dict[int, List[Member]]
+
+
+def plausible_pairs(
+    old_members: Sequence[Member],
+    new_members: Sequence[Member],
+    config: LinkageConfig,
+) -> List[VertexCandidate]:
+    """The age-plausible pairs of two member lists, in member order.
+
+    Pairs whose normalised age difference exceeds
+    ``max_normalised_age_difference`` are never linked — subgraph
+    matching must not accept temporally impossible links (footnote 2 of
+    the paper).  The deviation only breaks assignment ties; an unknown
+    age is always plausible, with the worst tie-break (``year_gap``).
+    """
+    gap = config.year_gap
+    limit = config.max_normalised_age_difference
+    pairs: List[VertexCandidate] = []
+    for old_id, old_age in old_members:
+        for new_id, new_age in new_members:
+            if old_age is None or new_age is None:
+                deviation = float(gap)
+            else:
+                deviation = abs(new_age - (old_age + gap))
+                if deviation > limit:
+                    continue
+            pairs.append((old_id, new_id, deviation))
+    return pairs
+
+
+def _label_buckets(
+    household: Household, labels: Dict[str, int]
+) -> LabelBuckets:
+    """A household's labelled members bucketed by cluster label, in
+    member-id order."""
+    buckets: LabelBuckets = defaultdict(list)
+    for record in household.iter_records():
+        label = labels.get(record.record_id)
+        if label is not None:
+            buckets[label].append((record.record_id, record.age))
+    return buckets
+
+
+def _vertex_candidates(
+    old_by_label: LabelBuckets,
+    new_by_label: LabelBuckets,
+    config: LinkageConfig,
+    anchors: Sequence[Tuple[str, str]] = (),
+) -> List[VertexCandidate]:
+    """Every age-plausible pair of equally-labelled members of two
+    households, anchors excluded, in label order."""
+    anchor_old = {old_id for old_id, _ in anchors}
+    anchor_new = {new_id for _, new_id in anchors}
+    candidates: List[VertexCandidate] = []
+    for label in sorted(old_by_label.keys() & new_by_label.keys()):
+        old_members = old_by_label[label]
+        new_members = new_by_label[label]
+        if anchors:
+            old_members = [m for m in old_members if m[0] not in anchor_old]
+            new_members = [m for m in new_members if m[0] not in anchor_new]
+        candidates.extend(plausible_pairs(old_members, new_members, config))
+    return candidates
 
 
 def _edge_between(
@@ -188,61 +216,37 @@ def _edge_between(
     )
 
 
-def build_subgraph(
+def assemble_subgraph(
     old_household: Household,
     new_household: Household,
-    prematch: PreMatchResult,
+    candidates: Sequence[VertexCandidate],
+    sims: Mapping[Tuple[str, str], float],
+    delta: float,
     config: LinkageConfig,
-    anchors: Optional[List[Tuple[str, str]]] = None,
+    anchors: Sequence[Tuple[str, str]] = (),
 ) -> Optional[SubgraphMatch]:
-    """The common subgraph of two enriched households (§3.3, Fig. 4),
-    or ``None``.
+    """The common subgraph of two households from their scored vertex
+    candidates (``sims`` holds ``agg_sim`` of every candidate), or
+    ``None``.
 
-    ``anchors`` are record pairs between these two households that were
-    already linked in earlier rounds; they join the subgraph as trusted
-    vertices so that a single remaining member can still exhibit matching
-    relationships (to its already-linked relatives).  ``None`` means the
-    pair shares no label, contributes no new link, or every new vertex
-    lost all its edges (no structural evidence for a group link).
+    Equally-labelled members are assigned greedily 1:1 (homonyms such
+    as father and son John go to the best-scoring disjoint pairs).
+    Shared labels arise transitively, so two records in one cluster can
+    be direct non-matches: with ``require_direct_pair_threshold`` a
+    vertex pair must itself reach δ.  Fresh vertices without a matched
+    edge are then pruned (Fig. 4); anchors always stay.
     """
-    anchors = anchors or []
-    anchor_old = {old_id for old_id, _ in anchors}
-    anchor_new = {new_id for _, new_id in anchors}
-
-    old_by_label: Dict[int, List[PersonRecord]] = defaultdict(list)
-    for record in old_household.iter_records():
-        if record.record_id in anchor_old:
+    rows = []
+    for old_id, new_id, deviation in candidates:
+        sim = sims[(old_id, new_id)]
+        if config.require_direct_pair_threshold and sim < delta:
             continue
-        label = prematch.labels.get(record.record_id)
-        if label is not None:
-            old_by_label[label].append(record)
-    new_by_label: Dict[int, List[PersonRecord]] = defaultdict(list)
-    for record in new_household.iter_records():
-        if record.record_id in anchor_new:
-            continue
-        label = prematch.labels.get(record.record_id)
-        if label is not None:
-            new_by_label[label].append(record)
-
-    shared_labels = sorted(set(old_by_label) & set(new_by_label))
-    if not shared_labels:
+        rows.append((sim, deviation, old_id, new_id))
+    if not rows:
         return None
-
-    fresh_vertices: List[Tuple[str, str]] = []
-    for label in shared_labels:
-        fresh_vertices.extend(
-            _assign_label_pairs(
-                old_by_label[label],
-                new_by_label[label],
-                prematch,
-                config.year_gap,
-                config.max_normalised_age_difference,
-                require_direct_threshold=config.require_direct_pair_threshold,
-            )
-        )
-    if not fresh_vertices:
-        return None
-    fresh_vertices.sort()
+    fresh_vertices = sorted(
+        (old_id, new_id) for old_id, new_id, _ in greedy_assignment(rows)
+    )
     vertices = sorted(anchors) + fresh_vertices
     num_anchors = len(anchors)
 
@@ -261,7 +265,6 @@ def build_subgraph(
             return None
         kept_vertices = vertices
         kept_edges: List[Tuple[int, int, float]] = []
-        kept_anchor_count = num_anchors
     else:
         # Prune *fresh* vertices not incident to any matched edge (Fig. 4);
         # anchors always stay.
@@ -276,9 +279,8 @@ def build_subgraph(
             (remap[index_a], remap[index_b], rp_sim)
             for index_a, index_b, rp_sim in edges
         ]
-        kept_anchor_count = num_anchors
 
-    if len(kept_vertices) <= kept_anchor_count:
+    if len(kept_vertices) <= num_anchors:
         return None  # no new record link would result
     return SubgraphMatch(
         old_group_id=old_household.household_id,
@@ -287,7 +289,45 @@ def build_subgraph(
         edges=kept_edges,
         old_edge_total=old_household.num_relationships,
         new_edge_total=new_household.num_relationships,
-        num_anchors=kept_anchor_count,
+        num_anchors=num_anchors,
+    )
+
+
+def build_subgraph(
+    old_household: Household,
+    new_household: Household,
+    prematch: PreMatchResult,
+    config: LinkageConfig,
+    anchors: Optional[List[Tuple[str, str]]] = None,
+) -> Optional[SubgraphMatch]:
+    """The common subgraph of two enriched households (§3.3, Fig. 4),
+    or ``None``.
+
+    ``anchors`` are record pairs between these two households that were
+    already linked in earlier rounds; they join the subgraph as trusted
+    vertices so that a single remaining member can still exhibit matching
+    relationships (to its already-linked relatives).  ``None`` means the
+    pair shares no label, contributes no new link, or every new vertex
+    lost all its edges (no structural evidence for a group link).
+
+    This is the one-pair form of :func:`build_all_subgraphs`: it buckets
+    both households itself and scores vertex pairs one at a time through
+    :meth:`PreMatchResult.pair_sim`.
+    """
+    anchors = anchors or []
+    candidates = _vertex_candidates(
+        _label_buckets(old_household, prematch.labels),
+        _label_buckets(new_household, prematch.labels),
+        config,
+        anchors,
+    )
+    sims = {
+        (old_id, new_id): prematch.pair_sim(old_id, new_id)
+        for old_id, new_id, _ in candidates
+    }
+    return assemble_subgraph(
+        old_household, new_household, candidates, sims,
+        prematch.sim_func.threshold, config, anchors,
     )
 
 
@@ -421,19 +461,32 @@ class GroupPairIndex:
         return buckets
 
 
-def _anchors_for_pair(
-    old_household: Household,
-    new_household: Household,
-    record_mapping: Optional["RecordMapping"],
-) -> List[Tuple[str, str]]:
-    """Links from earlier δ rounds falling inside this household pair."""
-    if record_mapping is None:
-        return []
-    anchors: List[Tuple[str, str]] = []
-    for record_id in old_household.member_ids:
-        linked_new = record_mapping.get_new(record_id)
-        if linked_new is not None and linked_new in new_household.members:
-            anchors.append((record_id, linked_new))
+def anchors_by_group_pair(
+    group_pairs: Sequence[Tuple[str, str]],
+    old_households: Dict[str, Household],
+    new_group_of: Dict[str, str],
+    record_mapping: Optional[RecordMapping],
+) -> Dict[Tuple[str, str], List[Tuple[str, str]]]:
+    """Links from earlier δ rounds inside each of a round's candidate
+    group pairs, keyed by pair (pairs without anchors are absent).
+
+    Each candidate old household is scanned once per round, whatever
+    its number of candidate partners: every linked member is mapped to
+    its partner's household through the inverted record → household
+    index.
+    """
+    anchors: Dict[Tuple[str, str], List[Tuple[str, str]]] = defaultdict(list)
+    if not record_mapping:
+        return anchors
+    wanted = set(group_pairs)
+    for old_group_id in dict.fromkeys(old for old, _ in group_pairs):
+        for record_id in old_households[old_group_id].member_ids:
+            linked_new = record_mapping.get_new(record_id)
+            if linked_new is None:
+                continue
+            pair = (old_group_id, new_group_of.get(linked_new))
+            if pair in wanted:
+                anchors[pair].append((record_id, linked_new))
     return anchors
 
 
@@ -448,22 +501,29 @@ def build_all_subgraphs(
     n_workers: int = 1,
     chunk_size: int = 32,
     score: bool = False,
+    kernel=None,
 ) -> List[SubgraphMatch]:
     """``subgroups`` of Alg. 1 (line 7, §3.3): common subgraphs of all
-    candidate group pairs.
+    candidate group pairs, in one pass over the δ round; each equals
+    :func:`build_subgraph` on its pair.
 
     ``record_mapping`` holds the links accepted in earlier δ rounds;
     links that fall inside a candidate household pair become anchors.
     ``index`` is a prebuilt :class:`GroupPairIndex`; one is built on the
     fly when omitted, and the brute-force scan is used instead when
     ``config.group_pair_indexing`` is off (same candidate set, counted
-    differently).  With ``n_workers != 1`` the per-pair work —
-    ``build_subgraph`` and, when ``score`` is set, Eq. 4–7 scoring — fans
-    out over worker chunks via :mod:`repro.core.parallel`; chunks merge
-    in order, and pair similarities computed inside workers are folded
-    back into the shared score store exactly as a serial run would have
-    recorded them, so the subgraph list, every score field and the
-    ``pairs_scored`` tally are byte-identical to serial.
+    differently).
+
+    Every touched household is bucketed by label once, and a group pair
+    without an age-plausible same-label member pair is dropped before
+    construction (it cannot have a vertex).  The enumerated member pairs
+    the score store lacks are scored in one batch
+    (:meth:`PreMatchResult.pair_sims`: one ``kernel`` call, else
+    per-pair ``agg_sim`` on ``n_workers`` processes), and construction
+    reads vertex similarities from that batch — serially, or with
+    ``n_workers != 1`` over worker chunks merged in order
+    (:mod:`repro.core.parallel`).  ``score`` also fills the Eq. 4–7
+    scores.
 
     ``instrumentation`` (optional) tallies the candidate pairs emitted,
     the cross-product pairs the index skipped and the non-empty
@@ -484,52 +544,62 @@ def build_all_subgraphs(
         instrumentation.count(GROUP_PAIRS_CANDIDATES, len(group_pairs))
         instrumentation.count(GROUP_PAIRS_SKIPPED, skipped)
 
-    tasks = [
-        (
-            old_group_id,
-            new_group_id,
-            _anchors_for_pair(
-                old_households[old_group_id],
-                new_households[new_group_id],
-                record_mapping,
-            ),
+    anchors = anchors_by_group_pair(
+        group_pairs, old_households, index.new_group_of, record_mapping
+    )
+    old_buckets: Dict[str, LabelBuckets] = {}
+    new_buckets: Dict[str, LabelBuckets] = {}
+    tasks: List[GroupTask] = []
+    for old_group_id, new_group_id in group_pairs:
+        old_by_label = old_buckets.get(old_group_id)
+        if old_by_label is None:
+            old_by_label = old_buckets[old_group_id] = _label_buckets(
+                old_households[old_group_id], prematch.labels
+            )
+        new_by_label = new_buckets.get(new_group_id)
+        if new_by_label is None:
+            new_by_label = new_buckets[new_group_id] = _label_buckets(
+                new_households[new_group_id], prematch.labels
+            )
+        pair_anchors = anchors.get((old_group_id, new_group_id), [])
+        candidates = _vertex_candidates(
+            old_by_label, new_by_label, config, pair_anchors
         )
-        for old_group_id, new_group_id in group_pairs
-    ]
+        if candidates:
+            tasks.append(
+                (old_group_id, new_group_id, pair_anchors, candidates)
+            )
 
-    # Imported lazily: scoring and parallel import this module.
-    from .parallel import build_subgraphs_chunked, resolve_workers
-
+    sims = prematch.pair_sims(
+        [
+            (old_id, new_id)
+            for *_, candidates in tasks
+            for old_id, new_id, _ in candidates
+        ],
+        kernel=kernel,
+        n_workers=n_workers,
+        chunk_size=config.worker_chunk_size,
+    )
+    delta = prematch.sim_func.threshold
     if resolve_workers(n_workers) > 1 and len(tasks) > chunk_size:
         subgraphs = build_subgraphs_chunked(
-            tasks,
-            old_households,
-            new_households,
-            prematch,
-            config,
-            n_workers=n_workers,
-            chunk_size=chunk_size,
-            score=score,
-            # Lazy pair_sim computations count through the same collector
-            # a serial run would use (PreMatchResult.pair_sim).
-            instrumentation=prematch.instrumentation or instrumentation,
+            tasks, old_households, new_households, sims, delta, config,
+            n_workers=n_workers, chunk_size=chunk_size,
         )
     else:
-        if score:
-            from .scoring import score_subgraph
         subgraphs = []
-        for old_group_id, new_group_id, anchors in tasks:
-            subgraph = build_subgraph(
+        for old_group_id, new_group_id, pair_anchors, candidates in tasks:
+            subgraph = assemble_subgraph(
                 old_households[old_group_id],
                 new_households[new_group_id],
-                prematch,
-                config,
-                anchors=anchors,
+                candidates, sims, delta, config, pair_anchors,
             )
             if subgraph is not None:
-                if score:
-                    score_subgraph(subgraph, prematch, config)
                 subgraphs.append(subgraph)
+    if score:
+        from .scoring import score_subgraphs
+
+        score_subgraphs(subgraphs, prematch, config)
     if instrumentation is not None:
         instrumentation.count(SUBGRAPHS_BUILT, len(subgraphs))
     return subgraphs

@@ -66,10 +66,16 @@ PAIRS_RESCORED = "pairs_rescored"  # agg_sim evaluations performed by the
 
 @dataclass
 class StageStats:
-    """Accumulated wall-clock time and entry count of one pipeline stage."""
+    """Accumulated wall-clock time and entry count of one pipeline stage.
+
+    ``nested_seconds`` is the part of ``seconds`` spent while another
+    stage of the same collector was open (``filtering`` inside
+    ``prematching``, say); it is already counted by that outer stage.
+    """
 
     seconds: float = 0.0
     calls: int = 0
+    nested_seconds: float = 0.0
 
 
 @dataclass
@@ -84,19 +90,28 @@ class Instrumentation:
 
     stages: Dict[str, StageStats] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: Stages currently open (``stage`` blocks not yet exited).
+    _open: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- recording -----------------------------------------------------------
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with``-block and accumulate it under ``name``."""
+        """Time a ``with``-block and accumulate it under ``name``; a
+        block opened inside another stage is also tallied as nested."""
+        nested = self._open > 0
+        self._open += 1
         start = time.perf_counter()
         try:
             yield
         finally:
+            elapsed = time.perf_counter() - start
+            self._open -= 1
             stats = self.stages.setdefault(name, StageStats())
-            stats.seconds += time.perf_counter() - start
+            stats.seconds += elapsed
             stats.calls += 1
+            if nested:
+                stats.nested_seconds += elapsed
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -119,8 +134,12 @@ class Instrumentation:
         return stats.seconds if stats else 0.0
 
     def total_seconds(self) -> float:
-        """Sum of all stage timers."""
-        return sum(stats.seconds for stats in self.stages.values())
+        """Time spent in outermost stages: a nested stage's time is
+        already inside its outer stage, so it is not added again."""
+        return sum(
+            stats.seconds - stats.nested_seconds
+            for stats in self.stages.values()
+        )
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-data snapshot (stages and counters), e.g. for JSON dumps."""
@@ -138,25 +157,36 @@ class Instrumentation:
             mine = self.stages.setdefault(name, StageStats())
             mine.seconds += stats.seconds
             mine.calls += stats.calls
+            mine.nested_seconds += stats.nested_seconds
         for name, value in other.counters.items():
             self.count(name, value)
 
     def report(self, title: str = "pipeline profile") -> str:
-        """Human-readable two-part table: stage timers, then counters."""
+        """Human-readable two-part table: stage timers, then counters.
+
+        Rows of stages that ran inside another stage (on some or all of
+        their calls) carry a ``*``; the total counts outermost time only.
+        """
         lines = [title, "=" * len(title)]
         if self.stages:
-            width = max(len(name) for name in self.stages)
+            width = max(len(name) for name in self.stages) + 2
             lines.append(f"{'stage'.ljust(width)}  {'seconds':>9}  {'calls':>6}")
             for name, stats in sorted(
                 self.stages.items(), key=lambda item: -item[1].seconds
             ):
+                label = f"{name} *" if stats.nested_seconds else name
                 lines.append(
-                    f"{name.ljust(width)}  {stats.seconds:>9.3f}  "
+                    f"{label.ljust(width)}  {stats.seconds:>9.3f}  "
                     f"{stats.calls:>6d}"
                 )
             lines.append(
                 f"{'total'.ljust(width)}  {self.total_seconds():>9.3f}"
             )
+            if any(stats.nested_seconds for stats in self.stages.values()):
+                lines.append(
+                    "* includes time inside another stage, counted once "
+                    "in the total"
+                )
         if self.counters:
             if self.stages:
                 lines.append("")

@@ -13,7 +13,10 @@ honour the structural contract of the iterative loop on generated towns:
   a later round;
 * the Hausdorff group score is a pure function of the two member *sets*:
   permutation-invariant in member order and independent of duplicated
-  entries.
+  entries;
+* the scoring effort a backend reports does not depend on the scoring
+  backend: a pair the batch kernel scores counts as scored and as a full
+  ``agg_sim`` call, as the per-pair path counts it.
 """
 
 import itertools
@@ -24,7 +27,10 @@ from hypothesis import strategies as st
 
 from repro.core.backends import available_backends, hausdorff_similarity
 from repro.core.config import LinkageConfig
+from repro.core.kernel import HAVE_NUMPY
 from repro.core.pipeline import link_datasets
+from repro.datagen import generate_pair
+from repro.instrumentation import FULL_AGG_SIM_CALLS, KERNEL_PAIRS, PAIRS_SCORED
 
 from tests.strategies import census_dataset_pairs
 
@@ -46,6 +52,25 @@ RELAXED = settings(
 
 def test_battery_covers_all_shipped_backends():
     assert set(BACKENDS) >= {"default", "rgl", "hausdorff"}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scoring_effort_independent_of_scoring_backend(backend):
+    old_dataset, new_dataset = generate_pair(
+        seed=7, initial_households=30
+    ).datasets
+    effort = {}
+    for scoring in ("python", "vectorized"):
+        profile = link_datasets(
+            old_dataset, new_dataset,
+            LinkageConfig(group_backend=backend, scoring_backend=scoring),
+        ).profile
+        effort[scoring] = (
+            profile.value(PAIRS_SCORED), profile.value(FULL_AGG_SIM_CALLS)
+        )
+        if scoring == "vectorized" and HAVE_NUMPY:
+            assert profile.value(KERNEL_PAIRS) > 0
+    assert effort["python"] == effort["vectorized"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -132,8 +132,9 @@ class TestParallelPipeline:
 
 
 class TestParallelGroupStage:
-    """The §3.3–§3.4 fan-out: chunked subgraph construction + scoring is
-    byte-identical to the serial loop, including the score store."""
+    """The §3.3 fan-out: chunked subgraph construction (scored after the
+    merge) is byte-identical to the serial loop, including the score
+    store."""
 
     @pytest.fixture(scope="class")
     def stage(self, workload):
@@ -171,8 +172,9 @@ class TestParallelGroupStage:
         assert self._signature(parallel) == self._signature(serial)
 
     def test_worker_fresh_scores_folded_back(self, stage):
-        """Pair similarities computed lazily inside workers end up in the
-        shared score store, exactly as a serial run records them."""
+        """The parallel run leaves the shared score store exactly as a
+        serial run does: the round's vertex pairs are scored before the
+        fan-out, and workers only read them."""
         import copy
 
         from repro.core.scoring import score_subgraphs

@@ -1,10 +1,14 @@
 """Property-based tests of the group-matching engine (§3.3–§3.4).
 
-Three contracts of the indexed parallel group stage, each exercised on
+Four contracts of the indexed parallel group stage, each exercised on
 generated towns rather than hand-picked fixtures:
 
 * the inverted record→household index emits exactly the candidate group
   pairs the brute-force |G_i| × |G_{i+1}| scan keeps;
+* the batched round pass (``build_all_subgraphs``) builds, in every δ
+  round, exactly the subgraphs a loop of one-pair ``build_subgraph``
+  calls builds, and scores exactly the same record pairs — with a
+  kernel, without any per-pair ``agg_sim`` call;
 * group-link selection is invariant under shuffling of the candidate
   subgraph order, for both conflict policies (reject and lazy requeue);
 * the selection outcome is independent of the interpreter hash seed —
@@ -12,26 +16,36 @@ generated towns rather than hand-picked fixtures:
   ``PYTHONHASHSEED`` values.
 """
 
+import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.backends as backends
 from repro.core.config import LinkageConfig
 from repro.core.enrichment import complete_groups
+from repro.core.kernel import HAVE_NUMPY
+from repro.core.pipeline import link_datasets
 from repro.core.prematching import prematching
-from repro.core.scoring import score_subgraphs
+from repro.core.scoring import score_subgraph, score_subgraphs
 from repro.core.selection import select_group_matches
 from repro.core.subgraph import (
     GroupPairIndex,
     brute_force_group_pairs,
     build_all_subgraphs,
+    build_subgraph,
 )
+from repro.datagen import generate_pair
+from repro.instrumentation import KERNEL_PAIRS, PAIRS_SCORED, Instrumentation
+from repro.similarity.vector import SimilarityFunction
 
 from tests.strategies import census_dataset_pairs
 
@@ -120,6 +134,186 @@ class TestIndexEqualsBruteForce:
             for new_group in new_groups
         }
         assert set(index.candidate_pairs(prematch)) <= witnessed
+
+
+@contextmanager
+def _around_group_stage(before):
+    """Call ``before(args, kwargs)`` ahead of every group-stage call the
+    default backend makes during the block."""
+    original = backends.build_all_subgraphs
+
+    def wrapper(*args, **kwargs):
+        before(args, kwargs)
+        return original(*args, **kwargs)
+
+    backends.build_all_subgraphs = wrapper
+    try:
+        yield
+    finally:
+        backends.build_all_subgraphs = original
+
+
+def _subgraph_signature(subgraphs):
+    return [
+        (s.old_group_id, s.new_group_id, s.vertices, s.edges, s.num_anchors,
+         s.avg_sim, s.e_sim, s.unique, s.g_sim)
+        for s in subgraphs
+    ]
+
+
+def _private_copy(prematch):
+    """The round's pre-match result with its own score store and
+    counters, so two group stages can run on the same round."""
+    return dataclasses.replace(
+        prematch,
+        scores=copy.deepcopy(prematch.scores),
+        instrumentation=Instrumentation(),
+    )
+
+
+def _one_pair_at_a_time(prematch, old_households, new_households, config,
+                        record_mapping, index):
+    """The reference: ``build_subgraph`` per candidate pair, anchors from
+    a scan of the old household's members, lazy ``pair_sim`` scoring."""
+    subgraphs = []
+    for old_group_id, new_group_id in index.candidate_pairs(prematch):
+        old_household = old_households[old_group_id]
+        new_household = new_households[new_group_id]
+        anchors = [
+            (old_id, record_mapping.get_new(old_id))
+            for old_id in old_household.member_ids
+            if record_mapping.get_new(old_id) in new_household.members
+        ]
+        subgraph = build_subgraph(
+            old_household, new_household, prematch, config, anchors=anchors
+        )
+        if subgraph is not None:
+            score_subgraph(subgraph, prematch, config)
+            subgraphs.append(subgraph)
+    return subgraphs
+
+
+def _compare_with_one_pair_reference(observed):
+    """A group-stage hook: run the batched pass and the one-pair
+    reference on private copies of the round and require the same
+    subgraphs and the same scored pairs."""
+
+    def check(args, kwargs):
+        prematch, old_households, new_households, config = args
+        mapping = kwargs["record_mapping"]
+        batched_prematch = _private_copy(prematch)
+        batched = build_all_subgraphs(
+            batched_prematch, old_households, new_households, config,
+            record_mapping=mapping, index=kwargs["index"],
+            kernel=kwargs["kernel"],
+        )
+        score_subgraphs(batched, batched_prematch, config)
+        reference_prematch = _private_copy(prematch)
+        reference = _one_pair_at_a_time(
+            reference_prematch, old_households, new_households, config,
+            mapping, kwargs["index"],
+        )
+        assert _subgraph_signature(batched) == _subgraph_signature(reference)
+        assert dict(batched_prematch.scores.items()) == dict(
+            reference_prematch.scores.items()
+        )
+        assert batched_prematch.instrumentation.value(PAIRS_SCORED) == (
+            reference_prematch.instrumentation.value(PAIRS_SCORED)
+        )
+        observed["rounds"] += 1
+        observed["anchors"] += sum(s.num_anchors for s in reference)
+
+    return check
+
+
+class TestBatchedGroupStageEqualsOnePairLoop:
+    """The round pass is an optimisation of a per-pair loop, not a new
+    algorithm: at every δ round (the schedule runs to its end, so links
+    from earlier rounds turn into anchors), with the direct-threshold
+    guard and singleton subgraphs each on and off, on both scoring
+    backends."""
+
+    @given(
+        census_dataset_pairs(min_households=4, max_households=9),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["python", "vectorized"]),
+    )
+    @RELAXED
+    def test_same_subgraphs_and_scored_pairs(
+        self, pair, direct, singletons, scoring
+    ):
+        old_dataset, new_dataset, _ = pair
+        config = LinkageConfig(
+            require_direct_pair_threshold=direct,
+            allow_singleton_subgraphs=singletons,
+            scoring_backend=scoring,
+            stop_on_empty_round=False,
+        )
+        observed = {"rounds": 0, "anchors": 0}
+        with _around_group_stage(_compare_with_one_pair_reference(observed)):
+            link_datasets(old_dataset, new_dataset, config)
+        assert observed["rounds"] >= 1
+
+    def test_anchors_occur_in_later_rounds(self):
+        """On a seeded town the comparison meets anchored subgraphs, so
+        the anchor path of the round pass is covered, not just possible."""
+        old_dataset, new_dataset = generate_pair(
+            seed=7, initial_households=30
+        ).datasets
+        observed = {"rounds": 0, "anchors": 0}
+        with _around_group_stage(_compare_with_one_pair_reference(observed)):
+            link_datasets(
+                old_dataset, new_dataset,
+                LinkageConfig(stop_on_empty_round=False),
+            )
+        assert observed["rounds"] == len(LinkageConfig().threshold_schedule())
+        assert observed["anchors"] > 0
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the batch kernel needs numpy")
+def test_kernel_round_batch_makes_no_scalar_agg_sim_call():
+    """With a kernel, the group stage scores its vertex pairs in one
+    batch per round: no per-pair ``SimilarityFunction.agg_sim`` call runs
+    inside ``build_all_subgraphs``, yet the kernel does score pairs
+    there."""
+    old_dataset, new_dataset = generate_pair(
+        seed=7, initial_households=30
+    ).datasets
+    inside = {"active": False, "agg_sim": 0, "kernel_pairs": 0}
+    original_agg_sim = SimilarityFunction.agg_sim
+    original_stage = backends.build_all_subgraphs
+
+    def counting_agg_sim(self, old_record, new_record):
+        if inside["active"]:
+            inside["agg_sim"] += 1
+        return original_agg_sim(self, old_record, new_record)
+
+    def group_stage(*args, **kwargs):
+        profile = kwargs["instrumentation"]
+        before = profile.value(KERNEL_PAIRS)
+        inside["active"] = True
+        try:
+            return original_stage(*args, **kwargs)
+        finally:
+            inside["active"] = False
+            inside["kernel_pairs"] += profile.value(KERNEL_PAIRS) - before
+
+    SimilarityFunction.agg_sim = counting_agg_sim
+    backends.build_all_subgraphs = group_stage
+    try:
+        link_datasets(old_dataset, new_dataset, LinkageConfig())
+        assert inside["agg_sim"] == 0
+        assert inside["kernel_pairs"] > 0
+        # The spy does see scalar scoring: the python backend scores the
+        # same round batches pair by pair.
+        link_datasets(
+            old_dataset, new_dataset, LinkageConfig(scoring_backend="python")
+        )
+        assert inside["agg_sim"] > 0
+    finally:
+        SimilarityFunction.agg_sim = original_agg_sim
+        backends.build_all_subgraphs = original_stage
 
 
 class TestSelectionShuffleInvariance:

@@ -70,6 +70,33 @@ class TestInstrumentation:
         assert "pairs_scored" in report
         assert "42" in report
 
+    def test_nested_stage_not_added_to_total(self):
+        inst = Instrumentation()
+        with inst.stage("outer"):
+            with inst.stage("inner"):
+                time.sleep(0.002)
+        assert inst.stages["inner"].nested_seconds == inst.seconds("inner")
+        assert inst.stages["outer"].nested_seconds == 0.0
+        assert inst.total_seconds() == inst.seconds("outer")
+
+    def test_report_marks_nested_rows(self):
+        inst = Instrumentation()
+        with inst.stage("outer"):
+            with inst.stage("inner"):
+                pass
+        rows = inst.report().splitlines()
+        assert any(row.startswith("inner *") for row in rows)
+        assert not any(row.startswith("outer *") for row in rows)
+
+    def test_merge_keeps_nested_time_out_of_total(self):
+        first = Instrumentation()
+        second = Instrumentation()
+        with second.stage("outer"):
+            with second.stage("inner"):
+                time.sleep(0.001)
+        first.merge(second)
+        assert first.total_seconds() == second.total_seconds()
+
     def test_report_on_empty_collector(self):
         assert "(empty)" in Instrumentation().report()
 
@@ -166,6 +193,24 @@ class TestPipelineProfile:
     def test_iteration_stats_have_timings(self, linked):
         result, _ = linked
         assert all(stats.seconds >= 0.0 for stats in result.iterations)
+
+
+@pytest.mark.parametrize("shards", [0, 2])
+def test_profile_total_within_wall_clock(shards):
+    """Stages nest (``filtering`` inside ``prematching``, and in the
+    sharded pipeline per-shard stages inside ``remaining``), yet the total
+    counts each second once: it never exceeds the run's wall clock."""
+    old, new = generate_pair(seed=7, initial_households=40).datasets
+    start = time.perf_counter()
+    result = link_datasets(old, new, LinkageConfig(shards=shards))
+    wall = time.perf_counter() - start
+    profile = result.profile
+    assert any(stats.nested_seconds for stats in profile.stages.values())
+    assert profile.total_seconds() <= wall
+    # Summing every row would count the nested stages twice.
+    assert sum(stats.seconds for stats in profile.stages.values()) > (
+        profile.total_seconds()
+    )
 
 
 class TestFilteringCounters:
