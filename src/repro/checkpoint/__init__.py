@@ -1,13 +1,16 @@
-"""Checkpoint/resume subsystem: durable per-round run state for Alg. 1.
+"""Checkpoint/resume subsystem: durable run state for Alg. 1.
 
-The iterative pipeline's natural round boundaries (each δ of the
-schedule, plus the final ``Sim_func_rem`` pass) become recovery points:
-after every boundary a :class:`RunState` snapshot is atomically
-persisted to a checkpoint directory, and
+The Alg. 1 driver's natural boundaries (each δ of the schedule, each
+shard merge inside a round of a sharded run, plus the final
+``Sim_func_rem`` pass) become recovery points: a :class:`RunState`
+snapshot is atomically persisted to a checkpoint directory at the
+boundaries ``LinkageConfig.checkpoint_every`` selects, and
 ``link_datasets(checkpoint_dir=..., resume=True)`` continues an
-interrupted run from the newest loadable snapshot — **deterministically**:
-the resumed run's mappings, per-round ledgers and event counters are
-byte-identical to an uninterrupted run's (proven by
+interrupted run from the newest loadable snapshot — **deterministically**.
+In-RAM and sharded runs write the one format under the one cadence
+rule; a resumed in-RAM run's mappings, per-round ledgers and event
+counters are byte-identical to an uninterrupted run's, and a resumed
+sharded run makes the same decisions (proven at every kill point by
 ``tests/test_checkpoint_crash_matrix.py``).
 
 Layout::
@@ -15,9 +18,7 @@ Layout::
     checkpoint/
       state.py    RunState + canonical serialization, content hash, schema
       store.py    CheckpointStore: atomic writes, recovery scan, inspection
-      ledger.py   the canonical "resumed == uninterrupted" comparison doc
-      shard.py    ShardRunState: per-shard recovery points of the
-                  sharded out-of-core driver (repro.sharding.pipeline)
+      ledger.py   the canonical "resumed == uninterrupted" comparison docs
       series.py   SeriesState: settled pair linkage for incremental re-runs
       faults.py   crash/fault injection for the test battery
 """
@@ -41,13 +42,6 @@ from .state import (
     RunState,
     content_hash,
     dataset_fingerprint,
-)
-from .shard import (
-    SHARD_PHASE_FINAL,
-    SHARD_PHASE_ROUND,
-    SHARD_SCHEMA_VERSION,
-    ShardRunState,
-    ShardStateStore,
 )
 from .store import CheckpointEntry, CheckpointStore, coerce_store
 
@@ -77,12 +71,7 @@ __all__ = [
     "CheckpointStore",
     "PairState",
     "RunState",
-    "SHARD_PHASE_FINAL",
-    "SHARD_PHASE_ROUND",
-    "SHARD_SCHEMA_VERSION",
     "SeriesStore",
-    "ShardRunState",
-    "ShardStateStore",
     "analysis_ledger",
     "analysis_ledger_hash",
     "decision_ledger",

@@ -6,9 +6,11 @@ failure classes:
 
 * :class:`CrashingStore` — a :class:`~repro.checkpoint.store.CheckpointStore`
   that raises :class:`SimulatedCrash` immediately **after** persisting a
-  chosen round's checkpoint: the moral equivalent of ``kill -9`` at a
-  round boundary (the state the next process sees is exactly what was on
-  disk).
+  chosen checkpoint (a round, the n-th write — mid-round ones included —
+  or the final one): the moral equivalent of ``kill -9`` at that
+  boundary (the state the next process sees is exactly what was on
+  disk).  In-RAM and sharded runs write through the same store, so one
+  battery kills both.
 * :func:`failing_os_replace` — substituted for ``os.replace`` inside
   :func:`repro.ioutil.atomic_write_text` to model a crash **mid-write**,
   at the worst possible instant: the payload is fully staged but never
@@ -46,11 +48,13 @@ def failing_os_replace(src: str, dst: str) -> None:
 class CrashingStore(CheckpointStore):
     """A checkpoint store that dies right after a chosen write.
 
-    ``crash_after_round=k`` raises :class:`SimulatedCrash` once the
-    round-``k`` checkpoint is durably on disk; ``crash_after_final``
-    does the same after the run-complete checkpoint.  ``fail_replace_at``
-    instead injects :func:`failing_os_replace` into that round's write —
-    the checkpoint is *not* published and the write's error propagates.
+    ``crash_after_writes=n`` raises :class:`SimulatedCrash` once the
+    ``n``-th checkpoint (of any kind) is durably on disk;
+    ``crash_after_round=k`` does the same after the round-``k``
+    boundary checkpoint, and ``crash_after_final`` after the
+    run-complete one.  ``fail_replace_at=n`` instead injects
+    :func:`failing_os_replace` into the ``n``-th write — that
+    checkpoint is *not* published and the write's error propagates.
     """
 
     def __init__(
@@ -59,34 +63,38 @@ class CrashingStore(CheckpointStore):
         crash_after_round: Optional[int] = None,
         crash_after_final: bool = False,
         fail_replace_at: Optional[int] = None,
+        crash_after_writes: Optional[int] = None,
     ) -> None:
         super().__init__(directory)
         self.crash_after_round = crash_after_round
         self.crash_after_final = crash_after_final
         self.fail_replace_at = fail_replace_at
+        self.crash_after_writes = crash_after_writes
+        self.writes = 0
 
     def write_state(
         self,
         state: RunState,
         instrumentation: Optional[Instrumentation] = None,
     ):
-        if (
-            self.fail_replace_at is not None
-            and state.phase != PHASE_FINAL
-            and state.round_index == self.fail_replace_at
-        ):
+        self.writes += 1
+        if self.writes == self.fail_replace_at:
             self._replace = failing_os_replace
         try:
             path = super().write_state(state, instrumentation=instrumentation)
         finally:
             self._replace = None
+        if self.writes == self.crash_after_writes:
+            raise SimulatedCrash(
+                f"simulated kill after checkpoint write {self.writes}"
+            )
         if state.phase == PHASE_FINAL:
             if self.crash_after_final:
                 raise SimulatedCrash(
                     "simulated kill after the final checkpoint"
                 )
         elif (
-            self.crash_after_round is not None
+            not state.mid_round
             and state.round_index == self.crash_after_round
         ):
             raise SimulatedCrash(

@@ -1,27 +1,31 @@
-"""Run-state snapshots of the iterative pipeline (Alg. 1 recovery points).
+"""Run-state snapshots of the Alg. 1 driver (recovery points).
 
 A :class:`RunState` captures everything Algorithm 1 has decided up to a
-round boundary: which δ rounds completed, the accepted record and group
-links (with :class:`~repro.core.pipeline.LinkOrigin` provenance when the
-run is validated), the per-round statistics ledger, the instrumentation
-counters, and — optionally — the full cross-round
+round or shard boundary: which δ rounds completed, how many shards of
+the in-flight round were merged (with that round's accumulators), the
+accepted record and group links (with
+:class:`~repro.core.pipeline.LinkOrigin` provenance when the run is
+validated), the per-round statistics ledger, the instrumentation
+counters, and — for a resident run, optionally — the full cross-round
 :class:`~repro.core.simcache.SimilarityCache` export.  Because every
-stage downstream of a round boundary is deterministic in that state
-(canonical sorted mappings since PR 2, hash-seed-independent selection
-since PR 4), a run resumed from a boundary-``k`` snapshot produces the
-same mappings, counters and per-round ledgers as one that never stopped.
+stage downstream of a boundary is deterministic in that state
+(canonical sorted mappings, hash-seed-independent selection), a run
+resumed from a snapshot makes the same decisions as one that never
+stopped; with the cache export it also does the same work.
 
-On disk a checkpoint is one canonical JSON document::
+In-RAM and sharded runs write this one format
+(:func:`repro.core.pipeline.run_linkage`).  On disk a checkpoint is one
+canonical JSON document::
 
-    {"schema": 1, "content_hash": "<sha256 of the payload>", "payload": {...}}
+    {"schema": 2, "content_hash": "<sha256 of the payload>", "payload": {...}}
 
 ``content_hash`` covers the *compact* canonical serialization of the
 payload, so any byte of tampering (or torn write that survived the
 atomic-rename discipline, e.g. on a corrupted filesystem) is detected at
 load time and rejected with :class:`CheckpointCorrupt` rather than
-half-loaded.  Unknown schema versions are rejected up front with
-:class:`CheckpointSchemaError` — the payload of a future layout is never
-interpreted.
+half-loaded.  Unknown schema versions — schema 1 included — are rejected
+up front with :class:`CheckpointSchemaError`: the payload of another
+layout is never interpreted.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 #: Checkpoint document schema version (bump on incompatible layout changes).
-SCHEMA_VERSION = 1
+#: Schema 2 added shard progress and dropped the sharded driver's
+#: separate state format.
+SCHEMA_VERSION = 2
 
-#: ``RunState.phase`` after a completed δ round of Alg. 1.
+#: ``RunState.phase`` while δ rounds are in progress.
 PHASE_ROUND = "round"
 #: ``RunState.phase`` after the final ``Sim_func_rem`` pass (run complete).
 PHASE_FINAL = "final"
@@ -57,13 +63,17 @@ class CheckpointMismatch(CheckpointError):
 
 
 def dataset_fingerprint(old_dataset, new_dataset) -> str:
-    """Short stable hash of both input datasets' full record content.
+    """Short stable hash of both input snapshots' full record content.
 
     Resume refuses to continue from a checkpoint whose inputs differ —
     a snapshot of run state is only meaningful against the exact data
-    the interrupted run saw.  Records are serialized in sorted-id order
-    with every compared attribute, so the fingerprint is independent of
-    construction order, hash seed and Python version.
+    the interrupted run saw.  The snapshots are :class:`CensusDataset`
+    objects or record sources streamed from a shard store (anything
+    with ``year`` and ``iter_records()``), so equal records give equal
+    fingerprints whichever way they are held.  Records are serialized
+    in iteration (sorted-id) order with every compared attribute, so the
+    fingerprint is independent of construction order, hash seed and
+    Python version.
     """
     digest = hashlib.sha256()
     for dataset in (old_dataset, new_dataset):
@@ -88,22 +98,27 @@ def dataset_fingerprint(old_dataset, new_dataset) -> str:
 class RunState:
     """One recovery point of Algorithm 1 (see module docstring).
 
-    ``iterations`` holds the complete
-    :class:`~repro.core.pipeline.IterationStats` ledgers as plain dicts
-    (including the effort diagnostics and wall-clock seconds);
-    ``provenance`` is the per-link :class:`LinkOrigin` table as sorted
-    rows, present only when the run records provenance
+    A state is written at a *round boundary* (all shards of round
+    ``round_index`` merged, ``round_accum is None``), *mid-round*
+    (``shards_done`` of ``shards_total`` shards merged, the round's
+    partial statistics in ``round_accum``) or after the remaining pass
+    (``phase == PHASE_FINAL``).  ``iterations`` holds the completed
+    rounds' :class:`~repro.core.pipeline.IterationStats` ledgers as
+    plain dicts (including the effort diagnostics and wall-clock
+    seconds); ``provenance`` is the per-link :class:`LinkOrigin` table as
+    sorted rows, present only when the run records provenance
     (``LinkageConfig.validate``).  ``cache`` is the optional
-    :meth:`SimilarityCache.export_state` document that makes resumed
-    *effort* counters — not just mappings — identical to an
-    uninterrupted run.
+    :meth:`SimilarityCache.export_state` document of a resident run's
+    one cache that makes resumed *effort* counters — not just
+    mappings — identical to an uninterrupted run.
     """
 
-    #: 1-based index of the last completed δ round (0 = none completed).
+    #: 1-based index of the δ round the state was written in: the last
+    #: completed round at a boundary, the in-flight round mid-round.
     round_index: int
     #: ``PHASE_ROUND`` or ``PHASE_FINAL``.
     phase: str
-    #: δ of the last completed round (``None`` before the first round).
+    #: δ of that round (``None`` before the first round).
     delta: Optional[float]
     #: The full configured δ schedule, for inspection tooling.
     schedule: Tuple[float, ...]
@@ -132,6 +147,20 @@ class RunState:
     #: Final-phase bookkeeping (``None`` until ``phase == PHASE_FINAL``).
     subgraph_record_links: Optional[int] = None
     remaining_record_links: Optional[int] = None
+    #: Shards of the run, and shards of round ``round_index`` merged.
+    shards_total: int = 1
+    shards_done: int = 1
+    #: The in-flight round's partial statistics (the summed
+    #: ``IterationStats`` effort and decision fields of its merged
+    #: shards), or ``None`` at a round boundary.
+    round_accum: Optional[Dict[str, object]] = None
+    #: Fingerprint of the shard plan (``""`` for one resident shard).
+    plan_fingerprint: str = ""
+
+    @property
+    def mid_round(self) -> bool:
+        """True when written between two shard merges of one round."""
+        return self.round_accum is not None
 
     # -- serialization ---------------------------------------------------------
 
@@ -157,6 +186,12 @@ class RunState:
             "data_fingerprint": self.data_fingerprint,
             "subgraph_record_links": self.subgraph_record_links,
             "remaining_record_links": self.remaining_record_links,
+            "shards_total": self.shards_total,
+            "shards_done": self.shards_done,
+            "round_accum": (
+                None if self.round_accum is None else dict(self.round_accum)
+            ),
+            "plan_fingerprint": self.plan_fingerprint,
         }
 
     @classmethod
@@ -182,6 +217,14 @@ class RunState:
                 data_fingerprint=payload["data_fingerprint"],
                 subgraph_record_links=payload["subgraph_record_links"],
                 remaining_record_links=payload["remaining_record_links"],
+                shards_total=payload["shards_total"],
+                shards_done=payload["shards_done"],
+                round_accum=(
+                    None
+                    if payload["round_accum"] is None
+                    else dict(payload["round_accum"])
+                ),
+                plan_fingerprint=payload["plan_fingerprint"],
             )
         except (KeyError, TypeError) as error:
             raise CheckpointCorrupt(

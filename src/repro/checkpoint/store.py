@@ -1,13 +1,16 @@
 """Checkpoint directories: atomic persistence and recovery of run state.
 
 A :class:`CheckpointStore` manages one directory of
-:class:`~repro.checkpoint.state.RunState` documents::
+:class:`~repro.checkpoint.state.RunState` documents, written by in-RAM
+and sharded runs alike::
 
     checkpoints/
-      round_0001.json     after δ round 1
-      round_0002.json     after δ round 2
+      round_0001.json             after δ round 1
+      round_0002_shard_0001.json  round 2, after the first shard merge
+      round_0002_shard_0002.json  round 2, after the second shard merge
+      round_0002.json             after δ round 2 (all shards merged)
       ...
-      final.json          after the remaining pass (run complete)
+      final.json                  after the remaining pass (run complete)
 
 Every write goes through :func:`repro.ioutil.atomic_write_text`
 (write-then-``os.replace``), so a crash mid-write leaves the previous
@@ -43,9 +46,11 @@ from .state import (
 
 #: File name of the run-complete checkpoint.
 FINAL_NAME = "final.json"
-#: File name pattern of per-round checkpoints.
+#: File name pattern of round-boundary checkpoints.
 ROUND_NAME_FORMAT = "round_{index:04d}.json"
-_ROUND_NAME_RE = re.compile(r"^round_(\d{4,})\.json$")
+#: File name pattern of mid-round checkpoints (after a shard merge).
+SHARD_NAME_FORMAT = "round_{index:04d}_shard_{shards:04d}.json"
+_ROUND_NAME_RE = re.compile(r"^round_(\d{4,})(?:_shard_(\d{4,}))?\.json$")
 
 #: Instrumentation stage names for checkpoint I/O.
 WRITE_STAGE = "checkpoint_write"
@@ -57,10 +62,14 @@ class CheckpointEntry:
     """One file of a checkpoint directory, as listed (not yet loaded)."""
 
     path: Path
-    #: ``"round"`` or ``"final"``.
+    #: ``"round"`` (round boundary), ``"shard"`` (mid-round, after a
+    #: shard merge) or ``"final"``.
     kind: str
-    #: Round index for round checkpoints; ``None`` for the final one.
+    #: Round index for round and shard checkpoints; ``None`` for the
+    #: final one.
     round_index: Optional[int]
+    #: Shards merged, for shard checkpoints only.
+    shards_done: Optional[int] = None
 
 
 class CheckpointStore:
@@ -87,6 +96,10 @@ class CheckpointStore:
     def path_for(self, state: RunState) -> Path:
         if state.phase == PHASE_FINAL:
             return self.directory / FINAL_NAME
+        if state.mid_round:
+            return self.directory / SHARD_NAME_FORMAT.format(
+                index=state.round_index, shards=state.shards_done
+            )
         return self.directory / ROUND_NAME_FORMAT.format(
             index=state.round_index
         )
@@ -100,13 +113,13 @@ class CheckpointStore:
     ) -> Path:
         """Serialize ``state`` to its canonical file, atomically.
 
-        Round-boundary snapshots skip the fsync: losing an unsynced tip
-        to a machine crash is detected by the content hash at load time
-        and costs exactly one round (``load_latest`` falls back to the
-        previous snapshot), which is the same degradation already
+        Round and mid-round snapshots skip the fsync: losing an unsynced
+        tip to a machine crash is detected by the content hash at load
+        time and costs exactly one snapshot (``load_latest`` falls back
+        to the previous one), which is the same degradation already
         guaranteed for any corrupt checkpoint — not worth a disk flush
-        per δ round.  The final checkpoint is flushed: it certifies a
-        completed, validated run.
+        per δ round or shard merge.  The final checkpoint is flushed: it
+        certifies a completed, validated run.
         """
         text = state.dumps()
         fsync = state.phase == PHASE_FINAL
@@ -128,8 +141,10 @@ class CheckpointStore:
     # -- listing / loading ------------------------------------------------------
 
     def entries(self) -> List[CheckpointEntry]:
-        """All checkpoint files, rounds ascending then final; temporary
-        artifacts of in-flight writes are never listed."""
+        """All checkpoint files in progress order — rounds ascending,
+        each round's shard checkpoints before its round checkpoint, then
+        final; temporary artifacts of in-flight writes are never
+        listed."""
         if not self.directory.is_dir():
             return []
         rounds: List[CheckpointEntry] = []
@@ -141,11 +156,21 @@ class CheckpointStore:
                 final.append(CheckpointEntry(path, "final", None))
                 continue
             match = _ROUND_NAME_RE.match(path.name)
-            if match:
+            if match is None:
+                continue
+            if match.group(2) is None:
                 rounds.append(
                     CheckpointEntry(path, "round", int(match.group(1)))
                 )
-        rounds.sort(key=lambda entry: entry.round_index)
+            else:
+                rounds.append(CheckpointEntry(
+                    path, "shard", int(match.group(1)), int(match.group(2))
+                ))
+        rounds.sort(key=lambda entry: (
+            entry.round_index,
+            entry.kind == "round",
+            entry.shards_done or 0,
+        ))
         return rounds + final
 
     def load(
@@ -176,9 +201,9 @@ class CheckpointStore:
         """The newest loadable run state, or ``None`` when the directory
         holds no usable checkpoint.
 
-        Candidates are tried newest-first (final, then rounds
-        descending); unreadable files are skipped and recorded in
-        :attr:`skipped` so that one corrupted file costs one round of
+        Candidates are tried newest-first (the reverse of
+        :meth:`entries`); unreadable files are skipped and recorded in
+        :attr:`skipped` so that one corrupted file costs one snapshot of
         progress, never the whole run.
         """
         self.skipped = []
@@ -210,6 +235,7 @@ class CheckpointStore:
                 status="ok",
                 phase=state.phase,
                 round=state.round_index,
+                shards=f"{state.shards_done}/{state.shards_total}",
                 delta=state.delta,
                 rounds_finished=state.rounds_finished,
                 record_links=len(state.record_pairs),

@@ -435,19 +435,19 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
         print(f"no checkpoints in {args.dir}")
         return 0
     header = (
-        f"{'file':<18} {'status':<8} {'phase':<6} {'round':>5} "
-        f"{'delta':>5} {'done':>4} {'records':>7} {'groups':>6} "
-        f"{'cache':>5}  config/data"
+        f"{'file':<26} {'status':<8} {'phase':<6} {'round':>5} "
+        f"{'shards':>6} {'delta':>5} {'done':>4} {'records':>7} "
+        f"{'groups':>6} {'cache':>5}  config/data"
     )
     print(header)
     for row in rows:
         if row["status"] != "ok":
-            print(f"{row['file']:<18} {row['status']}")
+            print(f"{row['file']:<26} {row['status']}")
             continue
         delta = "-" if row["delta"] is None else f"{row['delta']:.2f}"
         print(
-            f"{row['file']:<18} {row['status']:<8} {row['phase']:<6} "
-            f"{row['round']:>5d} {delta:>5} "
+            f"{row['file']:<26} {row['status']:<8} {row['phase']:<6} "
+            f"{row['round']:>5d} {row['shards']:>6} {delta:>5} "
             f"{'yes' if row['rounds_finished'] else 'no':>4} "
             f"{row['record_links']:>7d} {row['group_links']:>6d} "
             f"{'yes' if row['has_cache'] else 'no':>5}  "
@@ -549,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument(
         "--checkpoint-dir",
         help="persist a resumable run-state snapshot here after every "
-        "checkpointed δ round and after the final pass (pair runs only)",
+        "checkpointed δ round (with --shards, also after each shard merge "
+        "of it) and after the final pass (pair runs only)",
     )
     link.add_argument(
         "--resume", action="store_true",
@@ -559,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     link.add_argument(
         "--checkpoint-every", type=int, default=1, metavar="N",
-        help="write a checkpoint every N-th round (default 1; stopping "
-        "rounds and the final pass are always checkpointed)",
+        help="checkpoint every N-th round (default 1; stopping rounds "
+        "and the final pass are always checkpointed)",
     )
     link.set_defaults(func=_cmd_link)
 
@@ -654,7 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except model_io.IngestError as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from . import roles
 from .dataset import CensusDataset
 from .mappings import GroupMapping, RecordMapping
 from .records import PersonRecord
@@ -28,7 +29,35 @@ RECORD_FIELDS = (
     "entity_id",
 )
 
+#: Columns every census CSV must have (``entity_id`` is optional).
+REQUIRED_FIELDS = ("year",) + RECORD_FIELDS[:-1]
+
 PathLike = Union[str, Path]
+
+
+class IngestError(ValueError):
+    """A census CSV that cannot be read as a dataset.
+
+    ``line`` is the file's 1-based physical line (1 is the header) and
+    ``column`` the offending column; either is ``None`` when the defect
+    is not tied to one.
+    """
+
+    def __init__(
+        self,
+        path: PathLike,
+        line: Optional[int],
+        column: Optional[str],
+        reason: str,
+    ) -> None:
+        self.path = str(path)
+        self.line = line
+        self.column = column
+        self.reason = reason
+        where = self.path if line is None else f"{self.path}:{line}"
+        if column is not None:
+            where += f" (column {column})"
+        super().__init__(f"{where}: {reason}")
 
 
 def _cell(value) -> str:
@@ -48,24 +77,68 @@ def write_dataset(dataset: CensusDataset, path: PathLike) -> None:
 
 
 def read_dataset(path: PathLike) -> CensusDataset:
-    """Read a dataset previously written by :func:`write_dataset`."""
+    """Read a dataset previously written by :func:`write_dataset`.
+
+    Raises :class:`IngestError` naming the file, line and column of the
+    first defect: a missing required column, a row of the wrong width, a
+    malformed or mixed year, a malformed or negative age, a blank record
+    or household id, an invalid sex, an unknown role, or a duplicate
+    record id.
+    """
     records: List[PersonRecord] = []
+    first_seen: Dict[str, int] = {}
     year = None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        missing = [name for name in REQUIRED_FIELDS if name not in header]
+        if missing:
+            raise IngestError(
+                path, 1, missing[0],
+                f"missing required column(s) {', '.join(missing)}",
+            )
         for row in reader:
+            line = reader.line_num
+
+            def fail(column, reason):
+                raise IngestError(path, line, column, reason)
+
+            if None in row or None in row.values():
+                fail(None, f"row width differs from the header's "
+                           f"{len(header)} columns")
+            row_year = _integer(row["year"]) if row["year"] else None
+            if row_year is None:
+                fail("year", f"invalid year {row['year']!r}")
             if year is None:
-                year = int(row["year"])
-            elif int(row["year"]) != year:
-                raise ValueError("dataset file mixes census years")
+                year = row_year
+            elif row_year != year:
+                fail("year", f"year {row_year} differs from the file's "
+                             f"{year} (dataset files hold one census year)")
+            for column in ("record_id", "household_id"):
+                if not row[column]:
+                    fail(column, f"blank {column}")
+            record_id = row["record_id"]
+            if record_id in first_seen:
+                fail("record_id", f"duplicate record id {record_id!r} "
+                                  f"(first on line {first_seen[record_id]})")
+            first_seen[record_id] = line
+            age = None
+            if row["age"]:
+                age = _integer(row["age"])
+                if age is None or age < 0:
+                    fail("age", f"invalid age {row['age']!r}")
+            if row["sex"] not in ("", "m", "f"):
+                fail("sex", f"invalid sex {row['sex']!r} (m, f or blank)")
+            if row["role"] not in roles.ALL_ROLES:
+                fail("role", f"unknown role {row['role']!r}")
             records.append(
                 PersonRecord(
-                    record_id=row["record_id"],
+                    record_id=record_id,
                     household_id=row["household_id"],
                     first_name=row["first_name"] or None,
                     surname=row["surname"] or None,
                     sex=row["sex"] or None,
-                    age=int(row["age"]) if row["age"] else None,
+                    age=age,
                     occupation=row["occupation"] or None,
                     address=row["address"] or None,
                     role=row["role"],
@@ -73,8 +146,15 @@ def read_dataset(path: PathLike) -> CensusDataset:
                 )
             )
     if year is None:
-        raise ValueError(f"no records found in {path}")
+        raise IngestError(path, None, None, "no records found")
     return CensusDataset.from_records(year, records)
+
+
+def _integer(text: str) -> Optional[int]:
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def write_record_mapping(mapping: RecordMapping, path: PathLike) -> None:

@@ -4,12 +4,17 @@
 the service deployable on a bare Python — no pip installs — while still
 handling hundreds of concurrent keep-alive clients (the load-test
 harness in ``benchmarks/bench_service.py`` drives exactly that).  The
-layer is deliberately dumb: parse the request line, drain the headers,
-hand ``(method, target)`` to
+layer is deliberately dumb: parse the request line, read the headers,
+discard the request body its ``Content-Length`` announces (every
+endpoint is parameterised by the target alone), hand
+``(method, target)`` to
 :meth:`repro.service.core.EvolutionQueryService.handle_request`, frame
-the canonical JSON body with ``Content-Length``.  Everything observable
-about responses is decided in :mod:`repro.service.core`; an ASGI server
-deployment goes through :mod:`repro.service.asgi` instead.
+the canonical JSON body with ``Content-Length``.  Requests the loop
+cannot frame — chunked bodies, malformed or conflicting lengths,
+oversized heads or bodies — get a 4xx/501 answer and a close.
+Everything observable about responses is decided in
+:mod:`repro.service.core`; an ASGI server deployment goes through
+:mod:`repro.service.asgi` instead.
 """
 
 from __future__ import annotations
@@ -22,16 +27,30 @@ from .core import EvolutionQueryService, canonical_json
 #: Upper bound on request head (request line + headers) bytes; beyond it
 #: the connection is answered 431 and closed.
 MAX_REQUEST_HEAD = 32 * 1024
+#: Upper bound on a request body, which is read and discarded; a larger
+#: ``Content-Length`` is answered 413 and the connection closed.
+MAX_REQUEST_BODY = 64 * 1024
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     422: "Unprocessable Entity",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
 }
+
+
+class RequestRejected(ValueError):
+    """A request head the loop cannot serve: answered ``status``, then
+    the connection is closed."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
 
 
 def _frame(status: int, body: bytes, keep_alive: bool) -> bytes:
@@ -47,27 +66,52 @@ def _frame(status: int, body: bytes, keep_alive: bool) -> bytes:
     return head.encode("ascii") + body
 
 
-def _parse_head(head: bytes) -> Tuple[str, str, bool]:
-    """(method, target, keep_alive) from one raw request head."""
+def _parse_head(head: bytes) -> Tuple[str, str, bool, int]:
+    """(method, target, keep_alive, body length) from one raw request
+    head; raises :class:`RequestRejected`."""
     lines = head.split(b"\r\n")
     parts = lines[0].split()
     if len(parts) != 3:
-        raise ValueError(f"malformed request line: {lines[0][:80]!r}")
+        raise RequestRejected(
+            400, f"malformed request line: {lines[0][:80]!r}"
+        )
     method = parts[0].decode("ascii", "replace").upper()
     target = parts[1].decode("utf-8", "replace")
     version = parts[2].decode("ascii", "replace")
     keep_alive = version == "HTTP/1.1"
+    lengths = set()
     for line in lines[1:]:
         if b":" not in line:
             continue
         name, _, value = line.partition(b":")
-        if name.strip().lower() == b"connection":
-            token = value.strip().lower()
+        name = name.strip().lower()
+        value = value.strip()
+        if name == b"connection":
+            token = value.lower()
             if token == b"close":
                 keep_alive = False
             elif token == b"keep-alive":
                 keep_alive = True
-    return method, target, keep_alive
+        elif name == b"transfer-encoding":
+            raise RequestRejected(501, "Transfer-Encoding is not supported")
+        elif name == b"content-length":
+            if not value.isdigit():
+                raise RequestRejected(
+                    400, f"malformed Content-Length: {value[:40]!r}"
+                )
+            if len(value) > 18:  # int() refuses past 4300 digits
+                raise RequestRejected(
+                    413, f"Content-Length of {len(value)} digits"
+                )
+            lengths.add(int(value))
+    if len(lengths) > 1:
+        raise RequestRejected(400, "conflicting Content-Length headers")
+    length = lengths.pop() if lengths else 0
+    if length > MAX_REQUEST_BODY:
+        raise RequestRejected(
+            413, f"request body of {length} bytes exceeds {MAX_REQUEST_BODY}"
+        )
+    return method, target, keep_alive, length
 
 
 async def handle_connection(
@@ -76,8 +120,8 @@ async def handle_connection(
     writer: asyncio.StreamWriter,
 ) -> None:
     """Serve one client connection: a keep-alive loop of GET/POST
-    requests (bodies are ignored — every endpoint is parameterised by
-    the target alone)."""
+    requests (bodies are read and discarded — every endpoint is
+    parameterised by the target alone)."""
     try:
         while True:
             try:
@@ -99,14 +143,19 @@ async def handle_connection(
                 await writer.drain()
                 return
             try:
-                method, target, keep_alive = _parse_head(head)
-            except ValueError as error:
+                method, target, keep_alive, length = _parse_head(head)
+            except RequestRejected as error:
                 writer.write(
-                    _frame(400, canonical_json({"error": str(error)}),
+                    _frame(error.status, canonical_json({"error": str(error)}),
                            keep_alive=False)
                 )
                 await writer.drain()
                 return
+            if length:
+                try:
+                    await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
+                    return  # client went away mid-body
             status, body = service.handle_request(method, target)
             writer.write(_frame(status, body, keep_alive))
             await writer.drain()

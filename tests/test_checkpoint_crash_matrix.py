@@ -6,7 +6,12 @@ then resumed must produce exactly the result an uninterrupted run
 produces — same mappings, same per-round ledgers, same effort and event
 counters (``repro.checkpoint.ledger_hash``).  This battery proves the
 contract at **every** kill point, serial and with 2 workers, instead of
-sampling one.
+sampling one.  In-RAM and sharded runs share the one driver and the one
+checkpoint format, so the kill-at-every-boundary test covers both
+residencies: a 3-shard run is also killed at every shard boundary inside
+a round, and must resume to the in-RAM run's decisions
+(``repro.checkpoint.decision_ledger_hash``) — its shard caches are not
+persisted, so its effort counters may differ.
 """
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 from repro.checkpoint import (
     CheckpointMismatch,
     CheckpointStore,
+    decision_ledger_hash,
     ledger_hash,
     result_ledger,
 )
@@ -21,6 +27,7 @@ from repro.checkpoint.faults import CrashingStore, SimulatedCrash
 from repro.core.config import LinkageConfig
 from repro.core.pipeline import link_datasets
 from repro.datagen import generate_pair
+from repro.datagen.country import CountryConfig, generate_country
 from repro.instrumentation import CHECKPOINT_LOADS, CHECKPOINT_WRITES
 
 SEED = 7
@@ -47,6 +54,30 @@ def baselines(datasets):
     }
 
 
+@pytest.fixture(scope="module")
+def country():
+    """Three regions.  Region blocking gives each shard of a 3-shard run
+    one region's work, so its kills inside a round land between shards
+    that link records (the town pair is one blocking component, which
+    the planner cannot split)."""
+    return generate_country(
+        CountryConfig(seed=SEED, regions=3, households_per_region=8)
+    ).successive_pairs()[0]
+
+
+@pytest.fixture(scope="module")
+def country_baselines(country):
+    """Uninterrupted in-RAM reference runs of ``country`` per worker
+    count."""
+    old, new = country
+    return {
+        workers: link_datasets(
+            old, new, make_config(workers, blocking="region")
+        )
+        for workers in (1, 2)
+    }
+
+
 def crash_then_resume(datasets, config, tmp_path, **crash_kwargs):
     """Run until the injected kill, then resume from the directory."""
     old, new = datasets
@@ -60,25 +91,42 @@ def crash_then_resume(datasets, config, tmp_path, **crash_kwargs):
 
 class TestCrashMatrix:
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shards", [0, 3])
     def test_every_round_boundary_resumes_byte_identical(
-        self, datasets, baselines, tmp_path, workers
+        self, datasets, baselines, country, country_baselines, tmp_path,
+        shards, workers,
     ):
-        """The tentpole guarantee, at every δ-round kill point."""
-        baseline = baselines[workers]
-        expected = ledger_hash(baseline)
-        rounds = len(baseline.iterations)
-        assert rounds >= 2, "workload too small to exercise the matrix"
-        for kill_after in range(1, rounds + 1):
-            directory = tmp_path / f"w{workers}-k{kill_after}"
+        """The tentpole guarantee, at every kill point of both
+        residencies: after each checkpoint write but the final one —
+        every δ-round boundary and, for a 3-shard run, every shard
+        boundary inside a round.  The resident run resumes to the
+        uninterrupted run's full ledger, the streamed one to the in-RAM
+        run's decisions."""
+        if shards == 0:
+            pair, baseline = datasets, baselines[workers]
+            config = make_config(workers)
+            digest = ledger_hash
+        else:
+            pair, baseline = country, country_baselines[workers]
+            config = make_config(workers, blocking="region", shards=shards)
+            digest = decision_ledger_hash
+        expected = digest(baseline)
+        assert len(baseline.iterations) >= 2, (
+            "workload too small to exercise the matrix"
+        )
+        reference = link_datasets(
+            *pair, config, checkpoint_dir=tmp_path / "reference"
+        )
+        boundaries = reference.profile.value(CHECKPOINT_WRITES) - 1
+        assert boundaries == len(baseline.iterations) * max(1, shards)
+        for kill_after in range(1, boundaries + 1):
+            directory = tmp_path / f"k{kill_after}"
             resumed = crash_then_resume(
-                datasets,
-                make_config(workers),
-                directory,
-                crash_after_round=kill_after,
+                pair, config, directory, crash_after_writes=kill_after
             )
-            assert ledger_hash(resumed) == expected, (
-                f"resume after round {kill_after} (workers={workers}) "
-                f"diverged:\n{result_ledger(resumed)}"
+            assert digest(resumed) == expected, (
+                f"resume after write {kill_after} (shards={shards}, "
+                f"workers={workers}) diverged:\n{result_ledger(resumed)}"
             )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -120,6 +168,34 @@ class TestCrashMatrix:
             old, new, make_config(), checkpoint_dir=tmp_path, resume=True
         )
         assert ledger_hash(resumed) == ledger_hash(baselines[1])
+
+    def test_mid_round_write_failure_leaves_prior_state_loadable(
+        self, country, country_baselines, tmp_path
+    ):
+        """The same worst instant inside a round of a 3-shard run: the
+        second shard's state is staged, never published.  The first
+        shard's state stays the loadable tip, and resume re-enters the
+        round after that shard."""
+        old, new = country
+        config = make_config(blocking="region", shards=3)
+        store = CrashingStore(tmp_path, fail_replace_at=2)
+        with pytest.raises(OSError, match="injected failure"):
+            link_datasets(old, new, config, checkpoint_dir=store)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["round_0001_shard_0001.json"]
+
+        recovery = CheckpointStore(tmp_path)
+        state = recovery.load_latest()
+        assert state is not None and state.mid_round
+        assert (state.round_index, state.shards_done) == (1, 1)
+        assert recovery.skipped == []
+
+        resumed = link_datasets(
+            old, new, config, checkpoint_dir=tmp_path, resume=True
+        )
+        assert decision_ledger_hash(resumed) == decision_ledger_hash(
+            country_baselines[1]
+        )
 
     def test_resumed_run_loads_exactly_once(self, datasets, tmp_path):
         resumed = crash_then_resume(
@@ -180,6 +256,30 @@ class TestCadenceAndOptions:
                 f"round {index} checkpointed despite checkpoint_every=2"
             )
         assert store.entries()[-1].kind == "final"
+
+    def test_checkpoint_every_applies_to_sharded_runs(
+        self, country, country_baselines, tmp_path
+    ):
+        """A 3-shard run under checkpoint_every=2 writes nothing in
+        round 1, and in round 2 a state after each shard merge but the
+        last, then the round state."""
+        old, new = country
+        link_datasets(
+            old, new,
+            make_config(blocking="region", shards=3, checkpoint_every=2),
+            checkpoint_dir=tmp_path,
+        )
+        entries = CheckpointStore(tmp_path).entries()
+        assert [e.round_index for e in entries].count(1) == 0
+        assert [
+            (e.kind, e.shards_done) for e in entries if e.round_index == 2
+        ] == [("shard", 1), ("shard", 2), ("round", None)]
+        final_round = len(country_baselines[1].iterations)
+        for entry in entries[:-1]:
+            assert entry.round_index % 2 == 0 or (
+                entry.round_index == final_round and entry.kind == "round"
+            )
+        assert entries[-1].kind == "final"
 
     def test_resume_from_sparse_cadence_is_identical(
         self, datasets, baselines, tmp_path

@@ -269,6 +269,21 @@ class TestStoreRecovery:
         with pytest.raises(CheckpointCorrupt, match="cannot read"):
             store.load(tmp_path / "round_0001.json")
 
+    def test_schema_1_state_skipped_like_any_unknown_schema(self, tmp_path):
+        """A state written before the in-RAM and sharded formats merged
+        (schema 1) is never interpreted: resume falls back past it."""
+        store = self.write_rounds(tmp_path, 1)
+        payload = {"round_index": 2, "phase": "round", "cache_totals": {}}
+        (tmp_path / "round_0002.json").write_text(json.dumps({
+            "schema": 1,
+            "content_hash": content_hash(payload),
+            "payload": payload,
+        }), encoding="utf-8")
+        assert store.load_latest().round_index == 1
+        [(path, reason)] = store.skipped
+        assert path.name == "round_0002.json"
+        assert "unsupported checkpoint schema 1" in reason
+
     def test_temp_artifacts_never_listed(self, tmp_path):
         store = self.write_rounds(tmp_path, 1)
         (tmp_path / ".round_0002.json.abc.tmp").write_text(

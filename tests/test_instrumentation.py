@@ -197,9 +197,9 @@ class TestPipelineProfile:
 
 @pytest.mark.parametrize("shards", [0, 2])
 def test_profile_total_within_wall_clock(shards):
-    """Stages nest (``filtering`` inside ``prematching``, and in the
-    sharded pipeline per-shard stages inside ``remaining``), yet the total
-    counts each second once: it never exceeds the run's wall clock."""
+    """Stages nest (``filtering`` inside ``prematching``, resident or
+    streamed), yet the total counts each second once: it never exceeds
+    the run's wall clock."""
     old, new = generate_pair(seed=7, initial_households=40).datasets
     start = time.perf_counter()
     result = link_datasets(old, new, LinkageConfig(shards=shards))

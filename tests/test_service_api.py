@@ -9,6 +9,7 @@ over the same core.
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -20,7 +21,11 @@ from repro.evolution.io import graph_to_dict
 from repro.service import EvolutionQueryService, EvolutionStore
 from repro.service.asgi import create_asgi_app
 from repro.service.core import canonical_json
-from repro.service.http import MAX_REQUEST_HEAD, start_service_server
+from repro.service.http import (
+    MAX_REQUEST_BODY,
+    MAX_REQUEST_HEAD,
+    start_service_server,
+)
 from repro.validation.differential import service_vs_inprocess
 
 
@@ -274,6 +279,47 @@ def http_roundtrip(host, port, requests):
     return asyncio.run(run())
 
 
+def raw_exchange(service, payload):
+    """Send ``payload`` on one connection to a fresh server; return every
+    byte the server sends until it closes the connection."""
+
+    async def run():
+        server = await start_service_server(service, port=0)
+        host, port = server.sockets[0].getsockname()[:2]
+
+        def talk():
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(payload)
+                chunks = []
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        return b"".join(chunks)
+                    chunks.append(chunk)
+
+        raw = await asyncio.get_running_loop().run_in_executor(None, talk)
+        server.close()
+        await server.wait_closed()
+        return raw
+
+    return asyncio.run(run())
+
+
+def split_responses(raw):
+    """``(status, body, Connection header)`` of each framed response."""
+    responses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        headers = dict(line.split(b": ", 1) for line in lines[1:])
+        length = int(headers[b"Content-Length"])
+        responses.append(
+            (int(lines[0].split()[1]), rest[:length], headers[b"Connection"])
+        )
+        raw = rest[length:]
+    return responses
+
+
 class TestHttpServer:
     def test_socket_responses_match_core(self, service):
         targets = ("/graph",) + LIST_TARGETS + ("/nope",)
@@ -339,6 +385,42 @@ class TestHttpServer:
             return raw
 
         assert asyncio.run(run()).startswith(b"HTTP/1.1 431 ")
+
+    def test_pipelined_request_after_a_body(self, service):
+        """A keep-alive ``POST`` with a body, pipelined with a ``GET``: the
+        body is consumed, not parsed as the next request head, and both
+        answers equal the sans-IO core's."""
+        raw = raw_exchange(service, (
+            b"POST /refresh HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 11\r\n\r\n"
+            b'{"a": 123}\n'
+            b"GET /graph HTTP/1.1\r\nHost: t\r\n"
+            b"Connection: close\r\n\r\n"
+        ))
+        fresh = EvolutionQueryService(service._store)
+        assert split_responses(raw) == [
+            fresh.handle_request("POST", "/refresh") + (b"keep-alive",),
+            fresh.handle_request("GET", "/graph") + (b"close",),
+        ]
+
+    @pytest.mark.parametrize("headers,status", [
+        (b"Transfer-Encoding: chunked\r\n", 501),
+        (b"Content-Length: 12abc\r\n", 400),
+        (b"Content-Length: 3\r\nContent-Length: 4\r\n", 400),
+        (f"Content-Length: {MAX_REQUEST_BODY + 1}\r\n".encode(), 413),
+        (b"Content-Length: " + b"9" * 5000 + b"\r\n", 413),
+    ], ids=["transfer-encoding", "malformed-length", "conflicting-lengths",
+            "oversized-body", "unparseable-length"])
+    def test_unframeable_request_rejected_and_closed(
+        self, service, headers, status
+    ):
+        raw = raw_exchange(
+            service,
+            b"POST /refresh HTTP/1.1\r\nHost: t\r\n" + headers + b"\r\n",
+        )
+        [(answered, body, connection)] = split_responses(raw)
+        assert (answered, connection) == (status, b"close")
+        assert "error" in json.loads(body)
 
     def test_serve_ready_hook(self, store):
         """The blocking entry point binds, signals readiness, serves."""

@@ -14,13 +14,20 @@ import shutil
 import pytest
 
 from repro.blocking import RegionBlocker, StandardBlocker
-from repro.checkpoint import CheckpointMismatch, decision_ledger_hash
-from repro.checkpoint.shard import ShardStateStore
+from repro.checkpoint import (
+    CheckpointMismatch,
+    CheckpointStore,
+    decision_ledger_hash,
+)
+from repro.checkpoint.faults import CrashingStore, SimulatedCrash
 from repro.cli import main
 from repro.core.config import LinkageConfig
 from repro.core.pipeline import link_datasets
 from repro.datagen import generate_pair
 from repro.datagen.country import CountryConfig, generate_country
+from repro.model import roles
+from repro.model.dataset import CensusDataset
+from repro.model.records import PersonRecord
 from repro.sharding import (
     ShardStore,
     ShardedRecordSource,
@@ -28,6 +35,20 @@ from repro.sharding import (
     plan_shards,
 )
 from repro.validation.differential import sharded_vs_unsharded
+
+
+def family(region, year, number, surname, head, age):
+    """A three-person household of ``region`` in census ``year``."""
+    household = f"{region}::h{year}_{number}"
+    prefix = f"{region}::{year}_{number}"
+    return [
+        PersonRecord(f"{prefix}_1", household, head, surname, "m", age,
+                     "weaver", f"{surname} st", roles.HEAD),
+        PersonRecord(f"{prefix}_2", household, "mary", surname, "f",
+                     age - 2, None, f"{surname} st", roles.WIFE),
+        PersonRecord(f"{prefix}_3", household, "tom", surname, "m",
+                     age - 30, None, f"{surname} st", roles.SON),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +223,17 @@ class TestCrashResume:
         result = link_datasets(old, new, config, checkpoint_dir=ckpt)
         return old, new, config, ckpt, decision_ledger_hash(result)
 
+    @staticmethod
+    def progress_names(ckpt):
+        """The completed run's non-final states, in progress order."""
+        return [
+            entry.path.name for entry in CheckpointStore(ckpt).entries()
+            if entry.kind != "final"
+        ]
+
     def test_resume_from_every_prefix(self, tmp_path, completed):
         old, new, config, ckpt, expected = completed
-        names = sorted(
-            path.name for path in ckpt.iterdir()
-            if path.name != "shard_final.json"
-        )
+        names = self.progress_names(ckpt)
         assert len(names) >= 4  # several shard boundaries to crash at
         for cut in range(1, len(names) + 1):
             trunc = tmp_path / f"cut{cut}"
@@ -221,6 +247,34 @@ class TestCrashResume:
                 f"diverged resuming after {names[cut - 1]}"
             )
 
+    def test_resume_after_frontier_exhausted_mid_round(self, tmp_path):
+        """Killed after the round's first shard merge linked every old
+        record: the resumed round still visits the other shard and
+        records its statistics, instead of stopping at the round's
+        exhausted-frontier test."""
+        old = CensusDataset.from_records(
+            1871, family("a", 1871, 1, "ashworth", "john", 40)
+            + family("a", 1871, 2, "pickup", "henry", 38),
+        )
+        new = CensusDataset.from_records(
+            1881, family("a", 1881, 1, "ashworth", "john", 50)
+            + family("a", 1881, 2, "pickup", "henry", 48)
+            + family("b", 1881, 3, "zebedee", "quentin", 30),
+        )
+        config = LinkageConfig(blocking="region", shards=2)
+        uninterrupted = link_datasets(old, new, config)
+        assert uninterrupted.iterations[0].remaining_old == 0
+        store = CrashingStore(tmp_path, crash_after_writes=1)
+        with pytest.raises(SimulatedCrash):
+            link_datasets(old, new, config, checkpoint_dir=store)
+        assert CheckpointStore(tmp_path).load_latest().mid_round
+        resumed = link_datasets(
+            old, new, config, checkpoint_dir=tmp_path, resume=True
+        )
+        assert decision_ledger_hash(resumed) == decision_ledger_hash(
+            uninterrupted
+        )
+
     def test_resume_from_final_short_circuits(self, completed):
         old, new, config, ckpt, expected = completed
         resumed = link_datasets(
@@ -232,10 +286,7 @@ class TestCrashResume:
         old, new, config, ckpt, expected = completed
         trunc = tmp_path / "corrupt"
         trunc.mkdir()
-        names = sorted(
-            path.name for path in ckpt.iterdir()
-            if path.name != "shard_final.json"
-        )
+        names = self.progress_names(ckpt)
         for name in names[:2]:
             shutil.copy(ckpt / name, trunc / name)
         (trunc / names[2]).write_text("{torn", encoding="utf-8")
@@ -258,7 +309,7 @@ class TestCrashResume:
         trunc = tmp_path / "noplanfinal"
         trunc.mkdir()
         for path in ckpt.iterdir():
-            if path.name != "shard_final.json":
+            if path.name != "final.json":
                 shutil.copy(path, trunc / path.name)
         changed = dataclasses.replace(config, shards=2)
         with pytest.raises(CheckpointMismatch):
@@ -275,7 +326,7 @@ class TestCrashResume:
 
     def test_store_describe(self, completed):
         _, _, _, ckpt, _ = completed
-        rows = ShardStateStore(ckpt).describe()
+        rows = CheckpointStore(ckpt).describe()
         assert rows and all(row["status"] == "ok" for row in rows)
         assert rows[-1]["phase"] in ("round", "final")
 
@@ -336,6 +387,26 @@ class TestCli:
         ])
         assert code == 2
         assert "years" in capsys.readouterr().err
+
+    def test_checkpoints_lists_sharded_states(self, store_dir, capsys):
+        """``repro checkpoints`` reads a sharded run's directory — the one
+        checkpoint format — with a shards-done column."""
+        ckpt = store_dir / "ckpt"
+        assert main([
+            "link", "--store", str(store_dir / "store"),
+            "--shards", "2", "--blocking", "region",
+            "--checkpoint-dir", str(ckpt),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["checkpoints", str(ckpt)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "shards" in lines[0].split()
+        rows = {line.split()[0]: line.split() for line in lines[1:]}
+        assert rows["round_0001_shard_0001.json"][1:5] == [
+            "ok", "round", "1", "1/2"
+        ]
+        assert rows["round_0001.json"][4] == "2/2"
+        assert rows["final.json"][1:3] == ["ok", "final"]
 
     def test_shards_with_series_state_rejected(self, store_dir, capsys):
         code = main([
