@@ -16,13 +16,14 @@ sharded run makes the same decisions (proven at every kill point by
 Layout::
 
     checkpoint/
-      state.py    RunState + canonical serialization, content hash, schema
-      store.py    CheckpointStore: atomic writes, recovery scan, inspection
+      state.py    RunState, its errors and its document envelope
+      store.py    CheckpointStore: naming, recovery scan, inspection
       ledger.py   the canonical "resumed == uninterrupted" comparison docs
       series.py   SeriesState: settled pair linkage for incremental re-runs
       faults.py   crash/fault injection for the test battery
 """
 
+from ..ioutil import content_hash
 from .ledger import (
     analysis_ledger,
     analysis_ledger_hash,
@@ -40,7 +41,6 @@ from .state import (
     CheckpointMismatch,
     CheckpointSchemaError,
     RunState,
-    content_hash,
     dataset_fingerprint,
 )
 from .store import CheckpointEntry, CheckpointStore, coerce_store

@@ -29,8 +29,6 @@ subsystem guarantees when the similarity cache is exported
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from typing import Dict
 
 from ..instrumentation import (
@@ -38,6 +36,7 @@ from ..instrumentation import (
     CHECKPOINT_LOADS,
     CHECKPOINT_WRITES,
 )
+from ..ioutil import content_hash
 
 #: Counters excluded from the ledger (checkpoint I/O is meta-work).
 META_COUNTERS = frozenset({
@@ -79,10 +78,7 @@ def result_ledger(result) -> Dict[str, object]:
 
 def ledger_hash(result) -> str:
     """SHA-256 of the canonical compact JSON of :func:`result_ledger`."""
-    canonical = json.dumps(
-        result_ledger(result), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(result_ledger(result))
 
 
 #: Per-round IterationStats fields that record *decisions* (what was
@@ -135,10 +131,7 @@ def decision_ledger(result) -> Dict[str, object]:
 
 def decision_ledger_hash(result) -> str:
     """SHA-256 of the canonical compact JSON of :func:`decision_ledger`."""
-    canonical = json.dumps(
-        decision_ledger(result), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(decision_ledger(result))
 
 
 def analysis_ledger(analysis) -> Dict[str, object]:
@@ -205,7 +198,4 @@ def analysis_ledger(analysis) -> Dict[str, object]:
 
 def analysis_ledger_hash(analysis) -> str:
     """SHA-256 of the canonical compact JSON of :func:`analysis_ledger`."""
-    canonical = json.dumps(
-        analysis_ledger(analysis), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_hash(analysis_ledger(analysis))

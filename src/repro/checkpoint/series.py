@@ -37,22 +37,21 @@ Identity contract (what invalidates what):
   decision (proven by ``incremental_vs_scratch``); it only avoids
   re-scoring.
 
-On disk a :class:`SeriesStore` is one directory with one
-schema-versioned, content-hashed document per adjacent pair
-(``pair_<old>_<new>.json``), written atomically.  A corrupt or
-unreadable pair file is treated as missing — the pair is simply
-re-linked from scratch and the file rewritten — so recovery is always
-convergent.
+On disk a :class:`SeriesStore` is one directory with one document per
+adjacent pair (``pair_<old>_<new>.json``): the shared
+:class:`repro.ioutil.Envelope` with schema key ``series_schema``.  A
+corrupt or unreadable pair file is treated as missing — the pair is
+simply re-linked from scratch and the file rewritten — so recovery is
+always convergent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..blocking.standard import (
     NO_BLOCK_PREFIX,
@@ -60,21 +59,22 @@ from ..blocking.standard import (
     StandardBlocker,
     no_block_key,
 )
-from ..instrumentation import (
-    CHECKPOINT_BYTES,
-    CHECKPOINT_LOADS,
-    CHECKPOINT_WRITES,
-    Instrumentation,
-)
-from ..ioutil import PathLike, atomic_write_text, is_temp_artifact
-from .state import CheckpointCorrupt, CheckpointSchemaError, content_hash
+from ..instrumentation import Instrumentation
+from ..ioutil import Envelope
+from .state import CheckpointCorrupt, CheckpointSchemaError, record_row
+from .store import DocumentStore
 
 #: Series pair-state document schema (independent of the RunState schema).
 SERIES_SCHEMA_VERSION = 1
 
+#: The on-disk format of pair states.
+SERIES_ENVELOPE = Envelope(
+    "series_schema", SERIES_SCHEMA_VERSION, "series pair state",
+    CheckpointCorrupt, CheckpointSchemaError,
+)
+
 #: File name pattern of per-pair state documents.
 PAIR_NAME_FORMAT = "pair_{old_year}_{new_year}.json"
-_PAIR_NAME_RE = re.compile(r"^pair_(\d+)_(\d+)\.json$")
 
 #: The single all-encompassing key used for blockers without a key model
 #: (union/custom blockers): any change dirties everything, so incremental
@@ -87,29 +87,12 @@ SERIES_WRITE_STAGE = "series_state_write"
 SERIES_LOAD_STAGE = "series_state_load"
 
 
-def _record_row(record) -> Tuple:
-    """The canonical content row of one record — every attribute the
-    pipeline compares or blocks on (same shape as
-    :func:`repro.checkpoint.state.dataset_fingerprint`)."""
-    return (
-        record.record_id,
-        record.household_id,
-        record.first_name,
-        record.surname,
-        record.sex,
-        record.age,
-        record.occupation,
-        record.address,
-        record.role,
-    )
-
-
 def snapshot_fingerprint(dataset) -> str:
     """Short stable hash of one dataset's year and full record content."""
     digest = hashlib.sha256()
     digest.update(str(dataset.year).encode("utf-8"))
     for record in dataset.iter_records():
-        digest.update(json.dumps(_record_row(record)).encode("utf-8"))
+        digest.update(json.dumps(record_row(record)).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
@@ -166,7 +149,7 @@ def blocking_key_fingerprints(
         record_ids.sort()
         digest = hashlib.sha256()
         for record_id in record_ids:
-            row = _record_row(dataset.record(record_id))
+            row = record_row(dataset.record(record_id))
             digest.update(json.dumps(row).encode("utf-8"))
         fingerprints[key] = digest.hexdigest()[:16]
     return keys, fingerprints
@@ -294,103 +277,43 @@ class PairState:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "PairState":
-        try:
-            return cls(
-                old_year=payload["old_year"],
-                new_year=payload["new_year"],
-                config_fingerprint=payload["config_fingerprint"],
-                old_snapshot=payload["old_snapshot"],
-                new_snapshot=payload["new_snapshot"],
-                old_keys=dict(payload["old_keys"]),
-                new_keys=dict(payload["new_keys"]),
-                record_pairs=[list(pair) for pair in payload["record_pairs"]],
-                group_pairs=[list(pair) for pair in payload["group_pairs"]],
-                pinned=list(payload["pinned"]),
-                bounds=list(payload["bounds"]),
-            )
-        except (KeyError, TypeError) as error:
-            raise CheckpointCorrupt(
-                f"series pair state is missing or malformed: {error!r}"
-            ) from None
+        return cls(
+            old_year=payload["old_year"],
+            new_year=payload["new_year"],
+            config_fingerprint=payload["config_fingerprint"],
+            old_snapshot=payload["old_snapshot"],
+            new_snapshot=payload["new_snapshot"],
+            old_keys=dict(payload["old_keys"]),
+            new_keys=dict(payload["new_keys"]),
+            record_pairs=[list(pair) for pair in payload["record_pairs"]],
+            group_pairs=[list(pair) for pair in payload["group_pairs"]],
+            pinned=list(payload["pinned"]),
+            bounds=list(payload["bounds"]),
+        )
 
     def dumps(self) -> str:
-        """The on-disk document, following the RunState envelope
-        discipline (single-pass compact payload, spliced by hand)."""
-        payload_text = json.dumps(
-            self.as_payload(),
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-        digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
-        return (
-            f'{{"content_hash":"{digest}","payload":{payload_text},'
-            f'"series_schema":{SERIES_SCHEMA_VERSION}}}\n'
-        )
+        """The on-disk document (:data:`SERIES_ENVELOPE`)."""
+        return SERIES_ENVELOPE.dumps(self.as_payload())
 
     @classmethod
     def loads(cls, text: str) -> "PairState":
-        """Parse and verify a pair-state document (schema checked before
-        the payload, content hash before interpretation — exactly the
-        RunState discipline)."""
-        try:
-            document = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CheckpointCorrupt(
-                f"series pair state is not valid JSON: {error}"
-            ) from None
-        if not isinstance(document, dict):
-            raise CheckpointCorrupt(
-                f"series pair state must be an object, got "
-                f"{type(document).__name__}"
-            )
-        schema = document.get("series_schema")
-        if schema != SERIES_SCHEMA_VERSION:
-            raise CheckpointSchemaError(
-                f"unsupported series schema {schema!r} "
-                f"(this build reads schema {SERIES_SCHEMA_VERSION})"
-            )
-        payload = document.get("payload")
-        declared = document.get("content_hash")
-        if payload is None or declared is None:
-            raise CheckpointCorrupt(
-                "series pair state lacks a payload/content_hash section"
-            )
-        actual = content_hash(payload)
-        if actual != declared:
-            raise CheckpointCorrupt(
-                f"series pair state content hash mismatch: declared "
-                f"{declared}, recomputed {actual}"
-            )
-        return cls.from_payload(payload)
+        """Parse and verify a pair-state document."""
+        return SERIES_ENVELOPE.build(cls.from_payload, data=text)
 
 
-class SeriesStore:
+class SeriesStore(DocumentStore):
     """One series-state directory: a pair-state document per adjacent
-    snapshot pair, written atomically and loaded leniently.
+    snapshot pair, written atomically and loaded leniently."""
 
-    ``replace`` substitutes ``os.replace`` in the atomic write — the
-    same fault-injection seam :class:`~repro.checkpoint.store.CheckpointStore`
-    exposes for the crash-matrix battery.
-    """
-
-    def __init__(
-        self,
-        directory: PathLike,
-        replace: Optional[Callable[[str, str], None]] = None,
-    ) -> None:
-        self.directory = Path(directory)
-        self._replace = replace
-        #: ``(path, reason)`` of pair files treated as missing because
-        #: they could not be read (corrupt bytes, unknown schema).
-        self.skipped: List[Tuple[Path, str]] = []
+    envelope = SERIES_ENVELOPE
+    factory = PairState.from_payload
+    write_stage = SERIES_WRITE_STAGE
+    load_stage = SERIES_LOAD_STAGE
 
     def path_for(self, old_year: int, new_year: int) -> Path:
         return self.directory / PAIR_NAME_FORMAT.format(
             old_year=old_year, new_year=new_year
         )
-
-    # -- writing --------------------------------------------------------------
 
     def write_pair(
         self,
@@ -403,33 +326,12 @@ class SeriesStore:
         re-linked pair — it is the durable product of the run, so it is
         always fsynced.
         """
-        text = state.dumps()
-        path_target = self.path_for(state.old_year, state.new_year)
-        if instrumentation is not None:
-            with instrumentation.stage(SERIES_WRITE_STAGE):
-                path = atomic_write_text(
-                    path_target, text, replace=self._replace, fsync=True
-                )
-            instrumentation.count(CHECKPOINT_WRITES)
-            instrumentation.count(CHECKPOINT_BYTES, len(text))
-        else:
-            path = atomic_write_text(
-                path_target, text, replace=self._replace, fsync=True
-            )
-        return path
-
-    # -- loading --------------------------------------------------------------
-
-    def load(self, path: PathLike) -> PairState:
-        """Load and verify one pair-state file (strict: raises)."""
-        target = Path(path)
-        try:
-            text = target.read_text(encoding="utf-8")
-        except OSError as error:
-            raise CheckpointCorrupt(
-                f"cannot read series pair state {target}: {error}"
-            ) from None
-        return PairState.loads(text)
+        return self._write(
+            self.path_for(state.old_year, state.new_year),
+            state.as_payload(),
+            fsync=True,
+            instrumentation=instrumentation,
+        )
 
     def load_pair(
         self,
@@ -445,45 +347,8 @@ class SeriesStore:
         path = self.path_for(old_year, new_year)
         if not path.is_file():
             return None
-        try:
-            if instrumentation is not None:
-                with instrumentation.stage(SERIES_LOAD_STAGE):
-                    state = self.load(path)
-                instrumentation.count(CHECKPOINT_LOADS)
-            else:
-                state = self.load(path)
-        except (CheckpointCorrupt, CheckpointSchemaError) as error:
-            self.skipped.append((path, str(error)))
-            return None
-        return state
-
-    # -- inspection -----------------------------------------------------------
-
-    def entries(self) -> List[Tuple[Path, int, int]]:
-        """All pair-state files as (path, old year, new year), sorted by
-        years; in-flight temporary artifacts are never listed."""
-        if not self.directory.is_dir():
-            return []
-        entries: List[Tuple[Path, int, int]] = []
-        for path in sorted(self.directory.iterdir()):
-            if is_temp_artifact(path) or not path.is_file():
-                continue
-            match = _PAIR_NAME_RE.match(path.name)
-            if match:
-                entries.append(
-                    (path, int(match.group(1)), int(match.group(2)))
-                )
-        entries.sort(key=lambda entry: (entry[1], entry[2]))
-        return entries
+        return self._load_or_skip(path, instrumentation)
 
 
-def coerce_series_store(
-    series_state: Union[PathLike, SeriesStore, None]
-) -> Optional[SeriesStore]:
-    """Accept a directory path or an existing store (mirrors
-    :func:`repro.checkpoint.store.coerce_store`); ``None`` passes through."""
-    if series_state is None:
-        return None
-    if isinstance(series_state, SeriesStore):
-        return series_state
-    return SeriesStore(series_state)
+#: ``analyse_series``'s ``series_state`` argument: a path or a store.
+coerce_series_store = SeriesStore.coerce

@@ -14,18 +14,12 @@ resumed from a snapshot makes the same decisions as one that never
 stopped; with the cache export it also does the same work.
 
 In-RAM and sharded runs write this one format
-(:func:`repro.core.pipeline.run_linkage`).  On disk a checkpoint is one
-canonical JSON document::
-
-    {"schema": 2, "content_hash": "<sha256 of the payload>", "payload": {...}}
-
-``content_hash`` covers the *compact* canonical serialization of the
-payload, so any byte of tampering (or torn write that survived the
-atomic-rename discipline, e.g. on a corrupted filesystem) is detected at
-load time and rejected with :class:`CheckpointCorrupt` rather than
-half-loaded.  Unknown schema versions — schema 1 included — are rejected
-up front with :class:`CheckpointSchemaError`: the payload of another
-layout is never interpreted.
+(:func:`repro.core.pipeline.run_linkage`).  On disk a checkpoint is the
+shared :class:`repro.ioutil.Envelope` with schema key ``schema``
+(:data:`CHECKPOINT_ENVELOPE`): a tampered or torn file raises
+:class:`CheckpointCorrupt`, and any schema but :data:`SCHEMA_VERSION` —
+schema 1 included — raises :class:`CheckpointSchemaError` before the
+payload is interpreted.
 """
 
 from __future__ import annotations
@@ -34,6 +28,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from ..ioutil import CorruptFile, Envelope, UnsupportedSchema
 
 #: Checkpoint document schema version (bump on incompatible layout changes).
 #: Schema 2 added shard progress and dropped the sharded driver's
@@ -50,16 +46,39 @@ class CheckpointError(RuntimeError):
     """Base class of all checkpoint load/consistency failures."""
 
 
-class CheckpointCorrupt(CheckpointError):
+class CheckpointCorrupt(CheckpointError, CorruptFile):
     """The checkpoint bytes are unreadable or fail the content hash."""
 
 
-class CheckpointSchemaError(CheckpointError):
+class CheckpointSchemaError(CheckpointError, UnsupportedSchema):
     """The checkpoint declares a schema version this code cannot read."""
 
 
 class CheckpointMismatch(CheckpointError):
     """The checkpoint belongs to a different run (config or input data)."""
+
+
+#: The on-disk format of run states.
+CHECKPOINT_ENVELOPE = Envelope(
+    "schema", SCHEMA_VERSION, "checkpoint",
+    CheckpointCorrupt, CheckpointSchemaError,
+)
+
+
+def record_row(record) -> Tuple:
+    """The canonical content row of one record — every attribute the
+    pipeline compares or blocks on."""
+    return (
+        record.record_id,
+        record.household_id,
+        record.first_name,
+        record.surname,
+        record.sex,
+        record.age,
+        record.occupation,
+        record.address,
+        record.role,
+    )
 
 
 def dataset_fingerprint(old_dataset, new_dataset) -> str:
@@ -79,18 +98,7 @@ def dataset_fingerprint(old_dataset, new_dataset) -> str:
     for dataset in (old_dataset, new_dataset):
         digest.update(str(dataset.year).encode("utf-8"))
         for record in dataset.iter_records():
-            row = (
-                record.record_id,
-                record.household_id,
-                record.first_name,
-                record.surname,
-                record.sex,
-                record.age,
-                record.occupation,
-                record.address,
-                record.role,
-            )
-            digest.update(json.dumps(row).encode("utf-8"))
+            digest.update(json.dumps(record_row(record)).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
@@ -196,114 +204,41 @@ class RunState:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "RunState":
-        try:
-            return cls(
-                round_index=payload["round_index"],
-                phase=payload["phase"],
-                delta=payload["delta"],
-                schedule=tuple(payload["schedule"]),
-                rounds_finished=payload["rounds_finished"],
-                record_pairs=[list(pair) for pair in payload["record_pairs"]],
-                group_pairs=[list(pair) for pair in payload["group_pairs"]],
-                iterations=[dict(stats) for stats in payload["iterations"]],
-                provenance=(
-                    None
-                    if payload["provenance"] is None
-                    else [list(row) for row in payload["provenance"]]
-                ),
-                counters=dict(payload["counters"]),
-                cache=payload["cache"],
-                config_fingerprint=payload["config_fingerprint"],
-                data_fingerprint=payload["data_fingerprint"],
-                subgraph_record_links=payload["subgraph_record_links"],
-                remaining_record_links=payload["remaining_record_links"],
-                shards_total=payload["shards_total"],
-                shards_done=payload["shards_done"],
-                round_accum=(
-                    None
-                    if payload["round_accum"] is None
-                    else dict(payload["round_accum"])
-                ),
-                plan_fingerprint=payload["plan_fingerprint"],
-            )
-        except (KeyError, TypeError) as error:
-            raise CheckpointCorrupt(
-                f"checkpoint payload is missing or malformed: {error!r}"
-            ) from None
+        return cls(
+            round_index=payload["round_index"],
+            phase=payload["phase"],
+            delta=payload["delta"],
+            schedule=tuple(payload["schedule"]),
+            rounds_finished=payload["rounds_finished"],
+            record_pairs=[list(pair) for pair in payload["record_pairs"]],
+            group_pairs=[list(pair) for pair in payload["group_pairs"]],
+            iterations=[dict(stats) for stats in payload["iterations"]],
+            provenance=(
+                None
+                if payload["provenance"] is None
+                else [list(row) for row in payload["provenance"]]
+            ),
+            counters=dict(payload["counters"]),
+            cache=payload["cache"],
+            config_fingerprint=payload["config_fingerprint"],
+            data_fingerprint=payload["data_fingerprint"],
+            subgraph_record_links=payload["subgraph_record_links"],
+            remaining_record_links=payload["remaining_record_links"],
+            shards_total=payload["shards_total"],
+            shards_done=payload["shards_done"],
+            round_accum=(
+                None
+                if payload["round_accum"] is None
+                else dict(payload["round_accum"])
+            ),
+            plan_fingerprint=payload["plan_fingerprint"],
+        )
 
     def dumps(self) -> str:
-        """The full on-disk document: schema + content hash + payload.
-
-        Floats are serialized by ``json`` verbatim (shortest round-trip
-        repr), never rounded — a checkpoint must restore *exactly* the
-        values the interrupted run held.
-
-        The payload is serialized exactly once, in the compact canonical
-        form the content hash is defined over, and spliced into the
-        document envelope by hand: checkpoints are written at every
-        round boundary, so serialization cost is pipeline overhead, and
-        a second (or prettified) ``json.dumps`` pass over a
-        multi-megabyte cache export would double it for nothing.
-        """
-        payload_text = json.dumps(
-            self.as_payload(),
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-        digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
-        # Keys in sorted order, mirroring json.dumps(sort_keys=True).
-        return (
-            f'{{"content_hash":"{digest}","payload":{payload_text},'
-            f'"schema":{SCHEMA_VERSION}}}\n'
-        )
+        """The full on-disk document (:data:`CHECKPOINT_ENVELOPE`)."""
+        return CHECKPOINT_ENVELOPE.dumps(self.as_payload())
 
     @classmethod
     def loads(cls, text: str) -> "RunState":
-        """Parse and verify a checkpoint document.
-
-        Raises :class:`CheckpointCorrupt` on unparseable bytes, a
-        missing section or a content-hash mismatch (tampering, torn
-        write), and :class:`CheckpointSchemaError` on an unknown schema
-        version — checked *before* the payload is interpreted, so a
-        future layout is never half-loaded.
-        """
-        try:
-            document = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CheckpointCorrupt(
-                f"checkpoint is not valid JSON: {error}"
-            ) from None
-        if not isinstance(document, dict):
-            raise CheckpointCorrupt(
-                f"checkpoint document must be an object, got "
-                f"{type(document).__name__}"
-            )
-        schema = document.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise CheckpointSchemaError(
-                f"unsupported checkpoint schema {schema!r} "
-                f"(this build reads schema {SCHEMA_VERSION})"
-            )
-        payload = document.get("payload")
-        declared = document.get("content_hash")
-        if payload is None or declared is None:
-            raise CheckpointCorrupt(
-                "checkpoint document lacks a payload/content_hash section"
-            )
-        actual = content_hash(payload)
-        if actual != declared:
-            raise CheckpointCorrupt(
-                f"checkpoint content hash mismatch: declared {declared}, "
-                f"recomputed {actual} — the payload was altered after it "
-                f"was written"
-            )
-        return cls.from_payload(payload)
-
-
-def content_hash(payload: Dict[str, object]) -> str:
-    """SHA-256 over the compact canonical JSON form of ``payload``."""
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """Parse and verify a checkpoint document."""
+        return CHECKPOINT_ENVELOPE.build(cls.from_payload, data=text)

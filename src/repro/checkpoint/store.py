@@ -12,22 +12,22 @@ and sharded runs alike::
       ...
       final.json                  after the remaining pass (run complete)
 
-Every write goes through :func:`repro.ioutil.atomic_write_text`
-(write-then-``os.replace``), so a crash mid-write leaves the previous
-round's file intact and at worst a stray temporary file that scanners
-skip.  :meth:`load_latest` walks candidates newest-first (``final`` >
-highest round) and *skips* unreadable files — recording them in
-:attr:`CheckpointStore.skipped` — so one corrupted checkpoint degrades
-recovery by one round instead of aborting it; :meth:`load` of a specific
-path stays strict and raises.
+Writing, verifying and listing are :mod:`repro.ioutil`'s, shared with
+the series store through :class:`DocumentStore`.  The recovery policy is
+this store's own: :meth:`CheckpointStore.load_latest` walks candidates
+newest-first (``final`` > highest round) and *skips* unusable files —
+recording them in :attr:`DocumentStore.skipped` — so one corrupted
+checkpoint degrades recovery by one snapshot instead of aborting it;
+:meth:`DocumentStore.load` of a specific path stays strict and raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..instrumentation import (
     CHECKPOINT_BYTES,
@@ -35,14 +35,10 @@ from ..instrumentation import (
     CHECKPOINT_WRITES,
     Instrumentation,
 )
-from ..ioutil import PathLike, atomic_write_text, is_temp_artifact
-from .state import (
-    PHASE_FINAL,
-    CheckpointCorrupt,
-    CheckpointError,
-    CheckpointSchemaError,
-    RunState,
+from ..ioutil import (
+    CorruptFile, Envelope, PathLike, Replace, WriteSeam, is_temp_artifact,
 )
+from .state import CHECKPOINT_ENVELOPE, PHASE_FINAL, RunState
 
 #: File name of the run-complete checkpoint.
 FINAL_NAME = "final.json"
@@ -72,26 +68,91 @@ class CheckpointEntry:
     shards_done: Optional[int] = None
 
 
-class CheckpointStore:
-    """One checkpoint directory: write, list, load, inspect.
+def _stage(instrumentation: Optional[Instrumentation], name: str):
+    if instrumentation is None:
+        return contextlib.nullcontext()
+    return instrumentation.stage(name)
 
-    ``replace`` substitutes ``os.replace`` in the atomic write — the
-    fault-injection seam used by the crash-matrix battery (see
-    :mod:`repro.checkpoint.faults`).
+
+class DocumentStore:
+    """One directory of enveloped documents, each loaded strictly or
+    skipped: the half the checkpoint and series stores share.
+
+    A subclass names its ``envelope``, the ``factory`` building its
+    document object from a verified payload and its instrumentation
+    stage names.  ``replace`` substitutes ``os.replace`` in every write
+    (:class:`repro.ioutil.WriteSeam`).
     """
 
+    envelope: Envelope
+    factory: Callable[[Dict[str, object]], object]
+    write_stage: str
+    load_stage: str
+
     def __init__(
-        self,
-        directory: PathLike,
-        replace: Optional[Callable[[str, str], None]] = None,
+        self, directory: PathLike, replace: Optional[Replace] = None
     ) -> None:
         self.directory = Path(directory)
-        self._replace = replace
-        #: ``(path, reason)`` of files the last :meth:`load_latest` call
-        #: could not use (corrupt, unknown schema).
+        self.seam = WriteSeam(replace)
+        #: ``(path, defect)`` of files a lenient load could not use
+        #: (corrupt, unknown schema) and treated as missing.
         self.skipped: List[Tuple[Path, str]] = []
 
-    # -- naming ---------------------------------------------------------------
+    def _write(
+        self,
+        path: Path,
+        payload: Dict[str, object],
+        fsync: bool,
+        instrumentation: Optional[Instrumentation],
+    ) -> Path:
+        text = self.envelope.dumps(payload)
+        with _stage(instrumentation, self.write_stage):
+            self.seam.write(path, text, fsync=fsync)
+        if instrumentation is not None:
+            instrumentation.count(CHECKPOINT_WRITES)
+            instrumentation.count(CHECKPOINT_BYTES, len(text))
+        return path
+
+    def load(
+        self,
+        path: PathLike,
+        instrumentation: Optional[Instrumentation] = None,
+    ):
+        """Load and verify one file (strict: raises
+        :class:`repro.ioutil.CorruptFile` on any defect)."""
+        with _stage(instrumentation, self.load_stage):
+            document = self.envelope.build(self.factory, path)
+        if instrumentation is not None:
+            instrumentation.count(CHECKPOINT_LOADS)
+        return document
+
+    @classmethod
+    def coerce(cls, directory):
+        """Accept a directory path or an existing store; ``None`` passes
+        through."""
+        if directory is None or isinstance(directory, cls):
+            return directory
+        return cls(directory)
+
+    def _load_or_skip(
+        self, path: Path, instrumentation: Optional[Instrumentation]
+    ):
+        """:meth:`load`, or ``None`` with the file recorded in
+        :attr:`skipped` when it is unusable."""
+        try:
+            return self.load(path, instrumentation=instrumentation)
+        except CorruptFile as error:
+            self.skipped.append((path, error.defect))
+            return None
+
+
+class CheckpointStore(DocumentStore):
+    """One checkpoint directory: write, list, load, inspect."""
+
+    envelope = CHECKPOINT_ENVELOPE
+    factory = RunState.from_payload
+    write_stage = WRITE_STAGE
+    load_stage = LOAD_STAGE
 
     def path_for(self, state: RunState) -> Path:
         if state.phase == PHASE_FINAL:
@@ -103,8 +164,6 @@ class CheckpointStore:
         return self.directory / ROUND_NAME_FORMAT.format(
             index=state.round_index
         )
-
-    # -- writing --------------------------------------------------------------
 
     def write_state(
         self,
@@ -121,24 +180,12 @@ class CheckpointStore:
         per δ round or shard merge.  The final checkpoint is flushed: it
         certifies a completed, validated run.
         """
-        text = state.dumps()
-        fsync = state.phase == PHASE_FINAL
-        if instrumentation is not None:
-            with instrumentation.stage(WRITE_STAGE):
-                path = atomic_write_text(
-                    self.path_for(state), text,
-                    replace=self._replace, fsync=fsync,
-                )
-            instrumentation.count(CHECKPOINT_WRITES)
-            instrumentation.count(CHECKPOINT_BYTES, len(text))
-        else:
-            path = atomic_write_text(
-                self.path_for(state), text,
-                replace=self._replace, fsync=fsync,
-            )
-        return path
-
-    # -- listing / loading ------------------------------------------------------
+        return self._write(
+            self.path_for(state),
+            state.as_payload(),
+            fsync=state.phase == PHASE_FINAL,
+            instrumentation=instrumentation,
+        )
 
     def entries(self) -> List[CheckpointEntry]:
         """All checkpoint files in progress order — rounds ascending,
@@ -173,28 +220,6 @@ class CheckpointStore:
         ))
         return rounds + final
 
-    def load(
-        self,
-        path: PathLike,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> RunState:
-        """Load and verify one checkpoint file (strict: raises on any
-        corruption or schema problem)."""
-        target = Path(path)
-        try:
-            text = target.read_text(encoding="utf-8")
-        except OSError as error:
-            raise CheckpointCorrupt(
-                f"cannot read checkpoint {target}: {error}"
-            ) from None
-        if instrumentation is not None:
-            with instrumentation.stage(LOAD_STAGE):
-                state = RunState.loads(text)
-            instrumentation.count(CHECKPOINT_LOADS)
-        else:
-            state = RunState.loads(text)
-        return state
-
     def load_latest(
         self, instrumentation: Optional[Instrumentation] = None
     ) -> Optional[RunState]:
@@ -208,10 +233,9 @@ class CheckpointStore:
         """
         self.skipped = []
         for entry in reversed(self.entries()):
-            try:
-                return self.load(entry.path, instrumentation=instrumentation)
-            except (CheckpointCorrupt, CheckpointSchemaError) as error:
-                self.skipped.append((entry.path, str(error)))
+            state = self._load_or_skip(entry.path, instrumentation)
+            if state is not None:
+                return state
         return None
 
     # -- inspection -------------------------------------------------------------
@@ -227,8 +251,8 @@ class CheckpointStore:
             row: Dict[str, object] = {"file": entry.path.name}
             try:
                 state = self.load(entry.path)
-            except CheckpointError as error:
-                row.update(status=f"CORRUPT ({error})")
+            except CorruptFile as error:
+                row.update(status=f"CORRUPT ({error.defect})")
                 rows.append(row)
                 continue
             row.update(
@@ -248,13 +272,5 @@ class CheckpointStore:
         return rows
 
 
-def coerce_store(
-    checkpoint_dir: Union[PathLike, CheckpointStore, None]
-) -> Optional[CheckpointStore]:
-    """Accept a directory path or an existing store (the pipeline's
-    ``checkpoint_dir`` argument does both); ``None`` passes through."""
-    if checkpoint_dir is None:
-        return None
-    if isinstance(checkpoint_dir, CheckpointStore):
-        return checkpoint_dir
-    return CheckpointStore(checkpoint_dir)
+#: The pipeline's ``checkpoint_dir`` argument: a path or a store.
+coerce_store = CheckpointStore.coerce

@@ -364,7 +364,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Publish into and serve from a persistent evolution-graph store."""
-    from .service import EvolutionQueryService, EvolutionStore, StoreMissing
+    from .service import (
+        EvolutionQueryService, EvolutionStore, StoreError, StoreMissing,
+    )
     from .service.http import serve as serve_http
 
     if args.incremental and not args.series_state:
@@ -396,7 +398,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"swept {len(swept)} orphan segment file(s)")
     try:
         version = store.graph_version()
-    except Exception as error:  # corrupt store: report, don't trace
+    except StoreError as error:  # corrupt store: report, don't trace
         print(f"serve: store unusable: {error}", file=sys.stderr)
         return 1
     if version is None:

@@ -20,48 +20,45 @@ refresh incrementally.  This module is that layout:
   segment ``N+1`` change — every other segment is byte-identical and is
   **not rewritten**.
 
-* **A manifest as the commit point.**  Segment files are
-  content-addressed (the payload hash is part of the file name), written
-  first via :func:`repro.ioutil.atomic_write_text`, and only then does
-  the manifest — which records the ``graph_version`` and every
-  segment's name and hash — atomically flip to the new view.  A crash
-  mid-publish leaves at worst orphan segment files next to a fully
-  intact previous view; re-publishing the same analysis is a byte-level
-  no-op (checked content, not just existence, so a tampered file is
-  healed by the next publish).
+* **A manifest as the commit point.**  Segments are content-addressed
+  (the payload hash is part of the file name) and published manifest
+  last (:func:`repro.ioutil.publish`); the manifest records the
+  ``graph_version`` and every segment's name and hash.  Re-publishing
+  the same analysis is a byte-level no-op.
 
-* **Verified loads.**  :meth:`EvolutionStore.load_graph` checks the
-  document envelope hash of the manifest and of every segment, each
-  segment hash against the manifest's record, and finally that the
-  reconstructed graph reproduces the manifest's ``graph_version`` —
-  any tampered or torn file raises :class:`StoreCorrupt` instead of
-  serving a silently wrong graph.
+* **Verified loads.**  Manifest and segments are the shared
+  :class:`repro.ioutil.Envelope` with schema key ``service_schema``.
+  :meth:`EvolutionStore.load_graph` also checks each segment's hash
+  against the manifest's record and that the reconstructed graph
+  reproduces the manifest's ``graph_version`` — any tampered or torn
+  file raises :class:`StoreCorrupt` instead of serving a silently wrong
+  graph.
 
-``graph_version`` — :func:`repro.checkpoint.state.content_hash` over
+``graph_version`` — :func:`repro.ioutil.content_hash` over
 :func:`repro.evolution.io.graph_to_dict` — is the identity the query
 service keys its result cache on (see ``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..checkpoint.state import content_hash
 from ..evolution.graph import EvolutionEdge, EvolutionGraph, Vertex
 from ..evolution.io import graph_to_dict
-from ..ioutil import PathLike, atomic_write_text, is_temp_artifact
+from ..ioutil import (
+    CorruptFile, Envelope, PathLike, Replace, UnsupportedSchema, WriteSeam,
+    content_hash, publish, sweep,
+)
 
 #: On-disk document schema of manifests and segments.
 SERVICE_SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
 SEGMENT_NAME_FORMAT = "seg_{year}_{digest}.json"
-_SEGMENT_NAME_RE = re.compile(r"^seg_(\d+)_([0-9a-f]{12})\.json$")
+_SEGMENT_NAME_RE = re.compile(r"seg_(\d+)_([0-9a-f]{12})\.json")
 
 #: Length of the short hashes used for node IDs and graph versions.
 _SHORT_HASH = 16
@@ -75,8 +72,19 @@ class StoreMissing(StoreError):
     """The store directory holds no published manifest yet."""
 
 
-class StoreCorrupt(StoreError):
+class StoreCorrupt(StoreError, CorruptFile):
     """A manifest or segment failed its integrity verification."""
+
+
+class StoreSchemaError(StoreCorrupt, UnsupportedSchema):
+    """A manifest or segment declares an unsupported schema."""
+
+
+#: The on-disk format of manifests and segments.
+SERVICE_ENVELOPE = Envelope(
+    "service_schema", SERVICE_SCHEMA_VERSION, "service",
+    StoreCorrupt, StoreSchemaError,
+)
 
 
 def node_id(kind: str, year: int, identifier: str) -> str:
@@ -86,58 +94,13 @@ def node_id(kind: str, year: int, identifier: str) -> str:
     triple; the same household-year resolves to the same ID in every
     process, publish and store.
     """
-    canonical = json.dumps([kind, int(year), identifier], sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:_SHORT_HASH]
+    return content_hash([kind, int(year), identifier])[:_SHORT_HASH]
 
 
 def graph_version_of(graph: EvolutionGraph) -> str:
     """The version identity of a graph: content hash of its canonical
     JSON form (:func:`repro.evolution.io.graph_to_dict`)."""
     return content_hash(graph_to_dict(graph))[:_SHORT_HASH]
-
-
-def _document(payload: Dict[str, object]) -> str:
-    """The store's document envelope: compact canonical payload guarded
-    by a content hash, schema declared beside it (the checkpoint
-    discipline of :mod:`repro.checkpoint.state`)."""
-    payload_text = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
-    return (
-        f'{{"content_hash":"{digest}","payload":{payload_text},'
-        f'"service_schema":{SERVICE_SCHEMA_VERSION}}}\n'
-    )
-
-
-def _parse_document(text: str, what: str) -> Tuple[Dict[str, object], str]:
-    """Verify a document envelope; returns (payload, content hash)."""
-    try:
-        document = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise StoreCorrupt(f"{what} is not valid JSON: {error}") from None
-    if not isinstance(document, dict):
-        raise StoreCorrupt(
-            f"{what} must be an object, got {type(document).__name__}"
-        )
-    schema = document.get("service_schema")
-    if schema != SERVICE_SCHEMA_VERSION:
-        raise StoreCorrupt(
-            f"{what} declares unsupported service schema {schema!r} "
-            f"(this build reads schema {SERVICE_SCHEMA_VERSION})"
-        )
-    payload = document.get("payload")
-    declared = document.get("content_hash")
-    if payload is None or declared is None:
-        raise StoreCorrupt(f"{what} lacks a payload/content_hash section")
-    actual = content_hash(payload)
-    if actual != declared:
-        raise StoreCorrupt(
-            f"{what} content hash mismatch: declared {declared}, "
-            f"recomputed {actual}"
-        )
-    return payload, declared
 
 
 @dataclass
@@ -218,18 +181,15 @@ class EvolutionStore:
     """One store directory: per-year segments plus a manifest commit
     point (module docstring).
 
-    ``replace`` substitutes ``os.replace`` inside the atomic writes —
-    the fault-injection seam the crash battery drives, exactly like
-    :class:`repro.checkpoint.store.CheckpointStore`.
+    ``replace`` substitutes ``os.replace`` in every write
+    (:class:`repro.ioutil.WriteSeam`, the fault seam).
     """
 
     def __init__(
-        self,
-        directory: PathLike,
-        replace: Optional[Callable[[str, str], None]] = None,
+        self, directory: PathLike, replace: Optional[Replace] = None
     ) -> None:
         self.directory = Path(directory)
-        self._replace = replace
+        self.seam = WriteSeam(replace)
 
     @property
     def manifest_path(self) -> Path:
@@ -256,90 +216,79 @@ class EvolutionStore:
                 f"snapshot list: {sorted(stray)}"
             )
         version = graph_version_of(graph)
-        report = PublishReport(graph_version=version)
         segments: List[Dict[str, object]] = []
-        for year in graph.years:
-            payload = _segment_payload(graph, year)
-            text = _document(payload)
-            digest = content_hash(payload)
-            name = SEGMENT_NAME_FORMAT.format(year=year, digest=digest[:12])
-            if self._write_if_changed(self.directory / name, text):
-                report.segments_written.append(name)
-            else:
-                report.segments_unchanged.append(name)
-            segments.append({"year": year, "file": name, "hash": digest})
-        manifest_payload = {
-            "graph_version": version,
-            "years": list(graph.years),
-            "segments": segments,
-            "counts": {
-                "vertices": len(graph.vertices),
-                "group_vertices": graph.num_group_vertices(),
-                "edges": len(graph.edges),
-            },
-        }
-        report.manifest_written = self._write_if_changed(
-            self.manifest_path, _document(manifest_payload)
-        )
-        return report
 
-    def _write_if_changed(self, path: Path, text: str) -> bool:
-        """Atomically write ``text`` unless the file already holds
-        exactly those bytes; returns whether a write happened."""
-        try:
-            if path.read_text(encoding="utf-8") == text:
-                return False
-        except OSError:
-            pass
-        atomic_write_text(path, text, replace=self._replace, fsync=True)
-        return True
+        def segment_files():
+            for year in graph.years:
+                text, digest = SERVICE_ENVELOPE.seal(
+                    _segment_payload(graph, year)
+                )
+                name = SEGMENT_NAME_FORMAT.format(
+                    year=year, digest=digest[:12]
+                )
+                segments.append({"year": year, "file": name, "hash": digest})
+                yield self.directory / name, text, True
+
+        def manifest() -> str:
+            return SERVICE_ENVELOPE.dumps({
+                "graph_version": version,
+                "years": list(graph.years),
+                "segments": segments,
+                "counts": {
+                    "vertices": len(graph.vertices),
+                    "group_vertices": graph.num_group_vertices(),
+                    "edges": len(graph.edges),
+                },
+            })
+
+        written, unchanged, manifest_written = publish(
+            self.seam, segment_files(), self.manifest_path, manifest
+        )
+        return PublishReport(
+            graph_version=version,
+            segments_written=[path.name for path in written],
+            segments_unchanged=[path.name for path in unchanged],
+            manifest_written=manifest_written,
+        )
 
     # -- loading --------------------------------------------------------------
 
     def manifest(self) -> Dict[str, object]:
         """The verified manifest payload; :class:`StoreMissing` when the
         store has never published, :class:`StoreCorrupt` on tamper."""
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+        if not self.manifest_path.exists():
             raise StoreMissing(
                 f"no manifest in {self.directory} — publish an analysis "
                 f"first"
-            ) from None
-        except OSError as error:
-            raise StoreCorrupt(
-                f"cannot read manifest {self.manifest_path}: {error}"
-            ) from None
-        payload, _ = _parse_document(text, f"manifest {self.manifest_path}")
+            )
+        payload, _ = SERVICE_ENVELOPE.read(self.manifest_path, what="manifest")
         return payload
 
     def graph_version(self) -> Optional[str]:
         """The currently published graph version, or ``None`` for an
         empty store (corruption still raises)."""
         try:
-            return str(self.manifest()["graph_version"])
+            manifest = self.manifest()
         except StoreMissing:
             return None
-        except KeyError:
-            raise StoreCorrupt(
-                f"manifest {self.manifest_path} lacks a graph_version"
-            ) from None
+        with SERVICE_ENVELOPE.malformed(self.manifest_path, "manifest"):
+            return str(manifest["graph_version"])
 
-    def _load_segment(self, entry: Dict[str, object]) -> Dict[str, object]:
-        path = self.directory / str(entry["file"])
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as error:
+    def _load_segment(
+        self, entry: Dict[str, object]
+    ) -> Tuple[Path, Dict[str, object]]:
+        """The verified payload of one manifest segment entry."""
+        with SERVICE_ENVELOPE.malformed(self.manifest_path, "manifest"):
+            path = self.directory / str(entry["file"])
+            declared = entry.get("hash")
+        payload, digest = SERVICE_ENVELOPE.read(path, what="segment")
+        if digest != declared:
             raise StoreCorrupt(
-                f"cannot read segment {path}: {error}"
-            ) from None
-        payload, digest = _parse_document(text, f"segment {path}")
-        if digest != entry.get("hash"):
-            raise StoreCorrupt(
-                f"segment {path} does not match the manifest: manifest "
-                f"records hash {entry.get('hash')}, file holds {digest}"
+                path,
+                f"segment does not match the manifest: manifest records "
+                f"hash {declared}, file holds {digest}",
             )
-        return payload
+        return path, payload
 
     def load_graph(self) -> EvolutionGraph:
         """Rebuild the published graph, fully verified.
@@ -352,17 +301,13 @@ class EvolutionStore:
         """
         manifest = self.manifest()
         graph = EvolutionGraph()
-        try:
+        with SERVICE_ENVELOPE.malformed(self.manifest_path, "manifest"):
             graph.years = [int(year) for year in manifest["years"]]
             segment_entries = list(manifest["segments"])
             declared_version = str(manifest["graph_version"])
-        except (KeyError, TypeError, ValueError) as error:
-            raise StoreCorrupt(
-                f"manifest {self.manifest_path} is malformed: {error!r}"
-            ) from None
         for entry in segment_entries:
-            payload = self._load_segment(entry)
-            try:
+            path, payload = self._load_segment(entry)
+            with SERVICE_ENVELOPE.malformed(path, "segment"):
                 year = int(payload["year"])
                 for node in payload["nodes"]:
                     graph.vertices.add(
@@ -380,16 +325,13 @@ class EvolutionStore:
                     )
                 for old_id, new_id in payload["preserve"]:
                     graph._preserve_index[(year, str(old_id))] = str(new_id)
-            except (KeyError, IndexError, TypeError, ValueError) as error:
-                raise StoreCorrupt(
-                    f"segment {entry.get('file')} is malformed: {error!r}"
-                ) from None
         actual_version = graph_version_of(graph)
         if actual_version != declared_version:
             raise StoreCorrupt(
+                self.manifest_path,
                 f"reconstructed graph version {actual_version} does not "
                 f"reproduce the published {declared_version}: the store "
-                f"content and manifest disagree"
+                f"content and manifest disagree",
             )
         return graph
 
@@ -405,7 +347,7 @@ class EvolutionStore:
         for entry in manifest.get("segments", []):
             if int(entry.get("year", -1)) != int(year):
                 continue
-            payload = self._load_segment(entry)
+            _, payload = self._load_segment(entry)
             for node in payload.get("nodes", []):
                 if node.get("node") == wanted:
                     return dict(node)
@@ -413,46 +355,13 @@ class EvolutionStore:
 
     # -- housekeeping ---------------------------------------------------------
 
-    def referenced_files(self) -> List[str]:
-        """Manifest plus every segment the current view references."""
-        manifest = self.manifest()
-        return [MANIFEST_NAME] + [
-            str(entry["file"]) for entry in manifest.get("segments", [])
-        ]
-
     def sweep(self) -> List[Path]:
         """Delete orphan segment files older publishes (or crashes
         mid-publish) left behind; returns the removed paths.  Never
         touches the current view, unknown files or in-flight temps."""
         try:
-            keep = set(self.referenced_files())
+            segments = self.manifest().get("segments", [])
         except StoreMissing:
-            keep = set()
-        removed: List[Path] = []
-        if not self.directory.is_dir():
-            return removed
-        for path in sorted(self.directory.iterdir()):
-            if not path.is_file() or is_temp_artifact(path):
-                continue
-            if path.name in keep or not _SEGMENT_NAME_RE.match(path.name):
-                continue
-            path.unlink()
-            removed.append(path)
-        return removed
-
-    def describe(self) -> List[Dict[str, object]]:
-        """Inspection rows of the published view (for the CLI)."""
-        manifest = self.manifest()
-        rows: List[Dict[str, object]] = []
-        for entry in manifest.get("segments", []):
-            payload = self._load_segment(entry)
-            rows.append(
-                {
-                    "year": payload["year"],
-                    "file": entry["file"],
-                    "nodes": len(payload["nodes"]),
-                    "edges": len(payload["edges"]),
-                    "preserve": len(payload["preserve"]),
-                }
-            )
-        return rows
+            segments = []
+        keep = {str(entry["file"]) for entry in segments}
+        return sweep(self.directory, _SEGMENT_NAME_RE, keep)

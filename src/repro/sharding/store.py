@@ -13,31 +13,39 @@ shard).  Two interchangeable formats:
 * ``jsonl`` — one JSON row per record; the dependency-free fallback,
   picked automatically when numpy is unavailable.
 
-The JSON manifest carries a **format-independent** content fingerprint
-per shard (:func:`shard_fingerprint`): the hash covers canonical JSON
-rows of the records, not the storage bytes, so an ``npy`` store and a
+The manifest carries a **format-independent** content fingerprint per
+shard (:func:`shard_fingerprint`): the hash covers canonical JSON rows
+of the records, not the storage bytes, so an ``npy`` store and a
 ``jsonl`` store of the same snapshot fingerprint identically, and the
 sharded pipeline can bind checkpoints to input content without reading
 every column back.  Roundtrips are byte-identical field for field —
 including ``entity_id``, which :class:`~repro.model.records.PersonRecord`
 equality ignores (``tests/test_sharding_store.py`` pins this).
 
-Writes follow the repo's atomic discipline: column/row files are written
-into place first, the manifest (:func:`repro.ioutil.atomic_write_text`,
-atomic rename) last, so a torn write can never yield a manifest that
-points at missing shards.
+Persistence goes through :mod:`repro.ioutil` (manifest schema 2): shard
+files are content-addressed (``<column>_<digest12>.npy`` or
+``rows_<digest12>.jsonl``) and published manifest last, the manifest is
+the shared envelope recording each file's SHA-256, :meth:`read_shard`
+verifies the bytes of every file it opens, and the files a re-write
+superseded are swept after the manifest flips.  A tampered or torn file
+raises :class:`ShardStoreCorrupt` naming it; a killed re-write leaves
+the previous snapshot readable.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import hashlib
-
-from ..ioutil import atomic_write_text
+from ..ioutil import (
+    CorruptFile, Envelope, UnsupportedSchema, WriteSeam, check_file, publish,
+    sweep,
+)
 from ..model.dataset import CensusDataset
 from ..model.records import PersonRecord
 
@@ -50,7 +58,9 @@ except ImportError:  # pragma: no cover
 HAVE_NUMPY = _np is not None
 
 #: Store manifest schema version (bump on incompatible layout changes).
-STORE_SCHEMA_VERSION = 1
+#: Schema 2 puts the manifest in the shared envelope, names shard files
+#: by content and records each file's digest.
+STORE_SCHEMA_VERSION = 2
 
 #: Record columns in serialization order (the PersonRecord field order).
 COLUMNS = (
@@ -76,10 +86,28 @@ NONE_STRING = "\x00N"
 NONE_AGE = -1
 
 MANIFEST_NAME = "manifest.json"
+#: Shard files, relative to their year's directory.
+_SHARD_FILE_RE = re.compile(r"shard_\d{4,}/\w+_[0-9a-f]{12}\.(?:npy|jsonl)")
 
 
 class ShardStoreError(RuntimeError):
     """Malformed store layout, unreadable manifest or format mismatch."""
+
+
+class ShardStoreCorrupt(ShardStoreError, CorruptFile):
+    """A manifest or shard file failed its integrity verification."""
+
+
+class ShardStoreSchemaError(ShardStoreCorrupt, UnsupportedSchema):
+    """The manifest declares an unsupported schema."""
+
+
+#: The on-disk format of the store manifest.
+MANIFEST_ENVELOPE = Envelope(
+    "schema", STORE_SCHEMA_VERSION, "store",
+    ShardStoreCorrupt, ShardStoreSchemaError,
+    hint="; rewrite the store: write its snapshots into an empty directory",
+)
 
 
 def _record_row(record: PersonRecord) -> List[object]:
@@ -122,12 +150,14 @@ class ShardStore:
     numpy is importable).  A store directory has one format for all
     snapshots, recorded in the manifest; opening an existing store with
     a conflicting explicit format raises :class:`ShardStoreError`.
+    Every write passes through ``seam`` (:class:`repro.ioutil.WriteSeam`).
     """
 
     def __init__(
         self, path, format: Optional[str] = None  # noqa: A002 - CLI term
     ) -> None:
         self.path = Path(path)
+        self.seam = WriteSeam()
         if format not in (None, "npy", "jsonl"):
             raise ShardStoreError(
                 f"unknown store format {format!r} (use 'npy' or 'jsonl')"
@@ -158,38 +188,7 @@ class ShardStore:
     def _load_manifest(self) -> Optional[Dict[str, object]]:
         if not self.manifest_path.exists():
             return None
-        try:
-            manifest = json.loads(
-                self.manifest_path.read_text(encoding="utf-8")
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise ShardStoreError(
-                f"store manifest {self.manifest_path} is not valid JSON: "
-                f"{error}"
-            ) from None
-        schema = manifest.get("schema")
-        if schema != STORE_SCHEMA_VERSION:
-            raise ShardStoreError(
-                f"unsupported store schema {schema!r} (this build reads "
-                f"schema {STORE_SCHEMA_VERSION})"
-            )
-        return manifest
-
-    def _manifest_or_empty(self) -> Dict[str, object]:
-        manifest = self._load_manifest()
-        if manifest is None:
-            return {
-                "schema": STORE_SCHEMA_VERSION,
-                "format": self.format,
-                "snapshots": {},
-            }
-        return manifest
-
-    def _save_manifest(self, manifest: Dict[str, object]) -> None:
-        atomic_write_text(
-            self.manifest_path,
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
+        return MANIFEST_ENVELOPE.read(self.manifest_path, what="manifest")[0]
 
     # -- writing ---------------------------------------------------------------
 
@@ -197,52 +196,67 @@ class ShardStore:
         """Persist one snapshot, one store shard per region.
 
         Returns the snapshot's manifest entry.  Re-writing a year
-        replaces its entry (stale shard directories are overwritten on
-        name collision, not garbage-collected).
+        replaces its entry; the files only the old entry referenced are
+        swept once the manifest has flipped.
         """
         by_region: Dict[str, List[PersonRecord]] = defaultdict(list)
         for record in dataset.iter_records():
             by_region[_region_of_id(record.record_id)].append(record)
 
         year_dir = self.path / f"census_{dataset.year}"
-        year_dir.mkdir(parents=True, exist_ok=True)
         shards = []
-        for index, region in enumerate(sorted(by_region)):
-            records = by_region[region]
-            shard_name = f"shard_{index:04d}"
-            shard_dir = year_dir / shard_name
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            self._write_shard(shard_dir, records)
-            shards.append({
-                "name": shard_name,
-                "region": region,
-                "num_records": len(records),
-                "fingerprint": shard_fingerprint(records),
-            })
 
-        manifest = self._manifest_or_empty()
-        manifest["snapshots"][str(dataset.year)] = {
-            "num_records": len(dataset),
-            "shards": shards,
+        def shard_files():
+            for index, region in enumerate(sorted(by_region)):
+                records = by_region[region]
+                shard_name = f"shard_{index:04d}"
+                files = {}
+                for stem, data, fsync in self._encode_shard(records):
+                    digest = hashlib.sha256(data).hexdigest()
+                    name = f"{stem}_{digest[:12]}.{self.format}"
+                    files[stem] = {"file": name, "hash": digest}
+                    yield year_dir / shard_name / name, data, fsync
+                shards.append({
+                    "name": shard_name,
+                    "region": region,
+                    "num_records": len(records),
+                    "fingerprint": shard_fingerprint(records),
+                    "files": files,
+                })
+
+        manifest = self._load_manifest() or {
+            "format": self.format,
+            "snapshots": {},
         }
-        self._save_manifest(manifest)
-        return manifest["snapshots"][str(dataset.year)]
+        entry = {"num_records": len(dataset), "shards": shards}
+        manifest["snapshots"][str(dataset.year)] = entry
+        publish(
+            self.seam, shard_files(), self.manifest_path,
+            lambda: MANIFEST_ENVELOPE.dumps(manifest),
+        )
+        keep = {
+            f"{shard['name']}/{file['file']}"
+            for shard in shards
+            for file in shard["files"].values()
+        }
+        sweep(year_dir, _SHARD_FILE_RE, keep)
+        return entry
 
     def write_datasets(self, datasets: Iterable[CensusDataset]) -> None:
         for dataset in datasets:
             self.write_dataset(dataset)
 
-    def _write_shard(
-        self, shard_dir: Path, records: Sequence[PersonRecord]
-    ) -> None:
+    def _encode_shard(
+        self, records: Sequence[PersonRecord]
+    ) -> Iterator[Tuple[str, bytes, bool]]:
+        """``(file stem, bytes, fsync)`` of each file of one shard: the
+        jsonl rows are fsynced, the npy columns are not."""
         if self.format == "jsonl":
             lines = [
                 json.dumps(_record_row(record), ensure_ascii=True)
                 for record in records
             ]
-            atomic_write_text(
-                shard_dir / "rows.jsonl", "\n".join(lines) + "\n"
-            )
+            yield "rows", ("\n".join(lines) + "\n").encode("utf-8"), True
             return
         for column in COLUMNS:
             values = [getattr(record, column) for record in records]
@@ -252,12 +266,11 @@ class ShardStore:
                     dtype=_np.int64,
                 )
             else:
-                for value in values:
-                    if value == NONE_STRING:
-                        raise ShardStoreError(
-                            f"column {column} contains the reserved None "
-                            f"sentinel {NONE_STRING!r}"
-                        )
+                if NONE_STRING in values:
+                    raise ShardStoreError(
+                        f"column {column} contains the reserved None "
+                        f"sentinel {NONE_STRING!r}"
+                    )
                 array = _np.array(
                     [
                         NONE_STRING if value is None else value
@@ -265,7 +278,9 @@ class ShardStore:
                     ],
                     dtype=str,
                 )
-            _np.save(shard_dir / f"{column}.npy", array)
+            buffer = io.BytesIO()
+            _np.save(buffer, array)
+            yield column, buffer.getvalue(), False
 
     # -- reading ---------------------------------------------------------------
 
@@ -293,7 +308,8 @@ class ShardStore:
         ]
 
     def shard_entries(self, year: int) -> List[Dict[str, object]]:
-        """The manifest rows (name, region, count, fingerprint) of a year."""
+        """The manifest rows (name, region, count, fingerprint, files) of
+        a year."""
         return [dict(shard) for shard in self._snapshot_entry(year)["shards"]]
 
     def snapshot_fingerprint(self, year: int) -> str:
@@ -307,8 +323,9 @@ class ShardStore:
         return digest.hexdigest()[:16]
 
     def read_shard(self, year: int, shard_name: str) -> List[PersonRecord]:
-        """Materialize one shard's records (columns memory-mapped in the
-        npy format, so only this shard's pages are touched)."""
+        """Materialize one shard's records after verifying the bytes of
+        every file read (columns memory-mapped in the npy format, so
+        only this shard's pages are touched)."""
         for shard in self._snapshot_entry(year)["shards"]:
             if shard["name"] == shard_name:
                 break
@@ -317,20 +334,24 @@ class ShardStore:
                 f"year {year} has no shard {shard_name!r} in {self.path}"
             )
         shard_dir = self.path / f"census_{year}" / shard_name
+        paths = {}
+        for stem, file in shard["files"].items():
+            paths[stem] = shard_dir / file["file"]
+            check_file(
+                paths[stem], file["hash"], ShardStoreCorrupt, "shard file"
+            )
         if self.format == "jsonl":
             rows = [
                 json.loads(line)
-                for line in (shard_dir / "rows.jsonl")
-                .read_text(encoding="utf-8")
+                for line in paths["rows"].read_text(encoding="utf-8")
                 .splitlines()
                 if line
             ]
             return [_record_from_row(row) for row in rows]
-        columns = {}
-        for column in COLUMNS:
-            columns[column] = _np.load(
-                shard_dir / f"{column}.npy", mmap_mode="r"
-            )
+        columns = {
+            column: _np.load(paths[column], mmap_mode="r")
+            for column in COLUMNS
+        }
         records = []
         for index in range(int(shard["num_records"])):
             values = {}

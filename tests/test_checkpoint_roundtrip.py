@@ -244,19 +244,6 @@ class TestStoreRecovery:
         store = self.write_rounds(tmp_path, 3)
         assert store.load_latest().round_index == 3
 
-    def test_corrupt_tip_degrades_one_round(self, tmp_path):
-        """One corrupted checkpoint costs one round of progress, never
-        the whole run — and the skip is recorded, not silent."""
-        store = self.write_rounds(tmp_path, 3)
-        tip = tmp_path / "round_0003.json"
-        tip.write_text(
-            tip.read_text(encoding="utf-8").replace('"delta":0.6', '"delta":0.9'),
-            encoding="utf-8",
-        )
-        state = store.load_latest()
-        assert state.round_index == 2
-        assert [path.name for path, _ in store.skipped] == ["round_0003.json"]
-
     def test_strict_load_raises_on_corrupt_file(self, tmp_path):
         store = self.write_rounds(tmp_path, 1)
         target = tmp_path / "round_0001.json"

@@ -188,14 +188,19 @@ class TestErrors:
         with pytest.raises(ShardStoreError, match="not valid JSON"):
             ShardStore(tmp_path / "s")
 
-    def test_foreign_schema(self, tmp_path, snapshot):
-        store = ShardStore(tmp_path / "s")
-        store.write_dataset(snapshot)
-        manifest = json.loads(store.manifest_path.read_text())
-        manifest["schema"] = 999
-        store.manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ShardStoreError, match="schema"):
+    def test_schema_1_store_rejected(self, tmp_path):
+        """A store written before manifest schema 2 is never half-read:
+        opening it names the manifest and says to rewrite the store."""
+        (tmp_path / "s").mkdir()
+        manifest = tmp_path / "s" / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"format": "jsonl", "schema": 1, "snapshots": {}}
+        ))
+        with pytest.raises(ShardStoreError, match="rewrite the store") as \
+                excinfo:
             ShardStore(tmp_path / "s")
+        assert "unsupported store schema 1" in str(excinfo.value)
+        assert excinfo.value.path == manifest
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="sentinel is npy-only")
     def test_reserved_sentinel_rejected(self, tmp_path):
@@ -215,3 +220,93 @@ class TestErrors:
         assert store.years() == []
         with pytest.raises(ShardStoreError, match="manifest"):
             store.read_shard(1871, "shard_0000")
+
+
+class TestIntegrity:
+    """Shard files are verified on read and published manifest last: a
+    changed byte is a typed error naming the file, never a wrong
+    record, and a killed re-write never mixes old and new columns."""
+
+    @staticmethod
+    def shard_file(store_dir, pattern):
+        [path] = store_dir.glob(f"census_*/shard_0000/{pattern}")
+        return path
+
+    def test_changed_jsonl_row_detected(self, tmp_path, snapshot):
+        store = ShardStore(tmp_path / "s", format="jsonl")
+        store.write_dataset(snapshot)
+        victim = self.shard_file(tmp_path / "s", "rows*.jsonl")
+        first, rest = victim.read_text(encoding="utf-8").split("\n", 1)
+        row = json.loads(first)
+        row[3] = row[3] + "x"  # the surname column
+        victim.write_text(json.dumps(row) + "\n" + rest, encoding="utf-8")
+        with pytest.raises(ShardStoreError) as excinfo:
+            store.read_shard(snapshot.year, "shard_0000")
+        assert excinfo.value.path == victim
+        assert victim.name in str(excinfo.value)
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="npy needs numpy")
+    def test_changed_npy_byte_detected(self, tmp_path, snapshot):
+        store = ShardStore(tmp_path / "s", format="npy")
+        store.write_dataset(snapshot)
+        victim = self.shard_file(tmp_path / "s", "surname*.npy")
+        data = bytearray(victim.read_bytes())
+        data[-4] = ord("Q") if data[-4] != ord("Q") else ord("R")
+        victim.write_bytes(bytes(data))
+        with pytest.raises(ShardStoreError) as excinfo:
+            store.read_shard(snapshot.year, "shard_0000")
+        assert excinfo.value.path == victim
+        assert victim.name in str(excinfo.value)
+
+    @pytest.mark.parametrize("format", FORMATS)
+    def test_killed_rewrite_keeps_old_records(self, tmp_path, format):
+        """Re-writing a year with a new surname and age everywhere,
+        killed at the 5th file write: the store still reads the old
+        records, field for field."""
+        from repro.model.dataset import CensusDataset
+
+        old = generate_country(
+            CountryConfig(seed=5, regions=6, households_per_region=3)
+        ).datasets[0]
+        new = CensusDataset.from_records(old.year, [
+            record.replace(
+                surname=f"{record.surname}x",
+                age=None if record.age is None else record.age + 1,
+            )
+            for record in old.iter_records()
+        ])
+        store = ShardStore(tmp_path / "s", format=format)
+        store.write_dataset(old)
+        store.seam.fail_replace_at = store.seam.writes + 5
+        with pytest.raises(OSError, match="injected failure"):
+            store.write_dataset(new)
+        assert rows(ShardStore(tmp_path / "s").iter_records(old.year)) == (
+            rows(old.iter_records())
+        )
+
+    @pytest.mark.parametrize("format", FORMATS)
+    def test_finished_rewrite_leaves_only_referenced_files(
+        self, tmp_path, snapshot, format
+    ):
+        from repro.model.dataset import CensusDataset
+
+        store = ShardStore(tmp_path / "s", format=format)
+        store.write_dataset(snapshot)
+        revised = CensusDataset.from_records(snapshot.year, [
+            record.replace(surname=f"{record.surname}x")
+            for record in snapshot.iter_records()
+        ])
+        store.write_dataset(revised)
+        referenced = {
+            f"census_{snapshot.year}/{entry['name']}/{file['file']}"
+            for entry in store.shard_entries(snapshot.year)
+            for file in entry["files"].values()
+        }
+        on_disk = {
+            path.relative_to(tmp_path / "s").as_posix()
+            for path in (tmp_path / "s").glob("census_*/*/*")
+        }
+        assert on_disk == referenced
+        assert rows(store.iter_records(snapshot.year)) == rows(
+            revised.iter_records()
+        )
