@@ -42,8 +42,6 @@ from repro.instrumentation import (
 
 #: Matrix columns, baseline first.
 MATRIX_SCENARIOS = ("baseline",) + ADVERSARIAL_SCENARIOS
-#: Backends that never appear in the matrix (internal references only).
-EXCLUDED_BACKENDS = ("prerefactor-reference",)
 
 QUICK_HOUSEHOLDS = 60
 FULL_HOUSEHOLDS = 150
@@ -54,15 +52,6 @@ SCENARIO_TOLERANCE = 0.10
 #: differ across backends by design).
 EFFORT_COUNTERS = (PAIRS_SCORED, FULL_AGG_SIM_CALLS, GROUP_PAIRS_CANDIDATES)
 BASELINE_PATH = RESULTS_DIR / "baseline_scenarios_quick.json"
-
-
-def matrix_backends():
-    """The backends of the bake-off (every registered one, minus the
-    frozen differential references)."""
-    return [
-        name for name in available_backends()
-        if name not in EXCLUDED_BACKENDS
-    ]
 
 
 def run_matrix(households=FULL_HOUSEHOLDS, scenarios=MATRIX_SCENARIOS,
@@ -84,7 +73,7 @@ def run_matrix(households=FULL_HOUSEHOLDS, scenarios=MATRIX_SCENARIOS,
         distortions[scenario] = measure_distortions(series).as_dict()
         old, new = series.datasets
         truth = series.ground_truth.record_mapping(old.year, new.year)
-        for backend in matrix_backends():
+        for backend in available_backends():
             config = LinkageConfig(n_workers=1, group_backend=backend)
             start = time.perf_counter()
             result = link_datasets(old, new, config)
@@ -154,7 +143,7 @@ def format_distortion_table(distortions):
 def format_markdown_matrix(cells):
     """The backend x scenario F-measure grid as a markdown table (the
     EXPERIMENTS.md rendering), with P/R in parentheses per cell."""
-    backends = matrix_backends()
+    backends = available_backends()
     by_key = {(cell["scenario"], cell["backend"]): cell for cell in cells}
     scenarios = []
     for cell in cells:

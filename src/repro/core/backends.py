@@ -13,8 +13,8 @@ three implementations:
     The paper's engine: common-subgraph construction over candidate
     household pairs (§3.3, Fig. 4), ``g_sim`` scoring (Eq. 4–7) and
     greedy record-disjoint selection (Alg. 2).  Byte-identical to the
-    pre-refactor pipeline — enforced by
-    ``repro.validation.differential.backend_default_vs_protocol``.
+    pre-refactor pipeline — enforced by ``backend_default_vs_protocol``
+    in ``tests/differential.py``.
 
 ``rgl``
     A *Robust Group Linkage*–style two-stage matcher (Li et al.): CORE
@@ -275,7 +275,7 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
     same parallel fan-out, same counters — so every golden, checkpoint
     and differential fixture recorded before the backend protocol keeps
     replaying byte-identically
-    (``repro.validation.differential.backend_default_vs_protocol`` is
+    (``backend_default_vs_protocol`` in ``tests/differential.py`` is
     the executable proof).
     """
 

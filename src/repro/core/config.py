@@ -155,7 +155,7 @@ class LinkageConfig:
     #: Enumerate candidate group pairs (§3.3) through the inverted
     #: record→household index instead of the quadratic cross-product
     #: scan.  The emitted pair set is identical either way (enforced by
-    #: ``repro.validation.differential.indexed_vs_brute_force``); only
+    #: ``indexed_vs_brute_force`` in ``tests/differential.py``); only
     #: the enumeration cost changes.  Brute force exists as a reference
     #: and for the differential harness — leave this on.
     group_pair_indexing: bool = True
@@ -188,7 +188,7 @@ class LinkageConfig:
     #: sum runs.  ``True``/``"on"`` (the default), ``False``/``"off"``, or
     #: a :class:`repro.core.filtering.FilteringConfig` for per-filter
     #: control.  Mappings are byte-identical either way (enforced by
-    #: ``repro.validation.differential.filtering_on_vs_off``); only the
+    #: ``filtering_on_vs_off`` in ``tests/differential.py``); only the
     #: amount of computation changes.
     filtering: object = True
     #: Batch scoring backend for the §3.2 hot path (see
@@ -200,14 +200,14 @@ class LinkageConfig:
     #: implementation.  Outcomes — scores, pruning bounds and kinds,
     #: and therefore all mappings, counters and goldens — are
     #: bit-identical either way (enforced by
-    #: ``repro.validation.differential.vectorized_vs_python``); only the
+    #: ``vectorized_vs_python`` in ``tests/differential.py``); only the
     #: cost per scored pair changes (≥10x, see PERFORMANCE.md).
     scoring_backend: str = "vectorized"
     #: Group-matching backend for the §3.3–§3.4 slot of Alg. 1 (see
     #: repro.core.backends).  ``"default"`` is the paper's engine
     #: (common subgraphs + g_sim + Alg. 2 selection) and replays all
     #: pre-protocol results byte-identically (enforced by
-    #: ``repro.validation.differential.backend_default_vs_protocol``);
+    #: ``backend_default_vs_protocol`` in ``tests/differential.py``);
     #: ``"rgl"`` is the two-stage CORE-refinement matcher (Robust Group
     #: Linkage, Li et al.); ``"hausdorff"`` is the min-max set-distance
     #: household matcher (Menezes et al.).  Changing the backend changes
@@ -221,7 +221,7 @@ class LinkageConfig:
     #: graph into that many balanced work units and streams them in
     #: lockstep δ rounds — decision-identical to the in-RAM path for
     #: any shard count (enforced by
-    #: ``repro.validation.differential.sharded_vs_unsharded``), only
+    #: ``sharded_vs_unsharded`` in ``tests/differential.py``), only
     #: peak memory and effort counters change.  Requires a
     #: key-partitionable blocker (standard, cross, region).
     shards: int = 0

@@ -23,9 +23,9 @@ Every decision is *lossless*: a pair is pruned only when its upper bound
 falls below δ by more than :data:`FilteringConfig.margin`, and a pair
 that survives all filters is evaluated with exactly the float-operation
 sequence of :meth:`SimilarityFunction.agg_sim`, so mappings are
-byte-identical to an unfiltered run (proved by
-``repro.validation.differential.filtering_on_vs_off`` and the soundness
-battery in ``tests/test_filtering_soundness.py``).
+byte-identical to an unfiltered run (proved by ``filtering_on_vs_off``
+in ``tests/differential.py`` and the soundness battery in
+``tests/test_filtering_soundness.py``).
 
 Bounds are δ-independent facts about a pair, so prune decisions are
 cached *per bound, not per round*: a pair pruned at δ=0.70 with bound

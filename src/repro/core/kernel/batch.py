@@ -21,8 +21,8 @@ bounds build right to left, Dice is ``2.0 * common / (total_l +
 total_r)``, and the final division by the denominator happens exactly
 where the scalar code divides (``x / 1.0`` is a bitwise no-op for the
 zero/neutral missing policies).  ``docs/KERNEL.md`` walks through the
-argument; ``tests/test_kernel.py`` and
-``repro.validation.differential.vectorized_vs_python`` enforce it.
+argument; ``tests/test_kernel.py`` and ``vectorized_vs_python`` in
+``tests/differential.py`` enforce it.
 
 **What is vectorized.**  Census columns repeat heavily, so every
 expensive quantity is computed once per *distinct value combination*

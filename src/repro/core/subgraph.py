@@ -368,8 +368,8 @@ def brute_force_group_pairs(
     by at least one initial person link — the same predicate as the
     indexed path, evaluated the expensive way.  This exists solely as
     the ground truth that :class:`GroupPairIndex` is pinned against
-    (tests, the differential harness and the CI group smoke run it on
-    small workloads); it is quadratic in the group counts and must never
+    (tests and the differential harness run it on small workloads);
+    it is quadratic in the group counts and must never
     sit on the hot path.
     """
     links = prematch.matched_pairs
@@ -397,7 +397,7 @@ class GroupPairIndex:
     group pairs sharing no link (the overwhelming majority of the cross
     product) are never touched.  The emitted candidate set is exactly the
     brute-force set (pinned by ``tests/test_group_stage_properties.py``
-    and ``repro.validation.differential.indexed_vs_brute_force``).
+    and ``indexed_vs_brute_force`` in ``tests/differential.py``).
 
     The index is δ-independent (household membership does not change
     across rounds), so the pipeline builds it once and reuses it for the

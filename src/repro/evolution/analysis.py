@@ -14,7 +14,7 @@ every stored mapping whose inputs are untouched and re-links only the
 pairs a new or revised snapshot actually dirtied — seeding their
 similarity caches with the scores and bounds of unchanged blocking keys.
 Incremental output is provably identical to from-scratch
-(``incremental_vs_scratch`` in :mod:`repro.validation.differential`);
+(``incremental_vs_scratch`` in ``tests/differential.py``);
 only the work differs, which ``analysis.profile`` quantifies
 (``series_pairs_reused``, ``pairs_rescored``, …).
 """

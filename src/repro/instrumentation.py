@@ -11,8 +11,7 @@ candidate pair was scored twice across the δ schedule"* instead of
 asserting them by inspection.
 
 The pipeline attaches the collector to its result (``result.profile``);
-``python -m repro.cli link --profile`` and ``benchmarks/bench_scaling.py``
-print the same report.
+``python -m repro.cli link --profile`` prints its report.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ layers are thin byte shovels; everything observable about the API —
 routing, parameter validation, pagination, serialization, caching —
 lives here in plain synchronous code.  That split is what makes the
 query-identity differential possible: tests and
-:func:`repro.validation.differential.service_vs_inprocess` drive
+``service_vs_inprocess`` in ``tests/differential.py`` drive
 :meth:`EvolutionQueryService.handle_request` directly and compare every
 endpoint's items to the corresponding in-process
 :mod:`repro.evolution.queries` call, serialized by the same row

@@ -2,8 +2,8 @@
 
 ``asyncio.start_server`` plus a hand-rolled HTTP/1.1 request loop keeps
 the service deployable on a bare Python — no pip installs — while still
-handling hundreds of concurrent keep-alive clients (the load-test
-harness in ``benchmarks/bench_service.py`` drives exactly that).  The
+handling many concurrent keep-alive clients (the CI load test in
+``benchmarks/test_ci_gates.py`` drives a hundred).  The
 layer is deliberately dumb: parse the request line, read the headers,
 discard the request body its ``Content-Length`` announces (every
 endpoint is parameterised by the target alone), hand

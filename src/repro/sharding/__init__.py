@@ -18,7 +18,7 @@ run along the only seams the algorithm offers:
   every δ round of Alg. 1 visits each shard with the PR-6 kernel
   encoding rebuilt per shard, merging per-round decisions that are
   **decision-identical** to the in-RAM path
-  (``repro.validation.differential.sharded_vs_unsharded``).
+  (``sharded_vs_unsharded`` in ``tests/differential.py``).
 
 Enable via ``LinkageConfig(shards=N)`` or ``repro link --shards N``.
 """

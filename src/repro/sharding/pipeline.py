@@ -12,10 +12,10 @@ re-enrich and re-encode them, then release them, so only one shard's
 records are resident at a time.  With a :class:`ShardedRecordSource`
 backed by a :class:`~repro.sharding.store.ShardStore`, records stream
 from memory-mapped column files and the full datasets are never
-resident (``benchmarks/bench_sharded.py`` measures the peak-RSS gap).
+resident (``benchmarks/test_ci_gates.py`` gates the peak-RSS gap).
 
 The result is **decision-identical** to the in-RAM run
-(``repro.validation.differential.sharded_vs_unsharded``,
+(``sharded_vs_unsharded`` in ``tests/differential.py``,
 :func:`repro.checkpoint.decision_ledger_hash`), by construction:
 
 * The planner closes shards over shared blocking keys *and* household

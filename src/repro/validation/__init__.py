@@ -1,6 +1,6 @@
-"""Validation subsystem: invariants, golden runs, differential checks.
+"""Validation subsystem: invariants and golden runs.
 
-Three complementary correctness tools for the linkage pipeline:
+Two complementary correctness tools for the linkage pipeline:
 
 * :mod:`repro.validation.invariants` — a registry of runtime-checkable
   structural invariants over :class:`~repro.core.pipeline.LinkageResult`
@@ -9,26 +9,9 @@ Three complementary correctness tools for the linkage pipeline:
   ``LinkageConfig(validate=True)``;
 * :mod:`repro.validation.golden` — canonical JSON serialization of
   seeded end-to-end runs, pinned as committed fixtures and replayed by
-  ``repro golden --check`` and the tier-1 suite;
-* :mod:`repro.validation.differential` — a runner that executes the
-  pipeline under two configurations and asserts declared equivalences
-  (serial == parallel, cache-bounded == unbounded, cross-product
-  blocking ⊇ standard blocking).
+  ``repro golden --check`` and the tier-1 suite.
 """
 
-from .differential import (
-    DifferentialOutcome,
-    EquivalenceViolation,
-    MappingDiff,
-    assert_equivalences,
-    blocking_cross_covers_standard,
-    cache_bounded_vs_unbounded,
-    incremental_vs_scratch,
-    run_differential,
-    serial_vs_parallel,
-    service_vs_inprocess,
-    sharded_vs_unsharded,
-)
 from .golden import (
     DEFAULT_SPECS,
     GoldenCheck,
@@ -52,17 +35,6 @@ from .invariants import (
 )
 
 __all__ = [
-    "DifferentialOutcome",
-    "EquivalenceViolation",
-    "MappingDiff",
-    "assert_equivalences",
-    "blocking_cross_covers_standard",
-    "cache_bounded_vs_unbounded",
-    "incremental_vs_scratch",
-    "run_differential",
-    "serial_vs_parallel",
-    "service_vs_inprocess",
-    "sharded_vs_unsharded",
     "DEFAULT_SPECS",
     "GoldenCheck",
     "GoldenSpec",

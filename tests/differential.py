@@ -49,20 +49,50 @@ and one is a declared *coverage* knob:
 This module turns those promises into executable checks: a runner
 executes the pipeline under a base and a variant configuration and
 asserts the declared relation (``identical`` or ``superset``), producing
-a human-readable mapping diff on failure.  ``benchmarks/bench_scaling.py``
-and ``tests/test_validation_differential.py`` run the declared set.
+a human-readable mapping diff on failure.  It is a test oracle and
+lives with the tests: ``tests/test_validation_differential.py`` runs the
+declared set, and the sharding and service tests run their own checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..core.config import LinkageConfig
-from ..core.pipeline import LinkageResult, link_datasets
-from ..model.dataset import CensusDataset
+from repro.checkpoint import analysis_ledger_hash, decision_ledger_hash
+from repro.core.backends import (
+    _REGISTRY,
+    BackendCapabilities,
+    RoundOutcome,
+    register_backend,
+)
+from repro.core.config import LinkageConfig
+from repro.core.pipeline import LinkageResult, link_datasets
+from repro.core.scoring import score_subgraphs
+from repro.core.selection import select_group_matches
+from repro.core.subgraph import build_all_subgraphs
+from repro.datagen.revision import revise_middle_record
+from repro.evolution.analysis import analyse_series
+from repro.evolution.queries import (
+    frequent_change_sequences,
+    group_neighborhood,
+    household_lineage,
+    person_timeline,
+    preserve_chains,
+)
+from repro.instrumentation import PAIRS_RESCORED, SERIES_PAIRS_REUSED
+from repro.model.dataset import CensusDataset
+from repro.service import EvolutionQueryService, EvolutionStore
+from repro.service.core import (
+    edge_rows,
+    frequency_rows,
+    path_rows,
+    sequence_rows,
+    step_rows,
+)
 
 #: The relations a differential check may declare.
 IDENTICAL = "identical"
@@ -251,7 +281,7 @@ def serial_vs_parallel(
     config: Optional[LinkageConfig] = None,
     workers: Sequence[int] = (2, 4),
 ) -> List[DifferentialOutcome]:
-    """Serial output is identical for every worker count (PR 1 promise)."""
+    """Serial output is identical for every worker count."""
     config = config or LinkageConfig()
     base_config = dataclasses.replace(config, n_workers=1)
     base_result = link_datasets(old_dataset, new_dataset, base_config)
@@ -428,19 +458,12 @@ class _PreRefactorReferenceBackend:
     name = "prerefactor-reference"
 
     def __init__(self) -> None:
-        from ..core.backends import BackendCapabilities
-
         self.capabilities = BackendCapabilities(
             summary="frozen pre-protocol copy of the paper's group stage "
             "(differential reference only)",
         )
 
     def match_round(self, ctx):
-        from ..core.backends import RoundOutcome
-        from ..core.scoring import score_subgraphs
-        from ..core.selection import select_group_matches
-        from ..core.subgraph import build_all_subgraphs
-
         config = ctx.config
         group_parallel = config.n_workers != 1
         with ctx.stage("subgraphs"):
@@ -469,15 +492,6 @@ class _PreRefactorReferenceBackend:
         return RoundOutcome(selection=selection, candidate_units=len(subgraphs))
 
 
-def _ensure_reference_backend() -> str:
-    """Register the frozen reference backend (idempotent); returns its name."""
-    from ..core.backends import _REGISTRY, register_backend
-
-    if _PreRefactorReferenceBackend.name not in _REGISTRY:
-        register_backend(_PreRefactorReferenceBackend())
-    return _PreRefactorReferenceBackend.name
-
-
 def backend_default_vs_protocol(
     old_dataset: CensusDataset,
     new_dataset: CensusDataset,
@@ -492,46 +506,53 @@ def backend_default_vs_protocol(
     pre-refactor copy above at one worker count.  ``check_diagnostics``
     is on: the protocol introduced only a dispatch seam, so δ rounds,
     mappings and scoring effort must all match exactly.
+
+    The reference is registered only while this check runs and removed
+    afterwards, so which ``group_backend`` names ``LinkageConfig``
+    accepts never depends on whether the oracle ran earlier.
     """
     config = config or LinkageConfig()
-    reference = _ensure_reference_backend()
-    base_config = dataclasses.replace(
-        config, group_backend="default", n_workers=1
-    )
-    base_result = link_datasets(old_dataset, new_dataset, base_config)
-    outcomes = []
-    for count in workers:
-        variant = dataclasses.replace(
-            config, group_backend=reference, n_workers=count
+    reference = register_backend(_PreRefactorReferenceBackend()).name
+    try:
+        base_config = dataclasses.replace(
+            config, group_backend="default", n_workers=1
         )
-        if count > 1:
+        base_result = link_datasets(old_dataset, new_dataset, base_config)
+        outcomes = []
+        for count in workers:
             variant = dataclasses.replace(
-                variant, worker_chunk_size=64, group_worker_chunk_size=4
+                config, group_backend=reference, n_workers=count
             )
-        base = base_config
-        use_base_result = base_result
-        if count > 1:
-            # Parallel-vs-parallel: re-run the default backend at the
-            # same worker count so the only difference is the dispatch.
-            base = dataclasses.replace(
-                base_config,
-                n_workers=count,
-                worker_chunk_size=64,
-                group_worker_chunk_size=4,
+            if count > 1:
+                variant = dataclasses.replace(
+                    variant, worker_chunk_size=64, group_worker_chunk_size=4
+                )
+            base = base_config
+            use_base_result = base_result
+            if count > 1:
+                # Parallel-vs-parallel: re-run the default backend at the
+                # same worker count so the only difference is the dispatch.
+                base = dataclasses.replace(
+                    base_config,
+                    n_workers=count,
+                    worker_chunk_size=64,
+                    group_worker_chunk_size=4,
+                )
+                use_base_result = None
+            outcomes.append(
+                run_differential(
+                    old_dataset,
+                    new_dataset,
+                    base,
+                    variant,
+                    relation=IDENTICAL,
+                    name=f"backend-default-vs-protocol(n_workers={count})",
+                    check_diagnostics=True,
+                    base_result=use_base_result,
+                )
             )
-            use_base_result = None
-        outcomes.append(
-            run_differential(
-                old_dataset,
-                new_dataset,
-                base,
-                variant,
-                relation=IDENTICAL,
-                name=f"backend-default-vs-protocol(n_workers={count})",
-                check_diagnostics=True,
-                base_result=use_base_result,
-            )
-        )
+    finally:
+        del _REGISTRY[reference]
     return outcomes
 
 
@@ -554,8 +575,6 @@ def _compare_analyses(
     """Judge two EvolutionAnalysis objects for decision identity:
     pair-level mapping diffs plus analysis-ledger-hash equality (which
     additionally covers the derived evolution patterns)."""
-    from ..checkpoint import analysis_ledger_hash
-
     base_records, base_groups = _analysis_mapping_pairs(base)
     variant_records, variant_groups = _analysis_mapping_pairs(variant)
     notes: List[str] = []
@@ -583,7 +602,7 @@ def incremental_vs_scratch(
     workers: Sequence[int] = (1, 2),
 ) -> List[DifferentialOutcome]:
     """Incremental series re-linkage is decision-identical to from-scratch
-    across every arrival sequence (ROADMAP item 5 promise).
+    across every arrival sequence.
 
     Per worker count, against a from-scratch ``analyse_series`` baseline:
 
@@ -604,12 +623,6 @@ def incremental_vs_scratch(
     licensed to change, so they stay out of the comparison (except the
     no-op work proof above).
     """
-    # Imported lazily, mirroring the golden machinery: the differential
-    # core stays importable without the evolution/datagen packages.
-    from ..datagen.revision import revise_middle_record
-    from ..evolution.analysis import analyse_series
-    from ..instrumentation import PAIRS_RESCORED, SERIES_PAIRS_REUSED
-
     config = config or LinkageConfig()
     datasets = list(series)
     num_pairs = len(datasets) - 1
@@ -706,7 +719,7 @@ def sharded_vs_unsharded(
     workers: Sequence[int] = (1, 2),
 ) -> List[DifferentialOutcome]:
     """The sharded out-of-core driver is decision-identical to in-RAM
-    (ROADMAP item 2 promise; :mod:`repro.sharding.pipeline`).
+    (:mod:`repro.sharding.pipeline`).
 
     Per (shard count × worker count), against one in-RAM baseline:
     pair-level mapping identity **plus** equal
@@ -717,8 +730,6 @@ def sharded_vs_unsharded(
     do different work — so ``check_diagnostics`` stays off and the
     full-effort :func:`repro.checkpoint.ledger_hash` is not compared.
     """
-    from ..checkpoint import decision_ledger_hash
-
     config = config or LinkageConfig()
     base_config = dataclasses.replace(config, shards=0, n_workers=1)
     base_result = link_datasets(old_dataset, new_dataset, base_config)
@@ -822,25 +833,6 @@ def service_vs_inprocess(
     There are no linkage mappings to diff here; any divergence is a
     note, which fails the outcome just the same.
     """
-    import json as _json
-
-    from ..evolution.analysis import analyse_series
-    from ..evolution.queries import (
-        frequent_change_sequences,
-        group_neighborhood,
-        household_lineage,
-        person_timeline,
-        preserve_chains,
-    )
-    from ..service import EvolutionQueryService, EvolutionStore
-    from ..service.core import (
-        edge_rows,
-        frequency_rows,
-        path_rows,
-        sequence_rows,
-        step_rows,
-    )
-
     config = config or LinkageConfig()
     analysis = analyse_series(list(series), config=config)
     outcomes: List[DifferentialOutcome] = []
@@ -857,7 +849,7 @@ def service_vs_inprocess(
                 if status != 200:
                     notes.append(f"{target}: HTTP {status}")
                     return
-                served = _json.loads(body)["items"]
+                served = json.loads(body)["items"]
                 if served != expected_items:
                     notes.append(
                         f"{target}: served items diverge from the "
@@ -865,7 +857,7 @@ def service_vs_inprocess(
                     )
 
             status, body = service.handle_request("GET", "/graph")
-            if status != 200 or _json.loads(body)["graph_version"] != (
+            if status != 200 or json.loads(body)["graph_version"] != (
                 service.graph_version
             ):
                 notes.append("/graph did not echo the store's graph_version")

@@ -35,13 +35,8 @@ from repro.instrumentation import FULL_AGG_SIM_CALLS, KERNEL_PAIRS, PAIRS_SCORED
 from tests.strategies import census_dataset_pairs
 
 #: The shipped backends of the bake-off.  Derived from the registry so a
-#: newly registered backend is pulled into the battery automatically;
-#: the frozen differential reference is the only exclusion (it *is* the
-#: default engine, re-checking it here would double the battery's cost
-#: for no new coverage).
-BACKENDS = tuple(
-    name for name in available_backends() if name != "prerefactor-reference"
-)
+#: newly registered backend is pulled into the battery automatically.
+BACKENDS = available_backends()
 
 RELAXED = settings(
     max_examples=6,

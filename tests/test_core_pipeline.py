@@ -4,7 +4,25 @@ import pytest
 
 from repro.core.config import LinkageConfig
 from repro.core.pipeline import IterativeGroupLinkage, link_datasets
+from repro.datagen import generate_pair
 from repro.evaluation.metrics import evaluate_mapping
+
+#: Effort counters of a serial run on the 50-household pair of seed
+#: 20170321.  Pinned exactly: a change to blocking, pruning, the
+#: group-pair index or selection that moves any of them updates this
+#: table on purpose.  Both scoring backends must reproduce it.
+PINNED_EFFORT = {
+    "candidate_pairs": 14426,
+    "pairs_scored": 2424,
+    "full_agg_sim_calls": 2424,
+    "group_pairs_candidates": 731,
+    "subgraphs_built": 40,
+    "queue_pops": 40,
+    "group_pairs_skipped_by_index": 5669,
+    "pairs_pruned_length": 0,
+    "pairs_pruned_qgram": 2628,
+    "pairs_pruned_early_exit": 9187,
+}
 
 
 class TestRunningExample:
@@ -152,3 +170,13 @@ class TestConfigurationVariants:
         )
         assert result.num_record_links == 0
         assert result.num_group_links == 0
+
+
+@pytest.mark.parametrize("scoring_backend", ("vectorized", "python"))
+def test_effort_counters_pinned(scoring_backend):
+    old, new = generate_pair(seed=20170321, initial_households=50).datasets
+    config = LinkageConfig(n_workers=1, scoring_backend=scoring_backend)
+    profile = link_datasets(old, new, config).profile
+    assert {name: profile.value(name) for name in PINNED_EFFORT} == (
+        PINNED_EFFORT
+    )

@@ -26,7 +26,8 @@ from repro.service.http import (
     MAX_REQUEST_HEAD,
     start_service_server,
 )
-from repro.validation.differential import service_vs_inprocess
+
+from tests.differential import service_vs_inprocess
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,7 @@ class TestQueryIdentity:
         status, payload = get(service, "/graph")
         assert status == 200
         assert payload["graph_version"] == service.graph_version
+        assert service.graph_version == "fa4deebc2e454225"
         assert payload["years"] == list(analysis.graph.years)
         assert payload["edges"] == len(analysis.graph.edges)
         assert sum(payload["edge_counts"].values()) == payload["edges"]

@@ -34,7 +34,8 @@ from repro.sharding import (
     link_datasets_sharded,
     plan_shards,
 )
-from repro.validation.differential import sharded_vs_unsharded
+
+from tests.differential import sharded_vs_unsharded
 
 
 def family(region, year, number, surname, head, age):
@@ -174,7 +175,7 @@ class TestDecisionIdentity:
         )
         assert decision_ledger_hash(sharded) == decision_ledger_hash(base)
 
-    def test_store_backed_source(self, tmp_path, country_pair):
+    def test_store_backed_source(self, tmp_path, country_pair, monkeypatch):
         old, new = country_pair
         store = ShardStore(tmp_path / "store")
         store.write_datasets([old, new])
@@ -182,12 +183,48 @@ class TestDecisionIdentity:
         base = link_datasets(
             old, new, dataclasses.replace(config, shards=0)
         )
-        result = link_datasets_sharded(
+        sources = [
             ShardedRecordSource.from_store(store, old.year),
             ShardedRecordSource.from_store(store, new.year),
-            config,
+        ]
+        plan = plan_shards(
+            store.iter_records(old.year), store.iter_records(new.year),
+            config.build_blocker(), config.shards,
         )
+        shard_ids = {
+            old.year: [set(spec.old_ids) for spec in plan.shards],
+            new.year: [set(spec.new_ids) for spec in plan.shards],
+        }
+
+        # Residency: the run streams each year once (the planner's pass)
+        # and loads at most one planner shard's records at a time.
+        def read_whole_year(*args):
+            raise AssertionError("the sharded run read a whole year")
+
+        monkeypatch.setattr(ShardStore, "read_dataset", read_whole_year)
+        loads, streams = [], []
+        for source in sources:
+            def load(ids, source=source, inner=source.load):
+                loads.append((source.year, set(ids)))
+                return inner(ids)
+
+            def iter_records(source=source, inner=source.iter_records):
+                streams.append(source.year)
+                return inner()
+
+            monkeypatch.setattr(source, "load", load)
+            monkeypatch.setattr(source, "iter_records", iter_records)
+        result = link_datasets_sharded(*sources, config)
+        assert sorted(streams) == [old.year, new.year]
+        assert loads
+        for year, ids in loads:
+            assert any(ids <= shard for shard in shard_ids[year]), (
+                f"a load of {len(ids)} {year} records spans planner shards"
+            )
         assert decision_ledger_hash(result) == decision_ledger_hash(base)
+        assert decision_ledger_hash(result) == (
+            "69fa442c3bf6b0a041415479e936aaa0f32edb7fb957fe3775cdc19a8f77c7ad"
+        )
 
     def test_validation_inline(self, town_pair):
         old, new = town_pair

@@ -4,10 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro.core.backends import available_backends
 from repro.core.config import LinkageConfig
 from repro.core.pipeline import link_datasets
 from repro.datagen import generate_pair
-from repro.validation.differential import (
+
+from tests.differential import (
     IDENTICAL,
     SUPERSET,
     EquivalenceViolation,
@@ -140,7 +142,8 @@ class TestDeclaredEquivalences:
         append arrival and the revised-middle-snapshot arrival — serial
         and with 2 workers."""
         from repro.datagen import GeneratorConfig, generate_series
-        from repro.validation.differential import incremental_vs_scratch
+
+        from tests.differential import incremental_vs_scratch
 
         series = generate_series(
             GeneratorConfig(seed=7, num_snapshots=3, initial_households=18)
@@ -157,6 +160,22 @@ class TestDeclaredEquivalences:
                 )
         for outcome in outcomes:
             assert outcome.ok, outcome.report()
+
+
+class TestReferenceBackendScope:
+    def test_registry_unchanged_after_reference_check(
+        self, census_1871, census_1881
+    ):
+        """The frozen reference is registered only while
+        backend_default_vs_protocol runs: afterwards the registry holds
+        the shipped backends and production rejects the reference."""
+        outcomes = backend_default_vs_protocol(
+            census_1871, census_1881, workers=(1,)
+        )
+        assert all(outcome.ok for outcome in outcomes)
+        assert available_backends() == ("default", "hausdorff", "rgl")
+        with pytest.raises(ValueError, match="prerefactor-reference"):
+            LinkageConfig(group_backend="prerefactor-reference")
 
 
 class TestFailurePaths:
