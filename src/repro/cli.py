@@ -165,23 +165,30 @@ def _add_series_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _RejectedConfig(Exception):
+    """A flag value :class:`LinkageConfig` refused (exit status 2)."""
+
+
 def _linkage_config(args: argparse.Namespace, year_gap: int) -> LinkageConfig:
     """One LinkageConfig from the shared flags (plus link-only extras)."""
-    return LinkageConfig(
-        delta_high=args.delta_high,
-        delta_low=args.delta_low,
-        alpha=args.alpha,
-        beta=args.beta,
-        year_gap=year_gap,
-        n_workers=args.workers,
-        validate=args.validate,
-        filtering=not args.no_filtering,
-        scoring_backend=args.scoring_backend,
-        group_backend=args.group_backend,
-        blocking=args.blocking,
-        shards=args.shards,
-        checkpoint_every=getattr(args, "checkpoint_every", 1),
-    )
+    try:
+        return LinkageConfig(
+            delta_high=args.delta_high,
+            delta_low=args.delta_low,
+            alpha=args.alpha,
+            beta=args.beta,
+            year_gap=year_gap,
+            n_workers=args.workers,
+            validate=args.validate,
+            filtering=not args.no_filtering,
+            scoring_backend=args.scoring_backend,
+            group_backend=args.group_backend,
+            blocking=args.blocking,
+            shards=args.shards,
+            checkpoint_every=getattr(args, "checkpoint_every", 1),
+        )
+    except ValueError as error:
+        raise _RejectedConfig(str(error)) from None
 
 
 def _mapping_path(base: str, old_year: int, new_year: int) -> Path:
@@ -659,7 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except model_io.IngestError as error:
+    except (model_io.IngestError, _RejectedConfig) as error:
         print(f"{args.command}: {error}", file=sys.stderr)
         return 2
 

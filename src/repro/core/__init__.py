@@ -2,7 +2,12 @@
 linkage (Sections 3.1–3.4, Algorithms 1 and 2)."""
 
 from .config import OMEGA1, OMEGA2, LinkageConfig
-from .filtering import CandidateFilter, FilteringConfig, PairOutcome
+from .filtering import (
+    CandidateFilter,
+    FilteringConfig,
+    PairOutcome,
+    PairScorer,
+)
 from .enrichment import (
     age_difference,
     complete_groups,
@@ -15,11 +20,7 @@ from .pipeline import (
     LinkageResult,
     link_datasets,
 )
-from .parallel import (
-    filter_and_score_chunked,
-    resolve_workers,
-    score_pairs_chunked,
-)
+from .parallel import resolve_workers, score_pairs_chunked
 from .prematching import PreMatchResult, prematching
 from .remaining import match_remaining
 from .simcache import SimilarityCache
@@ -46,6 +47,7 @@ __all__ = [
     "CandidateFilter",
     "FilteringConfig",
     "PairOutcome",
+    "PairScorer",
     "age_difference",
     "complete_groups",
     "enrich_household",
@@ -60,7 +62,6 @@ __all__ = [
     "SimilarityCache",
     "resolve_workers",
     "score_pairs_chunked",
-    "filter_and_score_chunked",
     "aggregate_group_similarity",
     "average_record_similarity",
     "edge_similarity",

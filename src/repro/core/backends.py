@@ -29,9 +29,9 @@ three implementations:
     A set-distance household matcher (after Menezes et al.): the group
     score is the Hausdorff similarity — min over both directions of each
     member's best cross-household ``agg_sim`` (min-max over the pairwise
-    matrix, batched through the PR-6 vectorized kernel when numpy is
-    available).  Permutation-invariant in household member order by
-    construction (pinned by ``tests/test_backend_properties.py``).
+    matrix, batched through the run's pair scorer).  Permutation-invariant
+    in household member order by construction (pinned by
+    ``tests/test_backend_properties.py``).
 
 Every backend emits its candidates as :class:`SubgraphMatch` objects and
 routes them through :func:`~repro.core.selection.select_group_matches`,
@@ -53,13 +53,7 @@ import contextlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..instrumentation import (
-    GROUP_PAIRS,
-    GROUP_PAIRS_CANDIDATES,
-    GROUP_PAIRS_SKIPPED,
-    SUBGRAPHS_BUILT,
-    Instrumentation,
-)
+from ..instrumentation import SUBGRAPHS_BUILT, Instrumentation
 from ..model.households import Household
 from ..model.mappings import RecordMapping
 from .config import LinkageConfig
@@ -71,10 +65,10 @@ from .subgraph import (
     Member,
     SubgraphMatch,
     anchors_by_group_pair,
-    brute_force_group_pairs,
     build_all_subgraphs,
     greedy_assignment,
     plausible_pairs,
+    round_group_pairs,
 )
 
 
@@ -108,9 +102,10 @@ class GroupRoundContext:
     the round's pre-matching result (clusters, labels, lazily-memoising
     ``pair_sim`` over the shared cache), the enriched household graphs,
     the links settled in earlier rounds (``record_mapping`` — a backend
-    must only propose links over still-unlinked records), the
-    δ-independent :class:`GroupPairIndex` and, when the vectorized
-    scoring backend is active, the encoded batch kernel.  ``round_timer``
+    must only propose links over still-unlinked records) and the
+    δ-independent :class:`GroupPairIndex`.  Pair scores beyond the
+    cache come from ``prematch.pair_sims``, batched through the round's
+    pair scorer.  ``round_timer``
     is the per-round wall-clock collector: backends wrap their stages in
     ``round_timer.stage("round")`` so ``IterationStats.seconds`` stays
     comparable across backends.
@@ -124,7 +119,6 @@ class GroupRoundContext:
     group_index: GroupPairIndex
     delta: float
     round_index: int
-    kernel: Optional[object] = None
     instrumentation: Optional[Instrumentation] = None
     round_timer: Optional[Instrumentation] = None
 
@@ -213,25 +207,6 @@ def available_backends() -> Tuple[str, ...]:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _candidate_pairs(ctx: GroupRoundContext) -> List[Tuple[str, str]]:
-    """This round's candidate household pairs, with the same enumeration
-    policy and effort counters as the default engine
-    (``config.group_pair_indexing`` picks index vs brute force)."""
-    if getattr(ctx.config, "group_pair_indexing", True):
-        pairs = ctx.group_index.candidate_pairs(ctx.prematch)
-        skipped = ctx.group_index.cross_product_size - len(pairs)
-    else:
-        pairs = brute_force_group_pairs(
-            ctx.prematch, ctx.old_households, ctx.new_households
-        )
-        skipped = 0
-    if ctx.instrumentation is not None:
-        ctx.instrumentation.count(GROUP_PAIRS, len(pairs))
-        ctx.instrumentation.count(GROUP_PAIRS_CANDIDATES, len(pairs))
-        ctx.instrumentation.count(GROUP_PAIRS_SKIPPED, skipped)
-    return pairs
-
-
 def _fresh_members(
     household: Household,
     is_linked: Callable[[str], bool],
@@ -298,7 +273,6 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
                 index=ctx.group_index,
                 n_workers=config.n_workers,
                 chunk_size=config.group_worker_chunk_size,
-                kernel=ctx.kernel,
             )
         with ctx.stage("scoring"):
             score_subgraphs(subgraphs, ctx.prematch, config)
@@ -322,15 +296,17 @@ class _MemberMatrixBackend(GroupMatcherBackend):
 
     Anchors (earlier links inside a pair) come from one pass per round
     (:func:`~repro.core.subgraph.anchors_by_group_pair`); each pair's
-    matrix comes from :meth:`PreMatchResult.pair_sims`, one kernel batch
-    when the kernel is available.  Candidates go through Alg. 2
-    selection.
+    matrix comes from :meth:`PreMatchResult.pair_sims`, one batch through
+    the round's pair scorer.  Candidates go through Alg. 2 selection.
     """
 
     def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
         mapping = ctx.record_mapping
         with ctx.stage("group_matching"):
-            group_pairs = _candidate_pairs(ctx)
+            group_pairs = round_group_pairs(
+                ctx.prematch, ctx.group_index, ctx.config,
+                ctx.instrumentation,
+            )
             anchors = anchors_by_group_pair(
                 group_pairs, ctx.old_households,
                 ctx.group_index.new_group_of, mapping,
@@ -348,8 +324,7 @@ class _MemberMatrixBackend(GroupMatcherBackend):
                         (old_id, new_id)
                         for old_id, _ in old_fresh
                         for new_id, _ in new_fresh
-                    ],
-                    kernel=ctx.kernel,
+                    ]
                 )
                 candidate = self._match_pair(
                     ctx, old_household, new_household,
@@ -505,14 +480,13 @@ class HausdorffBackend(_MemberMatrixBackend):
     min-max over the pairwise ``agg_sim`` matrix.
 
     The full cross-product matrix per candidate pair is batched through
-    the PR-6 vectorized kernel when numpy is available (one
-    ``agg_sim_chunk`` call for the pairs pre-matching has not already
-    cached; bit-identical fallback to per-pair scoring otherwise).  A
-    pair is a candidate only when its Hausdorff similarity reaches the
-    round's δ — every member on *both* sides must then have a ≥ δ best
-    match, a strict whole-household criterion that tolerates attribute
-    noise but deliberately punishes member churn (births, deaths,
-    migration); the scenario matrix quantifies exactly that trade-off.
+    the run's pair scorer (one ``agg_sim_chunk`` call for the pairs
+    pre-matching has not already cached).  A pair is a candidate only
+    when its Hausdorff similarity reaches the round's δ — every member
+    on *both* sides must then have a ≥ δ best match, a strict
+    whole-household criterion that tolerates attribute noise but
+    deliberately punishes member churn (births, deaths, migration); the
+    scenario matrix quantifies exactly that trade-off.
     Record links are the greedy 1:1 member assignment at δ, so the full
     invariant registry holds.
     """

@@ -22,7 +22,7 @@ from ..similarity.vector import (
     SimilarityFunction,
     build_similarity_function,
 )
-from .filtering import CandidateFilter, FilteringConfig
+from .filtering import CandidateFilter, FilteringConfig, PairScorer
 
 #: Weight spec entries: (attribute, comparator name, weight).
 WeightSpec = Tuple[str, str, float]
@@ -195,11 +195,11 @@ class LinkageConfig:
     #: repro.core.kernel and docs/KERNEL.md).  ``"vectorized"`` (the
     #: default) encodes attribute columns once per run and scores whole
     #: candidate chunks with numpy set-intersection/length arithmetic,
-    #: falling back to the per-pair path silently when numpy is not
-    #: installed; ``"python"`` forces the per-pair reference
-    #: implementation.  Outcomes — scores, pruning bounds and kinds,
-    #: and therefore all mappings, counters and goldens — are
-    #: bit-identical either way (enforced by
+    #: falling back to the per-pair ``PairScorer`` silently when numpy
+    #: is not installed; ``"python"`` forces that per-pair reference
+    #: implementation (see :meth:`build_scoring_kernel`).  Outcomes —
+    #: scores, pruning bounds and kinds, and therefore all mappings,
+    #: counters and goldens — are bit-identical either way (enforced by
     #: ``vectorized_vs_python`` in ``tests/differential.py``); only the
     #: cost per scored pair changes (≥10x, see PERFORMANCE.md).
     scoring_backend: str = "vectorized"
@@ -243,10 +243,22 @@ class LinkageConfig:
             raise ValueError("alpha and beta must lie in [0, 1]")
         if self.alpha + self.beta > 1.0 + 1e-9:
             raise ValueError("alpha + beta must not exceed 1")
+        for name in ("delta_high", "delta_low", "remaining_threshold"):
+            # agg_sim lies in [0, 1]: a threshold outside it accepts
+            # every pair or none.
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if self.delta_low > self.delta_high:
             raise ValueError("delta_low must not exceed delta_high")
         if self.delta_step <= 0:
             raise ValueError("delta_step must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.rp_tolerance <= 0:
+            raise ValueError("rp_tolerance must be positive")
+        if self.max_block_size < 0:
+            raise ValueError("max_block_size must be >= 0 (0 = off)")
         if self.year_gap <= 0:
             raise ValueError("year_gap must be positive")
         if self.n_workers < 0:
@@ -341,28 +353,31 @@ class LinkageConfig:
         new_records,
         candidate_filter: Optional[CandidateFilter] = None,
     ):
-        """The batch scoring kernel (:mod:`repro.core.kernel`) for
-        ``sim_func`` over both record lists, or ``None`` when the
-        ``scoring_backend`` is ``"python"`` or numpy is unavailable —
-        callers treat ``None`` as "use the per-pair reference path".
-        When a ``candidate_filter`` is given the kernel replays its
-        exact :class:`~repro.core.filtering.FilteringConfig`."""
-        if self.scoring_backend != "vectorized":
-            return None
-        # Imported lazily: the kernel package probes for numpy, and the
-        # python backend must not pay for (or depend on) that probe.
-        from .kernel import build_scoring_kernel
+        """The pair scorer for ``sim_func`` over both record lists: the
+        batch kernel (:mod:`repro.core.kernel`) under the
+        ``"vectorized"`` backend when numpy is available, else the
+        per-pair :class:`~repro.core.filtering.PairScorer`.  Both have
+        ``agg_sim_chunk``/``evaluate_chunk`` and bit-identical outcomes.
+        When a ``candidate_filter`` is given the scorer replays its exact
+        :class:`~repro.core.filtering.FilteringConfig` (the per-pair
+        scorer runs that engine itself)."""
+        if self.scoring_backend == "vectorized":
+            # Imported lazily: the kernel package probes for numpy, and the
+            # python backend must not pay for (or depend on) that probe.
+            from .kernel import BatchScoringKernel, kernel_available
 
-        return build_scoring_kernel(
-            sim_func,
-            old_records,
-            new_records,
-            filtering=(
-                candidate_filter.config
-                if candidate_filter is not None
-                else None
-            ),
-        )
+            if kernel_available():
+                return BatchScoringKernel(
+                    sim_func,
+                    old_records,
+                    new_records,
+                    filtering=(
+                        candidate_filter.config
+                        if candidate_filter is not None
+                        else None
+                    ),
+                )
+        return PairScorer(sim_func, old_records, new_records, candidate_filter)
 
     def build_blocker(self) -> Blocker:
         """The configured candidate-pair generator (a documented

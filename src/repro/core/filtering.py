@@ -32,6 +32,12 @@ cached *per bound, not per round*: a pair pruned at δ=0.70 with bound
 0.66 is re-examined (from its cached bound, without recomputation) when
 the schedule reaches δ=0.65 (see
 :meth:`repro.core.simcache.SimilarityCache.set_bound`).
+
+:class:`PairScorer` runs this engine, or plain ``agg_sim``, over chunks
+of pairs behind the interface of the vectorized batch kernel
+(:mod:`repro.core.kernel`): it is the scorer the pipeline uses under
+``scoring_backend="python"`` or without numpy, and the reference the
+kernel is held bit-identical to.
 """
 
 from __future__ import annotations
@@ -74,14 +80,6 @@ _COMPARATOR_TAGS = {
     bigram_similarity: CMP_QGRAM2,
     trigram_similarity: CMP_QGRAM3,
 }
-
-# Backwards-compatible private aliases (pre-kernel internal names).
-_CMP_EXACT = CMP_EXACT
-_CMP_LENGTH = CMP_LENGTH
-_CMP_QGRAM2 = CMP_QGRAM2
-_CMP_QGRAM3 = CMP_QGRAM3
-_CMP_OPAQUE = CMP_OPAQUE
-
 
 def comparator_tag(comparator) -> str:
     """Classify a comparator for bound derivation: one of the ``CMP_*``
@@ -215,8 +213,7 @@ class CandidateFilter:
         self.sim_func = sim_func
         self.config = config or FilteringConfig()
         self._tags: Tuple[str, ...] = tuple(
-            _COMPARATOR_TAGS.get(item.comparator, _CMP_OPAQUE)
-            for item in sim_func.comparators
+            comparator_tag(item.comparator) for item in sim_func.comparators
         )
         #: Per-comparator memo: attribute value -> normalised length.
         self._length_memo: List[dict] = [dict() for _ in sim_func.comparators]
@@ -249,11 +246,11 @@ class CandidateFilter:
         """Unweighted upper bound of one string comparator from lengths."""
         old_len = self._norm_length(index, old)
         new_len = self._norm_length(index, new)
-        if tag == _CMP_LENGTH:
+        if tag == CMP_LENGTH:
             if old_len == 0 and new_len == 0:
                 return 1.0
             return 1.0 - abs(old_len - new_len) / max(old_len, new_len)
-        q = 2 if tag == _CMP_QGRAM2 else 3
+        q = 2 if tag == CMP_QGRAM2 else 3
         old_count = old_len + q - 1 if old_len else 0
         new_count = new_len + q - 1 if new_len else 0
         if old_count == 0 and new_count == 0:
@@ -313,7 +310,7 @@ class CandidateFilter:
             if ignore:
                 denominator += item.weight
             tag = self._tags[index]
-            if tag == _CMP_EXACT and shortcircuit:
+            if tag == CMP_EXACT and shortcircuit:
                 contribution = item.weight * item.comparator(
                     old_value, new_value
                 )
@@ -321,11 +318,11 @@ class CandidateFilter:
                 bounds.append(contribution)
                 continue
             known.append(None)
-            if tag in (_CMP_QGRAM2, _CMP_QGRAM3) and self.config.qgram_filter:
+            if tag in (CMP_QGRAM2, CMP_QGRAM3) and self.config.qgram_filter:
                 bound = self._string_bound(
                     index, tag, str(old_value), str(new_value)
                 )
-            elif tag == _CMP_LENGTH and self.config.length_filter:
+            elif tag == CMP_LENGTH and self.config.length_filter:
                 bound = self._string_bound(
                     index, tag, str(old_value), str(new_value)
                 )
@@ -369,12 +366,11 @@ class CandidateFilter:
 
         # Stage (a): exact short-circuits plus length bounds only (q-gram
         # attributes count their full weight).
-        if config.length_filter and _CMP_LENGTH in self._tags:
+        if config.length_filter and CMP_LENGTH in self._tags:
             total = 0.0
             for index in range(len(bounds)):
                 if known[index] is None and self._tags[index] in (
-                    _CMP_QGRAM2,
-                    _CMP_QGRAM3,
+                    CMP_QGRAM2, CMP_QGRAM3,
                 ):
                     total += sim_func.comparators[index].weight
                 else:
@@ -385,7 +381,7 @@ class CandidateFilter:
 
         # Stage (b): all cheap bounds composed (q-gram counts included).
         if config.qgram_filter and (
-            _CMP_QGRAM2 in self._tags or _CMP_QGRAM3 in self._tags
+            CMP_QGRAM2 in self._tags or CMP_QGRAM3 in self._tags
         ):
             total = 0.0
             for value in bounds:
@@ -422,28 +418,52 @@ class CandidateFilter:
         return PairOutcome(result / denominator, KIND_EXACT)
 
 
-def build_candidate_filter(
-    sim_func: SimilarityFunction, filtering: object
-) -> Optional[CandidateFilter]:
-    """A :class:`CandidateFilter` for ``sim_func``, or ``None`` when the
-    (coerced) configuration disables filtering."""
-    config = FilteringConfig.coerce(filtering)
-    if not config.enabled:
-        return None
-    return CandidateFilter(sim_func, config)
+class PairScorer:
+    """The per-pair scorer behind the batch kernel's interface.
 
+    :meth:`agg_sim_chunk` and :meth:`evaluate_chunk` answer what
+    :class:`repro.core.kernel.BatchScoringKernel` answers, in chunk
+    order, with one :meth:`SimilarityFunction.agg_sim` or
+    :meth:`CandidateFilter.evaluate` call per pair.  Built over the
+    records it may be asked about, like the kernel, and around a pruning
+    engine (by default one with every filter on), whose memoised string
+    lengths then stay warm across calls; picklable, so
+    :mod:`repro.core.parallel` ships either scorer to its workers the
+    same way.
+    """
 
-def filter_pairs(
-    pairs: Sequence[Tuple[str, str]],
-    old_index,
-    new_index,
-    candidate_filter: CandidateFilter,
-    delta: float,
-) -> List[PairOutcome]:
-    """Run the engine over a pair chunk (serial building block shared by
-    :func:`repro.core.parallel.filter_and_score_chunked` workers)."""
-    evaluate = candidate_filter.evaluate
-    return [
-        evaluate(old_index[old_id], new_index[new_id], delta)
-        for old_id, new_id in pairs
-    ]
+    #: Whether chunks are scored as arrays (and counted as ``kernel_*``
+    #: effort); ``False`` here, ``True`` on the batch kernel.
+    vectorized = False
+
+    def __init__(
+        self,
+        sim_func: SimilarityFunction,
+        old_records: Sequence[PersonRecord],
+        new_records: Sequence[PersonRecord],
+        candidate_filter: Optional[CandidateFilter] = None,
+    ) -> None:
+        self.sim_func = sim_func
+        self.candidate_filter = candidate_filter or CandidateFilter(sim_func)
+        self._old_index = {record.record_id: record for record in old_records}
+        self._new_index = {record.record_id: record for record in new_records}
+
+    def agg_sim_chunk(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
+        """``agg_sim`` (Eq. 3) of every pair, in order."""
+        agg_sim = self.sim_func.agg_sim
+        old_index, new_index = self._old_index, self._new_index
+        return [
+            agg_sim(old_index[old_id], new_index[new_id])
+            for old_id, new_id in pairs
+        ]
+
+    def evaluate_chunk(
+        self, pairs: Sequence[Tuple[str, str]], delta: float
+    ) -> List[PairOutcome]:
+        """The pruning engine's outcome for every pair at δ, in order."""
+        evaluate = self.candidate_filter.evaluate
+        old_index, new_index = self._old_index, self._new_index
+        return [
+            evaluate(old_index[old_id], new_index[new_id], delta)
+            for old_id, new_id in pairs
+        ]

@@ -4,16 +4,18 @@ The kernel (see ``docs/KERNEL.md``) encodes each dataset's compared
 attribute columns once per run — q-gram multisets packed into sorted
 int arrays with CSR offsets, normalised string lengths, exact-attribute
 codes — then scores whole candidate chunks with numpy set-intersection
-and length arithmetic instead of one Python call per pair.  Outcomes
-are **bit-identical** to the per-pair reference path
-(:meth:`SimilarityFunction.agg_sim` / :class:`CandidateFilter`), which
-stays available as ``LinkageConfig(scoring_backend="python")`` and is
-the automatic fallback when numpy is not installed.
+and length arithmetic instead of one Python call per pair.  It is one
+of two implementations of the pipeline's pair-scorer interface
+(``agg_sim_chunk`` / ``evaluate_chunk``); the other is the per-pair
+:class:`repro.core.filtering.PairScorer`, which
+``LinkageConfig.build_scoring_kernel`` returns under
+``scoring_backend="python"`` or when numpy is not installed.  Outcomes
+are **bit-identical** between the two.
 
 Public surface:
 
-* :func:`build_scoring_kernel` — the one constructor the pipeline uses;
-  returns ``None`` when the vectorized backend cannot run here.
+* :func:`build_scoring_kernel` — a :class:`BatchScoringKernel`, or
+  ``None`` when the vectorized backend cannot run here.
 * :class:`BatchScoringKernel` — ``agg_sim_chunk`` / ``evaluate_chunk``.
 * :data:`HAVE_NUMPY`, :func:`kernel_available` — capability probes.
 * :data:`SCORING_BACKENDS` and the ``BACKEND_*`` constants — the legal
@@ -47,9 +49,7 @@ def build_scoring_kernel(
     filtering: Optional[FilteringConfig] = None,
 ) -> Optional[BatchScoringKernel]:
     """A :class:`BatchScoringKernel` over both record lists, or ``None``
-    when numpy is unavailable (callers then keep the per-pair reference
-    path — the silent auto-fallback of ``scoring_backend="vectorized"``,
-    sound because both backends produce bit-identical outcomes)."""
+    when numpy is unavailable."""
     if not HAVE_NUMPY:
         return None
     return BatchScoringKernel(

@@ -86,8 +86,9 @@ class BatchScoringKernel:
     pipeline may ever pair), then handed chunks of ``(old_id, new_id)``
     pairs.  The kernel is immutable after construction and picklable, so
     :mod:`repro.core.parallel` ships it to worker processes through the
-    pool initializer exactly like the record indexes — under ``fork``
-    the encoded arrays are inherited copy-on-write, not serialized.
+    pool initializer like the per-pair
+    :class:`~repro.core.filtering.PairScorer` — under ``fork`` the
+    encoded arrays are inherited copy-on-write, not serialized.
 
     Parameters
     ----------
@@ -102,6 +103,9 @@ class BatchScoringKernel:
         (stage toggles and the δ margin).  Defaults to all filters on,
         matching :class:`CandidateFilter`.
     """
+
+    #: Chunks are scored as arrays (counted as ``kernel_*`` effort).
+    vectorized = True
 
     def __init__(
         self,

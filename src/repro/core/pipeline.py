@@ -12,12 +12,12 @@ writes and resume (:mod:`repro.checkpoint`).
 A :class:`Shard` holds what survives between rounds: its similarity
 cache, pruning engine, blocked candidate pairs and frontier ids.  Its
 record-bearing structures — records, enriched households, the
-:class:`GroupPairIndex` and the scoring kernel — form a
+:class:`GroupPairIndex` and the pair scorer — form a
 :class:`ShardVisit`, which the entry point makes resident or streamed:
 
 * :meth:`IterativeGroupLinkage.link` runs one :class:`ResidentShard`
   over both whole datasets, built once.  Enrichment, the index and the
-  kernel encoding happen once per run, and one
+  scorer (the kernel encoding) happen once per run, and one
   :class:`~repro.core.simcache.SimilarityCache` serves every round and
   the remaining pass, so candidate pairs are scored at most once across
   the whole δ schedule.
@@ -155,14 +155,15 @@ class ShardVisit(NamedTuple):
     """A shard's record-bearing structures, for one visit or the run.
 
     ``households`` (the enriched households of both sides) and
-    ``group_index`` are built for δ rounds only.  ``kernel`` is ``None``
-    under the python scoring backend, without numpy, or when a remaining
-    pass with custom weights encodes its own.
+    ``group_index`` are built for δ rounds only.  ``scorer`` (see
+    :meth:`LinkageConfig.build_scoring_kernel`) is set on every δ-round
+    visit; it is ``None`` only on a remaining-pass visit with custom
+    remaining weights, which builds its own.
     """
 
     old: CensusDataset
     new: CensusDataset
-    kernel: Optional[object] = None
+    scorer: Optional[object] = None
     households: Optional[
         Tuple[Dict[str, Household], Dict[str, Household]]
     ] = None
@@ -176,14 +177,14 @@ def build_visit(
     candidate_filter,
     instrumentation: Instrumentation,
     groups: bool = True,
-    kernel: bool = True,
+    scorer: bool = True,
 ) -> ShardVisit:
     """Enrich (Alg. 1 line 1), index and encode one shard's records.
 
     All three are δ-independent, so a resident shard builds them once
-    for every round.  The kernel encodes the attribute columns of *all*
-    the shard's records, so each round's shrinking frontier just gathers
-    rows from the same tables, and worker pools inherit the encoding
+    for every round.  The pair scorer covers *all* the shard's records,
+    so each round's shrinking frontier just gathers rows from the same
+    tables (the kernel's encoded columns), and worker pools inherit it
     through their initializer; it replays the pruning engine's exact
     FilteringConfig.
     """
@@ -192,16 +193,16 @@ def build_visit(
         with instrumentation.stage("enrichment"):
             households = (complete_groups(old), complete_groups(new))
         group_index = GroupPairIndex(*households)
-    encoded = None
-    if kernel:
+    pair_scorer = None
+    if scorer:
         with instrumentation.stage("kernel_encoding"):
-            encoded = config.build_scoring_kernel(
+            pair_scorer = config.build_scoring_kernel(
                 config.build_sim_func(),
                 list(old.iter_records()),
                 list(new.iter_records()),
                 candidate_filter=candidate_filter,
             )
-    return ShardVisit(old, new, encoded, households, group_index)
+    return ShardVisit(old, new, pair_scorer, households, group_index)
 
 
 class Shard:
@@ -349,7 +350,7 @@ def match_shard_round(
             chunk_size=config.worker_chunk_size,
             instrumentation=instrumentation,
             candidate_filter=shard.candidate_filter,
-            kernel=visit.kernel,
+            scorer=visit.scorer,
         )
     old_households, new_households = visit.households
     outcome = backend.match_round(
@@ -362,7 +363,6 @@ def match_shard_round(
             group_index=visit.group_index,
             delta=delta,
             round_index=round_index,
-            kernel=visit.kernel,
             instrumentation=instrumentation,
             round_timer=round_timer,
         )
@@ -386,19 +386,19 @@ def match_shard_remaining(
     remaining_new = [visit.new.records[i] for i in shard.remaining_new_ids]
     # Sim_func_rem shares agg_sim with Sim_func when the weights (and
     # missing policy) are identical, so the cache, the pruning engine
-    # and the kernel carry over.  Custom remaining weights make the
-    # scores incomparable: the pass gets a private store, engine and
-    # kernel, encoded over just the leftover records — the only ones it
+    # and the scorer carry over.  Custom remaining weights make the
+    # scores incomparable: the pass gets a private cache, engine and
+    # scorer, built over just the leftover records — the only ones it
     # can pair.
     if config.remaining_weights is None:
         cache = shard.cache
         candidate_filter = shard.candidate_filter
-        kernel = visit.kernel
+        scorer = visit.scorer
     else:
         cache = None
         candidate_filter = config.build_candidate_filter(sim_func_rem)
         with instrumentation.stage("kernel_encoding"):
-            kernel = config.build_scoring_kernel(
+            scorer = config.build_scoring_kernel(
                 sim_func_rem,
                 remaining_old,
                 remaining_new,
@@ -418,7 +418,7 @@ def match_shard_remaining(
             chunk_size=config.worker_chunk_size,
             instrumentation=instrumentation,
             candidate_filter=candidate_filter,
-            kernel=kernel,
+            scorer=scorer,
         )
     group_mapping.update(
         induced_group_mapping(
@@ -629,6 +629,9 @@ def run_linkage(
                             config,
                             instrumentation=instrumentation,
                         ).raise_if_failed()
+                # The pre-match result holds this visit's records and
+                # scorer: release them before the next shard's visit.
+                del prematch
                 partial_records = selection.extract_record_mapping()
                 record_mapping.update(partial_records)
                 group_mapping.update(selection.group_mapping)

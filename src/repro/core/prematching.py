@@ -8,10 +8,14 @@ subgraph matching identify "similar records" without re-computing
 similarities.
 
 This is the pipeline's hot path: scores are δ-independent, so the
-iterative schedule of Alg. 1 shares one score store across all rounds
-(a plain dict or a bounded :class:`repro.core.simcache.SimilarityCache`),
-and the bulk scoring of still-unscored pairs can fan out over worker
-processes (:mod:`repro.core.parallel`) with results merged
+iterative schedule of Alg. 1 shares one
+:class:`~repro.core.simcache.SimilarityCache` across all rounds.  One
+resolver, :func:`_filtered_bulk_scores`, settles the candidate pairs of
+a round (and of the remaining pass) against that cache, with candidate
+pruning on or off, and bulk-scores the rest through the run's pair
+scorer — the vectorized kernel or the per-pair
+:class:`~repro.core.filtering.PairScorer` — on worker processes when
+asked (:mod:`repro.core.parallel`), with results merged
 deterministically.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, MutableMapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..blocking.pairs import Blocker
 from ..instrumentation import (
@@ -37,16 +41,14 @@ from ..model.records import PersonRecord
 from ..similarity.vector import SimilarityFunction
 from .clustering import CONNECTED_COMPONENTS, cluster_records
 from .filtering import (
+    KIND_EXACT,
     PRUNED_EARLY_EXIT,
     PRUNED_LENGTH,
     PRUNED_QGRAM,
     CandidateFilter,
+    PairScorer,
 )
-from .parallel import (
-    DEFAULT_CHUNK_SIZE,
-    filter_and_score_chunked,
-    score_pairs_chunked,
-)
+from .parallel import DEFAULT_CHUNK_SIZE, score_pairs_chunked
 from .simcache import SimilarityCache
 
 #: Pruning-kind -> instrumentation counter, for per-filter attribution.
@@ -56,32 +58,43 @@ _PRUNE_COUNTERS = {
     PRUNED_EARLY_EXIT: PAIRS_PRUNED_EARLY_EXIT,
 }
 
-#: Anything usable as the shared cross-round score store.
-ScoreStore = MutableMapping[Tuple[str, str], float]
+
+def _count_scored(
+    instrumentation: Instrumentation, scorer, evaluated: int, exact: int
+) -> None:
+    """Tally one bulk scoring call: ``exact`` full ``agg_sim`` results
+    out of ``evaluated`` pairs handed to ``scorer`` (one kernel batch
+    when the scorer is vectorized)."""
+    instrumentation.count(PAIRS_SCORED, exact)
+    instrumentation.count(FULL_AGG_SIM_CALLS, exact)
+    if scorer.vectorized:
+        instrumentation.count(KERNEL_BATCHES)
+        instrumentation.count(KERNEL_PAIRS, evaluated)
 
 
 @dataclass
 class PreMatchResult:
     """Clusters, labels and pair similarities produced by pre-matching.
 
-    ``scores`` holds ``agg_sim`` for every *candidate* pair (not only the
-    matching ones); :meth:`pair_sim` computes missing entries lazily so
-    the group-scoring stage can always obtain the record similarity of a
-    vertex pair.  When ``scores`` is a
-    :class:`~repro.core.simcache.SimilarityCache` those lazy entries go
-    through its bounded LRU, so long series runs cannot accumulate
-    unbounded per-pair state.
+    ``scores`` holds ``agg_sim`` for every exactly scored *candidate*
+    pair (not only the matching ones); :meth:`pair_sim` and
+    :meth:`pair_sims` compute missing entries lazily so the group stage
+    can always obtain the record similarity of a vertex pair.  Those lazy
+    entries go through the cache's bounded LRU, so long series runs
+    cannot accumulate unbounded per-pair state.  ``scorer`` is the round's
+    pair scorer, which :meth:`pair_sims` batches through.
     """
 
     sim_func: SimilarityFunction
     old_index: Dict[str, PersonRecord]
     new_index: Dict[str, PersonRecord]
+    scorer: object
     labels: Dict[str, int] = field(default_factory=dict)
     clusters: Dict[int, List[str]] = field(default_factory=dict)
-    scores: ScoreStore = field(default_factory=dict)
+    scores: SimilarityCache = field(default_factory=SimilarityCache)
     matched_pairs: List[Tuple[str, str]] = field(default_factory=list)
-    #: Optional event-counter sink shared with the pipeline.
-    instrumentation: Optional[Instrumentation] = None
+    #: Event-counter sink shared with the pipeline.
+    instrumentation: Instrumentation = field(default_factory=Instrumentation)
 
     def label_of(self, record_id: str) -> int:
         """The record's cluster label (Fig. 3)."""
@@ -107,24 +120,22 @@ class PreMatchResult:
         if score is None:
             score = self.sim_func.agg_sim(self.old_index[old_id], self.new_index[new_id])
             self.scores[key] = score
-            if self.instrumentation is not None:
-                self.instrumentation.count(PAIRS_SCORED)
-                self.instrumentation.count(FULL_AGG_SIM_CALLS)
+            self.instrumentation.count(PAIRS_SCORED)
+            self.instrumentation.count(FULL_AGG_SIM_CALLS)
         return score
 
     def pair_sims(
         self,
         pairs: Sequence[Tuple[str, str]],
-        kernel=None,
         n_workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> Dict[Tuple[str, str], float]:
         """:meth:`pair_sim` for many pairs: each is looked up in
         :attr:`scores` once, and the missing ones are scored in one
-        :func:`~repro.core.parallel.score_pairs_chunked` call (one
-        ``kernel`` batch when given), then memoised and counted as
-        :meth:`pair_sim` does — plus ``kernel_batches`` /
-        ``kernel_pairs`` when the kernel scored them."""
+        :func:`~repro.core.parallel.score_pairs_chunked` call through
+        :attr:`scorer`, then memoised and counted as :meth:`pair_sim`
+        does — plus ``kernel_batches`` / ``kernel_pairs`` when the scorer
+        is the vectorized kernel."""
         sims: Dict[Tuple[str, str], float] = {}
         missing: List[Tuple[str, str]] = []
         for pair in pairs:
@@ -136,18 +147,14 @@ class PreMatchResult:
         if not missing:
             return sims
         fresh = score_pairs_chunked(
-            missing, self.old_index, self.new_index, self.sim_func,
-            n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
+            self.scorer, missing, n_workers=n_workers, chunk_size=chunk_size
         )
         for pair, score in fresh.items():
             self.scores[pair] = score
         sims.update(fresh)
-        if self.instrumentation is not None:
-            self.instrumentation.count(PAIRS_SCORED, len(fresh))
-            self.instrumentation.count(FULL_AGG_SIM_CALLS, len(fresh))
-            if kernel is not None:
-                self.instrumentation.count(KERNEL_BATCHES)
-                self.instrumentation.count(KERNEL_PAIRS, len(fresh))
+        _count_scored(
+            self.instrumentation, self.scorer, len(fresh), len(fresh)
+        )
         return sims
 
     @property
@@ -168,45 +175,44 @@ def prematching(
     new_records: Sequence[PersonRecord],
     sim_func: SimilarityFunction,
     blocker: Blocker,
-    cached_scores: Optional[ScoreStore] = None,
+    cached_scores: Optional[SimilarityCache] = None,
     cached_pairs: Optional[Set[Tuple[str, str]]] = None,
     clustering: str = CONNECTED_COMPONENTS,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     instrumentation: Optional[Instrumentation] = None,
     candidate_filter: Optional[CandidateFilter] = None,
-    kernel=None,
+    scorer=None,
 ) -> PreMatchResult:
     """Cluster records of two datasets by attribute similarity (§3.2).
 
     ``cached_scores``/``cached_pairs`` allow the iterative pipeline to
     score each candidate pair exactly once across all δ rounds: scores do
-    not depend on δ, only the cut-off does.  ``cached_scores`` may be a
-    plain dict or a :class:`~repro.core.simcache.SimilarityCache` (which
-    additionally bounds lazily-added entries and tallies hits/misses).
-    Still-unscored pairs are bulk-scored, on ``n_workers`` processes when
-    ``n_workers != 1`` (:func:`repro.core.parallel.score_pairs_chunked`;
-    output is identical to serial).  ``clustering`` selects the strategy
-    of :mod:`repro.core.clustering` (the paper uses connected
-    components).
+    not depend on δ, only the cut-off does.  Still-unscored pairs are
+    bulk-scored by ``scorer`` — the run's pair scorer, or by default a
+    :class:`~repro.core.filtering.PairScorer` over the given records —
+    on ``n_workers`` processes when ``n_workers != 1``
+    (:func:`repro.core.parallel.score_pairs_chunked`; output is
+    identical to serial).  ``clustering`` selects the strategy of
+    :mod:`repro.core.clustering` (the paper uses connected components).
 
-    With a ``candidate_filter`` (:mod:`repro.core.filtering`), unscored
-    pairs first pass the pruning engine: a pair whose similarity upper
-    bound already falls below this round's δ is rejected without the full
-    ``agg_sim`` — losslessly, since such a pair could never enter
-    ``matched_pairs``.  Pruning bounds are δ-independent, so when the
-    score store is a :class:`~repro.core.simcache.SimilarityCache` they
-    are remembered across rounds and only re-examined once the schedule's
-    δ drops past them.
-
-    ``kernel`` (a :class:`repro.core.kernel.BatchScoringKernel` whose
-    encoding covers both record lists, or ``None``) routes the bulk
-    scoring — filtered or plain — through the vectorized backend; every
-    outcome, and hence every cluster, score and counter below, is
-    bit-identical to the per-pair path.
+    With an active ``candidate_filter`` (:mod:`repro.core.filtering`),
+    unscored pairs first pass the pruning engine: a pair whose similarity
+    upper bound already falls below this round's δ is rejected without
+    the full ``agg_sim`` — losslessly, since such a pair could never
+    enter ``matched_pairs``.  Pruning bounds are δ-independent, so they
+    are remembered in the cache across rounds and only re-examined once
+    the schedule's δ drops past them.  Either scorer gives bit-identical
+    outcomes, and hence identical clusters and scores.
     """
     old_index = {record.record_id: record for record in old_records}
     new_index = {record.record_id: record for record in new_records}
+    if instrumentation is None:
+        instrumentation = Instrumentation()
+    if scorer is None:
+        scorer = PairScorer(
+            sim_func, old_records, new_records, candidate_filter
+        )
 
     if cached_pairs is None:
         candidate_pairs = blocker.candidate_pairs(
@@ -218,64 +224,25 @@ def prematching(
             for old_id, new_id in cached_pairs
             if old_id in old_index and new_id in new_index
         }
-    if instrumentation is not None:
-        instrumentation.count(CANDIDATE_PAIRS, len(candidate_pairs))
+    instrumentation.count(CANDIDATE_PAIRS, len(candidate_pairs))
 
     # Use the caller's store directly when given: scores computed lazily
     # during subgraph matching then persist across δ rounds.
-    scores: ScoreStore = cached_scores if cached_scores is not None else {}
-
-    if candidate_filter is not None and candidate_filter.active:
-        timer = (
-            instrumentation.stage("filtering")
-            if instrumentation is not None
-            else nullcontext()
+    scores = cached_scores if cached_scores is not None else SimilarityCache()
+    pruning = candidate_filter is not None and candidate_filter.active
+    with instrumentation.stage("filtering") if pruning else nullcontext():
+        exact_scores = _filtered_bulk_scores(
+            candidate_pairs, scores, scorer, sim_func.threshold,
+            candidate_filter, n_workers, chunk_size, instrumentation,
         )
-        with timer:
-            exact_scores = _filtered_bulk_scores(
-                candidate_pairs, scores, old_index, new_index, sim_func,
-                candidate_filter, n_workers, chunk_size, instrumentation,
-                kernel=kernel,
-            )
-        # A pruned pair's similarity is provably below δ, so restricting
-        # the threshold test to exactly-scored pairs loses nothing.
-        matched = sorted(
-            pair
-            for pair, score in exact_scores.items()
-            if score >= sim_func.threshold
-        )
-        matched_scores = {pair: exact_scores[pair] for pair in matched}
-    else:
-        # Bulk-score whatever the store does not hold yet; sorted order
-        # keeps the parallel chunking (and any cache-miss tally)
-        # deterministic.
-        unscored = [
-            pair for pair in sorted(candidate_pairs)
-            if scores.get(pair) is None
-        ]
-        if unscored:
-            fresh = score_pairs_chunked(
-                unscored, old_index, new_index, sim_func,
-                n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
-            )
-            if isinstance(scores, SimilarityCache):
-                # Candidate-pair scores are re-tested every round: pin them.
-                for pair, score in fresh.items():
-                    scores.pin(pair, score)
-            else:
-                scores.update(fresh)
-            if instrumentation is not None:
-                instrumentation.count(PAIRS_SCORED, len(fresh))
-                instrumentation.count(FULL_AGG_SIM_CALLS, len(fresh))
-                if kernel is not None:
-                    instrumentation.count(KERNEL_BATCHES)
-                    instrumentation.count(KERNEL_PAIRS, len(fresh))
-        matched = sorted(
-            pair
-            for pair in candidate_pairs
-            if scores[pair] >= sim_func.threshold
-        )
-        matched_scores = {pair: scores[pair] for pair in matched}
+    # A pruned pair's similarity is provably below δ, so restricting the
+    # threshold test to exactly-scored pairs loses nothing.
+    matched = sorted(
+        pair
+        for pair, score in exact_scores.items()
+        if score >= sim_func.threshold
+    )
+    matched_scores = {pair: exact_scores[pair] for pair in matched}
 
     # Cluster the match links (transitive closure by default); singleton
     # clusters are emitted for unmatched records, as in Fig. 3.
@@ -295,6 +262,7 @@ def prematching(
         sim_func=sim_func,
         old_index=old_index,
         new_index=new_index,
+        scorer=scorer,
         labels=labels,
         clusters=clusters,
         scores=scores,
@@ -304,80 +272,68 @@ def prematching(
 
 
 def _filtered_bulk_scores(
-    candidate_pairs: Set[Tuple[str, str]],
-    scores: ScoreStore,
-    old_index: Dict[str, PersonRecord],
-    new_index: Dict[str, PersonRecord],
-    sim_func: SimilarityFunction,
-    candidate_filter: CandidateFilter,
+    candidate_pairs: Iterable[Tuple[str, str]],
+    scores: SimilarityCache,
+    scorer,
+    delta: float,
+    candidate_filter: Optional[CandidateFilter],
     n_workers: int,
     chunk_size: int,
-    instrumentation: Optional[Instrumentation],
-    kernel=None,
+    instrumentation: Instrumentation,
 ) -> Dict[Tuple[str, str], float]:
-    """Resolve every candidate pair against this round's δ through the
-    pruning engine; return the exactly-known scores.
+    """Resolve every candidate pair against δ; return the exactly-known
+    scores.  The one resolver of pre-matching and the remaining pass.
 
-    Each pair lands in one of three buckets, checked cheapest-first:
+    Pairs are taken in sorted order, and each lands in one of three
+    buckets, checked cheapest-first:
 
-    1. exact score already in the store (earlier round, or a lazy lookup)
-       — reuse it;
-    2. a cached pruning bound still below δ − margin — the pair stays
-       pruned without recomputing anything (counted under the filter that
-       set the bound);
-    3. everything else runs through
-       :func:`repro.core.parallel.filter_and_score_chunked`: survivors
-       are stored exactly (pinned in a
-       :class:`~repro.core.simcache.SimilarityCache`), rejects record
+    1. exact score already in the cache (earlier round, or a lazy
+       lookup) — reuse it;
+    2. with pruning on (an active ``candidate_filter``), a cached pruning
+       bound still below δ − margin — the pair stays pruned without
+       recomputing anything (counted under the filter that set the
+       bound);
+    3. everything else goes to ``scorer`` in one
+       :func:`repro.core.parallel.score_pairs_chunked` call: exact
+       scores are pinned in the cache; with pruning on, rejects record
        their fresh bound for later rounds.
     """
-    delta = sim_func.threshold
-    cutoff = delta - candidate_filter.margin
-    cache = scores if isinstance(scores, SimilarityCache) else None
+    pruning = candidate_filter is not None and candidate_filter.active
+    cutoff = delta - candidate_filter.margin if pruning else None
     exact_scores: Dict[Tuple[str, str], float] = {}
-    pruned: Dict[str, int] = {
-        PRUNED_LENGTH: 0, PRUNED_QGRAM: 0, PRUNED_EARLY_EXIT: 0,
-    }
+    pruned: Dict[str, int] = dict.fromkeys(_PRUNE_COUNTERS, 0)
     to_evaluate: List[Tuple[str, str]] = []
     for pair in sorted(candidate_pairs):
         score = scores.get(pair)
         if score is not None:
             exact_scores[pair] = score
             continue
-        if cache is not None:
-            cached_bound = cache.get_bound(pair)
+        if pruning:
+            cached_bound = scores.get_bound(pair)
             if cached_bound is not None and cached_bound[0] < cutoff:
                 pruned[cached_bound[1]] += 1
                 continue
         to_evaluate.append(pair)
 
     if to_evaluate:
-        outcomes = filter_and_score_chunked(
-            to_evaluate, old_index, new_index, candidate_filter, delta,
-            n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
+        outcomes = score_pairs_chunked(
+            scorer, to_evaluate, delta if pruning else None,
+            n_workers=n_workers, chunk_size=chunk_size,
         )
-        if instrumentation is not None and kernel is not None:
-            instrumentation.count(KERNEL_BATCHES)
-            instrumentation.count(KERNEL_PAIRS, len(to_evaluate))
         fresh = 0
         for pair, outcome in outcomes.items():
-            if outcome.is_exact:
-                if cache is not None:
-                    cache.pin(pair, outcome.value)
-                else:
-                    scores[pair] = outcome.value
-                exact_scores[pair] = outcome.value
+            # Plain agg_sim values, or (value, kind) outcomes when pruning.
+            value, kind = outcome if pruning else (outcome, KIND_EXACT)
+            if kind == KIND_EXACT:
+                scores.pin(pair, value)
+                exact_scores[pair] = value
                 fresh += 1
             else:
-                if cache is not None:
-                    cache.set_bound(pair, outcome.value, outcome.kind)
-                pruned[outcome.kind] += 1
-        if instrumentation is not None:
-            instrumentation.count(PAIRS_SCORED, fresh)
-            instrumentation.count(FULL_AGG_SIM_CALLS, fresh)
+                scores.set_bound(pair, value, kind)
+                pruned[kind] += 1
+        _count_scored(instrumentation, scorer, len(to_evaluate), fresh)
 
-    if instrumentation is not None:
-        for kind, counter in _PRUNE_COUNTERS.items():
-            if pruned[kind]:
-                instrumentation.count(counter, pruned[kind])
+    for kind, counter in _PRUNE_COUNTERS.items():
+        if pruned[kind]:
+            instrumentation.count(counter, pruned[kind])
     return exact_scores

@@ -5,11 +5,14 @@ subgraph — movers, members of dissolved households, singletons — get one
 more chance: a conservative attribute-only matcher (``Sim_func_rem``)
 with a hard temporal age filter, resolved greedily to a 1:1 mapping.
 
-When ``Sim_func_rem`` uses the same attribute weights as the main
-``Sim_func`` (the default), the pipeline shares its cross-round score
-store with this pass, so pairs already scored during pre-matching are
-looked up instead of recomputed; fresh pairs are bulk-scored, optionally
-on worker processes.
+The age-plausible pairs are settled by pre-matching's one resolver
+(:func:`repro.core.prematching._filtered_bulk_scores`, bound here as
+this module's ``_filtered_bulk_scores``), with pruning against the
+remaining threshold on or off.  When ``Sim_func_rem`` uses the same
+attribute weights as the main ``Sim_func`` (the default), the pipeline
+shares its cross-round similarity cache and pair scorer with this pass,
+so pairs already scored during pre-matching are looked up instead of
+recomputed; fresh pairs are bulk-scored, optionally on worker processes.
 """
 
 from __future__ import annotations
@@ -18,21 +21,14 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..blocking.pairs import Blocker
-from ..instrumentation import (
-    FULL_AGG_SIM_CALLS,
-    KERNEL_BATCHES,
-    KERNEL_PAIRS,
-    PAIRS_SCORED,
-    REMAINING_PAIRS,
-    Instrumentation,
-)
+from ..instrumentation import REMAINING_PAIRS, Instrumentation
 from ..model.mappings import RecordMapping
 from ..model.records import PersonRecord
 from ..similarity.numeric import normalised_age_difference
 from ..similarity.vector import SimilarityFunction
-from .filtering import CandidateFilter
-from .parallel import DEFAULT_CHUNK_SIZE, score_pairs_chunked
-from .prematching import ScoreStore, _filtered_bulk_scores
+from .filtering import CandidateFilter, PairScorer
+from .parallel import DEFAULT_CHUNK_SIZE
+from .prematching import _filtered_bulk_scores
 from .simcache import SimilarityCache
 
 
@@ -44,12 +40,12 @@ def match_remaining(
     year_gap: int,
     max_normalised_age_difference: float = 3.0,
     ambiguity_margin: float = 0.0,
-    cached_scores: Optional[ScoreStore] = None,
+    cached_scores: Optional[SimilarityCache] = None,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     instrumentation: Optional[Instrumentation] = None,
     candidate_filter: Optional[CandidateFilter] = None,
-    kernel=None,
+    scorer=None,
 ) -> RecordMapping:
     """Greedy 1:1 matching of leftover records (Alg. 1, lines 17–19).
 
@@ -64,21 +60,32 @@ def match_remaining(
     the run; it is only sound to pass when the earlier scores came from a
     similarity function with identical weights and missing policy (the
     threshold does not enter ``agg_sim``).  Unscored age-plausible pairs
-    are bulk-scored via :func:`repro.core.parallel.score_pairs_chunked`
-    with ``n_workers``/``chunk_size``, deterministically.
+    are bulk-scored by ``scorer`` via
+    :func:`repro.core.parallel.score_pairs_chunked` with
+    ``n_workers``/``chunk_size``, deterministically.  ``scorer`` follows
+    the same sharing rule as ``cached_scores`` (the pipeline builds a
+    private one for custom remaining weights); by default it is a
+    :class:`~repro.core.filtering.PairScorer` over the given records.
+
+    With an active ``candidate_filter`` the pairs are pruned against the
+    remaining threshold: a pruned pair's ``agg_sim`` is provably below
+    it, and the greedy resolution below only ever looks at pairs at or
+    above the threshold, so skipping the full evaluation cannot change
+    the mapping.
 
     With ``ambiguity_margin > 0`` a pair is linked only when its score
     beats every competing candidate of *both* endpoints by the margin:
     frequent names (several age-compatible "Mary Ashworth"s) produce
     near-tied candidates, and guessing among them costs precision.
-
-    ``kernel`` follows the same sharing rule as ``cached_scores``: pass
-    the run's batch scoring kernel only when it was built for a
-    similarity function with these weights and missing policy (the
-    pipeline builds a private kernel for custom remaining weights).
     """
     old_index = {record.record_id: record for record in old_records}
     new_index = {record.record_id: record for record in new_records}
+    if instrumentation is None:
+        instrumentation = Instrumentation()
+    if scorer is None:
+        scorer = PairScorer(
+            sim_func_rem, old_records, new_records, candidate_filter
+        )
 
     # Age-plausible candidate pairs first (cheap filter before scoring).
     plausible: List[Tuple[str, str]] = []
@@ -92,39 +99,14 @@ def match_remaining(
             continue
         plausible.append((old_id, new_id))
     plausible.sort()
-    if instrumentation is not None:
-        instrumentation.count(REMAINING_PAIRS, len(plausible))
+    instrumentation.count(REMAINING_PAIRS, len(plausible))
 
-    scores: ScoreStore = cached_scores if cached_scores is not None else {}
-    if candidate_filter is not None and candidate_filter.active:
-        # Lossless pruning against the remaining threshold: a pruned
-        # pair's agg_sim is provably below it, and the greedy resolution
-        # below only ever looks at pairs at or above the threshold, so
-        # skipping the full evaluation cannot change the mapping.
-        exact_scores = _filtered_bulk_scores(
-            set(plausible), scores, old_index, new_index, sim_func_rem,
-            candidate_filter, n_workers, chunk_size, instrumentation,
-            kernel=kernel,
-        )
-    else:
-        unscored = [pair for pair in plausible if scores.get(pair) is None]
-        if unscored:
-            fresh = score_pairs_chunked(
-                unscored, old_index, new_index, sim_func_rem,
-                n_workers=n_workers, chunk_size=chunk_size, kernel=kernel,
-            )
-            if isinstance(scores, SimilarityCache):
-                for pair, score in fresh.items():
-                    scores.pin(pair, score)
-            else:
-                scores.update(fresh)
-            if instrumentation is not None:
-                instrumentation.count(PAIRS_SCORED, len(fresh))
-                instrumentation.count(FULL_AGG_SIM_CALLS, len(fresh))
-                if kernel is not None:
-                    instrumentation.count(KERNEL_BATCHES)
-                    instrumentation.count(KERNEL_PAIRS, len(fresh))
-        exact_scores = {pair: scores[pair] for pair in plausible}
+    exact_scores = _filtered_bulk_scores(
+        plausible,
+        cached_scores if cached_scores is not None else SimilarityCache(),
+        scorer, sim_func_rem.threshold, candidate_filter,
+        n_workers, chunk_size, instrumentation,
+    )
 
     scored: List[Tuple[float, str, str]] = []
     old_scores: Dict[str, List[float]] = defaultdict(list)

@@ -461,6 +461,32 @@ class GroupPairIndex:
         return buckets
 
 
+def round_group_pairs(
+    prematch: PreMatchResult,
+    index: GroupPairIndex,
+    config: LinkageConfig,
+    instrumentation: Optional[Instrumentation] = None,
+) -> List[Tuple[str, str]]:
+    """This δ round's candidate group pairs (§3.3), sorted, for every
+    group backend: through ``index``, or through the brute-force scan
+    when ``config.group_pair_indexing`` is off (same pairs, counted
+    differently).  ``instrumentation`` tallies the pairs emitted and the
+    cross-product pairs the index skipped."""
+    if config.group_pair_indexing:
+        group_pairs = index.candidate_pairs(prematch)
+        skipped = index.cross_product_size - len(group_pairs)
+    else:
+        group_pairs = brute_force_group_pairs(
+            prematch, index.old_households, index.new_households
+        )
+        skipped = 0  # the brute-force scan examined the full cross product
+    if instrumentation is not None:
+        instrumentation.count(GROUP_PAIRS, len(group_pairs))
+        instrumentation.count(GROUP_PAIRS_CANDIDATES, len(group_pairs))
+        instrumentation.count(GROUP_PAIRS_SKIPPED, skipped)
+    return group_pairs
+
+
 def anchors_by_group_pair(
     group_pairs: Sequence[Tuple[str, str]],
     old_households: Dict[str, Household],
@@ -501,7 +527,6 @@ def build_all_subgraphs(
     n_workers: int = 1,
     chunk_size: int = 32,
     score: bool = False,
-    kernel=None,
 ) -> List[SubgraphMatch]:
     """``subgroups`` of Alg. 1 (line 7, §3.3): common subgraphs of all
     candidate group pairs, in one pass over the δ round; each equals
@@ -510,16 +535,14 @@ def build_all_subgraphs(
     ``record_mapping`` holds the links accepted in earlier δ rounds;
     links that fall inside a candidate household pair become anchors.
     ``index`` is a prebuilt :class:`GroupPairIndex`; one is built on the
-    fly when omitted, and the brute-force scan is used instead when
-    ``config.group_pair_indexing`` is off (same candidate set, counted
-    differently).
+    fly when omitted.  Candidates come from :func:`round_group_pairs`.
 
     Every touched household is bucketed by label once, and a group pair
     without an age-plausible same-label member pair is dropped before
     construction (it cannot have a vertex).  The enumerated member pairs
-    the score store lacks are scored in one batch
-    (:meth:`PreMatchResult.pair_sims`: one ``kernel`` call, else
-    per-pair ``agg_sim`` on ``n_workers`` processes), and construction
+    the score store lacks are scored in one batch through the round's
+    pair scorer (:meth:`PreMatchResult.pair_sims`, on ``n_workers``
+    processes), and construction
     reads vertex similarities from that batch — serially, or with
     ``n_workers != 1`` over worker chunks merged in order
     (:mod:`repro.core.parallel`).  ``score`` also fills the Eq. 4–7
@@ -531,18 +554,7 @@ def build_all_subgraphs(
     """
     if index is None:
         index = GroupPairIndex(old_households, new_households)
-    if getattr(config, "group_pair_indexing", True):
-        group_pairs = index.candidate_pairs(prematch)
-        skipped = index.cross_product_size - len(group_pairs)
-    else:
-        group_pairs = brute_force_group_pairs(
-            prematch, old_households, new_households
-        )
-        skipped = 0  # the brute-force scan examined the full cross product
-    if instrumentation is not None:
-        instrumentation.count(GROUP_PAIRS, len(group_pairs))
-        instrumentation.count(GROUP_PAIRS_CANDIDATES, len(group_pairs))
-        instrumentation.count(GROUP_PAIRS_SKIPPED, skipped)
+    group_pairs = round_group_pairs(prematch, index, config, instrumentation)
 
     anchors = anchors_by_group_pair(
         group_pairs, old_households, index.new_group_of, record_mapping
@@ -576,7 +588,6 @@ def build_all_subgraphs(
             for *_, candidates in tasks
             for old_id, new_id, _ in candidates
         ],
-        kernel=kernel,
         n_workers=n_workers,
         chunk_size=config.worker_chunk_size,
     )

@@ -274,7 +274,7 @@ def _shard_round(
     round_timer,
 ):
     """One shard's visit in one δ round: rebuild its records, households,
-    index and kernel, run the round step, release them."""
+    index and pair scorer, run the round step, release them."""
     old, new = context.load()
     visit = build_visit(
         old, new, config, context.candidate_filter, instrumentation
@@ -294,13 +294,13 @@ def _shard_remaining(
     group_mapping,
     instrumentation,
 ) -> RecordMapping:
-    """One shard's visit for the remaining pass.  The main kernel is
-    rebuilt only when the pass shares the main weights; custom
-    remaining weights encode their own over the leftover records."""
+    """One shard's visit for the remaining pass.  The main pair scorer
+    is rebuilt only when the pass shares the main weights; custom
+    remaining weights build their own over the leftover records."""
     old, new = context.load()
     visit = build_visit(
         old, new, config, context.candidate_filter, instrumentation,
-        groups=False, kernel=config.remaining_weights is None,
+        groups=False, scorer=config.remaining_weights is None,
     )
     return match_shard_remaining(
         context, visit, sim_func_rem, blocker, config, group_mapping,

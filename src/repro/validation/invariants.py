@@ -524,13 +524,11 @@ def _peek_score(
 ) -> float:
     """A pair's ``agg_sim`` without mutating cache state or counters.
 
-    Uses :meth:`SimilarityCache.peek` when the score store supports it,
-    falls back to a plain read, and recomputes (without storing) when the
-    pair was evicted — validation must never perturb what it observes.
+    Reads through :meth:`SimilarityCache.peek` and recomputes (without
+    storing) when the pair was evicted — validation must never perturb
+    what it observes.
     """
-    store = prematch.scores
-    peek = getattr(store, "peek", None)
-    score = peek((old_id, new_id)) if peek is not None else store.get((old_id, new_id))
+    score = prematch.scores.peek((old_id, new_id))
     if score is None:
         score = prematch.sim_func.agg_sim(
             prematch.old_index[old_id], prematch.new_index[new_id]

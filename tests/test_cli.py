@@ -51,6 +51,21 @@ class TestLink:
         groups = model_io.read_group_mapping(groups_path)
         assert len(groups) > 0
 
+    def test_rejected_config_value_exits_2(self, data_dir, capsys):
+        """A flag value LinkageConfig refuses is a usage error naming
+        the field, not a traceback."""
+        paths = [str(data_dir / "census_1871.csv"),
+                 str(data_dir / "census_1881.csv")]
+        for flags, field in (
+            (["--delta-high", "0.5", "--delta-low", "0.7"], "delta_low"),
+            (["--delta-high", "1.5", "--delta-low", "1.2"], "delta_high"),
+            (["--workers", "-1"], "n_workers"),
+        ):
+            assert main(["link", *paths, *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("link: ") and field in err
+            assert "Traceback" not in err
+
 
 class TestLinkCheckpoints:
     def test_checkpoint_then_resume(self, data_dir, capsys):

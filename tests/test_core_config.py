@@ -54,6 +54,24 @@ class TestThresholdSchedule:
             LinkageConfig(delta_high=0.4, delta_low=0.5)
         with pytest.raises(ValueError):
             LinkageConfig(delta_step=0.0)
+        # Values that would silently empty or hollow out a run are
+        # rejected, each naming its field.
+        for field, kwargs in (
+            ("delta_high", dict(delta_high=1.5, delta_low=1.2)),
+            ("delta_high", dict(delta_high=-0.1, delta_low=-0.2)),
+            ("delta_low", dict(delta_low=-0.5)),
+            ("remaining_threshold", dict(remaining_threshold=2.0)),
+            ("remaining_threshold", dict(remaining_threshold=-0.1)),
+            ("max_block_size", dict(max_block_size=-5)),
+            ("max_iterations", dict(max_iterations=0)),
+            ("rp_tolerance", dict(rp_tolerance=0)),
+            ("rp_tolerance", dict(rp_tolerance=-1.0)),
+        ):
+            with pytest.raises(ValueError, match=field):
+                LinkageConfig(**kwargs)
+        # The bounds themselves stay legal.
+        LinkageConfig(delta_high=1.0, delta_low=0.0, remaining_threshold=1.0,
+                      max_block_size=0, max_iterations=1)
 
 
 class TestBuilders:

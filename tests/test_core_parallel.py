@@ -8,6 +8,8 @@ are identical to a serial run.
 import pytest
 
 from repro.core.config import LinkageConfig
+from repro.core.filtering import PairScorer
+from repro.core.kernel import BatchScoringKernel, kernel_available
 from repro.core.parallel import resolve_workers, score_pairs_chunked
 from repro.core.pipeline import link_datasets
 from repro.core.prematching import prematching
@@ -18,6 +20,17 @@ from repro.similarity.vector import build_similarity_function
 SIM = build_similarity_function(
     [("first_name", "qgram", 0.5), ("surname", "qgram", 0.5)], 0.7
 )
+
+#: Both implementations of the pair-scorer interface.
+SCORERS = [
+    PairScorer,
+    pytest.param(
+        BatchScoringKernel,
+        marks=pytest.mark.skipif(
+            not kernel_available(), reason="the batch kernel needs numpy"
+        ),
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -39,30 +52,46 @@ def indexes(workload):
     return old_index, new_index, pairs
 
 
+def _scorer(scorer_class, indexes):
+    old_index, new_index, _ = indexes
+    return scorer_class(
+        SIM, list(old_index.values()), list(new_index.values())
+    )
+
+
 class TestScorePairsChunked:
     def test_serial_scores_every_pair(self, indexes):
-        old_index, new_index, pairs = indexes
-        scores = score_pairs_chunked(pairs, old_index, new_index, SIM)
+        pairs = indexes[2]
+        scores = score_pairs_chunked(_scorer(PairScorer, indexes), pairs)
         assert set(scores) == set(pairs)
         assert all(0.0 <= score <= 1.0 for score in scores.values())
 
+    @pytest.mark.parametrize("scorer_class", SCORERS)
+    @pytest.mark.parametrize("delta", [None, 0.7])
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_equals_serial(self, indexes, workers):
-        old_index, new_index, pairs = indexes
-        serial = score_pairs_chunked(pairs, old_index, new_index, SIM)
+    def test_parallel_equals_serial(
+        self, indexes, scorer_class, delta, workers
+    ):
+        """Pooled scoring returns exactly the serial dict: the same
+        floats, or the same ``(value, kind)`` outcomes at δ."""
+        scorer = _scorer(scorer_class, indexes)
+        pairs = indexes[2]
+        serial = score_pairs_chunked(scorer, pairs, delta)
         # Tiny chunks force a real multi-chunk pool even on this workload.
         parallel = score_pairs_chunked(
-            pairs, old_index, new_index, SIM,
-            n_workers=workers, chunk_size=97,
+            scorer, pairs, delta, n_workers=workers, chunk_size=97,
         )
+        assert list(parallel) == list(serial)
         assert parallel == serial
+        if delta is not None:
+            assert {outcome.kind for outcome in serial.values()} > {"exact"}
 
     def test_small_workload_short_circuits_to_serial(self, indexes):
-        old_index, new_index, pairs = indexes
-        subset = pairs[:10]
+        subset = indexes[2][:10]
         # chunk_size >= workload: must not start a pool (same result).
         scores = score_pairs_chunked(
-            subset, old_index, new_index, SIM, n_workers=8, chunk_size=1024
+            _scorer(PairScorer, indexes), subset, n_workers=8,
+            chunk_size=1024,
         )
         assert set(scores) == set(subset)
 

@@ -8,20 +8,39 @@ from repro.datagen import generate_pair
 from repro.evaluation.metrics import evaluate_mapping
 
 #: Effort counters of a serial run on the 50-household pair of seed
-#: 20170321.  Pinned exactly: a change to blocking, pruning, the
-#: group-pair index or selection that moves any of them updates this
-#: table on purpose.  Both scoring backends must reproduce it.
+#: 20170321, with candidate pruning on (the default) and off.  Pinned
+#: exactly: a change to blocking, pruning, the group-pair index, the
+#: score cache or selection that moves any of them updates this table on
+#: purpose.  Both scoring backends must reproduce it.
 PINNED_EFFORT = {
-    "candidate_pairs": 14426,
-    "pairs_scored": 2424,
-    "full_agg_sim_calls": 2424,
-    "group_pairs_candidates": 731,
-    "subgraphs_built": 40,
-    "queue_pops": 40,
-    "group_pairs_skipped_by_index": 5669,
-    "pairs_pruned_length": 0,
-    "pairs_pruned_qgram": 2628,
-    "pairs_pruned_early_exit": 9187,
+    True: {
+        "candidate_pairs": 14426,
+        "pairs_scored": 2424,
+        "full_agg_sim_calls": 2424,
+        "group_pairs_candidates": 731,
+        "subgraphs_built": 40,
+        "queue_pops": 40,
+        "group_pairs_skipped_by_index": 5669,
+        "pairs_pruned_length": 0,
+        "pairs_pruned_qgram": 2628,
+        "pairs_pruned_early_exit": 9187,
+        "cache_hits": 1148,
+    },
+    False: {
+        "candidate_pairs": 14426,
+        "pairs_scored": 11752,
+        "full_agg_sim_calls": 11752,
+        "group_pairs_candidates": 731,
+        "subgraphs_built": 40,
+        "queue_pops": 40,
+        "group_pairs_skipped_by_index": 5669,
+        "pairs_pruned_length": 0,
+        "pairs_pruned_qgram": 0,
+        "pairs_pruned_early_exit": 0,
+        # Each candidate is read once per round: a pair scored in the
+        # same round is not a hit.
+        "cache_hits": 3635,
+    },
 }
 
 
@@ -172,11 +191,19 @@ class TestConfigurationVariants:
         assert result.num_group_links == 0
 
 
-@pytest.mark.parametrize("scoring_backend", ("vectorized", "python"))
-def test_effort_counters_pinned(scoring_backend):
+@pytest.mark.parametrize(
+    "scoring_backend, filtering",
+    [
+        pytest.param(backend, filtering, id=backend + suffix)
+        for filtering, suffix in ((True, ""), (False, "-no-filtering"))
+        for backend in ("vectorized", "python")
+    ],
+)
+def test_effort_counters_pinned(scoring_backend, filtering):
     old, new = generate_pair(seed=20170321, initial_households=50).datasets
-    config = LinkageConfig(n_workers=1, scoring_backend=scoring_backend)
-    profile = link_datasets(old, new, config).profile
-    assert {name: profile.value(name) for name in PINNED_EFFORT} == (
-        PINNED_EFFORT
+    config = LinkageConfig(
+        n_workers=1, scoring_backend=scoring_backend, filtering=filtering
     )
+    profile = link_datasets(old, new, config).profile
+    pinned = PINNED_EFFORT[filtering]
+    assert {name: profile.value(name) for name in pinned} == pinned

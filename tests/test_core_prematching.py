@@ -3,7 +3,11 @@
 import pytest
 
 from repro.blocking.standard import CrossProductBlocker
+from repro.core.config import LinkageConfig
 from repro.core.prematching import prematching
+from repro.core.simcache import SimilarityCache
+from repro.datagen import generate_pair
+from repro.instrumentation import CANDIDATE_PAIRS, Instrumentation
 from repro.similarity.vector import build_similarity_function
 
 NAME_FUNC = build_similarity_function(
@@ -84,18 +88,37 @@ class TestPreMatchResult:
         assert result.same_label("1871_3", "1881_7")
 
     def test_cached_scores_reused(self, census_1871, census_1881):
-        cache = {}
+        cache = SimilarityCache()
         old = list(census_1871.iter_records())
         new = list(census_1881.iter_records())
         blocker = CrossProductBlocker()
         first = prematching(old, new, NAME_FUNC, blocker, cached_scores=cache)
-        assert cache  # populated
-        poisoned = dict(cache)
         key = ("1871_1", "1881_1")
-        cache[key] = 0.0  # prove the cache is consulted
+        assert len(cache) and key in first.matched_pairs  # populated
+        cache.pin(key, 0.0)  # prove the cache is consulted
         second = prematching(old, new, NAME_FUNC, blocker, cached_scores=cache)
         assert key not in second.matched_pairs
-        cache.update(poisoned)
+
+    def test_pair_scored_in_the_same_call_is_no_cache_hit(self):
+        """With filtering off, a fresh cache is read once per candidate:
+        every candidate misses, and scoring it does not turn the later
+        threshold test into a hit."""
+        old, new = generate_pair(seed=7, initial_households=30).datasets
+        config = LinkageConfig()
+        cache = SimilarityCache()
+        instrumentation = Instrumentation()
+        prematching(
+            list(old.iter_records()),
+            list(new.iter_records()),
+            config.build_sim_func(),
+            config.build_blocker(),
+            cached_scores=cache,
+            instrumentation=instrumentation,
+        )
+        candidates = instrumentation.value(CANDIDATE_PAIRS)
+        assert candidates > 0
+        assert cache.hits == 0
+        assert cache.misses == candidates
 
     def test_cached_pairs_filtered_to_current_records(
         self, census_1871, census_1881

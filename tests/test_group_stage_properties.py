@@ -205,7 +205,6 @@ def _compare_with_one_pair_reference(observed):
         batched = build_all_subgraphs(
             batched_prematch, old_households, new_households, config,
             record_mapping=mapping, index=kwargs["index"],
-            kernel=kwargs["kernel"],
         )
         score_subgraphs(batched, batched_prematch, config)
         reference_prematch = _private_copy(prematch)

@@ -8,10 +8,12 @@ claim from the bottom up:
 * the columnar encoding preserves every per-string fact the reference
   comparators derive (q-gram multisets via occurrence expansion,
   normalised lengths, exact-match keys, missing flags);
-* ``agg_sim_chunk`` equals :meth:`SimilarityFunction.agg_sim` bit for
-  bit, for every missing policy;
-* ``evaluate_chunk`` equals :meth:`CandidateFilter.evaluate` bit for
-  bit — value *and* pruning kind — for every filter-stage subset and δ;
+* ``agg_sim_chunk`` and ``evaluate_chunk`` equal the same calls on
+  :class:`PairScorer`, the per-pair scorer the pipeline runs without
+  the kernel, bit for bit — value *and* pruning kind — for every missing
+  policy, filter-stage subset and δ;
+* :class:`PairScorer` itself is :meth:`SimilarityFunction.agg_sim` and
+  :meth:`CandidateFilter.evaluate`, pair by pair;
 * the no-numpy fallback degrades to the reference path losslessly;
 * the kernel pickles (it is shipped to worker pools via initializer).
 
@@ -32,6 +34,7 @@ from repro.core.filtering import (
     CMP_QGRAM2,
     CandidateFilter,
     FilteringConfig,
+    PairScorer,
     normalised_length,
     qgram_count,
 )
@@ -232,20 +235,18 @@ class TestChunkBitIdentity:
         kernel = BatchScoringKernel(sim_func, old, new)
         pairs = cross_pairs(old, new)
         batch = kernel.agg_sim_chunk(pairs)
-        old_index = {r.record_id: r for r in old}
-        new_index = {r.record_id: r for r in new}
-        for (old_id, new_id), got in zip(pairs, batch):
-            want = sim_func.agg_sim(old_index[old_id], new_index[new_id])
-            assert got == want, (old_id, new_id, got, want)
+        reference = PairScorer(sim_func, old, new).agg_sim_chunk(pairs)
+        for pair, got, want in zip(pairs, batch, reference):
+            assert got == want, (pair, got, want)
 
     @given(record_chunks(), spec_keys, policies, deltas, st.integers(0, 14))
     @settings(max_examples=150, deadline=None)
     def test_evaluate_chunk_bit_identical(
         self, chunk, spec_key, policy, delta, mask
     ):
-        """Value AND pruning kind match CandidateFilter.evaluate for
-        every subset of the four filter stages — the masked-pruning
-        pipeline is a faithful translation, not an approximation."""
+        """Value AND pruning kind match the per-pair scorer for every
+        subset of the four filter stages — the masked-pruning pipeline is
+        a faithful translation, not an approximation."""
         old, new = chunk
         sim_func = build_similarity_function(
             list(WEIGHT_SPECS[spec_key]), delta, policy
@@ -256,16 +257,15 @@ class TestChunkBitIdentity:
             exact_shortcircuit=bool(mask & 4),
             early_exit=bool(mask & 8),
         )
-        engine = CandidateFilter(sim_func, config)
         kernel = BatchScoringKernel(sim_func, old, new, filtering=config)
         pairs = cross_pairs(old, new)
         batch = kernel.evaluate_chunk(pairs, delta)
-        old_index = {r.record_id: r for r in old}
-        new_index = {r.record_id: r for r in new}
-        for (old_id, new_id), got in zip(pairs, batch):
-            want = engine.evaluate(old_index[old_id], new_index[new_id], delta)
-            assert got.value == want.value, (old_id, new_id, got, want)
-            assert got.kind == want.kind, (old_id, new_id, got, want)
+        reference = PairScorer(
+            sim_func, old, new, CandidateFilter(sim_func, config)
+        ).evaluate_chunk(pairs, delta)
+        for pair, got, want in zip(pairs, batch, reference):
+            assert got.value == want.value, (pair, got, want)
+            assert got.kind == want.kind, (pair, got, want)
 
     def test_chunk_results_are_plain_floats(self):
         """Workers pickle results back; numpy scalars must not leak."""
@@ -300,6 +300,60 @@ class TestChunkBitIdentity:
         )
 
 
+# -- the per-pair scorer: the reference, pair by pair ------------------------
+
+
+class TestPairScorer:
+    """The per-pair scorer is ``agg_sim`` and the pruning engine, one
+    call per pair — the claim that makes it the kernel's reference (and
+    the only scorer without numpy)."""
+
+    @given(record_chunks(), spec_keys, policies, deltas, st.integers(0, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_equal_per_pair_calls(
+        self, chunk, spec_key, policy, delta, mask
+    ):
+        old, new = chunk
+        sim_func = build_similarity_function(
+            list(WEIGHT_SPECS[spec_key]), delta, policy
+        )
+        config = FilteringConfig(
+            length_filter=bool(mask & 1),
+            qgram_filter=bool(mask & 2),
+            exact_shortcircuit=bool(mask & 4),
+            early_exit=bool(mask & 8),
+        )
+        scorer = PairScorer(
+            sim_func, old, new, CandidateFilter(sim_func, config)
+        )
+        engine = CandidateFilter(sim_func, config)
+        old_index = {r.record_id: r for r in old}
+        new_index = {r.record_id: r for r in new}
+        pairs = cross_pairs(old, new)
+        assert scorer.agg_sim_chunk(pairs) == [
+            sim_func.agg_sim(old_index[o], new_index[n]) for o, n in pairs
+        ]
+        assert scorer.evaluate_chunk(pairs, delta) == [
+            engine.evaluate(old_index[o], new_index[n], delta)
+            for o, n in pairs
+        ]
+
+    def test_scorer_pickles_for_worker_shipping(self):
+        old, new = generate_pair(seed=7, initial_households=5).datasets
+        old_records = list(old.records.values())
+        new_records = list(new.records.values())
+        sim_func = build_similarity_function(
+            list(WEIGHT_SPECS["omega2-qgram"]), 0.7
+        )
+        scorer = PairScorer(sim_func, old_records, new_records)
+        clone = pickle.loads(pickle.dumps(scorer))
+        pairs = cross_pairs(old_records[:4], new_records[:4])
+        assert clone.agg_sim_chunk(pairs) == scorer.agg_sim_chunk(pairs)
+        assert clone.evaluate_chunk(pairs, 0.7) == scorer.evaluate_chunk(
+            pairs, 0.7
+        )
+
+
 # -- configuration plumbing and the no-numpy fallback ------------------------
 
 
@@ -315,7 +369,9 @@ class TestBackendPlumbing:
     def test_python_backend_builds_no_kernel(self):
         config = LinkageConfig(scoring_backend="python")
         sim_func = config.build_sim_func()
-        assert config.build_scoring_kernel(sim_func, [], []) is None
+        scorer = config.build_scoring_kernel(sim_func, [], [])
+        assert isinstance(scorer, PairScorer)
+        assert not scorer.vectorized
 
     @needs_numpy
     def test_vectorized_backend_builds_kernel(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import LinkageConfig
 from repro.core.pipeline import LinkOrigin, link_datasets
 from repro.core.selection import SelectionResult, select_group_matches
+from repro.core.simcache import SimilarityCache
 from repro.core.subgraph import SubgraphMatch
 from repro.datagen import generate_pair
 from repro.validation.invariants import (
@@ -166,10 +167,12 @@ def _subgraph(old_group, new_group, vertices):
 
 
 class _StubPrematch:
-    """Minimal PreMatchResult stand-in: fixed scores, peek-free store."""
+    """Minimal PreMatchResult stand-in: fixed scores in a cache."""
 
     def __init__(self, scores):
-        self.scores = scores
+        self.scores = SimilarityCache()
+        for pair, score in scores.items():
+            self.scores.pin(pair, score)
         self.sim_func = None
         self.old_index = {}
         self.new_index = {}
