@@ -31,17 +31,18 @@ Bounds are δ-independent facts about a pair, so prune decisions are
 cached *per bound, not per round*: a pair pruned at δ=0.70 with bound
 0.66 is re-examined (from its cached bound, without recomputation) when
 the schedule reaches δ=0.65 (see
-:meth:`repro.core.simcache.SimilarityCache.set_bound`).
+:meth:`repro.core.simcache.SimilarityCache.buckets`).
 
 :class:`PairScorer` runs this engine, or plain ``agg_sim``, over chunks
-of pairs behind the interface of the vectorized batch kernel
-(:mod:`repro.core.kernel`): it is the scorer the pipeline uses under
-``scoring_backend="python"`` or without numpy, and the reference the
-kernel is held bit-identical to.
+of pairs given as row arrays, behind the interface of the vectorized
+batch kernel (:mod:`repro.core.kernel`): it is the scorer the pipeline
+uses under ``scoring_backend="python"`` or without numpy, and the
+reference the kernel is held bit-identical to.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -63,6 +64,11 @@ KIND_EXACT = "exact"
 PRUNED_LENGTH = "length"
 PRUNED_QGRAM = "qgram"
 PRUNED_EARLY_EXIT = "early_exit"
+
+#: Every outcome kind; its position is the kind *code* that kind arrays
+#: carry (chunk scoring, the similarity cache): 0 is exact.
+KINDS = (KIND_EXACT, PRUNED_LENGTH, PRUNED_QGRAM, PRUNED_EARLY_EXIT)
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 #: Comparator classification tags.  Shared with the vectorized batch
 #: kernel (:mod:`repro.core.kernel`), which must bucket comparators the
@@ -422,14 +428,16 @@ class PairScorer:
     """The per-pair scorer behind the batch kernel's interface.
 
     :meth:`agg_sim_chunk` and :meth:`evaluate_chunk` answer what
-    :class:`repro.core.kernel.BatchScoringKernel` answers, in chunk
-    order, with one :meth:`SimilarityFunction.agg_sim` or
-    :meth:`CandidateFilter.evaluate` call per pair.  Built over the
-    records it may be asked about, like the kernel, and around a pruning
-    engine (by default one with every filter on), whose memoised string
-    lengths then stay warm across calls; picklable, so
-    :mod:`repro.core.parallel` ships either scorer to its workers the
-    same way.
+    :class:`repro.core.kernel.BatchScoringKernel` answers, for the same
+    row arrays and in row order, with one
+    :meth:`SimilarityFunction.agg_sim` or :meth:`CandidateFilter.evaluate`
+    call per pair, into stdlib :mod:`array` buffers.  Built over the
+    records it may be asked about, like the kernel — row ``i`` of a side
+    is its ``i``-th record, and ``old_ids``/``new_ids`` list the rows'
+    record ids — and around a pruning engine (by default one with every
+    filter on), whose memoised string lengths then stay warm across
+    calls; picklable, so :mod:`repro.core.parallel` ships either scorer
+    to its workers the same way.
     """
 
     #: Whether chunks are scored as arrays (and counted as ``kernel_*``
@@ -445,25 +453,28 @@ class PairScorer:
     ) -> None:
         self.sim_func = sim_func
         self.candidate_filter = candidate_filter or CandidateFilter(sim_func)
-        self._old_index = {record.record_id: record for record in old_records}
-        self._new_index = {record.record_id: record for record in new_records}
+        self._old = list(old_records)
+        self._new = list(new_records)
+        self.old_ids = [record.record_id for record in self._old]
+        self.new_ids = [record.record_id for record in self._new]
 
-    def agg_sim_chunk(self, pairs: Sequence[Tuple[str, str]]) -> List[float]:
-        """``agg_sim`` (Eq. 3) of every pair, in order."""
+    def agg_sim_chunk(self, old_rows, new_rows) -> array:
+        """``agg_sim`` (Eq. 3) of every (old row, new row) pair, in order."""
         agg_sim = self.sim_func.agg_sim
-        old_index, new_index = self._old_index, self._new_index
-        return [
-            agg_sim(old_index[old_id], new_index[new_id])
-            for old_id, new_id in pairs
-        ]
+        old, new = self._old, self._new
+        return array("d", [
+            agg_sim(old[old_row], new[new_row])
+            for old_row, new_row in zip(old_rows, new_rows)
+        ])
 
-    def evaluate_chunk(
-        self, pairs: Sequence[Tuple[str, str]], delta: float
-    ) -> List[PairOutcome]:
-        """The pruning engine's outcome for every pair at δ, in order."""
+    def evaluate_chunk(self, old_rows, new_rows, delta: float):
+        """The pruning engine's outcome for every (old row, new row) pair
+        at δ, in order: values and kind codes (:data:`KINDS`)."""
         evaluate = self.candidate_filter.evaluate
-        old_index, new_index = self._old_index, self._new_index
-        return [
-            evaluate(old_index[old_id], new_index[new_id], delta)
-            for old_id, new_id in pairs
-        ]
+        old, new = self._old, self._new
+        values, kinds = array("d"), array("b")
+        for old_row, new_row in zip(old_rows, new_rows):
+            value, kind = evaluate(old[old_row], new[new_row], delta)
+            values.append(value)
+            kinds.append(KIND_CODES[kind])
+        return values, kinds

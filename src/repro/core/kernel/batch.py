@@ -36,8 +36,7 @@ pair.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ...similarity.vector import (
     MISSING_IGNORE,
@@ -49,24 +48,19 @@ from ..filtering import (
     CMP_LENGTH,
     CMP_QGRAM2,
     CMP_QGRAM3,
-    KIND_EXACT,
+    KIND_CODES,
     PRUNED_EARLY_EXIT,
     PRUNED_LENGTH,
     PRUNED_QGRAM,
     FilteringConfig,
-    PairOutcome,
     comparator_tag,
 )
 from .encoding import EncodedColumn, encode_columns, np
 
-PairKey = Tuple[str, str]
-
-#: Outcome-kind codes used internally (int8 masks -> PairOutcome.kind).
-_KINDS = (KIND_EXACT, PRUNED_LENGTH, PRUNED_QGRAM, PRUNED_EARLY_EXIT)
-_KIND_EXACT_ID = 0
-_KIND_LENGTH_ID = 1
-_KIND_QGRAM_ID = 2
-_KIND_EARLY_ID = 3
+#: Kind codes of the outcome arrays (see repro.core.filtering.KINDS).
+_KIND_LENGTH_ID = KIND_CODES[PRUNED_LENGTH]
+_KIND_QGRAM_ID = KIND_CODES[PRUNED_QGRAM]
+_KIND_EARLY_ID = KIND_CODES[PRUNED_EARLY_EXIT]
 
 _QGRAM_TAGS = (CMP_QGRAM2, CMP_QGRAM3)
 
@@ -83,8 +77,10 @@ class BatchScoringKernel:
     """Vectorized twin of ``agg_sim`` + ``CandidateFilter.evaluate``.
 
     Built once per run from the full record lists (every record the
-    pipeline may ever pair), then handed chunks of ``(old_id, new_id)``
-    pairs.  The kernel is immutable after construction and picklable, so
+    pipeline may ever pair), then handed chunks as two row arrays: row
+    ``i`` of a side is its ``i``-th record, and ``old_ids``/``new_ids``
+    list the rows' record ids.  The kernel is immutable after
+    construction and picklable, so
     :mod:`repro.core.parallel` ships it to worker processes through the
     pool initializer like the per-pair
     :class:`~repro.core.filtering.PairScorer` — under ``fork`` the
@@ -96,8 +92,7 @@ class BatchScoringKernel:
         The similarity function whose ``agg_sim`` this kernel replays;
         weights, comparator order and missing policy are taken from it.
     old_records / new_records:
-        Records to encode.  Chunks may only reference record ids given
-        here.
+        Records to encode, in row order.
     filtering:
         The :class:`FilteringConfig` :meth:`evaluate_chunk` replays
         (stage toggles and the δ margin).  Defaults to all filters on,
@@ -128,34 +123,13 @@ class BatchScoringKernel:
         self._filler = 0.0 if sim_func.missing_policy == MISSING_ZERO else 0.5
         self._has_length = CMP_LENGTH in self._tags
         self._has_qgram = any(tag in _QGRAM_TAGS for tag in self._tags)
-        self._old_rows: Dict[str, int] = {
-            record.record_id: row for row, record in enumerate(old_records)
-        }
-        self._new_rows: Dict[str, int] = {
-            record.record_id: row for row, record in enumerate(new_records)
-        }
+        self.old_ids = [record.record_id for record in old_records]
+        self.new_ids = [record.record_id for record in new_records]
         self._old_cols, self._new_cols, self._token_space = encode_columns(
             sim_func, old_records, new_records
         )
 
     # -- gather helpers -------------------------------------------------------
-
-    def _rows(self, pairs: Sequence[PairKey]):
-        """Row indexes of a chunk's old and new records (C-level map
-        chains: the per-pair Python frame is exactly what the kernel
-        exists to avoid)."""
-        count = len(pairs)
-        old = np.fromiter(
-            map(self._old_rows.__getitem__, map(itemgetter(0), pairs)),
-            np.int64,
-            count=count,
-        )
-        new = np.fromiter(
-            map(self._new_rows.__getitem__, map(itemgetter(1), pairs)),
-            np.int64,
-            count=count,
-        )
-        return old, new
 
     def _intersection_counts(
         self,
@@ -334,24 +308,24 @@ class BatchScoringKernel:
 
     # -- public API -----------------------------------------------------------
 
-    def agg_sim_chunk(self, pairs: Sequence[PairKey]) -> List[float]:
-        """``agg_sim`` (Eq. 3) for every pair of the chunk, in order —
-        bit-identical to calling :meth:`SimilarityFunction.agg_sim` pair
-        by pair.  Internally split at :data:`MAX_BATCH_PAIRS`."""
-        if len(pairs) > MAX_BATCH_PAIRS:
-            scores: List[float] = []
-            for start in range(0, len(pairs), MAX_BATCH_PAIRS):
-                scores.extend(
-                    self._agg_sim_batch(pairs[start:start + MAX_BATCH_PAIRS])
-                )
-            return scores
-        return self._agg_sim_batch(pairs)
+    def agg_sim_chunk(self, old_rows, new_rows):
+        """``agg_sim`` (Eq. 3) of every (old row, new row) pair, in
+        order, as a float64 array — bit-identical to calling
+        :meth:`SimilarityFunction.agg_sim` pair by pair.  Internally
+        split at :data:`MAX_BATCH_PAIRS`."""
+        old_rows, new_rows = _int_rows(old_rows), _int_rows(new_rows)
+        if len(old_rows) <= MAX_BATCH_PAIRS:
+            return self._agg_sim_batch(old_rows, new_rows)
+        return np.concatenate([
+            self._agg_sim_batch(
+                old_rows[start:start + MAX_BATCH_PAIRS],
+                new_rows[start:start + MAX_BATCH_PAIRS],
+            )
+            for start in range(0, len(old_rows), MAX_BATCH_PAIRS)
+        ])
 
-    def _agg_sim_batch(self, pairs: Sequence[PairKey]) -> List[float]:
-        if not pairs:
-            return []
-        old_rows, new_rows = self._rows(pairs)
-        count = len(pairs)
+    def _agg_sim_batch(self, old_rows, new_rows):
+        count = len(old_rows)
         if self._ignore:
             weighted = np.zeros(count)
             total = np.zeros(count)
@@ -369,8 +343,7 @@ class BatchScoringKernel:
                 total = total + np.where(present, item.weight, 0.0)
             nothing = total == 0.0
             scores = weighted / np.where(nothing, 1.0, total)
-            scores = np.where(nothing, 0.0, scores)
-            return scores.tolist()
+            return np.where(nothing, 0.0, scores)
         result = np.zeros(count)
         for index, item in enumerate(self._attrs):
             old_col = self._old_cols[index]
@@ -380,13 +353,13 @@ class BatchScoringKernel:
             result = result + np.where(
                 missing, item.weight * self._filler, item.weight * sims
             )
-        return result.tolist()
+        return result
 
-    def evaluate_chunk(
-        self, pairs: Sequence[PairKey], delta: float
-    ) -> List[PairOutcome]:
-        """:meth:`CandidateFilter.evaluate` for every pair of the chunk,
-        in order — same outcome kinds, same values, bit for bit.
+    def evaluate_chunk(self, old_rows, new_rows, delta: float):
+        """:meth:`CandidateFilter.evaluate` for every (old row, new row)
+        pair, in order — same outcome kinds, same values, bit for bit —
+        as a float64 value array and an int8 array of kind codes
+        (:data:`repro.core.filtering.KINDS`).
 
         The scalar engine's sequential stages become mask refinements:
         ``alive`` starts all-true and each stage moves its failures into
@@ -399,26 +372,26 @@ class BatchScoringKernel:
 
         Internally split at :data:`MAX_BATCH_PAIRS`.
         """
-        if len(pairs) > MAX_BATCH_PAIRS:
-            outcomes: List[PairOutcome] = []
-            for start in range(0, len(pairs), MAX_BATCH_PAIRS):
-                outcomes.extend(
-                    self._evaluate_batch(
-                        pairs[start:start + MAX_BATCH_PAIRS], delta
-                    )
-                )
-            return outcomes
-        return self._evaluate_batch(pairs, delta)
+        old_rows, new_rows = _int_rows(old_rows), _int_rows(new_rows)
+        if len(old_rows) <= MAX_BATCH_PAIRS:
+            return self._evaluate_batch(old_rows, new_rows, delta)
+        parts = [
+            self._evaluate_batch(
+                old_rows[start:start + MAX_BATCH_PAIRS],
+                new_rows[start:start + MAX_BATCH_PAIRS],
+                delta,
+            )
+            for start in range(0, len(old_rows), MAX_BATCH_PAIRS)
+        ]
+        return (
+            np.concatenate([values for values, _ in parts]),
+            np.concatenate([kinds for _, kinds in parts]),
+        )
 
-    def _evaluate_batch(
-        self, pairs: Sequence[PairKey], delta: float
-    ) -> List[PairOutcome]:
-        if not pairs:
-            return []
+    def _evaluate_batch(self, old_rows, new_rows, delta: float):
         config = self.filtering
         cutoff = delta - config.margin
-        old_rows, new_rows = self._rows(pairs)
-        count = len(pairs)
+        count = len(old_rows)
         attr_count = len(self._attrs)
 
         per_attr = [
@@ -493,12 +466,9 @@ class BatchScoringKernel:
                 result = result + terms[index]
             final = result / divisor
             values[alive] = final[alive]
+        return values, kinds
 
-        # PairOutcome._make goes through tuple.__new__ directly — ~2x
-        # cheaper than the NamedTuple constructor over a large chunk.
-        return list(
-            map(
-                PairOutcome._make,
-                zip(values.tolist(), map(_KINDS.__getitem__, kinds.tolist())),
-            )
-        )
+
+def _int_rows(rows):
+    """Row indexes as an int64 array (zero-copy for int64 buffers)."""
+    return np.asarray(rows, dtype=np.int64)

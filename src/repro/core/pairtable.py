@@ -1,0 +1,243 @@
+"""A shard's blocked candidate pairs, interned once (§3.2 hot path).
+
+Alg. 1 re-tests the blocked pairs of the still-unlinked records against
+every δ of its schedule.  :class:`PairTable` interns them once, at the
+shard's first visit: a record id becomes a *row* — its position in the
+shard's sorted id list, the rows the pair scorer is built over — and a
+blocked pair becomes a *pair id*, its position in two row arrays sorted
+by ``(old_id, new_id)``.  That is the order every round has always
+walked its candidates in, so tie-breaks and counter orders stay put.
+
+The similarity cache keeps each pair's pinned score or pruning bound in
+arrays aligned with pair ids
+(:class:`repro.core.simcache.SimilarityCache`), a round's frontier is
+one boolean array per side, and the round selects its candidates with
+one mask: no string pair is built, hashed or sorted on the round path.
+
+Storage is stdlib :mod:`array` buffers.  With numpy installed the
+vectorized steps view them zero-copy (:func:`view`); without it the
+same arrays are walked by plain loops, each next to the numpy step it
+replaces.  numpy is imported on first use, never at module load: the
+query service imports this package and must stay numpy-free.
+"""
+
+from __future__ import annotations
+
+from array import array
+from bisect import bisect_left
+from itertools import repeat
+from operator import itemgetter
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+#: (old record id, new record id).
+PairKey = Tuple[str, str]
+
+_UNSET = object()
+_numpy = _UNSET
+
+
+def numpy_or_none():
+    """numpy, or ``None`` when it is not installed (imported on first
+    use, so importing this module never loads it)."""
+    global _numpy
+    if _numpy is _UNSET:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _numpy = numpy
+    return _numpy
+
+
+def view(buffer, dtype):
+    """A numpy array over ``buffer``'s memory (no copy); writes go
+    through to the buffer."""
+    return numpy_or_none().frombuffer(buffer, dtype=dtype)
+
+
+def _sorted_ids(ids: Sequence[str], side: str) -> List[str]:
+    ids = list(ids)
+    if any(left >= right for left, right in zip(ids, ids[1:])):
+        raise ValueError(
+            f"{side} record ids must be unique and sorted: pair ids "
+            "follow (old_id, new_id) order only over sorted rows"
+        )
+    return ids
+
+
+class PairTable:
+    """The blocked ``(old_id, new_id)`` pairs over two sorted id lists.
+
+    ``old_ids``/``new_ids`` are the row spaces; pair ``p`` is
+    ``(old_ids[old_row[p]], new_ids[new_row[p]])``, and pair ids run in
+    sorted pair order.  ``keys[p] = old_row[p] * width + new_row[p]``
+    (``width`` = number of new rows) is the sorted integer form used to
+    look pairs up.  A table is immutable once built.
+    """
+
+    def __init__(
+        self,
+        old_ids: Sequence[str],
+        new_ids: Sequence[str],
+        pairs: Iterable[PairKey],
+    ) -> None:
+        """Intern ``pairs`` (ids of the two row spaces; duplicates are
+        dropped) in integer space: ids → rows, one key per pair, one
+        sort."""
+        self.old_ids = _sorted_ids(old_ids, "old")
+        self.new_ids = _sorted_ids(new_ids, "new")
+        self.old_index: Dict[str, int] = {
+            record_id: row for row, record_id in enumerate(self.old_ids)
+        }
+        self.new_index: Dict[str, int] = {
+            record_id: row for row, record_id in enumerate(self.new_ids)
+        }
+        self.width = width = max(1, len(self.new_ids))
+        if not isinstance(pairs, (set, frozenset, list, tuple)):
+            pairs = list(pairs)
+        np = numpy_or_none()
+        if np is None:
+            self.keys = array("q", sorted({
+                self.old_index[old_id] * width + self.new_index[new_id]
+                for old_id, new_id in pairs
+            }))
+            self.old_row = array("q", [key // width for key in self.keys])
+            self.new_row = array("q", [key % width for key in self.keys])
+            return
+        old_rows, new_rows = (
+            np.fromiter(
+                map(index.__getitem__, map(itemgetter(side), pairs)),
+                np.int64, count=len(pairs),
+            )
+            for side, index in ((0, self.old_index), (1, self.new_index))
+        )
+        keys = old_rows * width + new_rows
+        keys.sort()
+        if len(keys):  # drop repeated pairs
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        self.keys = array("q", keys.tobytes())
+        self.old_row = array("q", (keys // width).tobytes())
+        self.new_row = array("q", (keys % width).tobytes())
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def check_scorer(self, scorer) -> None:
+        """Raise unless ``scorer`` was built over this table's rows — the
+        scorer is handed row indexes, so a streamed shard's re-encoded
+        records must land on the same rows at every visit."""
+        if scorer.old_ids != self.old_ids or scorer.new_ids != self.new_ids:
+            raise RuntimeError(
+                "pair scorer rows differ from the pair table's rows: the "
+                "shard's records changed between visits"
+            )
+
+    # -- lookups ---------------------------------------------------------------
+
+    def pid(self, old_id: str, new_id: str) -> int:
+        """The pair id of one pair, or -1 when it is not in the table."""
+        old_row = self.old_index.get(old_id)
+        new_row = self.new_index.get(new_id)
+        if old_row is None or new_row is None:
+            return -1
+        key = old_row * self.width + new_row
+        position = bisect_left(self.keys, key)
+        if position < len(self.keys) and self.keys[position] == key:
+            return position
+        return -1
+
+    def pids(self, pairs: Sequence[PairKey]):
+        """:meth:`pid` of every pair, in order (an int64 array with
+        numpy, a list without)."""
+        np = numpy_or_none()
+        if np is None:
+            return [self.pid(pair[0], pair[1]) for pair in pairs]
+        count = len(pairs)
+        if not len(self.keys):
+            return np.full(count, -1, dtype=np.int64)
+        old_rows = np.fromiter(
+            map(self.old_index.get, map(itemgetter(0), pairs), repeat(-1)),
+            np.int64, count=count,
+        )
+        new_rows = np.fromiter(
+            map(self.new_index.get, map(itemgetter(1), pairs), repeat(-1)),
+            np.int64, count=count,
+        )
+        wanted = old_rows * self.width + new_rows
+        keys = view(self.keys, np.int64)
+        positions = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        found = (old_rows >= 0) & (new_rows >= 0) & (keys[positions] == wanted)
+        return np.where(found, positions, -1)
+
+    def split(self, pairs: Sequence[PairKey]) -> Tuple[object, List[PairKey]]:
+        """Sorted ``pairs`` as their pair ids (ascending) and the pairs
+        the table lacks (still sorted)."""
+        pids = self.pids(pairs)
+        np = numpy_or_none()
+        if np is None:
+            return (
+                [pid for pid in pids if pid >= 0],
+                [pair for pair, pid in zip(pairs, pids) if pid < 0],
+            )
+        missing = np.flatnonzero(pids < 0).tolist()
+        return pids[pids >= 0], [pairs[index] for index in missing]
+
+    def select(self, old_ids: Iterable[str], new_ids: Iterable[str]):
+        """Pair ids, ascending, of the pairs whose two records are both
+        among the given ids (a round's frontier): one boolean array per
+        side, one mask over the pairs."""
+        old_mask = bytearray(len(self.old_ids))
+        new_mask = bytearray(len(self.new_ids))
+        for mask, index, ids in (
+            (old_mask, self.old_index, old_ids),
+            (new_mask, self.new_index, new_ids),
+        ):
+            for record_id in ids:
+                row = index.get(record_id)
+                if row is not None:
+                    mask[row] = 1
+        np = numpy_or_none()
+        if np is None:
+            return [
+                pid
+                for pid, (old_row, new_row) in enumerate(
+                    zip(self.old_row, self.new_row)
+                )
+                if old_mask[old_row] and new_mask[new_row]
+            ]
+        selected = view(old_mask, np.bool_)[view(self.old_row, np.int64)]
+        selected &= view(new_mask, np.bool_)[view(self.new_row, np.int64)]
+        return np.flatnonzero(selected)
+
+    def rows(self, pids) -> Tuple[object, object]:
+        """The old and new rows of the given pairs, in order."""
+        np = numpy_or_none()
+        if np is None:
+            return (
+                array("q", [self.old_row[pid] for pid in pids]),
+                array("q", [self.new_row[pid] for pid in pids]),
+            )
+        return (
+            view(self.old_row, np.int64)[pids],
+            view(self.new_row, np.int64)[pids],
+        )
+
+    def rows_of(self, pairs: Sequence[PairKey]) -> Tuple[array, array]:
+        """The old and new rows of id pairs of this table's row spaces
+        (blocked or not), in order."""
+        return (
+            array("q", map(self.old_index.__getitem__, map(itemgetter(0), pairs))),
+            array("q", map(self.new_index.__getitem__, map(itemgetter(1), pairs))),
+        )
+
+    def ids(self, pids) -> Tuple[List[str], List[str]]:
+        """The old and new record ids of the given pair ids, in order."""
+        old_rows, new_rows = self.rows(pids)
+        return (
+            list(map(self.old_ids.__getitem__, old_rows.tolist())),
+            list(map(self.new_ids.__getitem__, new_rows.tolist())),
+        )
+
+    def pairs(self, pids) -> List[PairKey]:
+        """The id pairs of the given pair ids, in order."""
+        return list(zip(*self.ids(pids)))

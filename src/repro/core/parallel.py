@@ -3,13 +3,13 @@
 Scoring a candidate pair — ``Sim_func.agg_sim`` (Eq. 3), or the
 pruning engine's exact-score-or-bound outcome at δ — is pure and
 independent per pair, so the bulk scoring steps of Alg. 1 are
-embarrassingly parallel.  :func:`score_pairs_chunked` splits the sorted
-pair list into fixed-size chunks, hands each to the run's pair scorer
-(:class:`repro.core.kernel.BatchScoringKernel` or the per-pair
+embarrassingly parallel.  :func:`score_pairs_chunked` splits the pairs'
+two row arrays into fixed-size chunks, hands each to the run's pair
+scorer (:class:`repro.core.kernel.BatchScoringKernel` or the per-pair
 :class:`repro.core.filtering.PairScorer`, one interface) on a
-``multiprocessing`` pool and merges the results in chunk order.
-Because every outcome depends only on its own pair, the merged dict —
-and therefore every downstream mapping — is *identical* to a serial
+``multiprocessing`` pool and joins the result arrays in chunk order.
+Because every outcome depends only on its own pair, the joined arrays
+— and therefore every downstream mapping — are *identical* to a serial
 run, whatever the worker count.
 
 :func:`build_subgraphs_chunked` extends the same contract to §3.3
@@ -30,7 +30,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from .pairtable import numpy_or_none
 
 PairKey = Tuple[str, str]
 
@@ -60,71 +62,88 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+def _slices(items: Sequence, size: int) -> list:
+    """``items`` cut into consecutive slices of ``size``."""
+    return [items[start:start + size] for start in range(0, len(items), size)]
+
+
 def _map_chunks(
-    function: Callable[[Sequence], list],
-    items: Sequence,
-    chunk_size: int,
+    function: Callable[[object], object],
+    chunks: Sequence,
     workers: int,
     state: Dict[str, object],
 ) -> list:
-    """``function`` over ``chunk_size`` slices of ``items`` on a pool of
-    at most ``workers`` processes, each holding ``state``: the per-item
-    results, concatenated in item order."""
-    chunks = [
-        items[start : start + chunk_size]
-        for start in range(0, len(items), chunk_size)
-    ]
+    """``function`` over ``chunks`` on a pool of at most ``workers``
+    processes, each holding ``state``: the per-chunk results, in order."""
     with _pool_context().Pool(
         processes=min(workers, len(chunks)),
         initializer=_init_worker,
         initargs=(state,),
     ) as pool:
-        return list(chain.from_iterable(pool.map(function, chunks)))
+        return pool.map(function, chunks)
 
 
-def _score_chunk(
-    chunk: Sequence[PairKey], state: Dict[str, object] = _WORKER_STATE
-) -> list:
-    """The scorer's answer for one chunk: ``agg_sim`` values when
-    ``state["delta"]`` is ``None``, pruning outcomes at that δ otherwise."""
+def _score_chunk(rows, state: Dict[str, object] = _WORKER_STATE):
+    """The scorer's answer for one ``(old rows, new rows)`` chunk:
+    ``agg_sim`` values when ``state["delta"]`` is ``None``, pruning
+    outcomes ``(values, kind codes)`` at that δ otherwise."""
     scorer, delta = state["scorer"], state["delta"]
     if delta is None:
-        return scorer.agg_sim_chunk(chunk)
-    return scorer.evaluate_chunk(chunk, delta)
+        return scorer.agg_sim_chunk(*rows)
+    return scorer.evaluate_chunk(*rows, delta)
+
+
+def _join(parts: list):
+    """Per-chunk result arrays (numpy or stdlib) as one, in order."""
+    np = numpy_or_none()
+    if np is not None:
+        return np.concatenate(parts)
+    joined = parts[0]
+    for part in parts[1:]:
+        joined += part
+    return joined
 
 
 def score_pairs_chunked(
     scorer,
-    pairs: Iterable[PairKey],
+    old_rows,
+    new_rows,
     delta: Optional[float] = None,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Dict[PairKey, object]:
-    """Score every pair with ``scorer``, serially or on worker processes.
+):
+    """Score every ``(old_rows[i], new_rows[i])`` pair with ``scorer``,
+    serially or on worker processes.
 
-    ``scorer`` is a pair scorer built over supersets of the pairs'
-    records (``LinkageConfig.build_scoring_kernel``).  With ``delta`` at
-    ``None`` each pair maps to its ``agg_sim`` (Eq. 3); with a δ, to the
-    pruning engine's :class:`~repro.core.filtering.PairOutcome` — the
-    exact ``agg_sim``, or a sub-δ upper bound naming the filter that
-    rejected the pair.
+    ``scorer`` is a pair scorer built over the rows' records
+    (``LinkageConfig.build_scoring_kernel``).  With ``delta`` at
+    ``None`` the result is the pairs' ``agg_sim`` values (Eq. 3); with a
+    δ, the pruning engine's outcomes as ``(values, kind codes)`` — the
+    exact ``agg_sim``, or a sub-δ upper bound coded by the filter that
+    rejected the pair (:data:`repro.core.filtering.KINDS`).  Either way
+    in row order, as arrays.
 
-    Pairs are sorted before chunking, so the work split — and the result,
-    which per pair is a pure function of the records — is deterministic.
-    Falls back to one serial call when ``n_workers`` resolves to 1 or the
-    workload is smaller than a single chunk (a pool would only add
-    start-up latency).
+    The rows are chunked in the order given, so the work split — and
+    the result, which per pair is a pure function of the records — is
+    deterministic.  Falls back to one serial call when ``n_workers``
+    resolves to 1 or the workload is smaller than a single chunk (a pool
+    would only add start-up latency).
     """
-    ordered = sorted(pairs)
     state = {"scorer": scorer, "delta": delta}
     workers = resolve_workers(n_workers)
-    if workers <= 1 or len(ordered) <= chunk_size:
-        values = _score_chunk(ordered, state)
-    else:
-        values = _map_chunks(
-            _score_chunk, ordered, chunk_size, workers, state
-        )
-    return dict(zip(ordered, values))
+    if workers <= 1 or len(old_rows) <= chunk_size:
+        return _score_chunk((old_rows, new_rows), state)
+    parts = _map_chunks(
+        _score_chunk,
+        list(zip(_slices(old_rows, chunk_size), _slices(new_rows, chunk_size))),
+        workers,
+        state,
+    )
+    if delta is None:
+        return _join(parts)
+    return _join([values for values, _ in parts]), _join(
+        [kinds for _, kinds in parts]
+    )
 
 
 # -- group stage (§3.3 subgraph construction) ---------------------------------
@@ -169,10 +188,9 @@ def build_subgraphs_chunked(
     chunks are merged back in order, so the returned subgraph list is
     byte-identical to a serial loop.
     """
-    subgraphs = _map_chunks(
+    subgraphs = chain.from_iterable(_map_chunks(
         _group_chunk,
-        tasks,
-        chunk_size,
+        _slices(tasks, chunk_size),
         resolve_workers(n_workers),
         {
             "sims": sims,
@@ -181,5 +199,5 @@ def build_subgraphs_chunked(
             "new_households": new_households,
             "config": config,
         },
-    )
+    ))
     return [subgraph for subgraph in subgraphs if subgraph is not None]

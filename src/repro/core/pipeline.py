@@ -10,7 +10,9 @@ the merged round; after the last round the remaining-record pass
 writes and resume (:mod:`repro.checkpoint`).
 
 A :class:`Shard` holds what survives between rounds: its similarity
-cache, pruning engine, blocked candidate pairs and frontier ids.  Its
+cache — with the blocked candidate pairs interned as its
+:class:`~repro.core.pairtable.PairTable` — pruning engine and frontier
+ids.  Its
 record-bearing structures — records, enriched households, the
 :class:`GroupPairIndex` and the pair scorer — form a
 :class:`ShardVisit`, which the entry point makes resident or streamed:
@@ -76,6 +78,7 @@ from ..model.mappings import (
 from .backends import GroupRoundContext, get_backend
 from .config import LinkageConfig
 from .enrichment import complete_groups
+from .pairtable import PairTable
 from .prematching import prematching
 from .remaining import match_remaining
 from .simcache import SimilarityCache
@@ -210,11 +213,13 @@ class Shard:
 
     Everything here is id- or score-keyed.  The similarity cache pins
     candidate scores and bounds lazy ``pair_sim`` additions with its LRU
-    (see repro.core.simcache).  The pruning engine is δ-agnostic (δ is
-    an argument of each evaluation) and its per-string length statistics
-    warm up across rounds; ``None`` = off.  Candidate pairs are blocked
-    at the first visit.  The frontier holds the shard's still unlinked
-    record ids in sorted-id order, the order of its records.
+    (see repro.core.simcache); its pair table, the shard's blocked
+    candidate pairs, is interned at the first visit
+    (:func:`intern_pairs`).  The pruning engine is δ-agnostic (δ is an
+    argument of each evaluation) and its per-string length statistics
+    warm up across rounds; ``None`` = off.  The frontier holds the
+    shard's still unlinked record ids in sorted-id order, the order of
+    its records.
     Subclasses supply the records: :meth:`match_round` and
     :meth:`match_remaining` visit them.
     """
@@ -235,7 +240,6 @@ class Shard:
         self.candidate_filter = config.build_candidate_filter(
             config.build_sim_func()
         )
-        self.cached_pairs = None
         self.remaining_old_ids: List[str] = list(old_ids)
         self.remaining_new_ids: List[str] = list(new_ids)
 
@@ -267,15 +271,13 @@ class ResidentShard(Shard):
         new_dataset: CensusDataset,
         config: LinkageConfig,
         instrumentation: Instrumentation,
+        blocker,
         cache_seed=None,
     ) -> None:
         super().__init__(
             config, old_dataset.record_ids, new_dataset.record_ids
         )
         if cache_seed is not None:
-            # Seeded before the driver arms the export journal, so
-            # checkpoints of a seeded run capture the seed rows too.
-            self.cache.seed(cache_seed.pinned, cache_seed.bounds)
             instrumentation.count(
                 SERIES_SEED_ENTRIES, cache_seed.num_entries
             )
@@ -286,6 +288,13 @@ class ResidentShard(Shard):
             self.candidate_filter,
             instrumentation,
         )
+        # Blocked up front, so seeded (and resumed) scores and bounds
+        # land in the table's arrays in one pass.
+        intern_pairs(self, self.visit, blocker, instrumentation)
+        if cache_seed is not None:
+            # Seeded before the driver arms the export journal, so
+            # checkpoints of a seeded run capture the seed rows too.
+            self.cache.seed(cache_seed.pinned, cache_seed.bounds)
 
     def match_round(
         self, sim_func, blocker, config, backend, record_mapping, delta,
@@ -304,6 +313,31 @@ class ResidentShard(Shard):
             self, self.visit, sim_func_rem, blocker, config, group_mapping,
             instrumentation,
         )
+
+
+def intern_pairs(
+    shard: Shard, visit: ShardVisit, blocker, instrumentation
+) -> None:
+    """Block the visit's records and attach the pairs to the shard's
+    cache as its pair table, unless an earlier visit did.  Later visits'
+    scorers must be built over the same rows (a streamed shard
+    re-encodes the same sorted records each time), which pre-matching
+    and the remaining pass check."""
+    if shard.cache.table is not None:
+        return
+    # Candidate pairs and their scores are δ-independent: block and
+    # intern once, then re-test the cached scores against every later
+    # round's δ.
+    with instrumentation.stage("blocking"):
+        table = PairTable(
+            visit.old.record_ids,
+            visit.new.record_ids,
+            blocker.candidate_pairs(
+                list(visit.old.iter_records()),
+                list(visit.new.iter_records()),
+            ),
+        )
+    shard.cache.attach(table)
 
 
 def match_shard_round(
@@ -328,15 +362,7 @@ def match_shard_round(
     """
     remaining_old = [visit.old.records[i] for i in shard.remaining_old_ids]
     remaining_new = [visit.new.records[i] for i in shard.remaining_new_ids]
-    if shard.cached_pairs is None:
-        # Candidate pairs and their scores are δ-independent: block and
-        # score once, then re-test the cached scores against every later
-        # round's δ.
-        with instrumentation.stage("blocking"):
-            shard.cached_pairs = blocker.candidate_pairs(
-                list(visit.old.iter_records()),
-                list(visit.new.iter_records()),
-            )
+    intern_pairs(shard, visit, blocker, instrumentation)
     with round_timer.stage("round"), instrumentation.stage("prematching"):
         result = prematch(
             remaining_old,
@@ -344,7 +370,6 @@ def match_shard_round(
             sim_func,
             blocker,
             cached_scores=shard.cache,
-            cached_pairs=shard.cached_pairs,
             clustering=config.clustering,
             n_workers=config.n_workers,
             chunk_size=config.worker_chunk_size,
@@ -532,6 +557,7 @@ def run_linkage(
             shards[0].cache = SimilarityCache.from_export(
                 resumed.cache,
                 max_lazy_entries=config.max_lazy_cache_entries or None,
+                table=shards[0].cache.table,
             )
         rounds_finished = resumed.rounds_finished
         resumed_round = resumed.round_index
@@ -899,7 +925,8 @@ class IterativeGroupLinkage:
 
         def resident(blocker, instrumentation):
             shard = ResidentShard(
-                old_dataset, new_dataset, config, instrumentation, cache_seed
+                old_dataset, new_dataset, config, instrumentation, blocker,
+                cache_seed,
             )
             return [shard], ""
 

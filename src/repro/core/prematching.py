@@ -9,21 +9,24 @@ similarities.
 
 This is the pipeline's hot path: scores are δ-independent, so the
 iterative schedule of Alg. 1 shares one
-:class:`~repro.core.simcache.SimilarityCache` across all rounds.  One
-resolver, :func:`_filtered_bulk_scores`, settles the candidate pairs of
-a round (and of the remaining pass) against that cache, with candidate
-pruning on or off, and bulk-scores the rest through the run's pair
-scorer — the vectorized kernel or the per-pair
-:class:`~repro.core.filtering.PairScorer` — on worker processes when
-asked (:mod:`repro.core.parallel`), with results merged
-deterministically.
+:class:`~repro.core.simcache.SimilarityCache` across all rounds, holding
+the scores and bounds of the shard's blocked pairs in arrays aligned
+with its :class:`~repro.core.pairtable.PairTable`.  A round selects its
+candidates from that table with one frontier mask.  One resolver,
+:func:`_filtered_bulk_scores`, settles the candidates of a round (and of
+the remaining pass) against the cache with masks, pruning on or off, and
+hands the rows of the rest to the run's pair scorer — the vectorized
+kernel or the per-pair :class:`~repro.core.filtering.PairScorer` — on
+worker processes when asked (:mod:`repro.core.parallel`), with results
+joined deterministically.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..blocking.pairs import Blocker
 from ..instrumentation import (
@@ -41,13 +44,13 @@ from ..model.records import PersonRecord
 from ..similarity.vector import SimilarityFunction
 from .clustering import CONNECTED_COMPONENTS, cluster_records
 from .filtering import (
-    KIND_EXACT,
     PRUNED_EARLY_EXIT,
     PRUNED_LENGTH,
     PRUNED_QGRAM,
     CandidateFilter,
     PairScorer,
 )
+from .pairtable import PairTable
 from .parallel import DEFAULT_CHUNK_SIZE, score_pairs_chunked
 from .simcache import SimilarityCache
 
@@ -133,27 +136,25 @@ class PreMatchResult:
         """:meth:`pair_sim` for many pairs: each is looked up in
         :attr:`scores` once, and the missing ones are scored in one
         :func:`~repro.core.parallel.score_pairs_chunked` call through
-        :attr:`scorer`, then memoised and counted as :meth:`pair_sim`
+        :attr:`scorer` (as rows of the score store's pair table, whose
+        row spaces hold every record of the round), then memoised and
+        counted as :meth:`pair_sim`
         does — plus ``kernel_batches`` / ``kernel_pairs`` when the scorer
         is the vectorized kernel."""
-        sims: Dict[Tuple[str, str], float] = {}
-        missing: List[Tuple[str, str]] = []
-        for pair in pairs:
-            score = self.scores.get(pair)
-            if score is None:
-                missing.append(pair)
-            else:
-                sims[pair] = score
+        sims, missing = self.scores.get_many(pairs)
         if not missing:
             return sims
+        # Scored and memoised in sorted pair order: the lazy LRU's
+        # insertion (hence eviction) order.
+        missing = sorted(set(missing))
         fresh = score_pairs_chunked(
-            self.scorer, missing, n_workers=n_workers, chunk_size=chunk_size
-        )
-        for pair, score in fresh.items():
-            self.scores[pair] = score
-        sims.update(fresh)
+            self.scorer, *self.scores.table.rows_of(missing),
+            n_workers=n_workers, chunk_size=chunk_size,
+        ).tolist()
+        self.scores.add_lazy(missing, fresh)
+        sims.update(zip(missing, fresh))
         _count_scored(
-            self.instrumentation, self.scorer, len(fresh), len(fresh)
+            self.instrumentation, self.scorer, len(missing), len(missing)
         )
         return sims
 
@@ -176,7 +177,6 @@ def prematching(
     sim_func: SimilarityFunction,
     blocker: Blocker,
     cached_scores: Optional[SimilarityCache] = None,
-    cached_pairs: Optional[Set[Tuple[str, str]]] = None,
     clustering: str = CONNECTED_COMPONENTS,
     n_workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -186,10 +186,14 @@ def prematching(
 ) -> PreMatchResult:
     """Cluster records of two datasets by attribute similarity (§3.2).
 
-    ``cached_scores``/``cached_pairs`` allow the iterative pipeline to
-    score each candidate pair exactly once across all δ rounds: scores do
-    not depend on δ, only the cut-off does.  Still-unscored pairs are
-    bulk-scored by ``scorer`` — the run's pair scorer, or by default a
+    ``cached_scores`` lets the iterative pipeline score each candidate
+    pair exactly once across all δ rounds: scores do not depend on δ,
+    only the cut-off does.  Its :class:`~repro.core.pairtable.PairTable`
+    holds the blocked pairs, and this round's candidates are the pairs
+    whose two records are both among the given ones (the frontier).  A
+    cache without a table (or none) gets one, blocked over the given
+    records.  Still-unscored pairs are bulk-scored by ``scorer`` — the
+    run's pair scorer, built over the table's rows, or by default a
     :class:`~repro.core.filtering.PairScorer` over the given records —
     on ``n_workers`` processes when ``n_workers != 1``
     (:func:`repro.core.parallel.score_pairs_chunked`; output is
@@ -209,40 +213,35 @@ def prematching(
     new_index = {record.record_id: record for record in new_records}
     if instrumentation is None:
         instrumentation = Instrumentation()
-    if scorer is None:
-        scorer = PairScorer(
-            sim_func, old_records, new_records, candidate_filter
-        )
-
-    if cached_pairs is None:
-        candidate_pairs = blocker.candidate_pairs(
-            list(old_records), list(new_records)
-        )
-    else:
-        candidate_pairs = {
-            (old_id, new_id)
-            for old_id, new_id in cached_pairs
-            if old_id in old_index and new_id in new_index
-        }
-    instrumentation.count(CANDIDATE_PAIRS, len(candidate_pairs))
-
     # Use the caller's store directly when given: scores computed lazily
     # during subgraph matching then persist across δ rounds.
     scores = cached_scores if cached_scores is not None else SimilarityCache()
+    if scores.table is None:
+        scores.attach(PairTable(
+            sorted(old_index), sorted(new_index),
+            blocker.candidate_pairs(list(old_records), list(new_records)),
+        ))
+    if scorer is None:
+        by_id = attrgetter("record_id")
+        scorer = PairScorer(
+            sim_func,
+            sorted(old_records, key=by_id),
+            sorted(new_records, key=by_id),
+            candidate_filter,
+        )
+    scores.table.check_scorer(scorer)
+
+    candidates = scores.table.select(old_index, new_index)
+    instrumentation.count(CANDIDATE_PAIRS, len(candidates))
     pruning = candidate_filter is not None and candidate_filter.active
     with instrumentation.stage("filtering") if pruning else nullcontext():
-        exact_scores = _filtered_bulk_scores(
-            candidate_pairs, scores, scorer, sim_func.threshold,
+        matched_scores = _filtered_bulk_scores(
+            candidates, (), scores, scorer, sim_func.threshold,
             candidate_filter, n_workers, chunk_size, instrumentation,
         )
     # A pruned pair's similarity is provably below δ, so restricting the
     # threshold test to exactly-scored pairs loses nothing.
-    matched = sorted(
-        pair
-        for pair, score in exact_scores.items()
-        if score >= sim_func.threshold
-    )
-    matched_scores = {pair: exact_scores[pair] for pair in matched}
+    matched = list(matched_scores)
 
     # Cluster the match links (transitive closure by default); singleton
     # clusters are emitted for unmatched records, as in Fig. 3.
@@ -272,7 +271,8 @@ def prematching(
 
 
 def _filtered_bulk_scores(
-    candidate_pairs: Iterable[Tuple[str, str]],
+    candidates,
+    extra: Sequence[Tuple[str, str]],
     scores: SimilarityCache,
     scorer,
     delta: float,
@@ -282,10 +282,13 @@ def _filtered_bulk_scores(
     instrumentation: Instrumentation,
 ) -> Dict[Tuple[str, str], float]:
     """Resolve every candidate pair against δ; return the exactly-known
-    scores.  The one resolver of pre-matching and the remaining pass.
+    scores that reach δ, in sorted pair order.  The one resolver of
+    pre-matching and the remaining pass.
 
-    Pairs are taken in sorted order, and each lands in one of three
-    buckets, checked cheapest-first:
+    ``candidates`` are pair ids of the cache's table (ascending),
+    ``extra`` the sorted candidate pairs the table lacks (only the
+    remaining pass has any).  Each candidate lands in one of three
+    buckets (:meth:`SimilarityCache.buckets`, masks over the pair ids):
 
     1. exact score already in the cache (earlier round, or a lazy
        lookup) — reuse it;
@@ -293,47 +296,24 @@ def _filtered_bulk_scores(
        bound still below δ − margin — the pair stays pruned without
        recomputing anything (counted under the filter that set the
        bound);
-    3. everything else goes to ``scorer`` in one
+    3. everything else goes to ``scorer`` as row arrays in one
        :func:`repro.core.parallel.score_pairs_chunked` call: exact
        scores are pinned in the cache; with pruning on, rejects record
        their fresh bound for later rounds.
     """
     pruning = candidate_filter is not None and candidate_filter.active
     cutoff = delta - candidate_filter.margin if pruning else None
-    exact_scores: Dict[Tuple[str, str], float] = {}
-    pruned: Dict[str, int] = dict.fromkeys(_PRUNE_COUNTERS, 0)
-    to_evaluate: List[Tuple[str, str]] = []
-    for pair in sorted(candidate_pairs):
-        score = scores.get(pair)
-        if score is not None:
-            exact_scores[pair] = score
-            continue
-        if pruning:
-            cached_bound = scores.get_bound(pair)
-            if cached_bound is not None and cached_bound[0] < cutoff:
-                pruned[cached_bound[1]] += 1
-                continue
-        to_evaluate.append(pair)
-
-    if to_evaluate:
-        outcomes = score_pairs_chunked(
-            scorer, to_evaluate, delta if pruning else None,
+    buckets = scores.buckets(candidates, extra, cutoff)
+    if buckets.to_evaluate:
+        outcome = score_pairs_chunked(
+            scorer, *scores.rows(buckets), delta if pruning else None,
             n_workers=n_workers, chunk_size=chunk_size,
         )
-        fresh = 0
-        for pair, outcome in outcomes.items():
-            # Plain agg_sim values, or (value, kind) outcomes when pruning.
-            value, kind = outcome if pruning else (outcome, KIND_EXACT)
-            if kind == KIND_EXACT:
-                scores.pin(pair, value)
-                exact_scores[pair] = value
-                fresh += 1
-            else:
-                scores.set_bound(pair, value, kind)
-                pruned[kind] += 1
-        _count_scored(instrumentation, scorer, len(to_evaluate), fresh)
+        # Plain agg_sim values, or (values, kind codes) when pruning.
+        fresh = scores.store(buckets, *(outcome if pruning else (outcome,)))
+        _count_scored(instrumentation, scorer, buckets.to_evaluate, fresh)
 
     for kind, counter in _PRUNE_COUNTERS.items():
-        if pruned[kind]:
-            instrumentation.count(counter, pruned[kind])
-    return exact_scores
+        if buckets.pruned[kind]:
+            instrumentation.count(counter, buckets.pruned[kind])
+    return scores.matches(buckets, delta)

@@ -10,14 +10,18 @@ The age-plausible pairs are settled by pre-matching's one resolver
 this module's ``_filtered_bulk_scores``), with pruning against the
 remaining threshold on or off.  When ``Sim_func_rem`` uses the same
 attribute weights as the main ``Sim_func`` (the default), the pipeline
-shares its cross-round similarity cache and pair scorer with this pass,
-so pairs already scored during pre-matching are looked up instead of
-recomputed; fresh pairs are bulk-scored, optionally on worker processes.
+shares its cross-round similarity cache, pair table and pair scorer with
+this pass, so pairs already scored during pre-matching are looked up
+instead of recomputed; fresh pairs are bulk-scored, optionally on worker
+processes.  The pass re-blocks the leftover records, and with a block
+size cap (``max_block_size``) that proposes pairs the first blocking
+dropped: those have no pair id and are kept in the cache by key.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..blocking.pairs import Blocker
@@ -27,6 +31,7 @@ from ..model.records import PersonRecord
 from ..similarity.numeric import normalised_age_difference
 from ..similarity.vector import SimilarityFunction
 from .filtering import CandidateFilter, PairScorer
+from .pairtable import PairTable
 from .parallel import DEFAULT_CHUNK_SIZE
 from .prematching import _filtered_bulk_scores
 from .simcache import SimilarityCache
@@ -59,12 +64,15 @@ def match_remaining(
     ``cached_scores`` may carry ``agg_sim`` values computed earlier in
     the run; it is only sound to pass when the earlier scores came from a
     similarity function with identical weights and missing policy (the
-    threshold does not enter ``agg_sim``).  Unscored age-plausible pairs
+    threshold does not enter ``agg_sim``).  Its pair table, if any,
+    identifies the pairs it holds by pair id; otherwise the pass interns
+    its own pairs over the given records.  Unscored age-plausible pairs
     are bulk-scored by ``scorer`` via
     :func:`repro.core.parallel.score_pairs_chunked` with
     ``n_workers``/``chunk_size``, deterministically.  ``scorer`` follows
-    the same sharing rule as ``cached_scores`` (the pipeline builds a
-    private one for custom remaining weights); by default it is a
+    the same sharing rule as ``cached_scores`` and is built over the
+    table's rows (the pipeline builds a private one for custom remaining
+    weights); by default it is a
     :class:`~repro.core.filtering.PairScorer` over the given records.
 
     With an active ``candidate_filter`` the pairs are pruned against the
@@ -83,8 +91,12 @@ def match_remaining(
     if instrumentation is None:
         instrumentation = Instrumentation()
     if scorer is None:
+        by_id = attrgetter("record_id")
         scorer = PairScorer(
-            sim_func_rem, old_records, new_records, candidate_filter
+            sim_func_rem,
+            sorted(old_records, key=by_id),
+            sorted(new_records, key=by_id),
+            candidate_filter,
         )
 
     # Age-plausible candidate pairs first (cheap filter before scoring).
@@ -101,10 +113,13 @@ def match_remaining(
     plausible.sort()
     instrumentation.count(REMAINING_PAIRS, len(plausible))
 
+    scores = cached_scores if cached_scores is not None else SimilarityCache()
+    if scores.table is None:
+        scores.attach(PairTable(scorer.old_ids, scorer.new_ids, plausible))
+    scores.table.check_scorer(scorer)
     exact_scores = _filtered_bulk_scores(
-        plausible,
-        cached_scores if cached_scores is not None else SimilarityCache(),
-        scorer, sim_func_rem.threshold, candidate_filter,
+        *scores.table.split(plausible),
+        scores, scorer, sim_func_rem.threshold, candidate_filter,
         n_workers, chunk_size, instrumentation,
     )
 

@@ -22,24 +22,48 @@ The candidate-pruning engine (:mod:`repro.core.filtering`) adds a third,
 weaker kind of knowledge: an *upper bound* on a pair's similarity,
 recorded when a filter rejected the pair against some round's δ.  Bounds
 are δ-independent facts, so they are cached **per bound, not per round**:
-a later round with a lower δ first consults :meth:`get_bound` and only
-re-runs the engine when the cached bound no longer rules the pair out.
-A bound is superseded the moment the pair's exact score is pinned.
+a later round with a lower δ first consults the cached bound and only
+re-runs the engine when it no longer rules the pair out.  A bound is
+superseded the moment the pair's exact score is pinned.
+
+**Layout.**  Once the shard's :class:`~repro.core.pairtable.PairTable`
+is attached (:meth:`SimilarityCache.attach`), each blocked pair's pinned
+score or bound lives in two arrays aligned with pair ids — a value and a
+kind (:data:`KIND_NONE`, or the code of an outcome kind,
+:data:`repro.core.filtering.KINDS`) — and the pre-matching resolver
+splits a round's candidates into its three buckets with masks over them
+(:meth:`buckets`, :meth:`store`, :meth:`matches`).  Keyed dicts remain
+only for what has no pair id: the lazy LRU, and pinned scores or bounds
+of pairs outside the table (remaining-pass pairs that re-blocking the
+leftovers proposes afresh, seeded or resumed pairs this run did not
+block).  Scores leave the arrays as Python floats.
 """
 
 from __future__ import annotations
 
 import base64
+import heapq
 import json
 import zlib
+from array import array
 from collections import OrderedDict
+from itertools import compress
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from .filtering import KIND_CODES, KINDS
+from .pairtable import PairTable, numpy_or_none, view
 
 #: (old record id, new record id) — the cache key.
 PairKey = Tuple[str, str]
 
 #: Default cap on lazily-added entries (~a few MiB of floats and keys).
 DEFAULT_MAX_LAZY_ENTRIES = 200_000
+
+#: Kind code of a pair with neither a pinned score nor a bound; the code
+#: of a pinned (exact) score is 0, bounds count up from 1 (see KINDS).
+KIND_NONE = -1
+_EXACT = KIND_CODES[KINDS[0]]
 
 
 #: zlib level for journal parts: the rows are extremely redundant
@@ -80,10 +104,10 @@ class _RowJournal:
 
     def __init__(self, parts: Optional[Sequence[str]] = None) -> None:
         self._parts: List[str] = list(parts or ())
-        self._pending: List[tuple] = []
+        self._pending: List[Sequence[object]] = []
 
-    def append(self, row: tuple) -> None:
-        self._pending.append(row)
+    def extend(self, rows: Iterable[Sequence[object]]) -> None:
+        self._pending.extend(rows)
 
     def parts(self) -> List[str]:
         """All rows as encoded parts (see :func:`compress_rows`)."""
@@ -93,15 +117,43 @@ class _RowJournal:
         return list(self._parts)
 
 
+def _as_list(values) -> list:
+    """A numpy array, stdlib array or list as a list of Python scalars."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+class Buckets:
+    """One resolver call's candidates, split three ways: exactly known
+    (pinned, or in the lazy LRU), kept pruned by a cached bound, and to
+    evaluate.  Candidates on the table are pair ids, the others id
+    pairs (see :meth:`SimilarityCache.buckets`)."""
+
+    def __init__(self, pids) -> None:
+        self.pids = pids
+        #: On-table candidates answered by the lazy LRU, and their scores.
+        self.lazy_pids: list = []
+        self.lazy_scores: List[float] = []
+        #: Off-table candidates with an exact score (pinned or lazy).
+        self.known: Dict[PairKey, float] = {}
+        #: Pair ids and off-table pairs to hand to the scorer.
+        self.evaluate = pids[:0]
+        self.evaluate_extra: List[PairKey] = []
+        #: Pairs pruned per kind: by a cached bound, then fresh rejects.
+        self.pruned: Dict[str, int] = dict.fromkeys(KINDS[1:], 0)
+
+    @property
+    def to_evaluate(self) -> int:
+        return len(self.evaluate) + len(self.evaluate_extra)
+
+
 class SimilarityCache:
     """Bounded ``agg_sim`` memo keyed by (old id, new id) pairs.
 
     Implements the mapping surface used by
     :class:`repro.core.prematching.PreMatchResult` (``get``, item access,
-    ``items``, ``len``), so it is a drop-in replacement for the plain
-    score dict; item assignment stores a *lazy* entry, :meth:`pin` a
-    permanent one.  ``hits``/``misses``/``evictions`` tally every
-    :meth:`get`, which lets callers assert that no pair was ever scored
+    ``items``, ``len``); item assignment stores a *lazy* entry, :meth:`pin`
+    a permanent one.  ``hits``/``misses``/``evictions`` tally every
+    lookup, which lets callers assert that no pair was ever scored
     twice (``misses == len(cache)`` while ``evictions == 0``).
     """
 
@@ -112,10 +164,17 @@ class SimilarityCache:
             raise ValueError("max_lazy_entries must be >= 0 or None")
         #: ``None`` or 0 disables the cap (unbounded lazy storage).
         self.max_lazy_entries = max_lazy_entries or None
+        #: The shard's blocked pairs; ``None`` until :meth:`attach`.
+        self.table: Optional[PairTable] = None
+        # Per pair id: the pinned score or bound, its kind code, and
+        # whether the lazy LRU holds the pair.
+        self._value = array("d")
+        self._kind = array("b")
+        self._lazy_mark = bytearray()
+        # Pinned scores and bounds of pairs without a pair id.
         self._pinned: Dict[PairKey, float] = {}
-        self._lazy: "OrderedDict[PairKey, float]" = OrderedDict()
-        #: Pair -> (similarity upper bound, name of the filter that set it).
         self._bounds: Dict[PairKey, Tuple[float, str]] = {}
+        self._lazy: "OrderedDict[PairKey, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -126,11 +185,115 @@ class SimilarityCache:
         self._journal_pinned: Optional[_RowJournal] = None
         self._journal_bounds: Optional[_RowJournal] = None
 
+    # -- the pair table ----------------------------------------------------------
+
+    def attach(self, table: PairTable) -> None:
+        """Hold the pinned scores and bounds of ``table``'s pairs in
+        arrays aligned with its pair ids, moving any keyed entries of
+        those pairs there."""
+        if self.table is not None:
+            raise ValueError("the cache already has a pair table")
+        self.table = table
+        count = len(table)
+        self._value = array("d", bytes(8 * count))
+        self._kind = array("b", [KIND_NONE]) * count
+        self._lazy_mark = bytearray(count)
+        pinned, bounds = self._pinned, self._bounds
+        self._pinned, self._bounds = {}, {}
+        self._absorb(
+            [key + (score,) for key, score in pinned.items()],
+            [key + bound for key, bound in bounds.items()],
+        )
+        self._mark_lazy()
+
+    def _mark_lazy(self) -> None:
+        """Flag the pair ids of every lazy entry."""
+        for pid in self._pids_of(list(self._lazy)):
+            if pid >= 0:
+                self._lazy_mark[pid] = 1
+
+    def _pid(self, key: PairKey) -> int:
+        return -1 if self.table is None else self.table.pid(*key)
+
+    def _absorb(
+        self,
+        pinned_rows: Sequence[Sequence[object]],
+        bound_rows: Sequence[Sequence[object]],
+    ) -> None:
+        """Replay ``[old_id, new_id, score]`` and ``[old_id, new_id,
+        bound, origin]`` rows: bounds first, skipping pairs already
+        pinned, then pins, each superseding its pair's bound; a later
+        duplicate row wins.  Tallies are untouched."""
+        np = numpy_or_none()
+        table = self.table
+        off_bounds: list = []
+        off_pins: list = []
+        passes = (
+            (list(bound_rows), off_bounds, False),
+            (list(pinned_rows), off_pins, True),
+        )
+        if table is None or np is None or not len(table):
+            for rows, off, pins in passes:
+                for row, pid in zip(rows, self._pids_of(rows)):
+                    if pid < 0:
+                        off.append(row)
+                    elif pins:
+                        self._value[pid] = row[2]
+                        self._kind[pid] = _EXACT
+                    elif self._kind[pid] != _EXACT:
+                        self._value[pid] = row[2]
+                        self._kind[pid] = KIND_CODES[row[3]]
+        else:
+            values = view(self._value, np.float64)
+            kinds = view(self._kind, np.int8)
+            for rows, off, pins in passes:
+                if not rows:
+                    continue
+                pids = table.pids(rows)
+                off.extend(map(rows.__getitem__, np.flatnonzero(pids < 0).tolist()))
+                # The last row of each pair wins (journals repeat pairs).
+                backwards = np.flatnonzero(pids >= 0)[::-1]
+                last = backwards[np.unique(pids[backwards], return_index=True)[1]]
+                targets = pids[last]
+                row_values = np.fromiter(
+                    map(itemgetter(2), rows), np.float64, count=len(rows)
+                )[last]
+                if pins:
+                    values[targets] = row_values
+                    kinds[targets] = _EXACT
+                    continue
+                row_kinds = np.fromiter(
+                    map(KIND_CODES.__getitem__, map(itemgetter(3), rows)),
+                    np.int8, count=len(rows),
+                )[last]
+                keep = kinds[targets] != _EXACT
+                values[targets[keep]] = row_values[keep]
+                kinds[targets[keep]] = row_kinds[keep]
+        for old_id, new_id, bound, origin in off_bounds:
+            if (old_id, new_id) not in self._pinned:
+                self._bounds[(old_id, new_id)] = (bound, origin)
+        for old_id, new_id, score in off_pins:
+            self._pinned[(old_id, new_id)] = score
+            self._bounds.pop((old_id, new_id), None)
+
+    def _pids_of(self, rows: Sequence[Sequence[object]]) -> List[int]:
+        """The pair id (or -1) of each row's ``(row[0], row[1])`` pair."""
+        if self.table is None:
+            return [-1] * len(rows)
+        if len(rows) < 64:  # a batch lookup costs more than a few bisects
+            return [self.table.pid(row[0], row[1]) for row in rows]
+        return _as_list(self.table.pids(rows))
+
     # -- lookups -------------------------------------------------------------
+
+    def _pinned_score(self, key: PairKey, pid: int) -> Optional[float]:
+        if pid >= 0:
+            return self._value[pid] if self._kind[pid] == _EXACT else None
+        return self._pinned.get(key)
 
     def get(self, key: PairKey, default: Optional[float] = None) -> Optional[float]:
         """Cached score for ``key``, counting a hit or a miss."""
-        score = self._pinned.get(key)
+        score = self._pinned_score(key, self._pid(key))
         if score is not None:
             self.hits += 1
             return score
@@ -142,6 +305,49 @@ class SimilarityCache:
         self.misses += 1
         return default
 
+    def get_many(
+        self, keys: Sequence[PairKey]
+    ) -> Tuple[Dict[PairKey, float], List[PairKey]]:
+        """:meth:`get` for every key, in order: the found scores, and the
+        keys that missed (in order, repeats kept)."""
+        np = numpy_or_none()
+        if self.table is None or np is None or not len(self.table):
+            found: Dict[PairKey, float] = {}
+            missing: List[PairKey] = []
+            for key in keys:
+                score = self.get(key)
+                if score is None:
+                    missing.append(key)
+                else:
+                    found[key] = score
+            return found, missing
+        pids = self.table.pids(keys)
+        safe = np.maximum(pids, 0)
+        exact = (pids >= 0) & (view(self._kind, np.int8)[safe] == _EXACT)
+        found = dict(compress(
+            zip(keys, view(self._value, np.float64)[safe].tolist()),
+            exact.tolist(),
+        ))
+        self.hits += int(np.count_nonzero(exact))
+        missing = []
+        pid_list = pids.tolist()
+        for position in np.flatnonzero(~exact).tolist():
+            key = keys[position]
+            score = (
+                self._pinned.get(key) if pid_list[position] < 0 else None
+            )
+            if score is None:
+                score = self._lazy.get(key)
+                if score is not None:
+                    self._lazy.move_to_end(key)
+            if score is None:
+                self.misses += 1
+                missing.append(key)
+            else:
+                self.hits += 1
+                found[key] = score
+        return found, missing
+
     def __getitem__(self, key: PairKey) -> float:
         score = self.get(key)
         if score is None:
@@ -150,22 +356,30 @@ class SimilarityCache:
 
     def __contains__(self, key: PairKey) -> bool:
         """Membership test; does not touch the hit/miss tallies."""
-        return key in self._pinned or key in self._lazy
+        return (
+            self._pinned_score(key, self._pid(key)) is not None
+            or key in self._lazy
+        )
 
     def peek(self, key: PairKey) -> Optional[float]:
         """Cached score without side effects: no hit/miss tally and no
         LRU refresh.  Used by the validation layer, which must observe
         the cache without altering eviction order or instrumentation."""
-        score = self._pinned.get(key)
+        score = self._pinned_score(key, self._pid(key))
         if score is not None:
             return score
         return self._lazy.get(key)
 
     def __len__(self) -> int:
-        return len(self._pinned) + len(self._lazy)
+        return self.num_pinned + len(self._lazy)
 
     def items(self) -> Iterator[Tuple[PairKey, float]]:
         """All (pair, score) entries, pinned first."""
+        pids = self._pids_of_kind(exact=True)
+        if pids:
+            yield from zip(
+                self.table.pairs(pids), map(self._value.__getitem__, pids)
+            )
         yield from self._pinned.items()
         yield from self._lazy.items()
 
@@ -174,68 +388,277 @@ class SimilarityCache:
     def pin(self, key: PairKey, score: float) -> None:
         """Store a permanent (never evicted) entry — candidate pairs.
         An exact score supersedes any cached pruning bound."""
-        self._lazy.pop(key, None)
-        self._bounds.pop(key, None)
-        self._pinned[key] = score
+        pid = self._pid(key)
+        if self._lazy.pop(key, None) is not None and pid >= 0:
+            self._lazy_mark[pid] = 0
+        if pid >= 0:
+            self._value[pid] = score
+            self._kind[pid] = _EXACT
+        else:
+            self._bounds.pop(key, None)
+            self._pinned[key] = score
         if self._journal_pinned is not None:
-            self._journal_pinned.append((key[0], key[1], score))
+            self._journal_pinned.extend([(key[0], key[1], score)])
 
     def __setitem__(self, key: PairKey, score: float) -> None:
         """Store a lazy entry, evicting the least recently used beyond
         ``max_lazy_entries``."""
-        if key in self._pinned:
-            return  # pinned entries are authoritative
-        self._lazy[key] = score
-        self._lazy.move_to_end(key)
-        if self.max_lazy_entries is not None:
+        self.add_lazy([key], [score])
+
+    def add_lazy(
+        self, keys: Sequence[PairKey], scores: Sequence[float]
+    ) -> None:
+        """Item assignment for every key, in order."""
+        for key, pid, score in zip(keys, self._pids_of(keys), scores):
+            if self._pinned_score(key, pid) is not None:
+                continue  # pinned entries are authoritative
+            self._lazy[key] = score
+            self._lazy.move_to_end(key)
+            if pid >= 0:
+                self._lazy_mark[pid] = 1
+            if self.max_lazy_entries is None:
+                continue
             while len(self._lazy) > self.max_lazy_entries:
-                self._lazy.popitem(last=False)
+                evicted, _ = self._lazy.popitem(last=False)
                 self.evictions += 1
+                evicted_pid = self._pid(evicted)
+                if evicted_pid >= 0:
+                    self._lazy_mark[evicted_pid] = 0
 
-    # -- pruning bounds (repro.core.filtering) -------------------------------
+    # -- the resolver's buckets (repro.core.prematching) ----------------------
 
-    def get_bound(self, key: PairKey) -> Optional[Tuple[float, str]]:
-        """Cached ``(upper bound, filter origin)`` for a pair the pruning
-        engine rejected earlier, or ``None``.  Bound lookups are not part
-        of the hit/miss guarantee — they track *avoided* computations."""
-        return self._bounds.get(key)
+    def buckets(
+        self, pids, extra: Sequence[PairKey], cutoff: Optional[float]
+    ) -> Buckets:
+        """Split candidates — pair ids (ascending) and ``extra`` pairs
+        without one (sorted) — into the resolver's three buckets.  Each
+        candidate counts one hit (pinned or lazy) or one miss; the lazy
+        hits refresh the LRU in sorted pair order.  With a ``cutoff``
+        (δ − margin; pruning on) a miss whose cached bound is below it
+        stays pruned."""
+        found = Buckets(pids)
+        pruned = found.pruned
+        np = numpy_or_none()
+        if np is None:
+            evaluate = []
+            for pid in pids:
+                kind = self._kind[pid]
+                if kind == _EXACT:
+                    continue
+                if self._lazy_mark[pid]:
+                    found.lazy_pids.append(pid)
+                elif (
+                    cutoff is not None and kind > _EXACT
+                    and self._value[pid] < cutoff
+                ):
+                    pruned[KINDS[kind]] += 1
+                else:
+                    evaluate.append(pid)
+            found.evaluate = evaluate
+        elif len(pids):
+            kinds = view(self._kind, np.int8)[pids]
+            exact = kinds == _EXACT
+            lazy = view(self._lazy_mark, np.bool_)[pids] & ~exact
+            rest = ~(exact | lazy)
+            found.lazy_pids = pids[lazy]
+            if cutoff is not None:
+                held = rest & (kinds > _EXACT)
+                held &= view(self._value, np.float64)[pids] < cutoff
+                counts = np.bincount(kinds[held], minlength=len(KINDS))
+                for kind, count in zip(KINDS[1:], counts[1:].tolist()):
+                    pruned[kind] += count
+                rest &= ~held
+            found.evaluate = pids[rest]
+        lazy_keys = self.table.pairs(found.lazy_pids)
+        found.lazy_scores = [self._lazy[key] for key in lazy_keys]
+        off_lazy = []
+        misses = len(found.evaluate) + sum(pruned.values())
+        for key in extra:
+            score = self._pinned.get(key)
+            if score is None:
+                score = self._lazy.get(key)
+                if score is not None:
+                    off_lazy.append(key)
+            if score is not None:
+                found.known[key] = score
+                continue
+            misses += 1
+            bound = self._bounds.get(key) if cutoff is not None else None
+            if bound is not None and bound[0] < cutoff:
+                pruned[bound[1]] += 1
+            else:
+                found.evaluate_extra.append(key)
+        for key in heapq.merge(lazy_keys, off_lazy):
+            self._lazy.move_to_end(key)
+        self.hits += len(pids) + len(extra) - misses
+        self.misses += misses
+        return found
 
-    def set_bound(self, key: PairKey, bound: float, origin: str) -> None:
-        """Record a pruning upper bound for ``key``.  A no-op when the
-        exact score is already pinned (the bound adds nothing)."""
-        if key in self._pinned:
+    def rows(self, found: Buckets) -> Tuple[object, object]:
+        """Scorer rows of the bucket to evaluate: pair ids first, then
+        the off-table pairs."""
+        old_rows, new_rows = self.table.rows(found.evaluate)
+        if not found.evaluate_extra:
+            return old_rows, new_rows
+        extra_old, extra_new = self.table.rows_of(found.evaluate_extra)
+        return (
+            old_rows.tolist() + extra_old.tolist(),
+            new_rows.tolist() + extra_new.tolist(),
+        )
+
+    def store(self, found: Buckets, values, kinds=None) -> int:
+        """Keep the scorer's answers for :meth:`rows` — values, and the
+        kind codes when pruning (``None``: every value is exact) — and
+        return how many were exact.  Fresh bounds join ``found.pruned``."""
+        count = len(found.evaluate)
+        np = numpy_or_none()
+        if np is None:
+            if kinds is None:
+                kinds = array("b", [_EXACT]) * len(values)
+            for pid, value, kind in zip(found.evaluate, values, kinds):
+                self._value[pid] = value
+                self._kind[pid] = kind
+            tally = [kinds.count(code) for code in range(len(KINDS))]
+        else:
+            values = np.asarray(values)
+            kinds = (
+                np.zeros(len(values), np.int8) if kinds is None
+                else np.asarray(kinds)
+            )
+            view(self._value, np.float64)[found.evaluate] = values[:count]
+            view(self._kind, np.int8)[found.evaluate] = kinds[:count]
+            tally = np.bincount(kinds, minlength=len(KINDS)).tolist()
+        for code, kind in enumerate(KINDS[1:], start=1):
+            found.pruned[kind] += tally[code]
+        if found.evaluate_extra or self._journal_pinned is not None:
+            self._store_rows(found, values.tolist(), kinds.tolist())
+        return tally[_EXACT]
+
+    def _store_rows(
+        self, found: Buckets, values: List[float], kinds: List[int]
+    ) -> None:
+        """The keyed half of :meth:`store` (off-table pairs) and the
+        journal rows of all its pins and bounds, in sorted pair order —
+        the order in which they were once set pair by pair."""
+        count = len(found.evaluate)
+        pinned_rows, bound_rows = [], []
+        for key, value, kind in zip(
+            found.evaluate_extra, values[count:], kinds[count:]
+        ):
+            if kind == _EXACT:
+                self._pinned[key] = value
+                self._bounds.pop(key, None)
+                pinned_rows.append(key + (value,))
+            else:
+                self._bounds[key] = (value, KINDS[kind])
+                bound_rows.append(key + (value, KINDS[kind]))
+        if self._journal_pinned is None:
             return
-        self._bounds[key] = (bound, origin)
-        if self._journal_bounds is not None:
-            self._journal_bounds.append((key[0], key[1], bound, origin))
+        fresh = list(zip(
+            self.table.pairs(found.evaluate), values[:count], kinds[:count]
+        ))
+        self._journal_pinned.extend(heapq.merge(
+            [key + (value,) for key, value, kind in fresh if kind == _EXACT],
+            pinned_rows,
+        ))
+        self._journal_bounds.extend(heapq.merge(
+            [
+                key + (value, KINDS[kind])
+                for key, value, kind in fresh
+                if kind != _EXACT
+            ],
+            bound_rows,
+        ))
 
-    @property
-    def num_bounds(self) -> int:
-        return len(self._bounds)
+    def matches(self, found: Buckets, delta: float) -> Dict[PairKey, float]:
+        """The candidates' exactly known scores that reach ``delta``, in
+        sorted pair order (after :meth:`store`)."""
+        pids = found.pids
+        np = numpy_or_none()
+        if np is None:
+            lazy = dict(zip(found.lazy_pids, found.lazy_scores))
+            selected, scores = [], []
+            for pid in pids:
+                score = (
+                    self._value[pid] if self._kind[pid] == _EXACT
+                    else lazy.get(pid)
+                )
+                if score is not None and score >= delta:
+                    selected.append(pid)
+                    scores.append(score)
+        elif len(pids):
+            exact = view(self._kind, np.int8)[pids] == _EXACT
+            values = view(self._value, np.float64)[pids]
+            if len(found.lazy_pids):
+                positions = np.searchsorted(pids, found.lazy_pids)
+                exact[positions] = True
+                values[positions] = found.lazy_scores
+            reach = exact & (values >= delta)
+            selected, scores = pids[reach], values[reach].tolist()
+        else:
+            selected, scores = pids, []
+        result = dict(zip(self.table.pairs(selected), scores))
+        off_table = {
+            key: score
+            for key, score in found.known.items()
+            if score >= delta
+        }
+        for key in found.evaluate_extra:
+            score = self._pinned.get(key)
+            if score is not None and score >= delta:
+                off_table[key] = score
+        if off_table:
+            result = dict(sorted({**result, **off_table}.items()))
+        return result
 
     # -- series seeding (repro.checkpoint.series) -----------------------------
+
+    def _pids_of_kind(self, exact: bool) -> List[int]:
+        """Pair ids holding a pinned score (``exact``) or a bound."""
+        np = numpy_or_none()
+        if np is None:
+            return [
+                pid for pid, kind in enumerate(self._kind)
+                if (kind == _EXACT if exact else kind > _EXACT)
+            ]
+        kinds = view(self._kind, np.int8)
+        return np.flatnonzero(
+            kinds == _EXACT if exact else kinds > _EXACT
+        ).tolist()
+
+    def _rows_of_kind(self, exact: bool, keyed) -> List[List[object]]:
+        """Sorted rows of the pinned scores (``exact``) or the bounds:
+        the table's, in pair-id order, merged with the ``keyed`` ones."""
+        pids = self._pids_of_kind(exact)
+        columns = [*self.table.ids(pids), map(self._value.__getitem__, pids)]
+        if not exact:
+            columns.append(
+                map(KINDS.__getitem__, map(self._kind.__getitem__, pids))
+            )
+        rows = list(map(list, zip(*columns))) if pids else []
+        if not keyed:
+            return rows
+        return list(heapq.merge(rows, sorted(map(list, keyed))))
 
     def pinned_rows(self) -> List[List[object]]:
         """All pinned entries as sorted ``[old_id, new_id, score]`` rows —
         deterministic regardless of insertion order, so two runs that
         pinned the same set of scores serialize byte-identically."""
-        return sorted(
-            [old_id, new_id, score]
-            for (old_id, new_id), score in self._pinned.items()
+        return self._rows_of_kind(
+            True, [key + (score,) for key, score in self._pinned.items()]
         )
 
     def bound_rows(self) -> List[List[object]]:
         """All pruning bounds as sorted ``[old_id, new_id, bound, origin]``
         rows (same determinism contract as :meth:`pinned_rows`)."""
-        return sorted(
-            [old_id, new_id, bound, origin]
-            for (old_id, new_id), (bound, origin) in self._bounds.items()
+        return self._rows_of_kind(
+            False, [key + bound for key, bound in self._bounds.items()]
         )
 
     def seed(
         self,
-        pinned_rows: Iterable[Sequence[object]],
-        bounds_rows: Iterable[Sequence[object]] = (),
+        pinned_rows: Sequence[Sequence[object]],
+        bounds_rows: Sequence[Sequence[object]] = (),
     ) -> None:
         """Pre-populate a fresh cache with scores and bounds settled by an
         earlier run over the same (unchanged) records.
@@ -249,16 +672,12 @@ class SimilarityCache:
         earlier δ round: pinned pairs skip scoring outright, bounded
         pairs stay pruned while the bound clears the round's cutoff and
         are re-evaluated fresh otherwise — which is why seeding can
-        never change a link decision.  Call on an empty cache before
-        :meth:`enable_export_journal` so journalling captures the
-        seeded entries too.
+        never change a link decision.  Seed after :meth:`attach`, so
+        blocked pairs land in the arrays in one vectorized pass, and
+        before :meth:`enable_export_journal`, so journalling captures
+        the seeded entries too.
         """
-        for old_id, new_id, bound, origin in bounds_rows:
-            if (old_id, new_id) not in self._pinned:
-                self._bounds[(old_id, new_id)] = (bound, origin)
-        for old_id, new_id, score in pinned_rows:
-            self._pinned[(old_id, new_id)] = score
-            self._bounds.pop((old_id, new_id), None)
+        self._absorb(pinned_rows, bounds_rows)
 
     # -- checkpoint export / import -------------------------------------------
 
@@ -270,16 +689,15 @@ class SimilarityCache:
         the import replay reproduces), so once journalling is on, every
         export serializes only the rows added since the previous export
         — O(new entries) per checkpoint instead of O(cache) rebuilds.
-        Idempotent; captures any entries inserted before the call.
+        Idempotent; captures any entries inserted before the call, in
+        sorted pair order.
         """
         if self._journal_pinned is None:
             self._journal_pinned = _RowJournal()
-            for (old_id, new_id), score in self._pinned.items():
-                self._journal_pinned.append((old_id, new_id, score))
+            self._journal_pinned.extend(self.pinned_rows())
         if self._journal_bounds is None:
             self._journal_bounds = _RowJournal()
-            for (old_id, new_id), (bound, origin) in self._bounds.items():
-                self._journal_bounds.append((old_id, new_id, bound, origin))
+            self._journal_bounds.extend(self.bound_rows())
 
     def export_state(self) -> Dict[str, object]:
         """The complete cache as a JSON-safe document (checkpointing).
@@ -302,14 +720,8 @@ class SimilarityCache:
             pinned_parts = self._journal_pinned.parts()
             bounds_parts = self._journal_bounds.parts()
         else:
-            pinned_rows = [
-                [old_id, new_id, score]
-                for (old_id, new_id), score in self._pinned.items()
-            ]
-            bounds_rows = [
-                [old_id, new_id, bound, origin]
-                for (old_id, new_id), (bound, origin) in self._bounds.items()
-            ]
+            pinned_rows = self.pinned_rows()
+            bounds_rows = self.bound_rows()
             pinned_parts = [compress_rows(pinned_rows)] if pinned_rows else []
             bounds_parts = [compress_rows(bounds_rows)] if bounds_rows else []
         lazy_rows = [
@@ -330,8 +742,10 @@ class SimilarityCache:
         cls,
         document: Dict[str, object],
         max_lazy_entries: Optional[int] = DEFAULT_MAX_LAZY_ENTRIES,
+        table: Optional[PairTable] = None,
     ) -> "SimilarityCache":
-        """Rebuild a cache from :meth:`export_state` output.
+        """Rebuild a cache from :meth:`export_state` output, over
+        ``table`` when the run has already blocked its pairs.
 
         The restored cache is observationally identical to the exported
         one: same entries, same LRU order, same bounds, same tallies —
@@ -344,15 +758,19 @@ class SimilarityCache:
         uninterrupted run would have written.
         """
         cache = cls(max_lazy_entries=max_lazy_entries)
+        if table is not None:
+            cache.attach(table)
         pinned_parts = document["pinned"]
         bounds_parts = document["bounds"]
-        for old_id, new_id, bound, origin in decompress_rows(bounds_parts):
-            cache._bounds[(old_id, new_id)] = (bound, origin)
-        for old_id, new_id, score in decompress_rows(pinned_parts):
-            cache._pinned[(old_id, new_id)] = score
-            cache._bounds.pop((old_id, new_id), None)
-        for old_id, new_id, score in decompress_rows(document["lazy"]):
-            cache._lazy[(old_id, new_id)] = score
+        cache._absorb(
+            decompress_rows(pinned_parts), decompress_rows(bounds_parts)
+        )
+        lazy_rows = decompress_rows(document["lazy"])
+        cache._lazy.update(zip(
+            zip(map(itemgetter(0), lazy_rows), map(itemgetter(1), lazy_rows)),
+            map(itemgetter(2), lazy_rows),
+        ))
+        cache._mark_lazy()
         cache.hits = document["hits"]
         cache.misses = document["misses"]
         cache.evictions = document["evictions"]
@@ -364,11 +782,19 @@ class SimilarityCache:
 
     @property
     def num_pinned(self) -> int:
-        return len(self._pinned)
+        return self._kind.count(_EXACT) + len(self._pinned)
 
     @property
     def num_lazy(self) -> int:
         return len(self._lazy)
+
+    @property
+    def num_bounds(self) -> int:
+        kinds = self._kind
+        return (
+            len(kinds) - kinds.count(KIND_NONE) - kinds.count(_EXACT)
+            + len(self._bounds)
+        )
 
     def counters(self) -> Dict[str, int]:
         """Hit/miss/eviction tallies plus sizes, for instrumentation."""
@@ -376,14 +802,14 @@ class SimilarityCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "pinned": len(self._pinned),
+            "pinned": self.num_pinned,
             "lazy": len(self._lazy),
-            "bounds": len(self._bounds),
+            "bounds": self.num_bounds,
         }
 
     def __repr__(self) -> str:
         return (
-            f"SimilarityCache(pinned={len(self._pinned)}, "
+            f"SimilarityCache(pinned={self.num_pinned}, "
             f"lazy={len(self._lazy)}, hits={self.hits}, "
             f"misses={self.misses}, evictions={self.evictions})"
         )

@@ -27,7 +27,9 @@ PAIRS_SCORED = "pairs_scored"  # agg_sim evaluations actually performed
 CACHE_HITS = "cache_hits"  # similarity-cache lookups served
 CACHE_MISSES = "cache_misses"  # lookups that required a computation
 CACHE_EVICTIONS = "cache_evictions"  # lazy entries dropped by the LRU cap
-CANDIDATE_PAIRS = "candidate_pairs"  # pairs proposed by blocking
+CANDIDATE_PAIRS = "candidate_pairs"  # frontier candidates of each
+# pre-matching call, summed over the calls (a blocked pair counts once
+# per δ round whose frontier still holds both of its records)
 GROUP_PAIRS = "group_pairs"  # candidate group pairs considered
 GROUP_PAIRS_CANDIDATES = "group_pairs_candidates"  # group pairs emitted for
 # subgraph construction (identical for the indexed and brute-force paths)

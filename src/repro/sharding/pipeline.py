@@ -5,11 +5,13 @@
 :class:`~repro.sharding.planner.ShardPlan`, where the in-RAM pipeline
 (:class:`repro.core.pipeline.IterativeGroupLinkage`) runs it over one
 resident shard.  A :class:`StreamedShard` keeps only its cross-round
-state — similarity cache, pruning engine, candidate-pair ids and
-frontier ids.  On every visit, :func:`_shard_round` and
-:func:`_shard_remaining` re-read its records from the record source and
-re-enrich and re-encode them, then release them, so only one shard's
-records are resident at a time.  With a :class:`ShardedRecordSource`
+state — similarity cache with its pair table (the blocked pairs as row
+arrays), pruning engine and frontier ids.  On every visit,
+:func:`_shard_round` and :func:`_shard_remaining` re-read its records
+from the record source and re-enrich and re-encode them, then release
+them, so only one shard's records are resident at a time; the re-encoded
+rows must be the table's rows
+(:meth:`repro.core.pairtable.PairTable.check_scorer`).  With a :class:`ShardedRecordSource`
 backed by a :class:`~repro.sharding.store.ShardStore`, records stream
 from memory-mapped column files and the full datasets are never
 resident (``benchmarks/test_ci_gates.py`` gates the peak-RSS gap).

@@ -5,6 +5,8 @@ for any worker count the scores, and therefore every downstream mapping,
 are identical to a serial run.
 """
 
+from array import array
+
 import pytest
 
 from repro.core.config import LinkageConfig
@@ -59,12 +61,32 @@ def _scorer(scorer_class, indexes):
     )
 
 
+def _rows(indexes, pairs):
+    """The scorer rows (record positions) of id pairs."""
+    old_index, new_index, _ = indexes
+    old_rows = {record_id: row for row, record_id in enumerate(old_index)}
+    new_rows = {record_id: row for row, record_id in enumerate(new_index)}
+    return (
+        array("q", [old_rows[old_id] for old_id, _ in pairs]),
+        array("q", [new_rows[new_id] for _, new_id in pairs]),
+    )
+
+
+def _lists(result):
+    """Scorer output — values, or (values, kind codes) — as lists."""
+    if isinstance(result, tuple):
+        return tuple(part.tolist() for part in result)
+    return result.tolist()
+
+
 class TestScorePairsChunked:
     def test_serial_scores_every_pair(self, indexes):
         pairs = indexes[2]
-        scores = score_pairs_chunked(_scorer(PairScorer, indexes), pairs)
-        assert set(scores) == set(pairs)
-        assert all(0.0 <= score <= 1.0 for score in scores.values())
+        scores = score_pairs_chunked(
+            _scorer(PairScorer, indexes), *_rows(indexes, pairs)
+        ).tolist()
+        assert len(scores) == len(pairs)
+        assert all(0.0 <= score <= 1.0 for score in scores)
 
     @pytest.mark.parametrize("scorer_class", SCORERS)
     @pytest.mark.parametrize("delta", [None, 0.7])
@@ -72,28 +94,27 @@ class TestScorePairsChunked:
     def test_parallel_equals_serial(
         self, indexes, scorer_class, delta, workers
     ):
-        """Pooled scoring returns exactly the serial dict: the same
-        floats, or the same ``(value, kind)`` outcomes at δ."""
+        """Pooled scoring returns exactly the serial arrays: the same
+        floats, or the same values and kind codes at δ, in row order."""
         scorer = _scorer(scorer_class, indexes)
-        pairs = indexes[2]
-        serial = score_pairs_chunked(scorer, pairs, delta)
+        rows = _rows(indexes, indexes[2])
+        serial = _lists(score_pairs_chunked(scorer, *rows, delta))
         # Tiny chunks force a real multi-chunk pool even on this workload.
-        parallel = score_pairs_chunked(
-            scorer, pairs, delta, n_workers=workers, chunk_size=97,
-        )
-        assert list(parallel) == list(serial)
+        parallel = _lists(score_pairs_chunked(
+            scorer, *rows, delta, n_workers=workers, chunk_size=97,
+        ))
         assert parallel == serial
         if delta is not None:
-            assert {outcome.kind for outcome in serial.values()} > {"exact"}
+            assert set(serial[1]) > {0}  # pruned kinds besides exact
 
     def test_small_workload_short_circuits_to_serial(self, indexes):
         subset = indexes[2][:10]
         # chunk_size >= workload: must not start a pool (same result).
         scores = score_pairs_chunked(
-            _scorer(PairScorer, indexes), subset, n_workers=8,
-            chunk_size=1024,
+            _scorer(PairScorer, indexes), *_rows(indexes, subset),
+            n_workers=8, chunk_size=1024,
         )
-        assert set(scores) == set(subset)
+        assert len(scores) == len(subset)
 
     def test_resolve_workers(self):
         assert resolve_workers(1) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import LinkageConfig
+from repro.core.kernel import kernel_available
 from repro.core.pipeline import IterativeGroupLinkage, link_datasets
 from repro.datagen import generate_pair
 from repro.evaluation.metrics import evaluate_mapping
@@ -25,6 +26,8 @@ PINNED_EFFORT = {
         "pairs_pruned_qgram": 2628,
         "pairs_pruned_early_exit": 9187,
         "cache_hits": 1148,
+        "cache_misses": 14239,
+        "cache_evictions": 0,
     },
     False: {
         "candidate_pairs": 14426,
@@ -40,7 +43,56 @@ PINNED_EFFORT = {
         # Each candidate is read once per round: a pair scored in the
         # same round is not a hit.
         "cache_hits": 3635,
+        "cache_misses": 11752,
+        "cache_evictions": 0,
     },
+}
+
+#: Kernel effort of the vectorized backend per filtering setting; the
+#: per-pair scorer (python backend, or no numpy) reports none.
+PINNED_KERNEL = {
+    True: {"kernel_batches": 4, "kernel_pairs": 12601},
+    False: {"kernel_batches": 3, "kernel_pairs": 11752},
+}
+
+#: Rows on the paths the score store must keep exactly (filtering on):
+#: config overrides, then the counters (and kernel counters) that move
+#: from the base row.  A worker pool moves none.  A 50-entry lazy LRU
+#: evicts, so one pair is scored twice.  A block size cap of 8 shrinks
+#: blocking, and the remaining pass re-blocks its leftovers into pairs
+#: the first blocking dropped (19 of its 47 pairs): 108 record links,
+#: 24 from the remaining pass.
+EFFORT_VARIANTS = {
+    "pooled": (dict(n_workers=2, worker_chunk_size=256), {}, {}),
+    "lazy50": (
+        dict(max_lazy_cache_entries=50),
+        {
+            "pairs_scored": 2425,
+            "full_agg_sim_calls": 2425,
+            "cache_hits": 1147,
+            "cache_misses": 14240,
+            "cache_evictions": 15,
+        },
+        {"kernel_pairs": 12602},
+    ),
+    "block8": (
+        dict(max_block_size=8),
+        {
+            "candidate_pairs": 805,
+            "pairs_scored": 258,
+            "full_agg_sim_calls": 258,
+            "group_pairs_candidates": 139,
+            "subgraphs_built": 25,
+            "queue_pops": 25,
+            "group_pairs_skipped_by_index": 6261,
+            "pairs_pruned_qgram": 75,
+            "pairs_pruned_early_exit": 436,
+            "cache_hits": 298,
+            "cache_misses": 769,
+            "remaining_pairs": 47,
+        },
+        {"kernel_batches": 3, "kernel_pairs": 745},
+    ),
 }
 
 
@@ -192,18 +244,34 @@ class TestConfigurationVariants:
 
 
 @pytest.mark.parametrize(
-    "scoring_backend, filtering",
+    "scoring_backend, filtering, variant",
     [
-        pytest.param(backend, filtering, id=backend + suffix)
+        pytest.param(backend, filtering, None, id=backend + suffix)
         for filtering, suffix in ((True, ""), (False, "-no-filtering"))
+        for backend in ("vectorized", "python")
+    ]
+    + [
+        pytest.param(backend, True, variant, id=f"{backend}-{variant}")
+        for variant in EFFORT_VARIANTS
         for backend in ("vectorized", "python")
     ],
 )
-def test_effort_counters_pinned(scoring_backend, filtering):
+def test_effort_counters_pinned(scoring_backend, filtering, variant):
+    overrides, moved, moved_kernel = EFFORT_VARIANTS.get(variant, ({}, {}, {}))
     old, new = generate_pair(seed=20170321, initial_households=50).datasets
-    config = LinkageConfig(
-        n_workers=1, scoring_backend=scoring_backend, filtering=filtering
-    )
-    profile = link_datasets(old, new, config).profile
-    pinned = PINNED_EFFORT[filtering]
+    config = LinkageConfig(**{
+        "n_workers": 1,
+        "scoring_backend": scoring_backend,
+        "filtering": filtering,
+        **overrides,
+    })
+    result = link_datasets(old, new, config)
+    kernel = {**PINNED_KERNEL[filtering], **moved_kernel}
+    if scoring_backend != "vectorized" or not kernel_available():
+        kernel = dict.fromkeys(kernel, 0)  # only the batch kernel counts
+    pinned = {**PINNED_EFFORT[filtering], **moved, **kernel}
+    profile = result.profile
     assert {name: profile.value(name) for name in pinned} == pinned
+    if variant == "block8":
+        assert result.num_record_links == 108
+        assert result.remaining_record_links == 24

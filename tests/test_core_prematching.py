@@ -4,6 +4,8 @@ import pytest
 
 from repro.blocking.standard import CrossProductBlocker
 from repro.core.config import LinkageConfig
+from repro.core.filtering import PairScorer
+from repro.core.pairtable import PairTable
 from repro.core.prematching import prematching
 from repro.core.simcache import SimilarityCache
 from repro.datagen import generate_pair
@@ -123,12 +125,24 @@ class TestPreMatchResult:
     def test_cached_pairs_filtered_to_current_records(
         self, census_1871, census_1881
     ):
-        old = list(census_1871.iter_records())[:2]
+        """A cache's pair table may hold pairs of records outside the
+        current frontier; only pairs among the given records are
+        candidates."""
+        old_all = list(census_1871.iter_records())
         new = list(census_1881.iter_records())
-        pairs = {("1871_1", "1881_1"), ("1871_9999", "1881_1")}
-        result = prematching(old, new, NAME_FUNC, CrossProductBlocker(),
-                             cached_pairs=pairs)
+        cache = SimilarityCache()
+        cache.attach(PairTable(
+            census_1871.record_ids, census_1881.record_ids,
+            {("1871_1", "1881_1"), ("1871_8", "1881_1"), ("1871_2", "1881_9")},
+        ))
+        instrumentation = Instrumentation()
+        result = prematching(
+            old_all[:2], new, NAME_FUNC, CrossProductBlocker(),
+            cached_scores=cache, instrumentation=instrumentation,
+            scorer=PairScorer(NAME_FUNC, old_all, new),
+        )
         assert ("1871_1", "1881_1") in result.matched_pairs
+        assert instrumentation.value(CANDIDATE_PAIRS) == 2
 
     def test_multi_record_clusters(self, census_1871, census_1881):
         result = run_prematch(census_1871, census_1881)

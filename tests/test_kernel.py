@@ -11,7 +11,7 @@ claim from the bottom up:
 * ``agg_sim_chunk`` and ``evaluate_chunk`` equal the same calls on
   :class:`PairScorer`, the per-pair scorer the pipeline runs without
   the kernel, bit for bit — value *and* pruning kind — for every missing
-  policy, filter-stage subset and δ;
+  policy, filter-stage subset and δ, given the same row arrays;
 * :class:`PairScorer` itself is :meth:`SimilarityFunction.agg_sim` and
   :meth:`CandidateFilter.evaluate`, pair by pair;
 * the no-numpy fallback degrades to the reference path losslessly;
@@ -32,6 +32,7 @@ from repro.core.config import LinkageConfig
 from repro.core.filtering import (
     CMP_EXACT,
     CMP_QGRAM2,
+    KINDS,
     CandidateFilter,
     FilteringConfig,
     PairScorer,
@@ -49,6 +50,7 @@ from repro.core.kernel import (
     kernel_available,
 )
 from repro.core.pipeline import link_datasets
+from repro.core.prematching import prematching
 from repro.datagen import generate_pair
 from repro.instrumentation import KERNEL_BATCHES, KERNEL_PAIRS
 from repro.similarity.qgram import qgrams
@@ -111,8 +113,18 @@ def record_chunks(draw, max_old=4, max_new=4):
     return old, new
 
 
-def cross_pairs(old, new):
-    return [(o.record_id, n.record_id) for o in old for n in new]
+def cross_rows(old, new):
+    """Row arrays of every (old, new) pair of two record lists."""
+    return (
+        [row for row in range(len(old)) for _ in new],
+        [row for _ in old for row in range(len(new))],
+    )
+
+
+def outcomes(result):
+    """``evaluate_chunk`` arrays as ``(value, kind)`` tuples."""
+    values, kinds = result
+    return list(zip(values.tolist(), [KINDS[code] for code in kinds.tolist()]))
 
 
 # -- encoder: every per-string fact survives the packing ---------------------
@@ -233,10 +245,11 @@ class TestChunkBitIdentity:
             list(WEIGHT_SPECS[spec_key]), 0.7, policy
         )
         kernel = BatchScoringKernel(sim_func, old, new)
-        pairs = cross_pairs(old, new)
-        batch = kernel.agg_sim_chunk(pairs)
-        reference = PairScorer(sim_func, old, new).agg_sim_chunk(pairs)
-        for pair, got, want in zip(pairs, batch, reference):
+        rows = cross_rows(old, new)
+        batch = kernel.agg_sim_chunk(*rows).tolist()
+        reference = PairScorer(sim_func, old, new).agg_sim_chunk(*rows)
+        assert len(batch) == len(reference)
+        for pair, got, want in zip(zip(*rows), batch, reference):
             assert got == want, (pair, got, want)
 
     @given(record_chunks(), spec_keys, policies, deltas, st.integers(0, 14))
@@ -258,28 +271,41 @@ class TestChunkBitIdentity:
             early_exit=bool(mask & 8),
         )
         kernel = BatchScoringKernel(sim_func, old, new, filtering=config)
-        pairs = cross_pairs(old, new)
-        batch = kernel.evaluate_chunk(pairs, delta)
-        reference = PairScorer(
+        rows = cross_rows(old, new)
+        batch = outcomes(kernel.evaluate_chunk(*rows, delta))
+        reference = outcomes(PairScorer(
             sim_func, old, new, CandidateFilter(sim_func, config)
-        ).evaluate_chunk(pairs, delta)
-        for pair, got, want in zip(pairs, batch, reference):
-            assert got.value == want.value, (pair, got, want)
-            assert got.kind == want.kind, (pair, got, want)
+        ).evaluate_chunk(*rows, delta))
+        assert len(batch) == len(reference)
+        for pair, got, want in zip(zip(*rows), batch, reference):
+            assert got == want, (pair, got, want)
 
     def test_chunk_results_are_plain_floats(self):
-        """Workers pickle results back; numpy scalars must not leak."""
-        old = [person_record_with(record_id="o0")]
-        new = [person_record_with(record_id="n0")]
-        sim_func = build_similarity_function(
-            list(WEIGHT_SPECS["omega2-qgram"]), 0.7
+        """The kernel answers in numpy arrays; what leaves the score
+        store for clustering, the group stage, ledgers and journals must
+        be plain Python floats, never numpy scalars."""
+        old, new = generate_pair(seed=7, initial_households=5).datasets
+        old_records = list(old.iter_records())
+        new_records = list(new.iter_records())
+        config = LinkageConfig()
+        sim_func = config.build_sim_func(0.7)
+        candidate_filter = config.build_candidate_filter(sim_func)
+        result = prematching(
+            old_records, new_records, sim_func, config.build_blocker(),
+            candidate_filter=candidate_filter,
+            scorer=BatchScoringKernel(sim_func, old_records, new_records),
         )
-        kernel = BatchScoringKernel(sim_func, old, new)
-        scores = kernel.agg_sim_chunk([("o0", "n0")])
-        assert type(scores[0]) is float
-        outcomes = kernel.evaluate_chunk([("o0", "n0")], 0.7)
-        assert type(outcomes[0].value) is float
-        assert isinstance(outcomes[0].kind, str)
+        cache = result.scores
+        assert result.matched_pairs and cache.num_bounds
+        sims = result.pair_sims(
+            [(o.record_id, n.record_id)
+             for o in old_records[:5] for n in new_records[:5]]
+        )
+        leaving = [cache.get(pair) for pair in result.matched_pairs]
+        leaving += [score for _, score in cache.items()]
+        leaving += [row[2] for row in cache.pinned_rows() + cache.bound_rows()]
+        leaving += list(sims.values())
+        assert {type(score) for score in leaving} == {float}
 
     def test_kernel_pickles_for_worker_shipping(self):
         series = generate_pair(seed=7, initial_households=5)
@@ -293,10 +319,13 @@ class TestChunkBitIdentity:
             sim_func, old_records, new_records, filtering=FilteringConfig()
         )
         clone = pickle.loads(pickle.dumps(kernel))
-        pairs = cross_pairs(old_records[:4], new_records[:4])
-        assert clone.agg_sim_chunk(pairs) == kernel.agg_sim_chunk(pairs)
+        rows = cross_rows(old_records[:4], new_records[:4])
         assert (
-            clone.evaluate_chunk(pairs, 0.7) == kernel.evaluate_chunk(pairs, 0.7)
+            clone.agg_sim_chunk(*rows).tolist()
+            == kernel.agg_sim_chunk(*rows).tolist()
+        )
+        assert outcomes(clone.evaluate_chunk(*rows, 0.7)) == outcomes(
+            kernel.evaluate_chunk(*rows, 0.7)
         )
 
 
@@ -327,15 +356,12 @@ class TestPairScorer:
             sim_func, old, new, CandidateFilter(sim_func, config)
         )
         engine = CandidateFilter(sim_func, config)
-        old_index = {r.record_id: r for r in old}
-        new_index = {r.record_id: r for r in new}
-        pairs = cross_pairs(old, new)
-        assert scorer.agg_sim_chunk(pairs) == [
-            sim_func.agg_sim(old_index[o], new_index[n]) for o, n in pairs
+        rows = cross_rows(old, new)
+        assert scorer.agg_sim_chunk(*rows).tolist() == [
+            sim_func.agg_sim(old[o], new[n]) for o, n in zip(*rows)
         ]
-        assert scorer.evaluate_chunk(pairs, delta) == [
-            engine.evaluate(old_index[o], new_index[n], delta)
-            for o, n in pairs
+        assert outcomes(scorer.evaluate_chunk(*rows, delta)) == [
+            engine.evaluate(old[o], new[n], delta) for o, n in zip(*rows)
         ]
 
     def test_scorer_pickles_for_worker_shipping(self):
@@ -347,10 +373,10 @@ class TestPairScorer:
         )
         scorer = PairScorer(sim_func, old_records, new_records)
         clone = pickle.loads(pickle.dumps(scorer))
-        pairs = cross_pairs(old_records[:4], new_records[:4])
-        assert clone.agg_sim_chunk(pairs) == scorer.agg_sim_chunk(pairs)
-        assert clone.evaluate_chunk(pairs, 0.7) == scorer.evaluate_chunk(
-            pairs, 0.7
+        rows = cross_rows(old_records[:4], new_records[:4])
+        assert clone.agg_sim_chunk(*rows) == scorer.agg_sim_chunk(*rows)
+        assert clone.evaluate_chunk(*rows, 0.7) == scorer.evaluate_chunk(
+            *rows, 0.7
         )
 
 

@@ -6,6 +6,12 @@ from the per-store writers before the four stores moved onto the shared
 primitive in :mod:`repro.ioutil`, so a green run proves that no byte of
 an existing format changed: old checkpoints, pair states, segments and
 service manifests stay readable without a migration.
+
+The similarity-cache rows a real run journals are pinned too: the
+``cache`` section of every checkpoint of a resident run, and the
+``pinned``/``bounds`` parts of the pair states a series analysis writes
+(cold, then re-linked with a seed after a revision).  Those literals
+were taken before the score store moved into pair-id arrays.
 """
 
 import hashlib
@@ -17,7 +23,13 @@ from repro.checkpoint import (
     RunState,
     SeriesStore,
 )
+from repro.core.config import LinkageConfig
+from repro.core.pipeline import link_datasets
+from repro.datagen import generate_pair, revise_middle_record
+from repro.datagen.generator import GeneratorConfig, generate_series
+from repro.evolution.analysis import analyse_series
 from repro.evolution.graph import EvolutionGraph
+from repro.ioutil import content_hash
 from repro.evolution.patterns import GroupPatterns, PairPatterns, RecordPatterns
 from repro.service.store import EvolutionStore
 
@@ -98,6 +110,73 @@ def test_segment_and_manifest_bytes(tmp_path):
     assert sha256_of(tmp_path / "manifest.json") == MANIFEST_SHA256
 
 
+def test_run_cache_journal_bytes(tmp_path):
+    """Checkpoint every round of the 50-household pair: the hash of each
+    state's cache section (pinned, bounds and lazy parts plus tallies)
+    is pinned; the rest of a state holds round timings."""
+    old, new = generate_pair(seed=20170321, initial_households=50).datasets
+    link_datasets(
+        old, new, LinkageConfig(checkpoint_every=1), checkpoint_dir=tmp_path
+    )
+    assert {
+        path.name: content_hash(RunState.loads(path.read_text()).cache)
+        for path in tmp_path.glob("*.json")
+    } == RUN_CACHE_SECTIONS
+
+
+def test_series_cache_parts_bytes(tmp_path):
+    series = generate_series(
+        GeneratorConfig(seed=7, num_snapshots=3, initial_households=40)
+    ).datasets
+    config = LinkageConfig()
+    analyse_series(series, config=config, series_state=tmp_path)
+    assert _cache_parts(tmp_path) == SERIES_CACHE_PARTS
+    revised = list(series)
+    revised[1] = revise_middle_record(revised[1])
+    analyse_series(revised, config=config, series_state=tmp_path)
+    assert _cache_parts(tmp_path) == REVISED_SERIES_CACHE_PARTS
+
+
+def _cache_parts(directory):
+    """Hashes of the pinned and bounds parts of every pair state."""
+    states = {
+        path.name: PairState.loads(path.read_text())
+        for path in directory.glob("pair_*.json")
+    }
+    return {
+        name: (content_hash(state.pinned), content_hash(state.bounds))
+        for name, state in states.items()
+    }
+
+
+RUN_CACHE_SECTIONS = {
+    "round_0001.json":
+        "4dfa7c6ad1bc36927ccc9d59a1265b58515f07c6018c48cacfc5daa4911ee7cf",
+    "round_0002.json":
+        "8ed2657c18578ad1144bde9b0fe684bf9ab15721562a94fd7d4bc9a2753f7437",
+    "final.json":
+        "ce3846d41c5939e6882c02da1915e6c600b75aa861f76f8eb5257c668c2496c1",
+}
+SERIES_CACHE_PARTS = {
+    "pair_1851_1861.json": (
+        "028235656b81c7e3da36fa5882c9f665cbb82790c9b97295eb9bd3b69317e94b",
+        "7b25c868980fd7c7e2537f706356bc02077e4b6e00e09a26e487151423e01068",
+    ),
+    "pair_1861_1871.json": (
+        "50f47b620c1aeac93909abaf769aca0dbdd0b423f1ae72d665a0dd20353e67d6",
+        "81a3b297aa4f3da43e803f77da976e93cae962d2a3375151279cf079b6ee8dcb",
+    ),
+}
+REVISED_SERIES_CACHE_PARTS = {
+    "pair_1851_1861.json": (
+        "028235656b81c7e3da36fa5882c9f665cbb82790c9b97295eb9bd3b69317e94b",
+        "a9b7df3a9b1d9eadc6c959eb374d50f75e7c28d377b271459548b29ce72cf1f9",
+    ),
+    "pair_1861_1871.json": (
+        "50f47b620c1aeac93909abaf769aca0dbdd0b423f1ae72d665a0dd20353e67d6",
+        "8893d0928a66f131361e0aa74b18dd41c318777a087091eca5f97fefaba99b84",
+    ),
+}
 RUN_STATE_SHA256 = (
     "25442d9f052ec0da359abd18d87e18d5fc5418348d5507ab9965bb704dc09661"
 )
