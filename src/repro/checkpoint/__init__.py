@@ -1,7 +1,7 @@
 """Checkpoint/resume subsystem: durable run state for Alg. 1.
 
-The Alg. 1 driver's natural boundaries (each δ of the schedule, each
-shard merge inside a round of a sharded run, plus the final
+The Alg. 1 driver's natural boundaries (each δ round of the shard in
+flight, each shard boundary of a sharded run, plus the final
 ``Sim_func_rem`` pass) become recovery points: a :class:`RunState`
 snapshot is atomically persisted to a checkpoint directory at the
 boundaries ``LinkageConfig.checkpoint_every`` selects, and

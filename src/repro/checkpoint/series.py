@@ -231,7 +231,7 @@ def cache_parts(rows: Sequence[Sequence[object]]) -> List[str]:
     """Rows as a (possibly empty) list of compressed journal parts."""
     from ..core.simcache import compress_rows  # see build_seed
 
-    return [compress_rows([list(row) for row in rows])] if rows else []
+    return [compress_rows(rows)] if rows else []
 
 
 @dataclass

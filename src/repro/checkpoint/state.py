@@ -1,25 +1,28 @@
 """Run-state snapshots of the Alg. 1 driver (recovery points).
 
-A :class:`RunState` captures everything Algorithm 1 has decided up to a
-round or shard boundary: which δ rounds completed, how many shards of
-the in-flight round were merged (with that round's accumulators), the
-accepted record and group links (with
+The Alg. 1 driver visits shards one after another, so a
+:class:`RunState` captures progress shard-major: how many shards are
+done, the per-round ledgers of those shards and of the shard in flight
+(each round's statistics and accepted record and group links, plus the
+links of the shard's remaining passes once they ran), the round the
+shard in flight reached, the instrumentation counters, and — for a
+resident run, optionally — the full cross-round
+:class:`~repro.core.simcache.SimilarityCache` export.  The final state
+instead holds the merged result: the record and group links (with
 :class:`~repro.core.pipeline.LinkOrigin` provenance when the run is
-validated), the per-round statistics ledger, the instrumentation
-counters, and — for a resident run, optionally — the full cross-round
-:class:`~repro.core.simcache.SimilarityCache` export.  Because every
-stage downstream of a boundary is deterministic in that state
-(canonical sorted mappings, hash-seed-independent selection), a run
-resumed from a snapshot makes the same decisions as one that never
-stopped; with the cache export it also does the same work.
+validated) and the per-round statistics ledger.  Because every stage
+downstream of a boundary is deterministic in that state (canonical
+sorted mappings, hash-seed-independent selection), a run resumed from a
+snapshot makes the same decisions as one that never stopped; with the
+cache export it also does the same work.
 
 In-RAM and sharded runs write this one format
 (:func:`repro.core.pipeline.run_linkage`).  On disk a checkpoint is the
 shared :class:`repro.ioutil.Envelope` with schema key ``schema``
 (:data:`CHECKPOINT_ENVELOPE`): a tampered or torn file raises
 :class:`CheckpointCorrupt`, and any schema but :data:`SCHEMA_VERSION` —
-schema 1 included — raises :class:`CheckpointSchemaError` before the
-payload is interpreted.
+schemas 1 and 2 included — raises :class:`CheckpointSchemaError` before
+the payload is interpreted.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from ..ioutil import CorruptFile, Envelope, UnsupportedSchema
 
 #: Checkpoint document schema version (bump on incompatible layout changes).
 #: Schema 2 added shard progress and dropped the sharded driver's
-#: separate state format.
-SCHEMA_VERSION = 2
+#: separate state format; schema 3 records progress shard-major, with
+#: per-shard round ledgers instead of mid-round accumulators.
+SCHEMA_VERSION = 3
 
 #: ``RunState.phase`` while δ rounds are in progress.
 PHASE_ROUND = "round"
@@ -106,42 +110,45 @@ def dataset_fingerprint(old_dataset, new_dataset) -> str:
 class RunState:
     """One recovery point of Algorithm 1 (see module docstring).
 
-    A state is written at a *round boundary* (all shards of round
-    ``round_index`` merged, ``round_accum is None``), *mid-round*
-    (``shards_done`` of ``shards_total`` shards merged, the round's
-    partial statistics in ``round_accum``) or after the remaining pass
-    (``phase == PHASE_FINAL``).  ``iterations`` holds the completed
-    rounds' :class:`~repro.core.pipeline.IterationStats` ledgers as
-    plain dicts (including the effort diagnostics and wall-clock
-    seconds); ``provenance`` is the per-link :class:`LinkOrigin` table as
-    sorted rows, present only when the run records provenance
-    (``LinkageConfig.validate``).  ``cache`` is the optional
-    :meth:`SimilarityCache.export_state` document of a resident run's
-    one cache that makes resumed *effort* counters — not just
+    A state is written after a round of the shard in flight
+    (``round_index`` rounds of shard ``shards_done``, counting from 0),
+    at a shard boundary (``shards_done`` shards finished,
+    ``round_index == 0``) or after the run (``phase == PHASE_FINAL``).
+    ``shard_parts`` holds one ledger per shard started — the finished
+    ones, then the one in flight — as plain dicts (see
+    :meth:`repro.core.pipeline.ShardLedger.as_jsonable`).  The final
+    state carries the merged result instead: ``record_pairs``,
+    ``group_pairs``, the ``iterations`` ledgers (including the effort
+    diagnostics and wall-clock seconds) and ``provenance``, the per-link
+    :class:`LinkOrigin` table as sorted rows, present only when the run
+    records provenance (``LinkageConfig.validate``).  ``cache`` is the
+    optional :meth:`SimilarityCache.export_state` document of a resident
+    run's one cache that makes resumed *effort* counters — not just
     mappings — identical to an uninterrupted run.
     """
 
-    #: 1-based index of the δ round the state was written in: the last
-    #: completed round at a boundary, the in-flight round mid-round.
+    #: δ rounds the shard in flight completed (0 at a shard boundary);
+    #: in the final state, the run's stop round.
     round_index: int
     #: ``PHASE_ROUND`` or ``PHASE_FINAL``.
     phase: str
-    #: δ of that round (``None`` before the first round).
+    #: δ of that round (``None`` before a shard's first round).
     delta: Optional[float]
     #: The full configured δ schedule, for inspection tooling.
     schedule: Tuple[float, ...]
-    #: True when the δ loop is over (empty round under
-    #: ``stop_on_empty_round``, exhausted frontier, or exhausted schedule)
-    #: and only the remaining pass is outstanding.
+    #: True when the δ loop is over: at the round the merged stopping
+    #: rule ended it (an empty round under ``stop_on_empty_round``), and
+    #: in the final state.
     rounds_finished: bool
-    #: Accepted record links, canonical sorted ``[old_id, new_id]`` rows.
+    #: Final state: accepted record links, canonical sorted
+    #: ``[old_id, new_id]`` rows.
     record_pairs: List[List[str]] = field(default_factory=list)
-    #: Accepted group links, canonical sorted ``[old_id, new_id]`` rows.
+    #: Final state: accepted group links, canonical sorted rows.
     group_pairs: List[List[str]] = field(default_factory=list)
-    #: Per-round ``IterationStats`` ledgers as plain dicts.
+    #: Final state: per-round ``IterationStats`` ledgers as plain dicts.
     iterations: List[Dict[str, object]] = field(default_factory=list)
-    #: Sorted ``[old_id, new_id, source, round, threshold]`` rows, or
-    #: ``None`` when the run records no provenance.
+    #: Final state: sorted ``[old_id, new_id, source, round, threshold]``
+    #: rows, or ``None`` when the run records no provenance.
     provenance: Optional[List[List[object]]] = None
     #: Instrumentation counter snapshot at this boundary.
     counters: Dict[str, int] = field(default_factory=dict)
@@ -155,20 +162,41 @@ class RunState:
     #: Final-phase bookkeeping (``None`` until ``phase == PHASE_FINAL``).
     subgraph_record_links: Optional[int] = None
     remaining_record_links: Optional[int] = None
-    #: Shards of the run, and shards of round ``round_index`` merged.
+    #: Shards of the run, and shards finished.
     shards_total: int = 1
-    shards_done: int = 1
-    #: The in-flight round's partial statistics (the summed
-    #: ``IterationStats`` effort and decision fields of its merged
-    #: shards), or ``None`` at a round boundary.
-    round_accum: Optional[Dict[str, object]] = None
+    shards_done: int = 0
+    #: Ledgers of the shards started, in plan order (not in the final
+    #: state).
+    shard_parts: List[Dict[str, object]] = field(default_factory=list)
     #: Fingerprint of the shard plan (``""`` for one resident shard).
     plan_fingerprint: str = ""
 
     @property
-    def mid_round(self) -> bool:
-        """True when written between two shard merges of one round."""
-        return self.round_accum is not None
+    def record_links(self) -> int:
+        """Distinct record links the state holds: the final result's,
+        or those the started shards' rounds recorded so far plus each
+        shard's remaining pass on its latest frontier."""
+        return self._distinct_links("record_pairs")
+
+    @property
+    def group_links(self) -> int:
+        """Distinct group links the state holds (as
+        :attr:`record_links`)."""
+        return self._distinct_links("group_pairs")
+
+    def _distinct_links(self, kind: str) -> int:
+        if self.phase == PHASE_FINAL:
+            return len(getattr(self, kind))
+        links = set()
+        for part in self.shard_parts:
+            entries = list(part["rounds"])
+            if part["remaining"]:
+                entries.append(max(
+                    part["remaining"], key=lambda entry: entry["after_round"]
+                ))
+            for entry in entries:
+                links.update(tuple(pair) for pair in entry[kind])
+        return len(links)
 
     # -- serialization ---------------------------------------------------------
 
@@ -196,9 +224,7 @@ class RunState:
             "remaining_record_links": self.remaining_record_links,
             "shards_total": self.shards_total,
             "shards_done": self.shards_done,
-            "round_accum": (
-                None if self.round_accum is None else dict(self.round_accum)
-            ),
+            "shard_parts": [dict(part) for part in self.shard_parts],
             "plan_fingerprint": self.plan_fingerprint,
         }
 
@@ -226,11 +252,7 @@ class RunState:
             remaining_record_links=payload["remaining_record_links"],
             shards_total=payload["shards_total"],
             shards_done=payload["shards_done"],
-            round_accum=(
-                None
-                if payload["round_accum"] is None
-                else dict(payload["round_accum"])
-            ),
+            shard_parts=[dict(part) for part in payload["shard_parts"]],
             plan_fingerprint=payload["plan_fingerprint"],
         )
 
@@ -242,3 +264,4 @@ class RunState:
     def loads(cls, text: str) -> "RunState":
         """Parse and verify a checkpoint document."""
         return CHECKPOINT_ENVELOPE.build(cls.from_payload, data=text)
+

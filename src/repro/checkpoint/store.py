@@ -2,15 +2,22 @@
 
 A :class:`CheckpointStore` manages one directory of
 :class:`~repro.checkpoint.state.RunState` documents, written by in-RAM
-and sharded runs alike::
+and sharded runs alike.  The driver visits shards one after another, so
+the names follow the shard in flight::
 
     checkpoints/
-      round_0001.json             after δ round 1
-      round_0002_shard_0001.json  round 2, after the first shard merge
-      round_0002_shard_0002.json  round 2, after the second shard merge
-      round_0002.json             after δ round 2 (all shards merged)
+      round_0001.json             one-shard run: after δ round 1
+      round_0002.json             one-shard run: after δ round 2
       ...
-      final.json                  after the remaining pass (run complete)
+      shard_0001_round_0001.json  sharded run: shard 1, after its round 1
+      shard_0001_round_0002.json  shard 1, after its round 2
+      ...
+      shard_0001.json             shard 1 done (its rounds and
+                                  remaining passes)
+      shard_0002_round_0001.json  shard 2, after its round 1
+      ...
+      final.json                  after the last remaining pass (run
+                                  complete)
 
 Writing, verifying and listing are :mod:`repro.ioutil`'s, shared with
 the series store through :class:`DocumentStore`.  The recovery policy is
@@ -42,11 +49,18 @@ from .state import CHECKPOINT_ENVELOPE, PHASE_FINAL, RunState
 
 #: File name of the run-complete checkpoint.
 FINAL_NAME = "final.json"
-#: File name pattern of round-boundary checkpoints.
+#: File name pattern of a one-shard run's round checkpoints.
 ROUND_NAME_FORMAT = "round_{index:04d}.json"
-#: File name pattern of mid-round checkpoints (after a shard merge).
-SHARD_NAME_FORMAT = "round_{index:04d}_shard_{shards:04d}.json"
-_ROUND_NAME_RE = re.compile(r"^round_(\d{4,})(?:_shard_(\d{4,}))?\.json$")
+#: File name pattern of a sharded run's round checkpoints (the shard in
+#: flight, counting from 1, after its round ``index``).
+SHARD_ROUND_NAME_FORMAT = "shard_{shard:04d}_round_{index:04d}.json"
+#: File name pattern of shard-boundary checkpoints (``shard`` shards
+#: done).
+SHARD_NAME_FORMAT = "shard_{shard:04d}.json"
+_NAME_RE = re.compile(
+    r"^(?:round_(?P<round>\d{4,})"
+    r"|shard_(?P<shard>\d{4,})(?:_round_(?P<shard_round>\d{4,}))?)\.json$"
+)
 
 #: Instrumentation stage names for checkpoint I/O.
 WRITE_STAGE = "checkpoint_write"
@@ -58,13 +72,13 @@ class CheckpointEntry:
     """One file of a checkpoint directory, as listed (not yet loaded)."""
 
     path: Path
-    #: ``"round"`` (round boundary), ``"shard"`` (mid-round, after a
-    #: shard merge) or ``"final"``.
+    #: ``"round"`` (after a round of the shard in flight), ``"shard"``
+    #: (a shard boundary) or ``"final"``.
     kind: str
-    #: Round index for round and shard checkpoints; ``None`` for the
-    #: final one.
+    #: Rounds the shard in flight completed (round checkpoints only).
     round_index: Optional[int]
-    #: Shards merged, for shard checkpoints only.
+    #: Shards done: before the shard in flight, or at the boundary
+    #: (``None`` for the final checkpoint).
     shards_done: Optional[int] = None
 
 
@@ -157,13 +171,15 @@ class CheckpointStore(DocumentStore):
     def path_for(self, state: RunState) -> Path:
         if state.phase == PHASE_FINAL:
             return self.directory / FINAL_NAME
-        if state.mid_round:
-            return self.directory / SHARD_NAME_FORMAT.format(
-                index=state.round_index, shards=state.shards_done
+        if state.round_index == 0:
+            name = SHARD_NAME_FORMAT.format(shard=state.shards_done)
+        elif state.shards_total == 1:
+            name = ROUND_NAME_FORMAT.format(index=state.round_index)
+        else:
+            name = SHARD_ROUND_NAME_FORMAT.format(
+                shard=state.shards_done + 1, index=state.round_index
             )
-        return self.directory / ROUND_NAME_FORMAT.format(
-            index=state.round_index
-        )
+        return self.directory / name
 
     def write_state(
         self,
@@ -172,12 +188,12 @@ class CheckpointStore(DocumentStore):
     ) -> Path:
         """Serialize ``state`` to its canonical file, atomically.
 
-        Round and mid-round snapshots skip the fsync: losing an unsynced
-        tip to a machine crash is detected by the content hash at load
-        time and costs exactly one snapshot (``load_latest`` falls back
-        to the previous one), which is the same degradation already
-        guaranteed for any corrupt checkpoint — not worth a disk flush
-        per δ round or shard merge.  The final checkpoint is flushed: it
+        Round and shard-boundary snapshots skip the fsync: losing an
+        unsynced tip to a machine crash is detected by the content hash
+        at load time and costs exactly one snapshot (``load_latest``
+        falls back to the previous one), which is the same degradation
+        already guaranteed for any corrupt checkpoint — not worth a disk
+        flush per δ round or shard.  The final checkpoint is flushed: it
         certifies a completed, validated run.
         """
         return self._write(
@@ -188,13 +204,13 @@ class CheckpointStore(DocumentStore):
         )
 
     def entries(self) -> List[CheckpointEntry]:
-        """All checkpoint files in progress order — rounds ascending,
-        each round's shard checkpoints before its round checkpoint, then
-        final; temporary artifacts of in-flight writes are never
+        """All checkpoint files in progress order — shard by shard, each
+        shard's round checkpoints in round order before its boundary,
+        then final; temporary artifacts of in-flight writes are never
         listed."""
         if not self.directory.is_dir():
             return []
-        rounds: List[CheckpointEntry] = []
+        progress: List[CheckpointEntry] = []
         final: List[CheckpointEntry] = []
         for path in sorted(self.directory.iterdir()):
             if is_temp_artifact(path) or not path.is_file():
@@ -202,23 +218,30 @@ class CheckpointStore(DocumentStore):
             if path.name == FINAL_NAME:
                 final.append(CheckpointEntry(path, "final", None))
                 continue
-            match = _ROUND_NAME_RE.match(path.name)
+            match = _NAME_RE.match(path.name)
             if match is None:
                 continue
-            if match.group(2) is None:
-                rounds.append(
-                    CheckpointEntry(path, "round", int(match.group(1)))
+            if match.group("round") is not None:
+                entry = CheckpointEntry(
+                    path, "round", int(match.group("round")), 0
+                )
+            elif match.group("shard_round") is not None:
+                entry = CheckpointEntry(
+                    path,
+                    "round",
+                    int(match.group("shard_round")),
+                    int(match.group("shard")) - 1,
                 )
             else:
-                rounds.append(CheckpointEntry(
-                    path, "shard", int(match.group(1)), int(match.group(2))
-                ))
-        rounds.sort(key=lambda entry: (
-            entry.round_index,
-            entry.kind == "round",
-            entry.shards_done or 0,
-        ))
-        return rounds + final
+                entry = CheckpointEntry(
+                    path, "shard", None, int(match.group("shard"))
+                )
+            progress.append(entry)
+        # A boundary (shards done = s) precedes the rounds of shard s + 1.
+        progress.sort(
+            key=lambda entry: (entry.shards_done, entry.round_index or 0)
+        )
+        return progress + final
 
     def load_latest(
         self, instrumentation: Optional[Instrumentation] = None
@@ -262,8 +285,8 @@ class CheckpointStore(DocumentStore):
                 shards=f"{state.shards_done}/{state.shards_total}",
                 delta=state.delta,
                 rounds_finished=state.rounds_finished,
-                record_links=len(state.record_pairs),
-                group_links=len(state.group_pairs),
+                record_links=state.record_links,
+                group_links=state.group_links,
                 has_cache=state.cache is not None,
                 config_fingerprint=state.config_fingerprint,
                 data_fingerprint=state.data_fingerprint,

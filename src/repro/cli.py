@@ -558,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument(
         "--checkpoint-dir",
         help="persist a resumable run-state snapshot here after every "
-        "checkpointed δ round (with --shards, also after each shard merge "
-        "of it) and after the final pass (pair runs only)",
+        "checkpointed δ round (with --shards, of each shard's visit, and "
+        "after each shard) and after the final pass (pair runs only)",
     )
     link.add_argument(
         "--resume", action="store_true",
@@ -576,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     checkpoints = commands.add_parser(
         "checkpoints",
-        help="inspect the snapshots in a checkpoint directory",
+        help="inspect the snapshots in a checkpoint directory, in progress "
+        "order: round_NNNN.json (one-shard runs) or, shard by shard, "
+        "shard_MMMM_round_NNNN.json then shard_MMMM.json; final.json last",
     )
     checkpoints.add_argument(
         "dir", help="checkpoint directory written by link --checkpoint-dir"

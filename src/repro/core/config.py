@@ -218,9 +218,11 @@ class LinkageConfig:
     #: Shard count for the out-of-core sharded driver
     #: (:mod:`repro.sharding.pipeline`).  0 (the default) runs the
     #: in-RAM pipeline; ``shards >= 1`` partitions the blocking-key
-    #: graph into that many balanced work units and streams them in
-    #: lockstep δ rounds — decision-identical to the in-RAM path for
-    #: any shard count (enforced by
+    #: graph into that many balanced work units and streams them one
+    #: after another, each through the whole δ schedule, with the
+    #: stopping rule applied to the merged rounds afterwards —
+    #: decision-identical to the in-RAM path for any shard count
+    #: (enforced by
     #: ``sharded_vs_unsharded`` in ``tests/differential.py``), only
     #: peak memory and effort counters change.  Requires a
     #: key-partitionable blocker (standard, cross, region).

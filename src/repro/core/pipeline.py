@@ -2,18 +2,22 @@
 
 :func:`run_linkage` is the one Alg. 1 driver.  It relaxes the
 pre-matching threshold δ from ``δ_high`` down to ``δ_low`` so that safe
-matches anchor the harder ones.  In every δ round it takes each shard of
-the run through pre-matching, the group backend (§3.3–§3.4), validation,
-link merging and the frontier update, then applies the stopping rule to
-the merged round; after the last round the remaining-record pass
-(lines 17-19) runs shard by shard.  The driver also owns checkpoint
-writes and resume (:mod:`repro.checkpoint`).
+matches anchor the harder ones.  It visits the run's shards one after
+another (shard-major): each visit takes one shard through the δ rounds —
+pre-matching, the group backend (§3.3–§3.4), validation and the
+frontier update — and records the shard's per-round links and
+statistics in a :class:`ShardLedger`.  The stopping rule (Alg. 1 line
+16) and the exhausted-frontier break read the merged rounds, so the
+driver applies them to the ledgers after the last visit (the *deferred
+stop*) and drops whatever a shard linked past that round.  The
+remaining-record pass (lines 17-19) runs at the end of a shard's visit,
+on each frontier the stop round could still leave that shard with.  The
+driver also owns checkpoint writes and resume (:mod:`repro.checkpoint`).
 
-A :class:`Shard` holds what survives between rounds: its similarity
-cache — with the blocked candidate pairs interned as its
+A :class:`Shard` holds what survives between the rounds of a visit: its
+similarity cache — with the blocked candidate pairs interned as its
 :class:`~repro.core.pairtable.PairTable` — pruning engine and frontier
-ids.  Its
-record-bearing structures — records, enriched households, the
+ids.  Its record-bearing structures — records, enriched households, the
 :class:`GroupPairIndex` and the pair scorer — form a
 :class:`ShardVisit`, which the entry point makes resident or streamed:
 
@@ -24,9 +28,9 @@ record-bearing structures — records, enriched households, the
   the remaining pass, so candidate pairs are scored at most once across
   the whole δ schedule.
 * :func:`repro.sharding.link_datasets_sharded` runs the planner's
-  streamed shards, rebuilt from the record sources on every visit and
-  released after it, so only one shard's records are in memory at a
-  time.
+  streamed shards.  Each is built from the record sources once per
+  visit and released after it, so only one shard's records, cache and
+  scorer are in memory at a time.
 
 Bulk scoring fans out over ``config.n_workers`` processes with
 deterministic merging, and an :class:`~repro.instrumentation.Instrumentation`
@@ -209,19 +213,20 @@ def build_visit(
 
 
 class Shard:
-    """One shard's state across the δ rounds of :func:`run_linkage`.
+    """One shard's state across the δ rounds of a visit.
 
     Everything here is id- or score-keyed.  The similarity cache pins
     candidate scores and bounds lazy ``pair_sim`` additions with its LRU
     (see repro.core.simcache); its pair table, the shard's blocked
-    candidate pairs, is interned at the first visit
+    candidate pairs, is interned at the first round
     (:func:`intern_pairs`).  The pruning engine is δ-agnostic (δ is an
     argument of each evaluation) and its per-string length statistics
     warm up across rounds; ``None`` = off.  The frontier holds the
     shard's still unlinked record ids in sorted-id order, the order of
     its records.
     Subclasses supply the records: :meth:`match_round` and
-    :meth:`match_remaining` visit them.
+    :meth:`match_remaining` visit them, and :meth:`release` ends a
+    visit.
     """
 
     #: Whether the visit structures stay in memory for the whole run.
@@ -234,12 +239,8 @@ class Shard:
         old_ids: Sequence[str],
         new_ids: Sequence[str],
     ) -> None:
-        self.cache = SimilarityCache(
-            max_lazy_entries=config.max_lazy_cache_entries or None
-        )
-        self.candidate_filter = config.build_candidate_filter(
-            config.build_sim_func()
-        )
+        self.config = config
+        self.cache, self.candidate_filter = scoring_state(config)
         self.remaining_old_ids: List[str] = list(old_ids)
         self.remaining_new_ids: List[str] = list(new_ids)
 
@@ -257,6 +258,18 @@ class Shard:
         """This shard's remaining pass (see
         :func:`match_shard_remaining`)."""
         raise NotImplementedError
+
+    def release(self) -> None:
+        """End a visit: the driver has folded the cache's tallies into
+        the run's counters.  A resident shard keeps everything."""
+
+
+def scoring_state(config: LinkageConfig):
+    """A fresh similarity cache and pruning engine for one shard."""
+    cache = SimilarityCache(
+        max_lazy_entries=config.max_lazy_cache_entries or None
+    )
+    return cache, config.build_candidate_filter(config.build_sim_func())
 
 
 class ResidentShard(Shard):
@@ -319,10 +332,9 @@ def intern_pairs(
     shard: Shard, visit: ShardVisit, blocker, instrumentation
 ) -> None:
     """Block the visit's records and attach the pairs to the shard's
-    cache as its pair table, unless an earlier visit did.  Later visits'
-    scorers must be built over the same rows (a streamed shard
-    re-encodes the same sorted records each time), which pre-matching
-    and the remaining pass check."""
+    cache as its pair table, unless an earlier round did.  The visit's
+    scorer must be built over the same rows, which pre-matching and the
+    remaining pass check."""
     if shard.cache.table is not None:
         return
     # Candidate pairs and their scores are δ-independent: block and
@@ -453,6 +465,196 @@ def match_shard_remaining(
     return mapping
 
 
+# -- shard ledgers ------------------------------------------------------------
+
+#: A record or group link, ``(old_id, new_id)``.
+Pair = Tuple[str, str]
+
+#: :class:`IterationStats` fields a merged round sums over its shards.
+_SUMMED_FIELDS = (
+    "candidate_subgraphs",
+    "accepted_group_links",
+    "new_record_links",
+    "pairs_scored",
+    "cache_hits",
+    "cache_misses",
+    "seconds",
+)
+
+#: Keys of the record and group links in a ledger's checkpoint form.
+_LINK_KINDS = ("record_pairs", "group_pairs")
+
+
+class RoundPart(NamedTuple):
+    """One shard's share of one δ round: its :class:`IterationStats`
+    part, whose frontier sizes are the shard's own, and the record and
+    group links the round accepted, as sorted pairs."""
+
+    stats: IterationStats
+    record_pairs: List[Pair]
+    group_pairs: List[Pair]
+
+
+class RemainingPart(NamedTuple):
+    """One shard's remaining pass (Alg. 1 lines 17-19) on its frontier
+    after round ``after_round``: the record links and the group links
+    they induce, as sorted pairs."""
+
+    after_round: int
+    record_pairs: List[Pair]
+    group_pairs: List[Pair]
+
+
+@dataclass
+class ShardLedger:
+    """One shard's decisions round by round, kept until the run's stop
+    round is known (see :func:`run_linkage`)."""
+
+    #: Frontier sizes ``(old, new)`` before round 1.
+    initial: Tuple[int, int]
+    #: The rounds the shard ran, in order.  A shard whose frontier lost
+    #: a side stops early and counts as empty in every later round.
+    rounds: List[RoundPart] = field(default_factory=list)
+    #: The shard's remaining passes, one per frontier the stop round
+    #: could leave it with (empty while outstanding).
+    remaining: List[RemainingPart] = field(default_factory=list)
+
+    def frontier(self, round_index: int) -> Tuple[int, int]:
+        """Frontier sizes after ``round_index`` (0: before round 1)."""
+        ran = min(round_index, len(self.rounds))
+        if ran == 0:
+            return self.initial
+        stats = self.rounds[ran - 1].stats
+        return stats.remaining_old, stats.remaining_new
+
+    def accepted(self, round_index: int) -> int:
+        """Group links the shard accepted in ``round_index``."""
+        if 0 < round_index <= len(self.rounds):
+            return self.rounds[round_index - 1].stats.accepted_group_links
+        return 0
+
+    def linked(self, first_round: int = 1) -> List[Pair]:
+        """Record links of the rounds from ``first_round`` on."""
+        return [
+            pair
+            for part in self.rounds[first_round - 1:]
+            for pair in part.record_pairs
+        ]
+
+    def remaining_at(self, stop_round: int) -> RemainingPart:
+        """The remaining pass on the frontier the stop round leaves."""
+        frontier = self.frontier(stop_round)
+        return next(
+            part for part in self.remaining
+            if self.frontier(part.after_round) == frontier
+        )
+
+    def as_jsonable(self) -> Dict[str, object]:
+        """Checkpoint form: one ``RunState.shard_parts`` entry."""
+        return {
+            "rounds": [
+                dict(dataclasses.asdict(part.stats), **_links_jsonable(part))
+                for part in self.rounds
+            ],
+            "remaining": [
+                dict(after_round=part.after_round, **_links_jsonable(part))
+                for part in self.remaining
+            ],
+        }
+
+    def restore(self, document: Dict[str, object]) -> None:
+        """Load the rounds and remaining passes of :meth:`as_jsonable`."""
+        self.rounds = []
+        for entry in document["rounds"]:
+            stats = dict(entry)
+            links = [
+                [tuple(pair) for pair in stats.pop(name)]
+                for name in _LINK_KINDS
+            ]
+            self.rounds.append(RoundPart(IterationStats(**stats), *links))
+        self.remaining = [
+            RemainingPart(
+                entry["after_round"],
+                *([tuple(pair) for pair in entry[name]] for name in _LINK_KINDS),
+            )
+            for entry in document["remaining"]
+        ]
+
+
+def _links_jsonable(part) -> Dict[str, List[List[str]]]:
+    """A part's record and group links as JSON-safe rows."""
+    return {
+        name: [list(pair) for pair in getattr(part, name)]
+        for name in _LINK_KINDS
+    }
+
+
+def _empty_round(ledgers: Sequence[ShardLedger], round_index: int) -> bool:
+    """No shard of ``ledgers`` accepted a group link in the round."""
+    return not any(ledger.accepted(round_index) for ledger in ledgers)
+
+
+def _may_stop(
+    ledgers: Sequence[ShardLedger],
+    round_index: int,
+    rounds_total: int,
+    stop_on_empty: bool,
+) -> bool:
+    """Whether the δ loop over the merged rounds of ``ledgers`` may end
+    after ``round_index`` (0: before round 1): the schedule is spent,
+    the frontier has lost a side on every shard (the exhausted-frontier
+    break), or — under ``stop_on_empty_round`` — no shard accepted a
+    group link in that round (Alg. 1 line 16).
+
+    Over every shard of the run this is the stopping rule itself.  Over
+    a subset it holds wherever the rule does, so the run's stop round is
+    one of the rounds it admits."""
+    if round_index >= rounds_total:
+        return True
+    sizes = [ledger.frontier(round_index) for ledger in ledgers]
+    if not any(old for old, _ in sizes) or not any(new for _, new in sizes):
+        return True
+    return stop_on_empty and round_index > 0 and _empty_round(
+        ledgers, round_index
+    )
+
+
+def _stop_rounds(
+    ledgers: Sequence[ShardLedger], rounds_total: int, stop_on_empty: bool
+) -> List[int]:
+    """The rounds :func:`_may_stop` admits over ``ledgers``, ascending;
+    over every shard of the run the first is the stop round."""
+    return [
+        round_index
+        for round_index in range(rounds_total + 1)
+        if _may_stop(ledgers, round_index, rounds_total, stop_on_empty)
+    ]
+
+
+def _merged_round(
+    ledgers: Sequence[ShardLedger], round_index: int, delta: float
+) -> IterationStats:
+    """One δ round's :class:`IterationStats`, summed over the shards."""
+    stats = IterationStats(
+        iteration=round_index,
+        delta=delta,
+        candidate_subgraphs=0,
+        accepted_group_links=0,
+        new_record_links=0,
+        remaining_old=0,
+        remaining_new=0,
+    )
+    for ledger in ledgers:
+        if round_index <= len(ledger.rounds):
+            part = ledger.rounds[round_index - 1].stats
+            for name in _SUMMED_FIELDS:
+                setattr(stats, name, getattr(stats, name) + getattr(part, name))
+        old, new = ledger.frontier(round_index)
+        stats.remaining_old += old
+        stats.remaining_new += new
+    return stats
+
+
 # -- the driver --------------------------------------------------------------
 
 
@@ -478,17 +680,31 @@ def run_linkage(
     resident shard); it is not called when resume finds a completed
     run.
 
-    Rounds run in lockstep: every shard finishes round r before any
-    starts round r+1, and the stopping rule (Alg. 1 line 16) and the
-    exhausted-frontier break are evaluated over the merged round.
+    Shards are visited one after another.  A visit runs its shard
+    through the δ schedule and records every round in the shard's
+    :class:`ShardLedger`.  Shards never share a candidate pair, a
+    household or a conflict set, so only the stopping rule (Alg. 1 line
+    16) and the exhausted-frontier break read across shards, and both
+    read the merged round: the stop round R is a function of the
+    ledgers.  The driver applies it after the last visit and drops every
+    round a shard ran past R.  Until then R can only be a round the
+    shards visited so far admit (:func:`_may_stop`), so a visit ends
+    with the shard's remaining pass (lines 17-19) on each frontier those
+    rounds could leave it with — one pass once R is settled, which on
+    most inputs is after the first shard — and the pass R selects is
+    kept.  Every shard is thus built once.  Shards with an empty side
+    need no visit.  The last shard with work — and so a lone resident
+    shard — knows every other shard and stops at R itself.
 
     With ``checkpoint_dir`` set, a round whose index is a multiple of
-    ``config.checkpoint_every`` writes a :class:`RunState` after each
-    shard merge but the last, then a round state; the stopping round and
-    the final state are always written.  ``resume=True`` continues from
-    the newest loadable state at its round or shard boundary; a state
-    recorded under another configuration, input or shard plan is
-    rejected with :class:`CheckpointMismatch`.
+    ``config.checkpoint_every`` writes a :class:`RunState`, as do the
+    round the merged stopping rule ends the loop at and the end of each
+    visit before the last shard with work; the final state is always
+    written.  ``resume=True`` continues from the newest loadable state:
+    finished shards come back from their ledgers, and the shard in
+    flight re-enters after its last recorded round.  A state recorded
+    under another configuration, input or shard plan is rejected with
+    :class:`CheckpointMismatch`.
     """
     instrumentation = Instrumentation()
     store = coerce_store(checkpoint_dir)
@@ -533,211 +749,226 @@ def run_linkage(
     # any alternative via config.group_backend (see repro.core.backends).
     backend = get_backend(config.group_backend)
 
-    provenance: Optional[Dict[Tuple[str, str], LinkOrigin]] = (
-        {} if validating else None
-    )
-    record_mapping = RecordMapping()
-    group_mapping = GroupMapping()
-    iterations: List[IterationStats] = []
     schedule = list(config.threshold_schedule())
-    resumed_round = 0
-    rounds_finished = False
-    # The interrupted round's partial statistics, and its first shard
-    # still to visit, when resuming mid-round.
-    in_flight: Optional[Dict[str, object]] = None
+    sim_funcs = [config.build_sim_func(delta) for delta in schedule]
+    sim_func_rem = config.build_remaining_sim_func()
+    stop_on_empty = config.stop_on_empty_round
+    ledgers = [
+        ShardLedger((len(shard.remaining_old_ids), len(shard.remaining_new_ids)))
+        for shard in shards
+    ]
+    # A shard with an empty side pairs nothing: it needs no visit and is
+    # known — empty in every round — from the start.
+    idle = [not all(ledger.initial) for ledger in ledgers]
+    last_busy = max(
+        (position for position, flag in enumerate(idle) if not flag),
+        default=-1,
+    )
     first_shard = 0
     if resumed is not None:
         _check_recorded("shard plan", resumed.plan_fingerprint, plan_fp)
-        record_mapping, group_mapping, iterations, restored = _restore(
-            resumed, instrumentation
-        )
-        if provenance is not None and restored is not None:
-            provenance.update(restored)
+        _restore_counters(resumed, instrumentation)
         if resumed.cache is not None:
             shards[0].cache = SimilarityCache.from_export(
                 resumed.cache,
                 max_lazy_entries=config.max_lazy_cache_entries or None,
                 table=shards[0].cache.table,
             )
-        rounds_finished = resumed.rounds_finished
-        resumed_round = resumed.round_index
-        if resumed.mid_round:
-            resumed_round -= 1
-            in_flight = resumed.round_accum
-            first_shard = resumed.shards_done
-        # The frontier is recomputed by filtering against the restored
-        # mapping — identical to the incremental filtering of the
-        # original rounds, since both keep sorted-id order.
-        for shard in shards:
-            _advance_frontier(shard, record_mapping)
-
-    def capture(
-        phase: str,
-        round_index: int,
-        delta: Optional[float],
-        shards_done: int,
-        round_accum: Optional[Dict[str, object]] = None,
-        subgraph_links: Optional[int] = None,
-        remaining_links: Optional[int] = None,
-    ) -> RunState:
-        # Canonical form (sorted mapping rows, plain-dict ledgers,
-        # sorted provenance rows): the checkpoint bytes are
-        # deterministic for a given run prefix.
-        return RunState(
-            round_index=round_index,
-            phase=phase,
-            delta=delta,
-            schedule=tuple(schedule),
-            rounds_finished=rounds_finished,
-            record_pairs=record_mapping.as_jsonable(),
-            group_pairs=group_mapping.as_jsonable(),
-            iterations=[dataclasses.asdict(stats) for stats in iterations],
-            provenance=_provenance_rows(provenance),
-            counters=dict(instrumentation.counters),
-            cache=None if exported is None else exported.cache.export_state(),
-            config_fingerprint=config_fp,
-            data_fingerprint=data_fp,
-            subgraph_record_links=subgraph_links,
-            remaining_record_links=remaining_links,
-            shards_total=len(shards),
-            shards_done=shards_done,
-            round_accum=round_accum,
-            plan_fingerprint=plan_fp,
-        )
-
-    for round_index, delta in enumerate(schedule, start=1):
-        if round_index <= resumed_round:
-            continue  # already completed before the interruption
-        if rounds_finished:
-            break  # the interrupted run had already stopped the loop
-        # The round's IterationStats fields summed over its shards.
-        accum: Dict[str, object] = dict(
-            candidate_subgraphs=0,
-            accepted_group_links=0,
-            new_record_links=0,
-            pairs_scored=0,
-            cache_hits=0,
-            cache_misses=0,
-            seconds=0.0,
-        )
-        start = 0
-        if in_flight is not None:
-            accum.update(in_flight)
-            start, in_flight = first_shard, None
-        elif not any(s.remaining_old_ids for s in shards) or not any(
-            s.remaining_new_ids for s in shards
+        for shard, ledger, document in zip(
+            shards, ledgers, resumed.shard_parts
         ):
-            break
-        round_timer = Instrumentation()
-        sim_func = config.build_sim_func(delta)
-        checkpointing = (
-            store is not None and round_index % config.checkpoint_every == 0
-        )
-        for position in range(start, len(shards)):
-            shard = shards[position]
-            start_scored = instrumentation.value(PAIRS_SCORED)
-            start_hits = shard.cache.hits
-            start_misses = shard.cache.misses
-            if shard.remaining_old_ids and shard.remaining_new_ids:
-                selection, candidate_units, prematch = shard.match_round(
-                    sim_func, blocker, config, backend, record_mapping,
-                    delta, round_index, instrumentation, round_timer,
-                )
-                if validating:
-                    # Check the selection against the Alg. 2 contracts
-                    # *before* merging its links; a violation aborts.
-                    with instrumentation.stage("validation"):
-                        validate_selection(
-                            selection,
-                            record_mapping,
-                            prematch,
-                            delta,
-                            config,
-                            instrumentation=instrumentation,
-                        ).raise_if_failed()
-                # The pre-match result holds this visit's records and
-                # scorer: release them before the next shard's visit.
-                del prematch
-                partial_records = selection.extract_record_mapping()
-                record_mapping.update(partial_records)
-                group_mapping.update(selection.group_mapping)
-                if provenance is not None:
-                    for pair in partial_records:
-                        provenance[pair] = LinkOrigin(
-                            "subgraph", round_index, delta
-                        )
-                _advance_frontier(shard, record_mapping)
-                accum["candidate_subgraphs"] += candidate_units
-                accum["accepted_group_links"] += len(selection.group_mapping)
-                accum["new_record_links"] += len(partial_records)
-            accum["pairs_scored"] += (
-                instrumentation.value(PAIRS_SCORED) - start_scored
-            )
-            accum["cache_hits"] += shard.cache.hits - start_hits
-            accum["cache_misses"] += shard.cache.misses - start_misses
-            if checkpointing and position < len(shards) - 1:
-                store.write_state(
-                    capture(
-                        PHASE_ROUND,
-                        round_index,
-                        delta,
-                        shards_done=position + 1,
-                        round_accum=dict(
-                            accum,
-                            seconds=accum["seconds"]
-                            + round_timer.seconds("round"),
-                        ),
-                    ),
-                    instrumentation=instrumentation,
-                )
+            ledger.restore(document)
+            # Filtering against the restored links keeps sorted-id
+            # order, as the incremental filtering of the original rounds.
+            _advance_frontier(shard, RecordMapping(ledger.linked()))
+        first_shard = resumed.shards_done
 
-        accum["seconds"] += round_timer.seconds("round")
-        iterations.append(
+    def write_state(
+        phase: str,
+        shards_done: int,
+        round_index: int,
+        rounds_finished: bool = False,
+        **fields,
+    ):
+        # A round state also holds the ledger of the shard in flight.
+        started = shards_done + (round_index > 0)
+        store.write_state(
+            RunState(
+                round_index=round_index,
+                phase=phase,
+                rounds_finished=rounds_finished,
+                delta=schedule[round_index - 1] if round_index else None,
+                schedule=tuple(schedule),
+                counters=dict(instrumentation.counters),
+                cache=(
+                    None if exported is None
+                    else exported.cache.export_state()
+                ),
+                config_fingerprint=config_fp,
+                data_fingerprint=data_fp,
+                shards_total=len(shards),
+                shards_done=shards_done,
+                shard_parts=(
+                    [] if phase == PHASE_FINAL
+                    else [ledger.as_jsonable() for ledger in ledgers[:started]]
+                ),
+                plan_fingerprint=plan_fp,
+                **fields,
+            ),
+            instrumentation=instrumentation,
+        )
+
+    def shard_round(
+        shard: Shard, local: RecordMapping, round_index: int
+    ) -> RoundPart:
+        """One δ round of one shard; ``local`` holds its earlier links."""
+        delta = schedule[round_index - 1]
+        round_timer = Instrumentation()
+        start_scored = instrumentation.value(PAIRS_SCORED)
+        start_hits, start_misses = shard.cache.hits, shard.cache.misses
+        selection, candidate_units, prematch = shard.match_round(
+            sim_funcs[round_index - 1], blocker, config, backend, local,
+            delta, round_index, instrumentation, round_timer,
+        )
+        if validating:
+            # Check the selection against the Alg. 2 contracts *before*
+            # merging its links; a violation aborts.
+            with instrumentation.stage("validation"):
+                validate_selection(
+                    selection,
+                    local,
+                    prematch,
+                    delta,
+                    config,
+                    instrumentation=instrumentation,
+                ).raise_if_failed()
+        # The pre-match result holds the round's frontier records and
+        # score views: release them before the next round.
+        del prematch
+        records = selection.extract_record_mapping()
+        local.update(records)
+        _advance_frontier(shard, local)
+        return RoundPart(
             IterationStats(
                 iteration=round_index,
                 delta=delta,
-                remaining_old=sum(len(s.remaining_old_ids) for s in shards),
-                remaining_new=sum(len(s.remaining_new_ids) for s in shards),
-                **accum,
-            )
+                candidate_subgraphs=candidate_units,
+                accepted_group_links=len(selection.group_mapping),
+                new_record_links=len(records),
+                remaining_old=len(shard.remaining_old_ids),
+                remaining_new=len(shard.remaining_new_ids),
+                pairs_scored=instrumentation.value(PAIRS_SCORED)
+                - start_scored,
+                cache_hits=shard.cache.hits - start_hits,
+                cache_misses=shard.cache.misses - start_misses,
+                seconds=round_timer.seconds("round"),
+            ),
+            records.pairs(),
+            selection.group_mapping.pairs(),
         )
-        # The stopping rule over the merged round (Alg. 1 line 16) — the
-        # lockstep heart of the sharded identity argument.
-        rounds_finished = bool(
-            not accum["accepted_group_links"] and config.stop_on_empty_round
-        )
-        if store is not None and (checkpointing or rounds_finished):
-            store.write_state(
-                capture(PHASE_ROUND, round_index, delta, len(shards)),
-                instrumentation=instrumentation,
-            )
-        if rounds_finished:
-            break
-    rounds_finished = True  # as the final state records
 
-    subgraph_links = len(record_mapping)
-    sim_func_rem = config.build_remaining_sim_func()
-    remaining_links = 0
-    for shard in shards:
-        remaining_mapping = shard.match_remaining(
-            sim_func_rem, blocker, config, group_mapping, instrumentation
-        )
-        record_mapping.update(remaining_mapping)
-        remaining_links += len(remaining_mapping)
-        if provenance is not None:
-            for pair in remaining_mapping:
-                provenance[pair] = LinkOrigin(
-                    "remaining", None, config.remaining_threshold
+    def finish_visit(shard: Shard, ledger: ShardLedger, stops: List[int]):
+        """End a visit: run the shard's remaining pass on each frontier
+        the stop rounds ``stops`` could leave it with, then release the
+        shard once its cache tallies are in the run's counters."""
+        final = shard.remaining_old_ids, shard.remaining_new_ids
+        passes = {ledger.frontier(after): after for after in stops}
+        for after_round in sorted(passes.values(), reverse=True):
+            shard.remaining_old_ids, shard.remaining_new_ids = final
+            _rewind_frontier(shard, ledger.linked(after_round + 1))
+            groups = GroupMapping()
+            mapping = shard.match_remaining(
+                sim_func_rem, blocker, config, groups, instrumentation
+            )
+            ledger.remaining.append(
+                RemainingPart(after_round, mapping.pairs(), groups.pairs())
+            )
+        for name, attribute in (
+            (CACHE_HITS, "hits"),
+            (CACHE_MISSES, "misses"),
+            (CACHE_EVICTIONS, "evictions"),
+        ):
+            instrumentation.count(name, getattr(shard.cache, attribute))
+        shard.release()
+
+    for position in range(first_shard, len(shards)):
+        shard, ledger = shards[position], ledgers[position]
+        known = [
+            other
+            for other_position, other in enumerate(ledgers)
+            if other_position <= position or idle[other_position]
+        ]
+        exact = position == last_busy
+        local = RecordMapping(ledger.linked())
+        while (
+            len(ledger.rounds) < len(schedule)
+            and shard.remaining_old_ids
+            and shard.remaining_new_ids
+            and not (
+                exact and _may_stop(
+                    known, len(ledger.rounds), len(schedule), stop_on_empty
                 )
-
-    for name, attribute in (
-        (CACHE_HITS, "hits"),
-        (CACHE_MISSES, "misses"),
-        (CACHE_EVICTIONS, "evictions"),
-    ):
-        instrumentation.set_counter(
-            name, sum(getattr(shard.cache, attribute) for shard in shards)
+            )
+        ):
+            round_index = len(ledger.rounds) + 1
+            ledger.rounds.append(shard_round(shard, local, round_index))
+            # The merged stopping rule (Alg. 1 line 16), decidable here
+            # only once every other shard is known.
+            stopping = bool(
+                exact and stop_on_empty and _empty_round(known, round_index)
+            )
+            if store is not None and (
+                round_index % config.checkpoint_every == 0 or stopping
+            ):
+                write_state(
+                    PHASE_ROUND, position, round_index,
+                    rounds_finished=stopping,
+                )
+        # The stop round is one of the rounds the known shards admit.
+        # Where the shard's frontier is the same at all of them — always
+        # once the stop round is settled — one remaining pass serves.
+        finish_visit(
+            shard, ledger, _stop_rounds(known, len(schedule), stop_on_empty)
         )
+        if store is not None and not idle[position] and position < last_busy:
+            write_state(PHASE_ROUND, position + 1, 0)
+
+    # The deferred stopping rule, over the merged rounds of every shard:
+    # rounds past it are dropped, and so are the remaining passes on
+    # frontiers it does not leave.
+    stop_round = _stop_rounds(ledgers, len(schedule), stop_on_empty)[0]
+
+    provenance: Optional[Dict[Pair, LinkOrigin]] = (
+        {} if validating else None
+    )
+    record_mapping = RecordMapping()
+    group_mapping = GroupMapping()
+    iterations: List[IterationStats] = []
+    for round_index, delta in enumerate(schedule[:stop_round], start=1):
+        iterations.append(_merged_round(ledgers, round_index, delta))
+        origin = LinkOrigin("subgraph", round_index, delta)
+        for ledger in ledgers:
+            if round_index > len(ledger.rounds):
+                continue
+            part = ledger.rounds[round_index - 1]
+            for pair in part.record_pairs:
+                record_mapping.add(*pair)
+                if provenance is not None:
+                    provenance[pair] = origin
+            for pair in part.group_pairs:
+                group_mapping.add(*pair)
+    subgraph_links = len(record_mapping)
+    origin = LinkOrigin("remaining", None, config.remaining_threshold)
+    remaining_links = 0
+    for ledger in ledgers:
+        _, record_pairs, group_pairs = ledger.remaining_at(stop_round)
+        for pair in record_pairs:
+            record_mapping.add(*pair)
+            if provenance is not None:
+                provenance[pair] = origin
+        for pair in group_pairs:
+            group_mapping.add(*pair)
+        remaining_links += len(record_pairs)
 
     result = LinkageResult(
         record_mapping=record_mapping,
@@ -766,16 +997,17 @@ def run_linkage(
         # Written only after validation passed, so a final snapshot
         # certifies a complete validated run; resuming from it is a
         # pure reconstruction (see _reconstruct_final).
-        store.write_state(
-            capture(
-                PHASE_FINAL,
-                iterations[-1].iteration if iterations else 0,
-                iterations[-1].delta if iterations else None,
-                len(shards),
-                subgraph_links=subgraph_links,
-                remaining_links=remaining_links,
-            ),
-            instrumentation=instrumentation,
+        write_state(
+            PHASE_FINAL,
+            len(shards),
+            stop_round,
+            rounds_finished=True,
+            record_pairs=record_mapping.as_jsonable(),
+            group_pairs=group_mapping.as_jsonable(),
+            iterations=[dataclasses.asdict(stats) for stats in iterations],
+            provenance=_provenance_rows(provenance),
+            subgraph_record_links=subgraph_links,
+            remaining_record_links=remaining_links,
         )
     return result
 
@@ -792,6 +1024,17 @@ def _advance_frontier(shard: Shard, record_mapping: RecordMapping) -> None:
         for record_id in shard.remaining_new_ids
         if not record_mapping.contains_new(record_id)
     ]
+
+
+def _rewind_frontier(shard: Shard, pairs: Sequence[Pair]) -> None:
+    """Return the records of dropped links to the shard's frontier, in
+    sorted-id order."""
+    shard.remaining_old_ids = sorted(
+        shard.remaining_old_ids + [old_id for old_id, _ in pairs]
+    )
+    shard.remaining_new_ids = sorted(
+        shard.remaining_new_ids + [new_id for _, new_id in pairs]
+    )
 
 
 def _check_recorded(what: str, recorded: str, current: str) -> None:
@@ -811,7 +1054,7 @@ def _resident_dataset(snapshot) -> CensusDataset:
 
 
 def _provenance_rows(
-    provenance: Optional[Dict[Tuple[str, str], LinkOrigin]],
+    provenance: Optional[Dict[Pair, LinkOrigin]],
 ) -> Optional[List[List[object]]]:
     """Provenance table as canonical sorted JSON-safe rows."""
     if provenance is None:
@@ -822,33 +1065,15 @@ def _provenance_rows(
     ]
 
 
-def _provenance_from_rows(
-    rows: List[List[object]],
-) -> Dict[Tuple[str, str], LinkOrigin]:
-    """Inverse of :func:`_provenance_rows`."""
-    return {
-        (old_id, new_id): LinkOrigin(source, round_index, threshold)
-        for old_id, new_id, source, round_index, threshold in rows
-    }
-
-
-def _restore(state: RunState, instrumentation: Instrumentation):
-    """A state's decisions — ``(record mapping, group mapping,
-    iterations, provenance or None)`` — with its counters restored into
-    ``instrumentation``.  The ``checkpoint_*`` counters stay
-    per-process: they meter this run's own I/O, not the interrupted
-    run's."""
+def _restore_counters(
+    state: RunState, instrumentation: Instrumentation
+) -> None:
+    """Restore a state's counters into ``instrumentation``.  The
+    ``checkpoint_*`` counters stay per-process: they meter this run's
+    own I/O, not the interrupted run's."""
     for name, value in state.counters.items():
         if name not in META_COUNTERS:
             instrumentation.set_counter(name, value)
-    return (
-        RecordMapping(tuple(pair) for pair in state.record_pairs),
-        GroupMapping(tuple(pair) for pair in state.group_pairs),
-        [IterationStats(**stats) for stats in state.iterations],
-        None
-        if state.provenance is None
-        else _provenance_from_rows(state.provenance),
-    )
 
 
 def _reconstruct_final(
@@ -858,13 +1083,20 @@ def _reconstruct_final(
     checkpoint without recomputing anything.  Counters are restored
     wholesale, so the reconstructed result's ledger hashes equal the
     uninterrupted run's."""
-    record_mapping, group_mapping, iterations, provenance = _restore(
-        state, instrumentation
-    )
+    _restore_counters(state, instrumentation)
+    provenance = None
+    if state.provenance is not None:
+        provenance = {
+            (old_id, new_id): LinkOrigin(source, round_index, threshold)
+            for old_id, new_id, source, round_index, threshold
+            in state.provenance
+        }
     return LinkageResult(
-        record_mapping=record_mapping,
-        group_mapping=group_mapping,
-        iterations=iterations,
+        record_mapping=RecordMapping(
+            tuple(pair) for pair in state.record_pairs
+        ),
+        group_mapping=GroupMapping(tuple(pair) for pair in state.group_pairs),
+        iterations=[IterationStats(**stats) for stats in state.iterations],
         remaining_record_links=state.remaining_record_links or 0,
         subgraph_record_links=state.subgraph_record_links or 0,
         profile=instrumentation,

@@ -1,4 +1,4 @@
-"""Sharded out-of-core linkage: store, planner and lockstep driver.
+"""Sharded out-of-core linkage: store, planner and streamed shards.
 
 The in-RAM pipeline (:mod:`repro.core.pipeline`) holds both full
 datasets, every candidate pair and one global scoring kernel in memory —
@@ -14,11 +14,12 @@ run along the only seams the algorithm offers:
   packs the resulting components into balanced work units, guaranteeing
   that every candidate pair, cluster, group pair and selection conflict
   is shard-local;
-* :mod:`repro.sharding.pipeline` — the lockstep round-major driver:
-  every δ round of Alg. 1 visits each shard with the PR-6 kernel
-  encoding rebuilt per shard, merging per-round decisions that are
-  **decision-identical** to the in-RAM path
-  (``sharded_vs_unsharded`` in ``tests/differential.py``).
+* :mod:`repro.sharding.pipeline` — streamed shards for the one Alg. 1
+  driver, which visits them one after another: each shard is read,
+  enriched and encoded once and runs the whole δ schedule, and the
+  stopping rule is applied to the merged per-round ledgers after the
+  last visit, so the result is **decision-identical** to the in-RAM
+  path (``sharded_vs_unsharded`` in ``tests/differential.py``).
 
 Enable via ``LinkageConfig(shards=N)`` or ``repro link --shards N``.
 """

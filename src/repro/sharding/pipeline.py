@@ -4,17 +4,17 @@
 (:func:`repro.core.pipeline.run_linkage`) over the shards of a
 :class:`~repro.sharding.planner.ShardPlan`, where the in-RAM pipeline
 (:class:`repro.core.pipeline.IterativeGroupLinkage`) runs it over one
-resident shard.  A :class:`StreamedShard` keeps only its cross-round
-state — similarity cache with its pair table (the blocked pairs as row
-arrays), pruning engine and frontier ids.  On every visit,
-:func:`_shard_round` and :func:`_shard_remaining` re-read its records
-from the record source and re-enrich and re-encode them, then release
-them, so only one shard's records are resident at a time; the re-encoded
-rows must be the table's rows
-(:meth:`repro.core.pairtable.PairTable.check_scorer`).  With a :class:`ShardedRecordSource`
-backed by a :class:`~repro.sharding.store.ShardStore`, records stream
-from memory-mapped column files and the full datasets are never
-resident (``benchmarks/test_ci_gates.py`` gates the peak-RSS gap).
+resident shard.  The driver visits shards one after another.  A
+:class:`StreamedShard` reads its records from the record source at the
+first round of a visit (:func:`_shard_round`), enriches and encodes them
+once, keeps them for every δ round and the remaining pass of the visit
+(:func:`_shard_remaining`), and releases them — together with its
+similarity cache, pair table and pruning engine — when the visit ends,
+so each shard is built once and only one shard's records are resident
+at a time.  With a :class:`ShardedRecordSource` backed by a
+:class:`~repro.sharding.store.ShardStore`, records stream from
+memory-mapped column files and the full datasets are never resident
+(``benchmarks/test_ci_gates.py`` gates the peak-RSS gap).
 
 The result is **decision-identical** to the in-RAM run
 (``sharded_vs_unsharded`` in ``tests/differential.py``,
@@ -25,22 +25,29 @@ The result is **decision-identical** to the in-RAM run
   group pairs, common subgraphs and every Alg. 2 / remaining-pass
   conflict set are shard-local.  Restricting a greedy selection to a
   shard therefore removes no competitor it would have had globally, and
-  the union of per-shard selections equals the global selection.
+  the union of per-shard selections equals the global selection; a
+  shard's rounds read only its own earlier links.
 * The only *global* couplings of Alg. 1 — the ``stop_on_empty_round``
-  test and the exhausted-frontier break — are evaluated by the driver
-  over the **merged** round outcome, in lockstep: no shard advances to
-  round r+1 until every shard finished round r.  Per-shard independent
-  stopping would diverge from the global run; lockstep cannot.
+  test and the exhausted-frontier break — read the **merged** round, so
+  the stop round R is a function of per-shard, per-round statistics.
+  The driver records them in each shard's ledger and applies the
+  stopping rule once every shard is visited (the *deferred stop*): the
+  links a shard made in rounds after R are dropped, and of the
+  remaining passes its visit ran — one per frontier R could still leave
+  it with — the one on its frontier at R is kept.  A shard stopping at
+  its own empty round would diverge from the global run; the deferred
+  stop cannot.
 
 What legitimately differs from the in-RAM run is *effort*: per-shard
 caches, pruning warm-up and kernel batching change ``pairs_scored``,
-hit/miss tallies and batch counts.  Hence the comparison document is the
-decisions-only ledger, not :func:`repro.checkpoint.ledger_hash`.
+hit/miss tallies and batch counts, and so do the rounds and remaining
+passes a shard runs before R is known.  Hence the comparison document
+is the decisions-only ledger, not :func:`repro.checkpoint.ledger_hash`.
 
 Checkpoints are the driver's one :class:`~repro.checkpoint.RunState`
-format, with mid-round states at shard boundaries.  Streamed caches are
-not persisted: a resumed run re-scores what the interrupted run had
-cached, with identical decisions.
+format, written shard-major: after the rounds of the shard in flight and
+at shard boundaries.  Streamed caches are not persisted: a resumed run
+re-scores what the interrupted run had cached, with identical decisions.
 """
 
 from __future__ import annotations
@@ -55,10 +62,12 @@ from ..core.enrichment import complete_groups  # noqa: F401
 from ..core.pipeline import (
     LinkageResult,
     Shard,
+    ShardVisit,
     build_visit,
     match_shard_remaining,
     match_shard_round,
     run_linkage,
+    scoring_state,
 )
 from ..core.prematching import prematching
 # Unused here; kept bound because perfbench/tracing.py wraps it by name.
@@ -174,7 +183,7 @@ class _StoreSource(ShardedRecordSource):
 
 
 class StreamedShard(Shard):
-    """One planner shard whose records are re-read on every visit."""
+    """One planner shard whose records are read once per visit."""
 
     def __init__(
         self,
@@ -187,6 +196,9 @@ class StreamedShard(Shard):
         self.spec = spec
         self.old_source = old_source
         self.new_source = new_source
+        #: The records, households, index and scorer of the visit in
+        #: progress, built at its first round.
+        self.visit: Optional[ShardVisit] = None
 
     def match_round(
         self, sim_func, blocker, config, backend, record_mapping, delta,
@@ -200,12 +212,18 @@ class StreamedShard(Shard):
     def match_remaining(
         self, sim_func_rem, blocker, config, group_mapping, instrumentation
     ) -> RecordMapping:
-        if not self.remaining_old_ids and not self.remaining_new_ids:
-            return RecordMapping()  # nothing left to pair: skip the visit
+        if not self.remaining_old_ids or not self.remaining_new_ids:
+            return RecordMapping()  # a side is exhausted: nothing to pair
         return _shard_remaining(
             self, sim_func_rem, blocker, config, group_mapping,
             instrumentation,
         )
+
+    def release(self) -> None:
+        """Drop the visit and start the next one (if any) with a fresh
+        cache, pair table and pruning engine."""
+        self.visit = None
+        self.cache, self.candidate_filter = scoring_state(self.config)
 
     def load(self) -> Tuple[CensusDataset, CensusDataset]:
         """Materialize this shard's records of both snapshots."""
@@ -233,7 +251,8 @@ def link_datasets_sharded(
     out-of-core runs).  ``config.shards`` fixes the shard count
     (coerced to at least 1).  ``checkpoint_dir``/``resume`` behave as
     for the in-RAM run (:func:`repro.core.pipeline.run_linkage`), with
-    resume re-entering an interrupted round at its shard boundary.
+    resume re-entering at the shard in flight, after its last recorded
+    round.
     """
     config = config or LinkageConfig()
     old_source = ShardedRecordSource.coerce(old_source)
@@ -275,15 +294,17 @@ def _shard_round(
     instrumentation,
     round_timer,
 ):
-    """One shard's visit in one δ round: rebuild its records, households,
-    index and pair scorer, run the round step, release them."""
-    old, new = context.load()
-    visit = build_visit(
-        old, new, config, context.candidate_filter, instrumentation
-    )
+    """One shard's step in one δ round.  The first round of a visit
+    reads the shard's records and builds its households, index and pair
+    scorer; later rounds of the visit reuse them."""
+    if context.visit is None:
+        old, new = context.load()
+        context.visit = build_visit(
+            old, new, config, context.candidate_filter, instrumentation
+        )
     return match_shard_round(
-        context, visit, sim_func, blocker, config, backend, record_mapping,
-        delta, round_index, instrumentation, round_timer,
+        context, context.visit, sim_func, blocker, config, backend,
+        record_mapping, delta, round_index, instrumentation, round_timer,
         prematch=prematching,
     )
 
@@ -296,15 +317,19 @@ def _shard_remaining(
     group_mapping,
     instrumentation,
 ) -> RecordMapping:
-    """One shard's visit for the remaining pass.  The main pair scorer
-    is rebuilt only when the pass shares the main weights; custom
-    remaining weights build their own over the leftover records."""
-    old, new = context.load()
-    visit = build_visit(
-        old, new, config, context.candidate_filter, instrumentation,
-        groups=False, scorer=config.remaining_weights is None,
-    )
+    """One shard's remaining pass, on the visit in progress.  A resumed
+    shard whose rounds all ran before the interruption has no visit yet:
+    it reads its records and builds what the pass needs, without
+    households or index.  The main pair scorer is built only when the
+    pass shares the main weights; custom remaining weights build their
+    own over the leftover records."""
+    if context.visit is None:
+        old, new = context.load()
+        context.visit = build_visit(
+            old, new, config, context.candidate_filter, instrumentation,
+            groups=False, scorer=config.remaining_weights is None,
+        )
     return match_shard_remaining(
-        context, visit, sim_func_rem, blocker, config, group_mapping,
+        context, context.visit, sim_func_rem, blocker, config, group_mapping,
         instrumentation,
     )

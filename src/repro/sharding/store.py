@@ -348,23 +348,16 @@ class ShardStore:
                 if line
             ]
             return [_record_from_row(row) for row in rows]
-        columns = {
-            column: _np.load(paths[column], mmap_mode="r")
-            for column in COLUMNS
-        }
-        records = []
-        for index in range(int(shard["num_records"])):
-            values = {}
-            for column in COLUMNS:
-                raw = columns[column][index]
-                if column == "age":
-                    age = int(raw)
-                    values[column] = None if age == NONE_AGE else age
-                else:
-                    text = str(raw)
-                    values[column] = None if text == NONE_STRING else text
-            records.append(PersonRecord(**values))
-        return records
+        # One decode per column (plain ints and strs), then the
+        # sentinels become None.
+        columns = []
+        for column in COLUMNS:
+            sentinel = NONE_AGE if column == "age" else NONE_STRING
+            columns.append([
+                None if value == sentinel else value
+                for value in _np.load(paths[column], mmap_mode="r").tolist()
+            ])
+        return [PersonRecord(*values) for values in zip(*columns)]
 
     def iter_records(self, year: int) -> Iterator[PersonRecord]:
         """Stream a year's records shard by shard (planner input): at

@@ -8,8 +8,9 @@ counters (``repro.checkpoint.ledger_hash``).  This battery proves the
 contract at **every** kill point, serial and with 2 workers, instead of
 sampling one.  In-RAM and sharded runs share the one driver and the one
 checkpoint format, so the kill-at-every-boundary test covers both
-residencies: a 3-shard run is also killed at every shard boundary inside
-a round, and must resume to the in-RAM run's decisions
+residencies: a 3-shard run, which visits its shards one after another,
+is killed after every round of every shard's visit and at every shard
+boundary, and must resume to the in-RAM run's decisions
 (``repro.checkpoint.decision_ledger_hash``) — its shard caches are not
 persisted, so its effort counters may differ.
 """
@@ -98,10 +99,10 @@ class TestCrashMatrix:
     ):
         """The tentpole guarantee, at every kill point of both
         residencies: after each checkpoint write but the final one —
-        every δ-round boundary and, for a 3-shard run, every shard
-        boundary inside a round.  The resident run resumes to the
-        uninterrupted run's full ledger, the streamed one to the in-RAM
-        run's decisions."""
+        every δ-round boundary and, for a 3-shard run, every round of
+        each shard's visit and every shard boundary.  The resident run
+        resumes to the uninterrupted run's full ledger, the streamed one
+        to the in-RAM run's decisions."""
         if shards == 0:
             pair, baseline = datasets, baselines[workers]
             config = make_config(workers)
@@ -118,7 +119,16 @@ class TestCrashMatrix:
             *pair, config, checkpoint_dir=tmp_path / "reference"
         )
         boundaries = reference.profile.value(CHECKPOINT_WRITES) - 1
-        assert boundaries == len(baseline.iterations) * max(1, shards)
+        if shards:
+            # Shard-major: each shard's rounds, then its boundary.  The
+            # first two shards run the whole schedule, past the stop
+            # round that only the last shard settles; the last one stops
+            # there and writes no boundary.
+            rounds = len(config.threshold_schedule())
+            assert len(baseline.iterations) < rounds
+            assert boundaries == 2 * (rounds + 1) + len(baseline.iterations)
+        else:
+            assert boundaries == len(baseline.iterations)
         for kill_after in range(1, boundaries + 1):
             directory = tmp_path / f"k{kill_after}"
             resumed = crash_then_resume(
@@ -172,22 +182,23 @@ class TestCrashMatrix:
     def test_mid_round_write_failure_leaves_prior_state_loadable(
         self, country, country_baselines, tmp_path
     ):
-        """The same worst instant inside a round of a 3-shard run: the
-        second shard's state is staged, never published.  The first
-        shard's state stays the loadable tip, and resume re-enters the
-        round after that shard."""
+        """The same worst instant inside a shard's visit of a 3-shard
+        run: the state after the first shard's second round is staged,
+        never published.  The state after its first round stays the
+        loadable tip, and resume re-enters that shard after round 1."""
         old, new = country
         config = make_config(blocking="region", shards=3)
         store = CrashingStore(tmp_path, fail_replace_at=2)
         with pytest.raises(OSError, match="injected failure"):
             link_datasets(old, new, config, checkpoint_dir=store)
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["round_0001_shard_0001.json"]
+        assert names == ["shard_0001_round_0001.json"]
 
         recovery = CheckpointStore(tmp_path)
         state = recovery.load_latest()
-        assert state is not None and state.mid_round
-        assert (state.round_index, state.shards_done) == (1, 1)
+        assert state is not None
+        assert (state.round_index, state.shards_done) == (1, 0)
+        assert len(state.shard_parts) == 1
         assert recovery.skipped == []
 
         resumed = link_datasets(
@@ -260,9 +271,10 @@ class TestCadenceAndOptions:
     def test_checkpoint_every_applies_to_sharded_runs(
         self, country, country_baselines, tmp_path
     ):
-        """A 3-shard run under checkpoint_every=2 writes nothing in
-        round 1, and in round 2 a state after each shard merge but the
-        last, then the round state."""
+        """A 3-shard run under checkpoint_every=2 writes a state after
+        each even round of each shard's visit and after the round the
+        stopping rule ends the loop at, plus a state at each shard
+        boundary before the last shard."""
         old, new = country
         link_datasets(
             old, new,
@@ -270,16 +282,17 @@ class TestCadenceAndOptions:
             checkpoint_dir=tmp_path,
         )
         entries = CheckpointStore(tmp_path).entries()
-        assert [e.round_index for e in entries].count(1) == 0
-        assert [
-            (e.kind, e.shards_done) for e in entries if e.round_index == 2
-        ] == [("shard", 1), ("shard", 2), ("round", None)]
         final_round = len(country_baselines[1].iterations)
-        for entry in entries[:-1]:
-            assert entry.round_index % 2 == 0 or (
-                entry.round_index == final_round and entry.kind == "round"
-            )
-        assert entries[-1].kind == "final"
+        assert final_round % 2 == 1  # the stopping round is odd
+        assert [
+            (entry.kind, entry.shards_done, entry.round_index)
+            for entry in entries
+        ] == [
+            ("round", 0, 2), ("round", 0, 4), ("shard", 1, None),
+            ("round", 1, 2), ("round", 1, 4), ("shard", 2, None),
+            ("round", 2, 2), ("round", 2, final_round),
+            ("final", None, None),
+        ]
 
     def test_resume_from_sparse_cadence_is_identical(
         self, datasets, baselines, tmp_path

@@ -90,6 +90,30 @@ provenance_rows = st.lists(
 )
 
 
+link_rows = st.lists(record_ids, max_size=4)
+
+shard_parts = st.fixed_dictionaries(
+    {
+        "rounds": st.lists(
+            st.tuples(iteration_dicts, link_rows, link_rows).map(
+                lambda item: dict(
+                    item[0], record_pairs=item[1], group_pairs=item[2]
+                )
+            ),
+            max_size=3,
+        ),
+        "remaining": st.lists(
+            st.fixed_dictionaries({
+                "after_round": st.integers(min_value=0, max_value=9),
+                "record_pairs": link_rows,
+                "group_pairs": link_rows,
+            }),
+            max_size=2,
+        ),
+    }
+)
+
+
 @st.composite
 def run_states(draw):
     phase = draw(st.sampled_from([PHASE_ROUND, PHASE_FINAL]))
@@ -116,6 +140,9 @@ def run_states(draw):
         remaining_record_links=(
             draw(st.integers(min_value=0, max_value=10000)) if final else None
         ),
+        shards_total=draw(st.integers(min_value=1, max_value=4)),
+        shards_done=draw(st.integers(min_value=0, max_value=4)),
+        shard_parts=[] if final else draw(st.lists(shard_parts, max_size=3)),
     )
 
 
@@ -270,6 +297,67 @@ class TestStoreRecovery:
         [(path, reason)] = store.skipped
         assert path.name == "round_0002.json"
         assert "unsupported checkpoint schema 1" in reason
+
+    def test_schema_2_state_rejected(self, tmp_path):
+        """A state of the round-major layout (schema 2, mid-round
+        accumulators) is refused before its payload is read, and resume
+        falls back past it."""
+        store = self.write_rounds(tmp_path, 1)
+        payload = {"round_index": 2, "phase": "round", "round_accum": {}}
+        document = json.dumps({
+            "schema": 2,
+            "content_hash": content_hash(payload),
+            "payload": payload,
+        })
+        with pytest.raises(CheckpointSchemaError, match="schema 2"):
+            RunState.loads(document)
+        (tmp_path / "round_0002.json").write_text(document, encoding="utf-8")
+        assert store.load_latest().round_index == 1
+        [(path, reason)] = store.skipped
+        assert path.name == "round_0002.json"
+
+    def test_shard_major_progress_order(self, tmp_path):
+        """A sharded run's states list shard by shard: a shard's rounds,
+        then its boundary, then the next shard's rounds."""
+        store = CheckpointStore(tmp_path)
+        for shards_done, round_index in ((1, 0), (1, 2), (0, 1), (0, 10)):
+            store.write_state(RunState(
+                round_index=round_index,
+                phase=PHASE_ROUND,
+                delta=None,
+                schedule=(),
+                rounds_finished=False,
+                shards_total=3,
+                shards_done=shards_done,
+            ))
+        assert [entry.path.name for entry in store.entries()] == [
+            "shard_0001_round_0001.json", "shard_0001_round_0010.json",
+            "shard_0001.json", "shard_0002_round_0002.json",
+        ]
+        assert store.load_latest().shards_done == 1
+        assert store.load_latest().round_index == 2
+
+    def test_in_progress_link_counts_are_distinct(self):
+        """``repro checkpoints`` counts a group link accepted in two
+        rounds once, and a shard's remaining pass on its latest frontier
+        only."""
+        part = {
+            "rounds": [
+                {"record_pairs": [["o1", "n1"]], "group_pairs": [["g", "h"]]},
+                {"record_pairs": [["o2", "n2"]], "group_pairs": [["g", "h"]]},
+            ],
+            "remaining": [
+                {"after_round": 1, "record_pairs": [["o3", "n3"]],
+                 "group_pairs": [["g", "h"]]},
+                {"after_round": 2, "record_pairs": [], "group_pairs": []},
+            ],
+        }
+        state = RunState(
+            round_index=0, phase=PHASE_ROUND, delta=None, schedule=(),
+            rounds_finished=False, shards_total=2, shards_done=1,
+            shard_parts=[part],
+        )
+        assert (state.record_links, state.group_links) == (2, 1)
 
     def test_temp_artifacts_never_listed(self, tmp_path):
         store = self.write_rounds(tmp_path, 1)

@@ -5,10 +5,12 @@ The identity contract under test: a sharded run makes **exactly** the
 decisions of the in-RAM run — same mappings, same per-round ledgers
 (:func:`repro.checkpoint.decision_ledger_hash`) — for any shard count,
 any worker count, either record-source backing, and across any
-mid-round crash/resume boundary.
+crash/resume boundary, although it visits each shard once and applies
+the stopping rule only after the last visit.
 """
 
 import dataclasses
+import inspect
 import shutil
 
 import pytest
@@ -25,6 +27,7 @@ from repro.core.config import LinkageConfig
 from repro.core.pipeline import link_datasets
 from repro.datagen import generate_pair
 from repro.datagen.country import CountryConfig, generate_country
+from repro.instrumentation import CHECKPOINT_WRITES
 from repro.model import roles
 from repro.model.dataset import CensusDataset
 from repro.model.records import PersonRecord
@@ -35,6 +38,7 @@ from repro.sharding import (
     plan_shards,
 )
 
+import repro.sharding.pipeline as sharded_module
 from tests.differential import sharded_vs_unsharded
 
 
@@ -50,6 +54,87 @@ def family(region, year, number, surname, head, age):
         PersonRecord(f"{prefix}_3", household, "tom", surname, "m",
                      age - 30, None, f"{surname} st", roles.SON),
     ]
+
+
+#: 1881 first names of a household whose 1871 head, wife and son are
+#: ("john", "mary", "tom"), by the δ round of the default schedule in
+#: which that household links (from round 2 on, :func:`staged_pair` also
+#: changes its occupation and address): the further the names drift,
+#: the lower the δ it waits for.
+NAMES_LINKED_IN = {
+    1: ("john", "mary", "tom"),
+    2: ("jon", "marey", "thom"),
+    3: ("jon", "maria", "tommy"),
+    5: ("jon", "molly", "thomas"),
+}
+
+
+def household(region, year, number, surname, age, names=NAMES_LINKED_IN[1],
+              occupation="weaver", address=None, extra=()):
+    """Head, wife and son (plus ``extra`` ``(name, sex, age, role)``
+    members) of one household of ``region`` in census ``year``."""
+    household_id = f"{region}::h{year}_{number}"
+    address = address or f"{surname} st"
+    head, wife, son = names
+    members = [
+        (head, "m", age, roles.HEAD), (wife, "f", age - 2, roles.WIFE),
+        (son, "m", age - 30, roles.SON), *extra,
+    ]
+    return [
+        PersonRecord(f"{region}::{year}_{number}_{index}", household_id,
+                     first, surname, sex, member_age,
+                     occupation if role == roles.HEAD else None, address,
+                     role)
+        for index, (first, sex, member_age, role) in enumerate(members, 1)
+    ]
+
+
+def staged_pair(*households):
+    """A census pair of ``(region, number, surname, age, link_round)``
+    households, each linking in δ round ``link_round``, with optional
+    ``old_extra=``/``new_extra=`` members (a dict as sixth item)."""
+    old, new = [], []
+    for region, number, surname, age, link_round, *options in households:
+        options = options[0] if options else {}
+        old += household(region, 1871, number, surname, age,
+                         extra=options.get("old_extra", ()))
+        moved = {} if link_round == 1 else {
+            "occupation": "carter", "address": "mill lane",
+        }
+        new += household(region, 1881, number, surname, age + 10,
+                         NAMES_LINKED_IN[link_round],
+                         extra=options.get("new_extra", ()), **moved)
+    return (
+        CensusDataset.from_records(1871, old),
+        CensusDataset.from_records(1881, new),
+    )
+
+
+#: Region "a" is visited first.  Its shard links household 1 in round
+#: 1 and household 2 only in round 5; region "b" links in round 1 only,
+#: so round 2 is empty everywhere and the run stops there.  The region
+#: "a" shard, visited before that is known, runs all five rounds.
+SPECULATION_DROPPED = staged_pair(
+    ("a", 1, "ashworth", 40, 1),
+    ("a", 2, "ashworth", 62, 5),
+    ("b", 3, "pickup", 38, 1),
+)
+#: Region "a" links in round 2 only, region "b" in rounds 1 and 3: each
+#: shard has an empty round of its own before it links again.
+OWN_EMPTY_ROUND = staged_pair(
+    ("a", 1, "ashworth", 40, 2),
+    ("b", 2, "pickup", 38, 1),
+    ("b", 3, "pickup", 64, 3),
+)
+#: Round 1 links every old record of region "a" and every new record of
+#: region "b": each shard has lost a side, but the run's frontier has
+#: not, so round 2 still runs — empty — and stops the loop.
+SIDE_EXHAUSTED = staged_pair(
+    ("a", 1, "ashworth", 40, 1,
+     {"new_extra": [("ann", "f", 1, roles.DAUGHTER)]}),
+    ("b", 2, "pickup", 38, 1,
+     {"old_extra": [("martha", "f", 70, roles.MOTHER)]}),
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +287,14 @@ class TestDecisionIdentity:
             raise AssertionError("the sharded run read a whole year")
 
         monkeypatch.setattr(ShardStore, "read_dataset", read_whole_year)
+        encodings = []
+        build_scoring_kernel = LinkageConfig.build_scoring_kernel
+
+        def encode(self, *args, **kwargs):
+            encodings.append(len(args[1]))
+            return build_scoring_kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinkageConfig, "build_scoring_kernel", encode)
         loads, streams = [], []
         for source in sources:
             def load(ids, source=source, inner=source.load):
@@ -221,6 +314,16 @@ class TestDecisionIdentity:
             assert any(ids <= shard for shard in shard_ids[year]), (
                 f"a load of {len(ids)} {year} records spans planner shards"
             )
+        # One build per shard: each planner shard is read once per year
+        # and encoded once, for all its δ rounds and its remaining pass.
+        assert sorted(
+            (year, sorted(ids)) for year, ids in loads
+        ) == sorted(
+            (year, sorted(ids))
+            for year in (old.year, new.year)
+            for ids in shard_ids[year]
+        )
+        assert len(encodings) == len(plan.shards)
         assert decision_ledger_hash(result) == decision_ledger_hash(base)
         assert decision_ledger_hash(result) == (
             "69fa442c3bf6b0a041415479e936aaa0f32edb7fb957fe3775cdc19a8f77c7ad"
@@ -248,9 +351,96 @@ class TestDecisionIdentity:
             )
 
 
+class TestDeferredStop:
+    """Pinned inputs for the deferred stopping rule: the stop round is
+    applied to the shards' ledgers after the last visit."""
+
+    @pytest.mark.parametrize("pair", [
+        SPECULATION_DROPPED, OWN_EMPTY_ROUND, SIDE_EXHAUSTED,
+    ], ids=["speculation-dropped", "own-empty-round", "side-exhausted"])
+    def test_in_ram_decisions(self, pair):
+        outcomes = sharded_vs_unsharded(
+            *pair, LinkageConfig(blocking="region"), shards=(1, 4),
+            workers=(1, 2),
+        )
+        assert [outcome.ok for outcome in outcomes] == [True] * 4, [
+            outcome.report() for outcome in outcomes if not outcome.ok
+        ]
+
+    @staticmethod
+    def visited_rounds(monkeypatch):
+        """``(shard, round)`` of every ``_shard_round`` call."""
+        calls = []
+        original = sharded_module._shard_round
+
+        def shard_round(context, *args, **kwargs):
+            bound = inspect.signature(original).bind(
+                context, *args, **kwargs
+            )
+            calls.append((context.spec.index, bound.arguments["round_index"]))
+            return original(context, *args, **kwargs)
+
+        monkeypatch.setattr(sharded_module, "_shard_round", shard_round)
+        return calls
+
+    def test_links_past_the_stop_round_are_dropped(self, monkeypatch):
+        old, new = SPECULATION_DROPPED
+        config = LinkageConfig(blocking="region", shards=4)
+        base = link_datasets(old, new, dataclasses.replace(config, shards=0))
+        calls = self.visited_rounds(monkeypatch)
+        result = link_datasets(old, new, config)
+        # Shards 0 and 1 are empty; shard 2 (region "a") runs the whole
+        # schedule and links household 2 in round 5; shard 3 links all
+        # it has in round 1.  The run stops at round 2.
+        assert calls == [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1)]
+        assert len(result.iterations) == 2
+        assert not any(
+            old_id.startswith("a::1871_2_") for old_id, _ in result.record_mapping
+        )
+        assert decision_ledger_hash(result) == decision_ledger_hash(base)
+
+    def test_speculation_validated(self):
+        old, new = SPECULATION_DROPPED
+        config = LinkageConfig(blocking="region", shards=4, validate=True)
+        result = link_datasets(old, new, config)
+        assert result.provenance is not None
+        assert set(result.provenance) == set(result.record_mapping.pairs())
+        assert {origin.round for origin in result.provenance.values()} <= {
+            1, 2, None,
+        }
+        base = link_datasets(old, new, dataclasses.replace(config, shards=0))
+        assert decision_ledger_hash(result) == decision_ledger_hash(base)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_speculation_killed_at_every_write(self, tmp_path, workers):
+        old, new = SPECULATION_DROPPED
+        config = LinkageConfig(
+            blocking="region", shards=4, validate=True, n_workers=workers,
+        )
+        expected = decision_ledger_hash(
+            link_datasets(old, new, dataclasses.replace(config, shards=0))
+        )
+        reference = link_datasets(
+            old, new, config, checkpoint_dir=tmp_path / "reference"
+        )
+        writes = reference.profile.value(CHECKPOINT_WRITES)
+        # Shard 2: five rounds and its boundary; shard 3: one round.
+        assert writes - 1 == 5 + 1 + 1
+        for kill_after in range(1, writes + 1):
+            directory = tmp_path / f"k{kill_after}"
+            store = CrashingStore(directory, crash_after_writes=kill_after)
+            with pytest.raises(SimulatedCrash):
+                link_datasets(old, new, config, checkpoint_dir=store)
+            resumed = link_datasets(
+                old, new, config, checkpoint_dir=directory, resume=True
+            )
+            assert decision_ledger_hash(resumed) == expected, kill_after
+
+
 class TestCrashResume:
-    """Mid-round shard-boundary recovery: every checkpoint prefix of a
-    completed run must resume to the identical decision ledger."""
+    """Shard-major recovery: every checkpoint prefix of a completed run
+    — after any round of a shard's visit or at any shard boundary — must
+    resume to the identical decision ledger."""
 
     @pytest.fixture()
     def completed(self, tmp_path, country_pair):
@@ -285,10 +475,10 @@ class TestCrashResume:
             )
 
     def test_resume_after_frontier_exhausted_mid_round(self, tmp_path):
-        """Killed after the round's first shard merge linked every old
-        record: the resumed round still visits the other shard and
-        records its statistics, instead of stopping at the round's
-        exhausted-frontier test."""
+        """Killed after the round in which the only shard with work
+        linked every old record: the resumed run still counts the other
+        shard's unlinked records in the round's statistics, and stops at
+        the exhausted frontier."""
         old = CensusDataset.from_records(
             1871, family("a", 1871, 1, "ashworth", "john", 40)
             + family("a", 1871, 2, "pickup", "henry", 38),
@@ -301,10 +491,12 @@ class TestCrashResume:
         config = LinkageConfig(blocking="region", shards=2)
         uninterrupted = link_datasets(old, new, config)
         assert uninterrupted.iterations[0].remaining_old == 0
+        assert uninterrupted.iterations[0].remaining_new == 3
         store = CrashingStore(tmp_path, crash_after_writes=1)
         with pytest.raises(SimulatedCrash):
             link_datasets(old, new, config, checkpoint_dir=store)
-        assert CheckpointStore(tmp_path).load_latest().mid_round
+        state = CheckpointStore(tmp_path).load_latest()
+        assert (state.round_index, state.shards_done) == (1, 0)
         resumed = link_datasets(
             old, new, config, checkpoint_dir=tmp_path, resume=True
         )
@@ -427,7 +619,7 @@ class TestCli:
 
     def test_checkpoints_lists_sharded_states(self, store_dir, capsys):
         """``repro checkpoints`` reads a sharded run's directory — the one
-        checkpoint format — with a shards-done column."""
+        checkpoint format, shard-major — with a shards-done column."""
         ckpt = store_dir / "ckpt"
         assert main([
             "link", "--store", str(store_dir / "store"),
@@ -439,10 +631,11 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert "shards" in lines[0].split()
         rows = {line.split()[0]: line.split() for line in lines[1:]}
-        assert rows["round_0001_shard_0001.json"][1:5] == [
-            "ok", "round", "1", "1/2"
+        assert rows["shard_0001_round_0001.json"][1:5] == [
+            "ok", "round", "1", "0/2"
         ]
-        assert rows["round_0001.json"][4] == "2/2"
+        assert rows["shard_0001.json"][1:5] == ["ok", "round", "0", "1/2"]
+        assert rows["shard_0002_round_0001.json"][4] == "1/2"
         assert rows["final.json"][1:3] == ["ok", "final"]
 
     def test_shards_with_series_state_rejected(self, store_dir, capsys):

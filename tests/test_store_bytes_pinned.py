@@ -4,8 +4,10 @@ Each test writes one fixed document through its store and compares the
 SHA-256 of the bytes on disk with a literal.  The literals were taken
 from the per-store writers before the four stores moved onto the shared
 primitive in :mod:`repro.ioutil`, so a green run proves that no byte of
-an existing format changed: old checkpoints, pair states, segments and
-service manifests stay readable without a migration.
+an existing format changed: pair states, segments and service manifests
+stay readable without a migration.  The run-state literal was re-taken
+when checkpoints became shard-major (schema 3, per-shard round ledgers
+instead of mid-round accumulators); older states are refused by schema.
 
 The similarity-cache rows a real run journals are pinned too: the
 ``cache`` section of every checkpoint of a resident run, and the
@@ -45,17 +47,26 @@ def fixed_run_state():
         delta=0.65,
         schedule=(0.7, 0.65, 0.6),
         rounds_finished=False,
-        record_pairs=[["o1", "n1"], ["o2", "n2"]],
-        group_pairs=[["ga", "gb"]],
-        iterations=[{"iteration": 1, "delta": 0.7, "seconds": 0.125}],
-        provenance=[["o1", "n1", "subgraph", 1, 0.7]],
         counters={"pairs_scored": 41, "cache_hits": 3},
         cache={"pinned": ["eJyLjgUAARUAuQ=="], "hits": 3, "misses": 41},
         config_fingerprint="cafe" * 4,
         data_fingerprint="beef" * 4,
         shards_total=3,
         shards_done=2,
-        round_accum={"new_record_links": 5},
+        shard_parts=[
+            {
+                "rounds": [{
+                    "iteration": 1, "delta": 0.7, "seconds": 0.125,
+                    "record_pairs": [["o1", "n1"]], "group_pairs": [],
+                }],
+                "remaining": [{
+                    "after_round": 1, "record_pairs": [["o2", "n2"]],
+                    "group_pairs": [["ga", "gb"]],
+                }],
+            },
+            {"rounds": [], "remaining": []},
+            {"rounds": [], "remaining": []},
+        ],
         plan_fingerprint="f00d" * 4,
     )
 
@@ -91,7 +102,7 @@ def fixed_graph():
 
 def test_run_state_bytes(tmp_path):
     path = CheckpointStore(tmp_path).write_state(fixed_run_state())
-    assert path.name == "round_0002_shard_0002.json"
+    assert path.name == "shard_0003_round_0002.json"
     assert sha256_of(path) == RUN_STATE_SHA256
 
 
@@ -178,7 +189,7 @@ REVISED_SERIES_CACHE_PARTS = {
     ),
 }
 RUN_STATE_SHA256 = (
-    "25442d9f052ec0da359abd18d87e18d5fc5418348d5507ab9965bb704dc09661"
+    "68e0bb89ff2ee9a3380883b6ed7757951b486d0da43a9e8b6692cde466bf5cfd"
 )
 PAIR_STATE_SHA256 = (
     "8d3e839dead176930d8976ad0ec7eda8ea8079790b87fbfdf458e2bdaf3d8581"
