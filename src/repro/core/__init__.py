@@ -36,7 +36,6 @@ from .selection import SelectionResult, select_group_matches
 from .subgraph import (
     SubgraphMatch,
     build_all_subgraphs,
-    build_subgraph,
     candidate_group_pairs,
 )
 
@@ -72,6 +71,5 @@ __all__ = [
     "select_group_matches",
     "SubgraphMatch",
     "build_all_subgraphs",
-    "build_subgraph",
     "candidate_group_pairs",
 ]

@@ -16,7 +16,7 @@ Two conflict policies are supported:
   update in Alg. 2): a popped conflicting subgraph is *trimmed* — the
   already-consumed vertices and their incident edges are dropped, fresh
   vertices left without structural evidence are pruned exactly as
-  :func:`repro.core.subgraph.build_subgraph` would prune them — then
+  :func:`repro.core.subgraph.assemble_subgraph` would prune them — then
   re-scored (Eq. 4–7) and pushed back.  Conflicting candidates are thus
   re-scored only when popped (a stale-entry check), never eagerly
   rebuilt.  Every requeue strictly shrinks the subgraph, so the loop
@@ -122,7 +122,7 @@ def _trim_consumed(
     """The subgraph minus its already-consumed fresh vertices, or ``None``.
 
     Mirrors the pruning rules of
-    :func:`repro.core.subgraph.build_subgraph`: anchors always survive,
+    :func:`repro.core.subgraph.assemble_subgraph`: anchors always survive,
     edges are kept only between surviving vertices, and — when any edge
     survives — fresh vertices left without an incident edge are pruned
     (attribute similarity alone does not anchor a group link).  Returns

@@ -465,7 +465,6 @@ class _PreRefactorReferenceBackend:
 
     def match_round(self, ctx):
         config = ctx.config
-        group_parallel = config.n_workers != 1
         with ctx.stage("subgraphs"):
             subgraphs = build_all_subgraphs(
                 ctx.prematch,
@@ -477,7 +476,6 @@ class _PreRefactorReferenceBackend:
                 index=ctx.group_index,
                 n_workers=config.n_workers,
                 chunk_size=config.group_worker_chunk_size,
-                score=group_parallel,
             )
         with ctx.stage("scoring"):
             score_subgraphs(subgraphs, ctx.prematch, config)

@@ -216,9 +216,9 @@ class TestParallelGroupStage:
         serial = build_all_subgraphs(prematch, old, new, config)
         score_subgraphs(serial, prematch, config)
         parallel = build_all_subgraphs(
-            prematch, old, new, config,
-            n_workers=workers, chunk_size=4, score=True,
+            prematch, old, new, config, n_workers=workers, chunk_size=4,
         )
+        score_subgraphs(parallel, prematch, config)
         assert self._signature(parallel) == self._signature(serial)
 
     def test_worker_fresh_scores_folded_back(self, stage):
@@ -235,10 +235,10 @@ class TestParallelGroupStage:
         parallel_prematch = copy.deepcopy(prematch)
         serial = build_all_subgraphs(serial_prematch, old, new, config)
         score_subgraphs(serial, serial_prematch, config)
-        build_all_subgraphs(
-            parallel_prematch, old, new, config,
-            n_workers=2, chunk_size=4, score=True,
+        parallel = build_all_subgraphs(
+            parallel_prematch, old, new, config, n_workers=2, chunk_size=4,
         )
+        score_subgraphs(parallel, parallel_prematch, config)
         assert dict(parallel_prematch.scores.items()) == dict(
             serial_prematch.scores.items()
         )

@@ -11,13 +11,14 @@ from repro.evaluation.metrics import evaluate_mapping
 #: Effort counters of a serial run on the 50-household pair of seed
 #: 20170321, with candidate pruning on (the default) and off.  Pinned
 #: exactly: a change to blocking, pruning, the group-pair index, the
-#: score cache or selection that moves any of them updates this table on
-#: purpose.  Both scoring backends must reproduce it.
+#: group stage's work list, the score cache or selection that moves any
+#: of them updates this table on purpose.  Both scoring backends must
+#: reproduce it.
 PINNED_EFFORT = {
     True: {
         "candidate_pairs": 14426,
-        "pairs_scored": 2424,
-        "full_agg_sim_calls": 2424,
+        "pairs_scored": 2386,
+        "full_agg_sim_calls": 2386,
         "group_pairs_candidates": 731,
         "subgraphs_built": 40,
         "queue_pops": 40,
@@ -25,14 +26,14 @@ PINNED_EFFORT = {
         "pairs_pruned_length": 0,
         "pairs_pruned_qgram": 2628,
         "pairs_pruned_early_exit": 9187,
-        "cache_hits": 1148,
-        "cache_misses": 14239,
+        "cache_hits": 966,
+        "cache_misses": 14201,
         "cache_evictions": 0,
     },
     False: {
         "candidate_pairs": 14426,
-        "pairs_scored": 11752,
-        "full_agg_sim_calls": 11752,
+        "pairs_scored": 11748,
+        "full_agg_sim_calls": 11748,
         "group_pairs_candidates": 731,
         "subgraphs_built": 40,
         "queue_pops": 40,
@@ -42,8 +43,8 @@ PINNED_EFFORT = {
         "pairs_pruned_early_exit": 0,
         # Each candidate is read once per round: a pair scored in the
         # same round is not a hit.
-        "cache_hits": 3635,
-        "cache_misses": 11752,
+        "cache_hits": 3419,
+        "cache_misses": 11748,
         "cache_evictions": 0,
     },
 }
@@ -51,29 +52,29 @@ PINNED_EFFORT = {
 #: Kernel effort of the vectorized backend per filtering setting; the
 #: per-pair scorer (python backend, or no numpy) reports none.
 PINNED_KERNEL = {
-    True: {"kernel_batches": 4, "kernel_pairs": 12601},
-    False: {"kernel_batches": 3, "kernel_pairs": 11752},
+    True: {"kernel_batches": 4, "kernel_pairs": 12563},
+    False: {"kernel_batches": 3, "kernel_pairs": 11748},
 }
 
 #: Rows on the paths the score store must keep exactly (filtering on):
 #: config overrides, then the counters (and kernel counters) that move
-#: from the base row.  A worker pool moves none.  A 50-entry lazy LRU
+#: from the base row.  A worker pool moves none.  A 20-entry lazy LRU
 #: evicts, so one pair is scored twice.  A block size cap of 8 shrinks
 #: blocking, and the remaining pass re-blocks its leftovers into pairs
 #: the first blocking dropped (19 of its 47 pairs): 108 record links,
 #: 24 from the remaining pass.
 EFFORT_VARIANTS = {
     "pooled": (dict(n_workers=2, worker_chunk_size=256), {}, {}),
-    "lazy50": (
-        dict(max_lazy_cache_entries=50),
+    "lazy20": (
+        dict(max_lazy_cache_entries=20),
         {
-            "pairs_scored": 2425,
-            "full_agg_sim_calls": 2425,
-            "cache_hits": 1147,
-            "cache_misses": 14240,
-            "cache_evictions": 15,
+            "pairs_scored": 2387,
+            "full_agg_sim_calls": 2387,
+            "cache_hits": 965,
+            "cache_misses": 14202,
+            "cache_evictions": 6,
         },
-        {"kernel_pairs": 12602},
+        {"kernel_pairs": 12564},
     ),
     "block8": (
         dict(max_block_size=8),
@@ -87,7 +88,7 @@ EFFORT_VARIANTS = {
             "group_pairs_skipped_by_index": 6261,
             "pairs_pruned_qgram": 75,
             "pairs_pruned_early_exit": 436,
-            "cache_hits": 298,
+            "cache_hits": 259,
             "cache_misses": 769,
             "remaining_pairs": 47,
         },

@@ -14,8 +14,10 @@ from repro.core.scoring import (
     score_subgraph,
     uniqueness,
 )
-from repro.core.subgraph import SubgraphMatch, build_subgraph
+from repro.core.subgraph import SubgraphMatch
 from repro.similarity.vector import build_similarity_function
+
+from tests.group_reference import build_subgraph
 
 NAME_FUNC = build_similarity_function(
     [("first_name", "qgram", 0.5), ("surname", "qgram", 0.5)], 1.0

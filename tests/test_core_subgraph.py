@@ -2,25 +2,33 @@
 
 import pytest
 
+import repro.core.pairtable as pairtable_module
+import repro.core.subgraph as subgraph_module
+import repro.model.roles as R
 from repro.blocking.standard import CrossProductBlocker
 from repro.core.config import LinkageConfig
 from repro.core.enrichment import complete_groups
 from repro.core.prematching import prematching
 from repro.core.subgraph import (
     GroupPairIndex,
+    assemble_subgraph,
     brute_force_group_pairs,
     build_all_subgraphs,
-    build_subgraph,
     candidate_group_pairs,
+    group_tasks,
 )
 from repro.instrumentation import (
     GROUP_PAIRS_CANDIDATES,
     GROUP_PAIRS_SKIPPED,
+    PAIRS_SCORED,
     SUBGRAPHS_BUILT,
     Instrumentation,
 )
+from repro.model import CensusDataset, PersonRecord
 from repro.model.mappings import RecordMapping, household_of_map
 from repro.similarity.vector import build_similarity_function
+
+from tests.group_reference import build_subgraph
 
 NAME_FUNC = build_similarity_function(
     [("first_name", "qgram", 0.5), ("surname", "qgram", 0.5)], 1.0
@@ -228,12 +236,236 @@ class TestGroupPairIndex:
             (s.old_group_id, s.new_group_id, s.vertices) for s in indexed
         ]
 
-    def test_groups_by_label_buckets(self, setup, census_1871, census_1881):
-        prematch, old, new, _ = setup
-        index = GroupPairIndex(old, new)
-        buckets = index.groups_by_label(prematch)
-        # John Ashworth's label connects a71 to both a81 and the decoy.
-        john_label = prematch.labels["1871_1"]
-        old_groups, new_groups = buckets[john_label]
-        assert "a71" in old_groups
-        assert {"a81", "d81"} <= new_groups
+
+class _FixedBlocker:
+    """Proposes exactly the given candidate pairs."""
+
+    def __init__(self, pairs):
+        self.pairs = set(pairs)
+
+    def candidate_pairs(self, old_records, new_records):
+        return set(self.pairs)
+
+
+@pytest.fixture
+def namesakes():
+    """Old household p71 holds one John Smith; new household p81 holds
+    two, both age-plausible for him.  Only (p_1, r_1) is blocked between
+    the two households; the second John of q71 links both new Johns, so
+    all four Johns share one label and (p_1, r_2) is a vertex candidate
+    the score store lacks.  The wives share no label."""
+    old = CensusDataset.from_records(1871, [
+        PersonRecord("p_1", "p71", "john", "smith", "m", 30, None, None,
+                     R.HEAD),
+        PersonRecord("p_2", "p71", "mary", "smith", "f", 28, None, None,
+                     R.WIFE),
+        PersonRecord("q_1", "q71", "john", "smith", "m", 31, None, None,
+                     R.HEAD),
+    ])
+    new = CensusDataset.from_records(1881, [
+        PersonRecord("r_1", "p81", "john", "smith", "m", 40, None, None,
+                     R.HEAD),
+        PersonRecord("r_2", "p81", "john", "smith", "m", 41, None, None,
+                     R.BROTHER),
+        PersonRecord("r_3", "p81", "maria", "jones", "f", 38, None, None,
+                     R.WIFE),
+    ])
+    blocker = _FixedBlocker([("p_1", "r_1"), ("q_1", "r_1"), ("q_1", "r_2")])
+    prematch = prematching(
+        list(old.iter_records()), list(new.iter_records()), NAME_FUNC,
+        blocker,
+    )
+    return prematch, complete_groups(old), complete_groups(new)
+
+
+class TestPairsThatCannotYieldASubgraph:
+    """A group pair without anchors whose candidates hold one old member
+    (or one new member) gives greedy 1:1 assignment at most one vertex,
+    and a vertex without a matched edge is pruned: the round pass
+    neither scores its vertex pairs nor assembles it."""
+
+    def _round(self, namesakes, monkeypatch, config, mapping=None):
+        prematch, old, new = namesakes
+        assembled = []
+
+        def spy(old_household, new_household, *args):
+            assembled.append(
+                (old_household.household_id, new_household.household_id)
+            )
+            return assemble_subgraph(old_household, new_household, *args)
+
+        monkeypatch.setattr(subgraph_module, "assemble_subgraph", spy)
+        before = prematch.instrumentation.value(PAIRS_SCORED)
+        subgraphs = build_all_subgraphs(
+            prematch, old, new, config, record_mapping=mapping
+        )
+        scored = prematch.instrumentation.value(PAIRS_SCORED) - before
+        return subgraphs, assembled, scored, prematch.scores.get(("p_1", "r_2"))
+
+    def test_one_old_namesake_is_neither_scored_nor_assembled(
+        self, namesakes, monkeypatch, fork
+    ):
+        prematch, old, new = namesakes
+        assert prematch.same_label("p_1", "r_2")
+        assert ("p_1", "r_2") not in prematch.matched_pairs
+        subgraphs, assembled, scored, score = self._round(
+            namesakes, monkeypatch, LinkageConfig()
+        )
+        assert subgraphs == [] and assembled == []
+        assert scored == 0 and score is None
+
+    def test_an_anchor_makes_the_pair_scored_and_assembled(
+        self, namesakes, monkeypatch, fork
+    ):
+        prematch, old, new = namesakes
+        mapping = RecordMapping([("p_2", "r_3")])
+        config = LinkageConfig()
+        subgraphs, assembled, scored, score = self._round(
+            namesakes, monkeypatch, config, mapping
+        )
+        assert ("p71", "p81") in assembled
+        assert scored == 1 and score is not None
+        assert [s.vertices for s in subgraphs] == [
+            [("p_2", "r_3"), ("p_1", "r_1")]
+        ]
+        reference = build_subgraph(
+            old["p71"], new["p81"], prematch, config, [("p_2", "r_3")]
+        )
+        assert subgraphs[0].vertices == reference.vertices
+        assert subgraphs[0].edges == reference.edges
+
+    def test_singleton_subgraphs_make_the_pair_scored_and_assembled(
+        self, namesakes, monkeypatch, fork
+    ):
+        prematch, old, new = namesakes
+        config = LinkageConfig(allow_singleton_subgraphs=True)
+        subgraphs, assembled, scored, score = self._round(
+            namesakes, monkeypatch, config
+        )
+        assert assembled == [("p71", "p81"), ("q71", "p81")]
+        assert scored == 1 and score is not None
+        assert [(s.old_group_id, s.vertices) for s in subgraphs] == [
+            ("p71", [("p_1", "r_1")]),
+            ("q71", [("q_1", "r_2")]),
+        ]
+
+
+@pytest.fixture(params=["numpy", "loop"])
+def fork(request, monkeypatch):
+    """The round pass's row-space join, or its plain-loop twin (numpy
+    hidden, as in ``tests/test_pairtable.py``)."""
+    if request.param == "numpy":
+        if pairtable_module.numpy_or_none() is None:
+            pytest.skip("numpy unavailable")
+    else:
+        monkeypatch.setattr(pairtable_module, "_numpy", None)
+    return request.param
+
+
+class TestAnchorMask:
+    """A linked record is an anchor only inside the group pair its link
+    falls in: there it is no vertex candidate, elsewhere it still is."""
+
+    @pytest.mark.parametrize("link, expected", [
+        (
+            ("p_1", "r_2"),
+            [("q71", "p81", [], [("q_1", "r_1"), ("q_1", "r_2")])],
+        ),
+        (
+            ("p_2", "r_1"),
+            [
+                ("p71", "p81", [("p_2", "r_1")], [("p_1", "r_2")]),
+                ("q71", "p81", [], [("q_1", "r_1"), ("q_1", "r_2")]),
+            ],
+        ),
+    ])
+    def test_anchored_members_leave_only_their_own_pair(
+        self, namesakes, fork, link, expected
+    ):
+        prematch, old, new = namesakes
+        tasks, _ = group_tasks(
+            prematch, GroupPairIndex(old, new),
+            LinkageConfig(allow_singleton_subgraphs=True),
+            RecordMapping([link]),
+        )
+        assert [
+            (old_group, new_group, anchors, [c[:2] for c in candidates])
+            for old_group, new_group, anchors, candidates in tasks
+        ] == expected
+
+
+@pytest.fixture
+def transitive_namesake():
+    """Jon (a_1, old household a71) and Johnny (x_1, new household x81)
+    share a label only through John: jon~john and john~johnny reach
+    δ = 0.8, jon~johnny (0.68) does not.  The wives Mary link a71 to
+    x81 directly and are the pair's anchor."""
+    old = CensusDataset.from_records(1871, [
+        PersonRecord("a_1", "a71", "jon", "smith", "m", 30, None, None,
+                     R.HEAD),
+        PersonRecord("a_2", "a71", "mary", "smith", "f", 28, None, None,
+                     R.WIFE),
+        PersonRecord("b_1", "b71", "john", "smith", "m", 31, None, None,
+                     R.HEAD),
+    ])
+    new = CensusDataset.from_records(1881, [
+        PersonRecord("x_1", "x81", "johnny", "smith", "m", 40, None, None,
+                     R.HEAD),
+        PersonRecord("x_2", "x81", "mary", "smith", "f", 38, None, None,
+                     R.WIFE),
+        PersonRecord("y_1", "y81", "john", "smith", "m", 41, None, None,
+                     R.HEAD),
+    ])
+    blocker = _FixedBlocker(
+        [("a_1", "y_1"), ("b_1", "y_1"), ("b_1", "x_1"), ("a_2", "x_2")]
+    )
+    sim_func = build_similarity_function(
+        [("first_name", "qgram", 0.5), ("surname", "qgram", 0.5)], 0.8
+    )
+    prematch = prematching(
+        list(old.iter_records()), list(new.iter_records()), sim_func,
+        blocker,
+    )
+    return prematch, complete_groups(old), complete_groups(new)
+
+
+class TestAnchoredPairWithoutDirectCandidate:
+    """Under ``require_direct_pair_threshold`` an anchored group pair
+    whose only vertex candidate misses δ has no fresh vertex, so it gets
+    no task, with singleton subgraphs on or off; without the guard it
+    keeps its task."""
+
+    def _tasks(self, transitive_namesake, config):
+        prematch, old, new = transitive_namesake
+        tasks, sims = group_tasks(
+            prematch, GroupPairIndex(old, new), config,
+            RecordMapping([("a_2", "x_2")]),
+        )
+        assert prematch.same_label("a_1", "x_1")
+        assert sims["a_1", "x_1"] < prematch.sim_func.threshold
+        return [
+            (old_group, new_group, anchors, [c[:2] for c in candidates])
+            for old_group, new_group, anchors, candidates in tasks
+        ]
+
+    @pytest.mark.parametrize("singletons", [False, True])
+    def test_no_task_under_the_guard(
+        self, transitive_namesake, fork, singletons
+    ):
+        tasks = self._tasks(
+            transitive_namesake,
+            LinkageConfig(allow_singleton_subgraphs=singletons),
+        )
+        assert [task[:2] for task in tasks] == (
+            [("a71", "y81"), ("b71", "x81"), ("b71", "y81")]
+            if singletons else []
+        )
+
+    def test_task_kept_without_the_guard(self, transitive_namesake, fork):
+        tasks = self._tasks(
+            transitive_namesake,
+            LinkageConfig(require_direct_pair_threshold=False),
+        )
+        assert tasks == [
+            ("a71", "x81", [("a_2", "x_2")], [("a_1", "x_1")]),
+        ]

@@ -7,8 +7,9 @@ generated towns rather than hand-picked fixtures:
   pairs the brute-force |G_i| × |G_{i+1}| scan keeps;
 * the batched round pass (``build_all_subgraphs``) builds, in every δ
   round, exactly the subgraphs a loop of one-pair ``build_subgraph``
-  calls builds, and scores exactly the same record pairs — with a
-  kernel, without any per-pair ``agg_sim`` call;
+  calls builds (``tests/group_reference.py``), and scores the same
+  record pairs except those of group pairs that provably cannot yield a
+  subgraph — with a kernel, without any per-pair ``agg_sim`` call;
 * group-link selection is invariant under shuffling of the candidate
   subgraph order, for both conflict policies (reject and lazy requeue);
 * the selection outcome is independent of the interpreter hash seed —
@@ -22,7 +23,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -30,23 +31,29 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.backends as backends
+import repro.core.pairtable as pairtable_module
 from repro.core.config import LinkageConfig
 from repro.core.enrichment import complete_groups
 from repro.core.kernel import HAVE_NUMPY
 from repro.core.pipeline import link_datasets
 from repro.core.prematching import prematching
-from repro.core.scoring import score_subgraph, score_subgraphs
+from repro.core.scoring import score_subgraphs
 from repro.core.selection import select_group_matches
 from repro.core.subgraph import (
     GroupPairIndex,
     brute_force_group_pairs,
     build_all_subgraphs,
-    build_subgraph,
+    group_tasks,
 )
 from repro.datagen import generate_pair
 from repro.instrumentation import KERNEL_PAIRS, PAIRS_SCORED, Instrumentation
 from repro.similarity.vector import SimilarityFunction
 
+from tests.group_reference import (
+    one_pair_at_a_time,
+    pair_anchors,
+    vertex_candidates,
+)
 from tests.strategies import census_dataset_pairs
 
 RELAXED = settings(
@@ -110,31 +117,6 @@ class TestIndexEqualsBruteForce:
         # The skip count the instrumentation derives is never negative.
         assert index.cross_product_size >= len(indexed)
 
-    @given(census_dataset_pairs(min_households=4, max_households=10))
-    @RELAXED
-    def test_groups_by_label_covers_candidates(self, pair):
-        """Every candidate pair is witnessed by at least one cluster
-        label bucket of the inverted-label view."""
-        old_dataset, new_dataset, _ = pair
-        config = LinkageConfig()
-        prematch = prematching(
-            list(old_dataset.iter_records()),
-            list(new_dataset.iter_records()),
-            config.build_sim_func(),
-            config.build_blocker(),
-        )
-        enriched_old = complete_groups(old_dataset)
-        enriched_new = complete_groups(new_dataset)
-        index = GroupPairIndex(enriched_old, enriched_new)
-        buckets = index.groups_by_label(prematch)
-        witnessed = {
-            (old_group, new_group)
-            for old_groups, new_groups in buckets.values()
-            for old_group in old_groups
-            for new_group in new_groups
-        }
-        assert set(index.candidate_pairs(prematch)) <= witnessed
-
 
 @contextmanager
 def _around_group_stage(before):
@@ -171,32 +153,30 @@ def _private_copy(prematch):
     )
 
 
-def _one_pair_at_a_time(prematch, old_households, new_households, config,
-                        record_mapping, index):
-    """The reference: ``build_subgraph`` per candidate pair, anchors from
-    a scan of the old household's members, lazy ``pair_sim`` scoring."""
-    subgraphs = []
-    for old_group_id, new_group_id in index.candidate_pairs(prematch):
-        old_household = old_households[old_group_id]
-        new_household = new_households[new_group_id]
-        anchors = [
-            (old_id, record_mapping.get_new(old_id))
-            for old_id in old_household.member_ids
-            if record_mapping.get_new(old_id) in new_household.members
-        ]
-        subgraph = build_subgraph(
-            old_household, new_household, prematch, config, anchors=anchors
-        )
-        if subgraph is not None:
-            score_subgraph(subgraph, prematch, config)
-            subgraphs.append(subgraph)
-    return subgraphs
+def _cannot_yield(group_pair, prematch, old_households, new_households,
+                  config, record_mapping):
+    """The rule the round pass applies before scoring, restated: without
+    anchors and singleton subgraphs, a group pair whose vertex
+    candidates hold fewer than two distinct old or two distinct new
+    members cannot yield a subgraph."""
+    old_household = old_households[group_pair[0]]
+    new_household = new_households[group_pair[1]]
+    anchors = pair_anchors(old_household, new_household, record_mapping)
+    candidates = vertex_candidates(
+        old_household, new_household, prematch, config, anchors
+    )
+    return not anchors and not config.allow_singleton_subgraphs and (
+        len({old_id for old_id, _, _ in candidates}) < 2
+        or len({new_id for _, new_id, _ in candidates}) < 2
+    )
 
 
 def _compare_with_one_pair_reference(observed):
     """A group-stage hook: run the batched pass and the one-pair
     reference on private copies of the round and require the same
-    subgraphs and the same scored pairs."""
+    subgraphs.  The batched pass scores a subset of the reference's
+    pairs; each pair it leaves out belongs to a group pair that cannot
+    yield a subgraph."""
 
     def check(args, kwargs):
         prematch, old_households, new_households, config = args
@@ -208,19 +188,35 @@ def _compare_with_one_pair_reference(observed):
         )
         score_subgraphs(batched, batched_prematch, config)
         reference_prematch = _private_copy(prematch)
-        reference = _one_pair_at_a_time(
+        reference = one_pair_at_a_time(
             reference_prematch, old_households, new_households, config,
             mapping, kwargs["index"],
         )
         assert _subgraph_signature(batched) == _subgraph_signature(reference)
-        assert dict(batched_prematch.scores.items()) == dict(
-            reference_prematch.scores.items()
-        )
+        batched_scores = dict(batched_prematch.scores.items())
+        reference_scores = dict(reference_prematch.scores.items())
+        assert batched_scores.items() <= reference_scores.items()
+        left_out = reference_scores.keys() - batched_scores.keys()
+        group_of = {
+            record_id: group_id
+            for households in (old_households, new_households)
+            for group_id, household in households.items()
+            for record_id in household.members
+        }
+        for group_pair in {
+            (group_of[old_id], group_of[new_id]) for old_id, new_id in left_out
+        }:
+            assert _cannot_yield(
+                group_pair, prematch, old_households, new_households,
+                config, mapping,
+            )
         assert batched_prematch.instrumentation.value(PAIRS_SCORED) == (
             reference_prematch.instrumentation.value(PAIRS_SCORED)
+            - len(left_out)
         )
         observed["rounds"] += 1
         observed["anchors"] += sum(s.num_anchors for s in reference)
+        observed["left_out"] += len(left_out)
 
     return check
 
@@ -249,18 +245,19 @@ class TestBatchedGroupStageEqualsOnePairLoop:
             scoring_backend=scoring,
             stop_on_empty_round=False,
         )
-        observed = {"rounds": 0, "anchors": 0}
+        observed = {"rounds": 0, "anchors": 0, "left_out": 0}
         with _around_group_stage(_compare_with_one_pair_reference(observed)):
             link_datasets(old_dataset, new_dataset, config)
         assert observed["rounds"] >= 1
 
     def test_anchors_occur_in_later_rounds(self):
-        """On a seeded town the comparison meets anchored subgraphs, so
-        the anchor path of the round pass is covered, not just possible."""
+        """On a seeded town the comparison meets anchored subgraphs and
+        group pairs the rule skips, so both paths of the round pass are
+        covered, not just possible."""
         old_dataset, new_dataset = generate_pair(
             seed=7, initial_households=30
         ).datasets
-        observed = {"rounds": 0, "anchors": 0}
+        observed = {"rounds": 0, "anchors": 0, "left_out": 0}
         with _around_group_stage(_compare_with_one_pair_reference(observed)):
             link_datasets(
                 old_dataset, new_dataset,
@@ -268,6 +265,85 @@ class TestBatchedGroupStageEqualsOnePairLoop:
             )
         assert observed["rounds"] == len(LinkageConfig().threshold_schedule())
         assert observed["anchors"] > 0
+        assert observed["left_out"] > 0
+
+
+@contextmanager
+def _numpy_hidden():
+    """Run the block on the plain-loop fork: numpy hidden from
+    :func:`repro.core.pairtable.numpy_or_none`, as ``tests/test_pairtable.py``
+    does."""
+    saved = pairtable_module._numpy
+    pairtable_module._numpy = None
+    try:
+        yield
+    finally:
+        pairtable_module._numpy = saved
+
+
+def _compare_row_join_with_loop_twin(observed):
+    """A group-stage hook: run the round on both forks, each on private
+    copies of the round and a fresh index, and require the same tasks,
+    the same subgraphs and the same scored pairs."""
+
+    def check(args, kwargs):
+        prematch, old_households, new_households, config = args
+        mapping = kwargs["record_mapping"]
+        forks = []
+        for fork in (nullcontext, _numpy_hidden):
+            with fork():
+                task_prematch = _private_copy(prematch)
+                tasks, _ = group_tasks(
+                    task_prematch,
+                    GroupPairIndex(old_households, new_households),
+                    config, mapping,
+                )
+                stage_prematch = _private_copy(prematch)
+                subgraphs = build_all_subgraphs(
+                    stage_prematch, old_households, new_households, config,
+                    record_mapping=mapping,
+                )
+            forks.append((
+                tasks,
+                _subgraph_signature(subgraphs),
+                dict(task_prematch.scores.items()),
+                task_prematch.instrumentation.value(PAIRS_SCORED),
+                dict(stage_prematch.scores.items()),
+            ))
+        assert forks[0] == forks[1]
+        observed["rounds"] += 1
+        observed["tasks"] += len(forks[0][0])
+        observed["anchored"] += sum(1 for task in forks[0][0] if task[2])
+
+    return check
+
+
+@pytest.mark.skipif(
+    pairtable_module.numpy_or_none() is None,
+    reason="numpy unavailable: only the loop fork exists",
+)
+@pytest.mark.parametrize("direct", [True, False])
+@pytest.mark.parametrize("singletons", [False, True])
+def test_row_join_and_loop_twin_give_the_same_round(direct, singletons):
+    """The numpy row-space join and the plain-loop twin emit the same
+    group tasks — pair, anchors, candidates, in order — at every round
+    of a town whose later rounds are anchored, with the direct-threshold
+    guard and singleton subgraphs each on and off."""
+    old_dataset, new_dataset = generate_pair(
+        seed=7, initial_households=30
+    ).datasets
+    observed = {"rounds": 0, "tasks": 0, "anchored": 0}
+    with _around_group_stage(_compare_row_join_with_loop_twin(observed)):
+        link_datasets(
+            old_dataset, new_dataset,
+            LinkageConfig(
+                require_direct_pair_threshold=direct,
+                allow_singleton_subgraphs=singletons,
+                stop_on_empty_round=False,
+            ),
+        )
+    assert observed["rounds"] == len(LinkageConfig().threshold_schedule())
+    assert observed["tasks"] > 0 and observed["anchored"] > 0
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="the batch kernel needs numpy")

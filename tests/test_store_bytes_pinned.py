@@ -13,7 +13,10 @@ The similarity-cache rows a real run journals are pinned too: the
 ``cache`` section of every checkpoint of a resident run, and the
 ``pinned``/``bounds`` parts of the pair states a series analysis writes
 (cold, then re-linked with a seed after a revision).  Those literals
-were taken before the score store moved into pair-id arrays.
+were taken before the score store moved into pair-id arrays, and
+re-taken when the group stage stopped scoring the vertex pairs of
+group pairs that cannot yield a subgraph: the caches hold fewer lazy
+scores, and fewer pruning bounds are superseded by them.
 """
 
 import hashlib
@@ -162,30 +165,30 @@ def _cache_parts(directory):
 
 RUN_CACHE_SECTIONS = {
     "round_0001.json":
-        "4dfa7c6ad1bc36927ccc9d59a1265b58515f07c6018c48cacfc5daa4911ee7cf",
+        "82605c9c366d5d450e77b1c563a83fa7c4ff2b371c6d07571cf6b88640816178",
     "round_0002.json":
-        "8ed2657c18578ad1144bde9b0fe684bf9ab15721562a94fd7d4bc9a2753f7437",
+        "552835de68db66216faa51fa8358a2288c0c693ca3c7c4d0ac726803a004d69a",
     "final.json":
-        "ce3846d41c5939e6882c02da1915e6c600b75aa861f76f8eb5257c668c2496c1",
+        "eaed0a99ea5e74440da5714412469645cf2eca49247b0eb24deada22783c084c",
 }
 SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
-        "028235656b81c7e3da36fa5882c9f665cbb82790c9b97295eb9bd3b69317e94b",
-        "7b25c868980fd7c7e2537f706356bc02077e4b6e00e09a26e487151423e01068",
+        "335b474601f5374a9dad24a78d019777daae0a8ba122ba828886b656fc3165b1",
+        "7417ac81c515f70e7e07e6f5adf5d2dd973a1ca4b09cff913e5b8c3823310aa8",
     ),
     "pair_1861_1871.json": (
-        "50f47b620c1aeac93909abaf769aca0dbdd0b423f1ae72d665a0dd20353e67d6",
-        "81a3b297aa4f3da43e803f77da976e93cae962d2a3375151279cf079b6ee8dcb",
+        "47c7d477ea7fa8fcd1e6e45c3e22b5a7a6b56d6aab9d88eb38878d1cabcc02f4",
+        "f66e21f8b14b08cddd97d407b468081d335b4a780ae5df9bb2ebf35afbf85442",
     ),
 }
 REVISED_SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
-        "028235656b81c7e3da36fa5882c9f665cbb82790c9b97295eb9bd3b69317e94b",
-        "a9b7df3a9b1d9eadc6c959eb374d50f75e7c28d377b271459548b29ce72cf1f9",
+        "335b474601f5374a9dad24a78d019777daae0a8ba122ba828886b656fc3165b1",
+        "4401817fcdff6c3918d91ee284319ee7a0f95b0e8632a6029696a279a19e4db4",
     ),
     "pair_1861_1871.json": (
-        "50f47b620c1aeac93909abaf769aca0dbdd0b423f1ae72d665a0dd20353e67d6",
-        "8893d0928a66f131361e0aa74b18dd41c318777a087091eca5f97fefaba99b84",
+        "47c7d477ea7fa8fcd1e6e45c3e22b5a7a6b56d6aab9d88eb38878d1cabcc02f4",
+        "a551741b1bc61016b9ea716faa4712df0778830e223adee552ed2eb44ee58a1c",
     ),
 }
 RUN_STATE_SHA256 = (
