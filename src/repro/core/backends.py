@@ -37,10 +37,8 @@ Every backend emits its candidates as :class:`SubgraphMatch` objects and
 routes them through :func:`~repro.core.selection.select_group_matches`,
 so record-disjoint consumption, content-based deterministic tie-breaking
 and :func:`~repro.validation.invariants.validate_selection` apply
-uniformly.  All three registered backends satisfy the full invariant
-registry; a backend that cannot must declare the invariant in its
-:class:`BackendCapabilities` exemptions, which the validation layer
-reports as a documented skip instead of a violation.
+uniformly, and every backend is checked against the full invariant
+registry.
 
 Select a backend with ``LinkageConfig(group_backend=...)`` or the CLI
 flag ``repro link --group-backend {default,rgl,hausdorff}``.
@@ -70,28 +68,6 @@ from .subgraph import (
     plausible_pairs,
     round_group_pairs,
 )
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend promises (and what it is documented-exempt from).
-
-    ``invariant_exemptions`` names entries of the validation registry
-    (:mod:`repro.validation.invariants`) the backend cannot satisfy,
-    each with the reason; ``validate_result``/``validate_selection``
-    report those as documented skips instead of violations.  All three
-    shipped backends satisfy the full registry, so their exemption
-    tables are empty — the mechanism exists so a future backend with,
-    say, non-1:1 record links declares that loudly instead of failing.
-    """
-
-    summary: str
-    #: ``(invariant name, documented reason)`` pairs.
-    invariant_exemptions: Tuple[Tuple[str, str], ...] = ()
-
-    def exemption_reasons(self) -> Dict[str, str]:
-        """Exempted invariant name → documented reason."""
-        return dict(self.invariant_exemptions)
 
 
 @dataclass
@@ -150,8 +126,7 @@ class GroupMatcherBackend(abc.ABC):
 
     Contract: links may only involve records absent from
     ``ctx.record_mapping``; every accepted link must carry ``pair_sim ≥
-    ctx.delta`` unless the backend declares a
-    ``selection-links-reach-delta`` exemption; and the returned
+    ctx.delta``; and the returned
     :class:`SelectionResult` must be record-disjoint (routing candidates
     through :func:`select_group_matches` guarantees that).  Backends are
     stateless across rounds — all cross-round state lives in the
@@ -160,7 +135,6 @@ class GroupMatcherBackend(abc.ABC):
 
     #: Registry key (``LinkageConfig.group_backend`` value).
     name: str = ""
-    capabilities: BackendCapabilities = BackendCapabilities(summary="")
 
     @abc.abstractmethod
     def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
@@ -255,10 +229,6 @@ class DefaultSubgraphBackend(GroupMatcherBackend):
     """
 
     name = "default"
-    capabilities = BackendCapabilities(
-        summary="common-subgraph matching + g_sim + Alg. 2 selection "
-        "(the paper's engine)",
-    )
 
     def match_round(self, ctx: GroupRoundContext) -> RoundOutcome:
         config = ctx.config
@@ -388,10 +358,6 @@ class RobustGroupLinkageBackend(_MemberMatrixBackend):
     """
 
     name = "rgl"
-    capabilities = BackendCapabilities(
-        summary="two-stage CORE seeding + ambiguous-member refinement "
-        "(Robust Group Linkage, Li et al.)",
-    )
 
     #: Weight of seed strength vs member coverage in the group score.
     SEED_WEIGHT = 0.7
@@ -492,10 +458,6 @@ class HausdorffBackend(_MemberMatrixBackend):
     """
 
     name = "hausdorff"
-    capabilities = BackendCapabilities(
-        summary="min-max Hausdorff similarity over the pairwise agg_sim "
-        "matrix (Menezes et al.)",
-    )
 
     def _match_pair(
         self,

@@ -215,10 +215,10 @@ def build_visit(
 class Shard:
     """One shard's state across the δ rounds of a visit.
 
-    Everything here is id- or score-keyed.  The similarity cache pins
-    candidate scores and bounds lazy ``pair_sim`` additions with its LRU
-    (see repro.core.simcache); its pair table, the shard's blocked
-    candidate pairs, is interned at the first round
+    Everything here is id- or score-keyed.  The similarity cache keeps
+    each score in one home: its pair table's arrays for the shard's
+    blocked candidate pairs, a bounded LRU for any other pair (see
+    repro.core.simcache); the table is interned at the first round
     (:func:`intern_pairs`).  The pruning engine is δ-agnostic (δ is an
     argument of each evaluation) and its per-string length statistics
     warm up across rounds; ``None`` = off.  The frontier holds the
@@ -301,8 +301,8 @@ class ResidentShard(Shard):
             self.candidate_filter,
             instrumentation,
         )
-        # Blocked up front, so seeded (and resumed) scores and bounds
-        # land in the table's arrays in one pass.
+        # Blocked up front: seeded (and resumed) scores and bounds are
+        # imported into the table's arrays, so they need the table.
         intern_pairs(self, self.visit, blocker, instrumentation)
         if cache_seed is not None:
             # Seeded before the driver arms the export journal, so

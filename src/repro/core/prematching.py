@@ -13,12 +13,15 @@ iterative schedule of Alg. 1 shares one
 the scores and bounds of the shard's blocked pairs in arrays aligned
 with its :class:`~repro.core.pairtable.PairTable`.  A round selects its
 candidates from that table with one frontier mask.  One resolver,
-:func:`_filtered_bulk_scores`, settles the candidates of a round (and of
-the remaining pass) against the cache with masks, pruning on or off, and
-hands the rows of the rest to the run's pair scorer — the vectorized
+:func:`_filtered_bulk_scores`, settles the pair ids of a round (and of
+the remaining pass) against the cache with masks, pruning on or off,
+and hands the rows of the rest to the run's pair scorer — the vectorized
 kernel or the per-pair :class:`~repro.core.filtering.PairScorer` — on
 worker processes when asked (:mod:`repro.core.parallel`), with results
-joined deterministically.
+joined deterministically.  Pairs asked for by id — the group stage's
+vertex pairs, and the remaining pass's pairs beyond the table — take
+the lazy path, :func:`_lazy_scores`: exact scores, unpruned, stored in
+their pair's home in the cache.
 """
 
 from __future__ import annotations
@@ -82,10 +85,11 @@ class PreMatchResult:
     ``scores`` holds ``agg_sim`` for every exactly scored *candidate*
     pair (not only the matching ones); :meth:`pair_sim` and
     :meth:`pair_sims` compute missing entries lazily so the group stage
-    can always obtain the record similarity of a vertex pair.  Those lazy
-    entries go through the cache's bounded LRU, so long series runs
-    cannot accumulate unbounded per-pair state.  ``scorer`` is the round's
-    pair scorer, which :meth:`pair_sims` batches through.
+    can always obtain the record similarity of a vertex pair.  A lazy
+    score of a blocked pair is pinned; any other goes through the
+    cache's bounded LRU, so long series runs cannot accumulate unbounded
+    per-pair state.  ``scorer`` is the round's pair scorer, which
+    :meth:`pair_sims` batches through.
     """
 
     sim_func: SimilarityFunction
@@ -133,30 +137,12 @@ class PreMatchResult:
         n_workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> Dict[Tuple[str, str], float]:
-        """:meth:`pair_sim` for many pairs: each is looked up in
-        :attr:`scores` once, and the missing ones are scored in one
-        :func:`~repro.core.parallel.score_pairs_chunked` call through
-        :attr:`scorer` (as rows of the score store's pair table, whose
-        row spaces hold every record of the round), then memoised and
-        counted as :meth:`pair_sim`
-        does — plus ``kernel_batches`` / ``kernel_pairs`` when the scorer
-        is the vectorized kernel."""
-        sims, missing = self.scores.get_many(pairs)
-        if not missing:
-            return sims
-        # Scored and memoised in sorted pair order: the lazy LRU's
-        # insertion (hence eviction) order.
-        missing = sorted(set(missing))
-        fresh = score_pairs_chunked(
-            self.scorer, *self.scores.table.rows_of(missing),
-            n_workers=n_workers, chunk_size=chunk_size,
-        ).tolist()
-        self.scores.add_lazy(missing, fresh)
-        sims.update(zip(missing, fresh))
-        _count_scored(
-            self.instrumentation, self.scorer, len(missing), len(missing)
+        """:meth:`pair_sim` for many pairs, in one batch through
+        :attr:`scorer` (:func:`_lazy_scores`)."""
+        return _lazy_scores(
+            pairs, self.scores, self.scorer, n_workers, chunk_size,
+            self.instrumentation,
         )
-        return sims
 
     @property
     def num_clusters(self) -> int:
@@ -236,7 +222,7 @@ def prematching(
     pruning = candidate_filter is not None and candidate_filter.active
     with instrumentation.stage("filtering") if pruning else nullcontext():
         matched_scores = _filtered_bulk_scores(
-            candidates, (), scores, scorer, sim_func.threshold,
+            candidates, scores, scorer, sim_func.threshold,
             candidate_filter, n_workers, chunk_size, instrumentation,
         )
     # A pruned pair's similarity is provably below δ, so restricting the
@@ -272,7 +258,6 @@ def prematching(
 
 def _filtered_bulk_scores(
     candidates,
-    extra: Sequence[Tuple[str, str]],
     scores: SimilarityCache,
     scorer,
     delta: float,
@@ -285,10 +270,9 @@ def _filtered_bulk_scores(
     scores that reach δ, in sorted pair order.  The one resolver of
     pre-matching and the remaining pass.
 
-    ``candidates`` are pair ids of the cache's table (ascending),
-    ``extra`` the sorted candidate pairs the table lacks (only the
-    remaining pass has any).  Each candidate lands in one of three
-    buckets (:meth:`SimilarityCache.buckets`, masks over the pair ids):
+    ``candidates`` are pair ids of the cache's table (ascending).  Each
+    lands in one of three buckets (:meth:`SimilarityCache.buckets`,
+    masks over the pair ids):
 
     1. exact score already in the cache (earlier round, or a lazy
        lookup) — reuse it;
@@ -303,17 +287,52 @@ def _filtered_bulk_scores(
     """
     pruning = candidate_filter is not None and candidate_filter.active
     cutoff = delta - candidate_filter.margin if pruning else None
-    buckets = scores.buckets(candidates, extra, cutoff)
-    if buckets.to_evaluate:
+    buckets = scores.buckets(candidates, cutoff)
+    if len(buckets.evaluate):
         outcome = score_pairs_chunked(
-            scorer, *scores.rows(buckets), delta if pruning else None,
+            scorer, *scores.table.rows(buckets.evaluate),
+            delta if pruning else None,
             n_workers=n_workers, chunk_size=chunk_size,
         )
         # Plain agg_sim values, or (values, kind codes) when pruning.
         fresh = scores.store(buckets, *(outcome if pruning else (outcome,)))
-        _count_scored(instrumentation, scorer, buckets.to_evaluate, fresh)
+        _count_scored(instrumentation, scorer, len(buckets.evaluate), fresh)
 
     for kind, counter in _PRUNE_COUNTERS.items():
         if buckets.pruned[kind]:
             instrumentation.count(counter, buckets.pruned[kind])
     return scores.matches(buckets, delta)
+
+
+def _lazy_scores(
+    pairs: Sequence[Tuple[str, str]],
+    scores: SimilarityCache,
+    scorer,
+    n_workers: int,
+    chunk_size: int,
+    instrumentation: Instrumentation,
+) -> Dict[Tuple[str, str], float]:
+    """The exact ``agg_sim`` of every pair (ids of the rows of the
+    cache's table, blocked or not), scoring those the cache lacks.
+
+    Each pair is looked up once; the missing ones are scored in one
+    :func:`~repro.core.parallel.score_pairs_chunked` call through
+    ``scorer``, unpruned, and stored in the cache — pinned when blocked,
+    in the lazy LRU otherwise — then counted as ``pairs_scored`` and
+    ``full_agg_sim_calls``, plus ``kernel_batches`` / ``kernel_pairs``
+    when the scorer is the vectorized kernel.
+    """
+    sims, missing = scores.get_many(pairs)
+    if not missing:
+        return sims
+    # Scored and stored in sorted pair order: the order of the pinned
+    # journal and the lazy LRU's insertion (hence eviction) order.
+    missing = sorted(set(missing))
+    fresh = score_pairs_chunked(
+        scorer, *scores.table.rows_of(missing),
+        n_workers=n_workers, chunk_size=chunk_size,
+    ).tolist()
+    scores.add(missing, fresh)
+    sims.update(zip(missing, fresh))
+    _count_scored(instrumentation, scorer, len(missing), len(missing))
+    return sims

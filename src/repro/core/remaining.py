@@ -15,7 +15,10 @@ this pass, so pairs already scored during pre-matching are looked up
 instead of recomputed; fresh pairs are bulk-scored, optionally on worker
 processes.  The pass re-blocks the leftover records, and with a block
 size cap (``max_block_size``) that proposes pairs the first blocking
-dropped: those have no pair id and are kept in the cache by key.
+dropped.  Those have no pair id: they are scored exactly, unpruned,
+through the lazy path the group stage uses
+(:func:`repro.core.prematching._lazy_scores`), and kept in the cache's
+lazy LRU.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from ..similarity.vector import SimilarityFunction
 from .filtering import CandidateFilter, PairScorer
 from .pairtable import PairTable
 from .parallel import DEFAULT_CHUNK_SIZE
-from .prematching import _filtered_bulk_scores
+from .prematching import _filtered_bulk_scores, _lazy_scores
 from .simcache import SimilarityCache
 
 
@@ -75,11 +78,12 @@ def match_remaining(
     weights); by default it is a
     :class:`~repro.core.filtering.PairScorer` over the given records.
 
-    With an active ``candidate_filter`` the pairs are pruned against the
-    remaining threshold: a pruned pair's ``agg_sim`` is provably below
-    it, and the greedy resolution below only ever looks at pairs at or
-    above the threshold, so skipping the full evaluation cannot change
-    the mapping.
+    With an active ``candidate_filter`` the table's pairs are pruned
+    against the remaining threshold (pairs beyond the table are scored
+    exactly): a pruned pair's ``agg_sim`` is provably below it, and the
+    greedy resolution below only ever looks at pairs at or above the
+    threshold, so skipping the full evaluation cannot change the
+    mapping.
 
     With ``ambiguity_margin > 0`` a pair is linked only when its score
     beats every competing candidate of *both* endpoints by the margin:
@@ -117,11 +121,14 @@ def match_remaining(
     if scores.table is None:
         scores.attach(PairTable(scorer.old_ids, scorer.new_ids, plausible))
     scores.table.check_scorer(scorer)
+    pids, beyond = scores.table.split(plausible)
     exact_scores = _filtered_bulk_scores(
-        *scores.table.split(plausible),
-        scores, scorer, sim_func_rem.threshold, candidate_filter,
+        pids, scores, scorer, sim_func_rem.threshold, candidate_filter,
         n_workers, chunk_size, instrumentation,
     )
+    exact_scores.update(_lazy_scores(
+        beyond, scores, scorer, n_workers, chunk_size, instrumentation
+    ))
 
     scored: List[Tuple[float, str, str]] = []
     old_scores: Dict[str, List[float]] = defaultdict(list)

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..instrumentation import QUEUE_POPS, SELECTION_REQUEUES, Instrumentation
 from ..model.mappings import GroupMapping, RecordMapping
-from .subgraph import SubgraphMatch
+from .subgraph import SubgraphMatch, prune_fresh_vertices
 
 
 @dataclass
@@ -121,60 +121,37 @@ def _trim_consumed(
 ) -> Optional[SubgraphMatch]:
     """The subgraph minus its already-consumed fresh vertices, or ``None``.
 
-    Mirrors the pruning rules of
-    :func:`repro.core.subgraph.assemble_subgraph`: anchors always survive,
-    edges are kept only between surviving vertices, and — when any edge
-    survives — fresh vertices left without an incident edge are pruned
-    (attribute similarity alone does not anchor a group link).  Returns
+    Anchors always survive and edges are kept only between surviving
+    vertices; then the prune rule of
+    :func:`repro.core.subgraph.assemble_subgraph` applies
+    (:func:`~repro.core.subgraph.prune_fresh_vertices`).  Returns
     ``None`` when no fresh vertex would remain, i.e. the subgraph can no
     longer contribute a new record link.  Score fields are zeroed; the
     caller re-scores (Eq. 4–7).
     """
-    keep: List[int] = []
-    for index, (old_id, new_id) in enumerate(subgraph.vertices):
-        if index < subgraph.num_anchors:
-            keep.append(index)
-            continue
-        if old_id in claimed_old or new_id in claimed_new:
-            continue
-        keep.append(index)
-    if len(keep) <= subgraph.num_anchors:
-        return None
-    remap = {old_index: new_index for new_index, old_index in enumerate(keep)}
-    vertices = [subgraph.vertices[index] for index in keep]
-    edges = [
-        (remap[index_a], remap[index_b], rp_sim)
-        for index_a, index_b, rp_sim in subgraph.edges
-        if index_a in remap and index_b in remap
+    keep = [
+        index
+        for index, (old_id, new_id) in enumerate(subgraph.vertices)
+        if index < subgraph.num_anchors
+        or not (old_id in claimed_old or new_id in claimed_new)
     ]
-    num_anchors = subgraph.num_anchors
-
-    if edges:
-        # Fresh vertices must keep structural evidence (Fig. 4): prune
-        # the ones the trim left without any incident edge.
-        incident: Set[int] = set(range(num_anchors))
-        for index_a, index_b, _ in edges:
-            incident.add(index_a)
-            incident.add(index_b)
-        if len(incident) < len(vertices):
-            kept = sorted(incident)
-            second_remap = {
-                old_index: new_index
-                for new_index, old_index in enumerate(kept)
-            }
-            vertices = [vertices[index] for index in kept]
-            edges = [
-                (second_remap[index_a], second_remap[index_b], rp_sim)
-                for index_a, index_b, rp_sim in edges
-            ]
-    elif not allow_singleton:
-        return None
-    if len(vertices) <= num_anchors:
+    remap = {old_index: new_index for new_index, old_index in enumerate(keep)}
+    kept = prune_fresh_vertices(
+        [subgraph.vertices[index] for index in keep],
+        [
+            (remap[index_a], remap[index_b], rp_sim)
+            for index_a, index_b, rp_sim in subgraph.edges
+            if index_a in remap and index_b in remap
+        ],
+        subgraph.num_anchors,
+        allow_singleton,
+    )
+    if kept is None:
         return None
     return replace(
         subgraph,
-        vertices=vertices,
-        edges=edges,
+        vertices=kept[0],
+        edges=kept[1],
         avg_sim=0.0,
         e_sim=0.0,
         unique=0.0,

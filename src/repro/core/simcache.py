@@ -3,46 +3,46 @@
 ``agg_sim`` (Eq. 3) does not depend on the threshold δ — only the cut-off
 test does — so the iterative schedule of Alg. 1 can score each candidate
 pair once and re-test the cached value every round.  The cache also backs
-the lazy lookups of :meth:`repro.core.prematching.PreMatchResult.pair_sim`
-(subgraph vertex assignment and Eq. 5 scoring) and, when the remaining
-pass (Alg. 1 line 17) runs with the same attribute weights, the final
-attribute-only matching as well.
+the lazy lookups of the group stage
+(:meth:`repro.core.prematching.PreMatchResult.pair_sims`: subgraph vertex
+assignment and Eq. 5 scoring) and, when the remaining pass (Alg. 1 line
+17) runs with the same attribute weights, the final attribute-only
+matching as well.
 
-Two storage classes keep memory bounded over long series runs:
+Every score has one home, set by whether its pair is one of the shard's
+blocked pairs — the :class:`~repro.core.pairtable.PairTable` attached
+once per shard (:meth:`SimilarityCache.attach`):
 
-* **pinned** entries — bulk-scored candidate pairs.  Their number is
-  bounded by blocking, they are never evicted, and they are exactly the
-  pairs re-tested every δ round.
-* **lazy** entries — pairs scored on demand outside the candidate set
-  (e.g. same-cluster household members that blocking never proposed).
-  They live in an LRU of at most ``max_lazy_entries`` and may be evicted;
-  an evicted pair is simply re-scored on next use.
+* a **blocked pair** keeps its exact score or its bound in two arrays
+  aligned with pair ids — a value and a kind (:data:`KIND_NONE`, or the
+  code of an outcome kind, :data:`repro.core.filtering.KINDS`).  An
+  exact score there is *pinned*: never evicted, whether the resolver
+  scored the pair or a lazy lookup did.  Their number is bounded by
+  blocking, and they are exactly the pairs re-tested every δ round.
+* any **other pair** — same-cluster household members that blocking
+  never proposed, remaining-pass pairs that re-blocking the leftovers
+  proposes afresh — keeps only an exact score, in an LRU of at most
+  ``max_lazy_entries``; an evicted pair is simply re-scored on next use.
 
-The candidate-pruning engine (:mod:`repro.core.filtering`) adds a third,
-weaker kind of knowledge: an *upper bound* on a pair's similarity,
-recorded when a filter rejected the pair against some round's δ.  Bounds
-are δ-independent facts, so they are cached **per bound, not per round**:
-a later round with a lower δ first consults the cached bound and only
-re-runs the engine when it no longer rules the pair out.  A bound is
-superseded the moment the pair's exact score is pinned.
+The candidate-pruning engine (:mod:`repro.core.filtering`) adds a
+weaker kind of knowledge: an *upper bound* on a blocked pair's
+similarity, recorded when a filter rejected the pair against some
+round's δ.  Bounds are δ-independent facts, so they are cached **per
+bound, not per round**: a later round with a lower δ first consults the
+cached bound and only re-runs the engine when it no longer rules the
+pair out.  A bound is superseded the moment the pair's exact score is
+pinned.  The pre-matching resolver splits a round's candidates into its
+three buckets with masks over the arrays (:meth:`SimilarityCache.buckets`,
+``store``, ``matches``).  Scores leave the arrays as Python floats.
 
-**Layout.**  Once the shard's :class:`~repro.core.pairtable.PairTable`
-is attached (:meth:`SimilarityCache.attach`), each blocked pair's pinned
-score or bound lives in two arrays aligned with pair ids — a value and a
-kind (:data:`KIND_NONE`, or the code of an outcome kind,
-:data:`repro.core.filtering.KINDS`) — and the pre-matching resolver
-splits a round's candidates into its three buckets with masks over them
-(:meth:`buckets`, :meth:`store`, :meth:`matches`).  Keyed dicts remain
-only for what has no pair id: the lazy LRU, and pinned scores or bounds
-of pairs outside the table (remaining-pass pairs that re-blocking the
-leftovers proposes afresh, seeded or resumed pairs this run did not
-block).  Scores leave the arrays as Python floats.
+Series seeds and checkpoints carry pinned scores and bounds as rows.
+Importing them needs the table — it raises before ``attach`` — and
+drops the rows of pairs off it.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import json
 import zlib
 from array import array
@@ -123,38 +123,29 @@ def _as_list(values) -> list:
 
 
 class Buckets:
-    """One resolver call's candidates, split three ways: exactly known
-    (pinned, or in the lazy LRU), kept pruned by a cached bound, and to
-    evaluate.  Candidates on the table are pair ids, the others id
-    pairs (see :meth:`SimilarityCache.buckets`)."""
+    """One resolver call's candidates — pair ids, ascending — split
+    three ways: exactly known, kept pruned by a cached bound, and to
+    evaluate (see :meth:`SimilarityCache.buckets`)."""
 
     def __init__(self, pids) -> None:
         self.pids = pids
-        #: On-table candidates answered by the lazy LRU, and their scores.
-        self.lazy_pids: list = []
-        self.lazy_scores: List[float] = []
-        #: Off-table candidates with an exact score (pinned or lazy).
-        self.known: Dict[PairKey, float] = {}
-        #: Pair ids and off-table pairs to hand to the scorer.
+        #: Pair ids to hand to the scorer.
         self.evaluate = pids[:0]
-        self.evaluate_extra: List[PairKey] = []
         #: Pairs pruned per kind: by a cached bound, then fresh rejects.
         self.pruned: Dict[str, int] = dict.fromkeys(KINDS[1:], 0)
-
-    @property
-    def to_evaluate(self) -> int:
-        return len(self.evaluate) + len(self.evaluate_extra)
 
 
 class SimilarityCache:
     """Bounded ``agg_sim`` memo keyed by (old id, new id) pairs.
 
-    Implements the mapping surface used by
-    :class:`repro.core.prematching.PreMatchResult` (``get``, item access,
-    ``items``, ``len``); item assignment stores a *lazy* entry, :meth:`pin`
-    a permanent one.  ``hits``/``misses``/``evictions`` tally every
-    lookup, which lets callers assert that no pair was ever scored
-    twice (``misses == len(cache)`` while ``evictions == 0``).
+    Each score has one home (module docstring): a pair of the attached
+    :class:`~repro.core.pairtable.PairTable` keeps its pinned score or
+    bound in the pair-id arrays, any other pair only an exact score in
+    the lazy LRU.  ``get``/``get_many``, item access and ``peek`` read
+    either home; item assignment and :meth:`add` store an exact score in
+    its pair's home.  ``hits``/``misses``/``evictions`` tally every
+    lookup: while ``evictions == 0``, every miss that was scored added
+    one entry, so no pair was scored twice.
     """
 
     def __init__(
@@ -166,14 +157,10 @@ class SimilarityCache:
         self.max_lazy_entries = max_lazy_entries or None
         #: The shard's blocked pairs; ``None`` until :meth:`attach`.
         self.table: Optional[PairTable] = None
-        # Per pair id: the pinned score or bound, its kind code, and
-        # whether the lazy LRU holds the pair.
+        # Per pair id: the pinned score or bound, and its kind code.
         self._value = array("d")
         self._kind = array("b")
-        self._lazy_mark = bytearray()
-        # Pinned scores and bounds of pairs without a pair id.
-        self._pinned: Dict[PairKey, float] = {}
-        self._bounds: Dict[PairKey, Tuple[float, str]] = {}
+        # Exact scores of pairs off the table, least recently used first.
         self._lazy: "OrderedDict[PairKey, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -189,92 +176,16 @@ class SimilarityCache:
 
     def attach(self, table: PairTable) -> None:
         """Hold the pinned scores and bounds of ``table``'s pairs in
-        arrays aligned with its pair ids, moving any keyed entries of
-        those pairs there."""
-        if self.table is not None:
-            raise ValueError("the cache already has a pair table")
+        arrays aligned with its pair ids.  The cache must be empty."""
+        if self.table is not None or self._lazy:
+            raise ValueError("a pair table attaches to an empty cache only")
         self.table = table
         count = len(table)
         self._value = array("d", bytes(8 * count))
         self._kind = array("b", [KIND_NONE]) * count
-        self._lazy_mark = bytearray(count)
-        pinned, bounds = self._pinned, self._bounds
-        self._pinned, self._bounds = {}, {}
-        self._absorb(
-            [key + (score,) for key, score in pinned.items()],
-            [key + bound for key, bound in bounds.items()],
-        )
-        self._mark_lazy()
-
-    def _mark_lazy(self) -> None:
-        """Flag the pair ids of every lazy entry."""
-        for pid in self._pids_of(list(self._lazy)):
-            if pid >= 0:
-                self._lazy_mark[pid] = 1
 
     def _pid(self, key: PairKey) -> int:
         return -1 if self.table is None else self.table.pid(*key)
-
-    def _absorb(
-        self,
-        pinned_rows: Sequence[Sequence[object]],
-        bound_rows: Sequence[Sequence[object]],
-    ) -> None:
-        """Replay ``[old_id, new_id, score]`` and ``[old_id, new_id,
-        bound, origin]`` rows: bounds first, skipping pairs already
-        pinned, then pins, each superseding its pair's bound; a later
-        duplicate row wins.  Tallies are untouched."""
-        np = numpy_or_none()
-        table = self.table
-        off_bounds: list = []
-        off_pins: list = []
-        passes = (
-            (list(bound_rows), off_bounds, False),
-            (list(pinned_rows), off_pins, True),
-        )
-        if table is None or np is None or not len(table):
-            for rows, off, pins in passes:
-                for row, pid in zip(rows, self._pids_of(rows)):
-                    if pid < 0:
-                        off.append(row)
-                    elif pins:
-                        self._value[pid] = row[2]
-                        self._kind[pid] = _EXACT
-                    elif self._kind[pid] != _EXACT:
-                        self._value[pid] = row[2]
-                        self._kind[pid] = KIND_CODES[row[3]]
-        else:
-            values = view(self._value, np.float64)
-            kinds = view(self._kind, np.int8)
-            for rows, off, pins in passes:
-                if not rows:
-                    continue
-                pids = table.pids(rows)
-                off.extend(map(rows.__getitem__, np.flatnonzero(pids < 0).tolist()))
-                # The last row of each pair wins (journals repeat pairs).
-                backwards = np.flatnonzero(pids >= 0)[::-1]
-                last = backwards[np.unique(pids[backwards], return_index=True)[1]]
-                targets = pids[last]
-                row_values = np.fromiter(
-                    map(itemgetter(2), rows), np.float64, count=len(rows)
-                )[last]
-                if pins:
-                    values[targets] = row_values
-                    kinds[targets] = _EXACT
-                    continue
-                row_kinds = np.fromiter(
-                    map(KIND_CODES.__getitem__, map(itemgetter(3), rows)),
-                    np.int8, count=len(rows),
-                )[last]
-                keep = kinds[targets] != _EXACT
-                values[targets[keep]] = row_values[keep]
-                kinds[targets[keep]] = row_kinds[keep]
-        for old_id, new_id, bound, origin in off_bounds:
-            if (old_id, new_id) not in self._pinned:
-                self._bounds[(old_id, new_id)] = (bound, origin)
-        for old_id, new_id, score in off_pins:
-            self._pinned[(old_id, new_id)] = score
-            self._bounds.pop((old_id, new_id), None)
 
     def _pids_of(self, rows: Sequence[Sequence[object]]) -> List[int]:
         """The pair id (or -1) of each row's ``(row[0], row[1])`` pair."""
@@ -284,26 +195,73 @@ class SimilarityCache:
             return [self.table.pid(row[0], row[1]) for row in rows]
         return _as_list(self.table.pids(rows))
 
+    def _absorb(
+        self,
+        pinned_rows: Sequence[Sequence[object]],
+        bound_rows: Sequence[Sequence[object]],
+    ) -> None:
+        """Replay ``[old_id, new_id, score]`` and ``[old_id, new_id,
+        bound, origin]`` rows of the table's pairs: bounds first,
+        skipping pairs already pinned, then pins, each superseding its
+        pair's bound; a later duplicate row wins.  Rows of pairs off the
+        table are dropped.  Tallies are untouched."""
+        table = self.table
+        if table is None:
+            raise ValueError("import scores after attaching the pair table")
+        np = numpy_or_none()
+        for rows, pins in ((list(bound_rows), False), (list(pinned_rows), True)):
+            if not rows or not len(table):
+                continue
+            if np is None:
+                for row, pid in zip(rows, table.pids(rows)):
+                    if pid < 0 or (not pins and self._kind[pid] == _EXACT):
+                        continue
+                    self._value[pid] = row[2]
+                    self._kind[pid] = _EXACT if pins else KIND_CODES[row[3]]
+                continue
+            values = view(self._value, np.float64)
+            kinds = view(self._kind, np.int8)
+            pids = table.pids(rows)
+            # The last row of each pair wins (journals repeat pairs).
+            backwards = np.flatnonzero(pids >= 0)[::-1]
+            last = backwards[np.unique(pids[backwards], return_index=True)[1]]
+            targets = pids[last]
+            row_values = np.fromiter(
+                map(itemgetter(2), rows), np.float64, count=len(rows)
+            )[last]
+            if pins:
+                values[targets] = row_values
+                kinds[targets] = _EXACT
+                continue
+            row_kinds = np.fromiter(
+                map(KIND_CODES.__getitem__, map(itemgetter(3), rows)),
+                np.int8, count=len(rows),
+            )[last]
+            keep = kinds[targets] != _EXACT
+            values[targets[keep]] = row_values[keep]
+            kinds[targets[keep]] = row_kinds[keep]
+
     # -- lookups -------------------------------------------------------------
 
-    def _pinned_score(self, key: PairKey, pid: int) -> Optional[float]:
-        if pid >= 0:
-            return self._value[pid] if self._kind[pid] == _EXACT else None
-        return self._pinned.get(key)
+    def peek(self, key: PairKey) -> Optional[float]:
+        """Cached score without side effects: no hit/miss tally and no
+        LRU refresh.  Used by the validation layer, which must observe
+        the cache without altering eviction order or instrumentation."""
+        pid = self._pid(key)
+        if pid < 0:
+            return self._lazy.get(key)
+        return self._value[pid] if self._kind[pid] == _EXACT else None
 
     def get(self, key: PairKey, default: Optional[float] = None) -> Optional[float]:
         """Cached score for ``key``, counting a hit or a miss."""
-        score = self._pinned_score(key, self._pid(key))
-        if score is not None:
-            self.hits += 1
-            return score
-        score = self._lazy.get(key)
-        if score is not None:
+        score = self.peek(key)
+        if score is None:
+            self.misses += 1
+            return default
+        if key in self._lazy:
             self._lazy.move_to_end(key)  # LRU refresh
-            self.hits += 1
-            return score
-        self.misses += 1
-        return default
+        self.hits += 1
+        return score
 
     def get_many(
         self, keys: Sequence[PairKey]
@@ -328,24 +286,17 @@ class SimilarityCache:
             zip(keys, view(self._value, np.float64)[safe].tolist()),
             exact.tolist(),
         ))
-        self.hits += int(np.count_nonzero(exact))
         missing = []
-        pid_list = pids.tolist()
         for position in np.flatnonzero(~exact).tolist():
             key = keys[position]
-            score = (
-                self._pinned.get(key) if pid_list[position] < 0 else None
-            )
+            score = self._lazy.get(key)
             if score is None:
-                score = self._lazy.get(key)
-                if score is not None:
-                    self._lazy.move_to_end(key)
-            if score is None:
-                self.misses += 1
                 missing.append(key)
             else:
-                self.hits += 1
+                self._lazy.move_to_end(key)
                 found[key] = score
+        self.misses += len(missing)
+        self.hits += len(keys) - len(missing)
         return found, missing
 
     def __getitem__(self, key: PairKey) -> float:
@@ -356,19 +307,7 @@ class SimilarityCache:
 
     def __contains__(self, key: PairKey) -> bool:
         """Membership test; does not touch the hit/miss tallies."""
-        return (
-            self._pinned_score(key, self._pid(key)) is not None
-            or key in self._lazy
-        )
-
-    def peek(self, key: PairKey) -> Optional[float]:
-        """Cached score without side effects: no hit/miss tally and no
-        LRU refresh.  Used by the validation layer, which must observe
-        the cache without altering eviction order or instrumentation."""
-        score = self._pinned_score(key, self._pid(key))
-        if score is not None:
-            return score
-        return self._lazy.get(key)
+        return self.peek(key) is not None
 
     def __len__(self) -> int:
         return self.num_pinned + len(self._lazy)
@@ -380,62 +319,44 @@ class SimilarityCache:
             yield from zip(
                 self.table.pairs(pids), map(self._value.__getitem__, pids)
             )
-        yield from self._pinned.items()
         yield from self._lazy.items()
 
     # -- insertion -----------------------------------------------------------
 
-    def pin(self, key: PairKey, score: float) -> None:
-        """Store a permanent (never evicted) entry — candidate pairs.
-        An exact score supersedes any cached pruning bound."""
-        pid = self._pid(key)
-        if self._lazy.pop(key, None) is not None and pid >= 0:
-            self._lazy_mark[pid] = 0
-        if pid >= 0:
-            self._value[pid] = score
-            self._kind[pid] = _EXACT
-        else:
-            self._bounds.pop(key, None)
-            self._pinned[key] = score
-        if self._journal_pinned is not None:
-            self._journal_pinned.extend([(key[0], key[1], score)])
-
     def __setitem__(self, key: PairKey, score: float) -> None:
-        """Store a lazy entry, evicting the least recently used beyond
-        ``max_lazy_entries``."""
-        self.add_lazy([key], [score])
+        """:meth:`add` for one pair."""
+        self.add([key], [score])
 
-    def add_lazy(
-        self, keys: Sequence[PairKey], scores: Sequence[float]
-    ) -> None:
-        """Item assignment for every key, in order."""
+    def add(self, keys: Sequence[PairKey], scores: Sequence[float]) -> None:
+        """Store exact scores, in order, each in its pair's home: a
+        blocked pair's is pinned (and journalled), any other pair's
+        joins the lazy LRU, evicting the least recently used beyond
+        ``max_lazy_entries``."""
+        pinned = []
         for key, pid, score in zip(keys, self._pids_of(keys), scores):
-            if self._pinned_score(key, pid) is not None:
-                continue  # pinned entries are authoritative
+            if pid >= 0:
+                self._value[pid] = score
+                self._kind[pid] = _EXACT
+                pinned.append(key + (score,))
+                continue
             self._lazy[key] = score
             self._lazy.move_to_end(key)
-            if pid >= 0:
-                self._lazy_mark[pid] = 1
-            if self.max_lazy_entries is None:
-                continue
-            while len(self._lazy) > self.max_lazy_entries:
-                evicted, _ = self._lazy.popitem(last=False)
+            if (
+                self.max_lazy_entries is not None
+                and len(self._lazy) > self.max_lazy_entries
+            ):
+                self._lazy.popitem(last=False)
                 self.evictions += 1
-                evicted_pid = self._pid(evicted)
-                if evicted_pid >= 0:
-                    self._lazy_mark[evicted_pid] = 0
+        if pinned and self._journal_pinned is not None:
+            self._journal_pinned.extend(pinned)
 
     # -- the resolver's buckets (repro.core.prematching) ----------------------
 
-    def buckets(
-        self, pids, extra: Sequence[PairKey], cutoff: Optional[float]
-    ) -> Buckets:
-        """Split candidates — pair ids (ascending) and ``extra`` pairs
-        without one (sorted) — into the resolver's three buckets.  Each
-        candidate counts one hit (pinned or lazy) or one miss; the lazy
-        hits refresh the LRU in sorted pair order.  With a ``cutoff``
-        (δ − margin; pruning on) a miss whose cached bound is below it
-        stays pruned."""
+    def buckets(self, pids, cutoff: Optional[float]) -> Buckets:
+        """Split candidates — pair ids, ascending — into the resolver's
+        three buckets.  Each candidate counts one hit (pinned) or one
+        miss.  With a ``cutoff`` (δ − margin; pruning on) a miss whose
+        cached bound is below it stays pruned."""
         found = Buckets(pids)
         pruned = found.pruned
         np = numpy_or_none()
@@ -445,9 +366,7 @@ class SimilarityCache:
                 kind = self._kind[pid]
                 if kind == _EXACT:
                     continue
-                if self._lazy_mark[pid]:
-                    found.lazy_pids.append(pid)
-                elif (
+                if (
                     cutoff is not None and kind > _EXACT
                     and self._value[pid] < cutoff
                 ):
@@ -457,60 +376,25 @@ class SimilarityCache:
             found.evaluate = evaluate
         elif len(pids):
             kinds = view(self._kind, np.int8)[pids]
-            exact = kinds == _EXACT
-            lazy = view(self._lazy_mark, np.bool_)[pids] & ~exact
-            rest = ~(exact | lazy)
-            found.lazy_pids = pids[lazy]
+            rest = kinds != _EXACT
             if cutoff is not None:
-                held = rest & (kinds > _EXACT)
+                held = kinds > _EXACT
                 held &= view(self._value, np.float64)[pids] < cutoff
                 counts = np.bincount(kinds[held], minlength=len(KINDS))
                 for kind, count in zip(KINDS[1:], counts[1:].tolist()):
                     pruned[kind] += count
                 rest &= ~held
             found.evaluate = pids[rest]
-        lazy_keys = self.table.pairs(found.lazy_pids)
-        found.lazy_scores = [self._lazy[key] for key in lazy_keys]
-        off_lazy = []
         misses = len(found.evaluate) + sum(pruned.values())
-        for key in extra:
-            score = self._pinned.get(key)
-            if score is None:
-                score = self._lazy.get(key)
-                if score is not None:
-                    off_lazy.append(key)
-            if score is not None:
-                found.known[key] = score
-                continue
-            misses += 1
-            bound = self._bounds.get(key) if cutoff is not None else None
-            if bound is not None and bound[0] < cutoff:
-                pruned[bound[1]] += 1
-            else:
-                found.evaluate_extra.append(key)
-        for key in heapq.merge(lazy_keys, off_lazy):
-            self._lazy.move_to_end(key)
-        self.hits += len(pids) + len(extra) - misses
+        self.hits += len(pids) - misses
         self.misses += misses
         return found
 
-    def rows(self, found: Buckets) -> Tuple[object, object]:
-        """Scorer rows of the bucket to evaluate: pair ids first, then
-        the off-table pairs."""
-        old_rows, new_rows = self.table.rows(found.evaluate)
-        if not found.evaluate_extra:
-            return old_rows, new_rows
-        extra_old, extra_new = self.table.rows_of(found.evaluate_extra)
-        return (
-            old_rows.tolist() + extra_old.tolist(),
-            new_rows.tolist() + extra_new.tolist(),
-        )
-
     def store(self, found: Buckets, values, kinds=None) -> int:
-        """Keep the scorer's answers for :meth:`rows` — values, and the
-        kind codes when pruning (``None``: every value is exact) — and
-        return how many were exact.  Fresh bounds join ``found.pruned``."""
-        count = len(found.evaluate)
+        """Keep the scorer's answers for ``found.evaluate`` — values, and
+        the kind codes when pruning (``None``: every value is exact) —
+        and return how many were exact.  Fresh bounds join
+        ``found.pruned``."""
         np = numpy_or_none()
         if np is None:
             if kinds is None:
@@ -525,91 +409,47 @@ class SimilarityCache:
                 np.zeros(len(values), np.int8) if kinds is None
                 else np.asarray(kinds)
             )
-            view(self._value, np.float64)[found.evaluate] = values[:count]
-            view(self._kind, np.int8)[found.evaluate] = kinds[:count]
+            view(self._value, np.float64)[found.evaluate] = values
+            view(self._kind, np.int8)[found.evaluate] = kinds
             tally = np.bincount(kinds, minlength=len(KINDS)).tolist()
         for code, kind in enumerate(KINDS[1:], start=1):
             found.pruned[kind] += tally[code]
-        if found.evaluate_extra or self._journal_pinned is not None:
-            self._store_rows(found, values.tolist(), kinds.tolist())
-        return tally[_EXACT]
-
-    def _store_rows(
-        self, found: Buckets, values: List[float], kinds: List[int]
-    ) -> None:
-        """The keyed half of :meth:`store` (off-table pairs) and the
-        journal rows of all its pins and bounds, in sorted pair order —
-        the order in which they were once set pair by pair."""
-        count = len(found.evaluate)
-        pinned_rows, bound_rows = [], []
-        for key, value, kind in zip(
-            found.evaluate_extra, values[count:], kinds[count:]
-        ):
-            if kind == _EXACT:
-                self._pinned[key] = value
-                self._bounds.pop(key, None)
-                pinned_rows.append(key + (value,))
-            else:
-                self._bounds[key] = (value, KINDS[kind])
-                bound_rows.append(key + (value, KINDS[kind]))
-        if self._journal_pinned is None:
-            return
-        fresh = list(zip(
-            self.table.pairs(found.evaluate), values[:count], kinds[:count]
-        ))
-        self._journal_pinned.extend(heapq.merge(
-            [key + (value,) for key, value, kind in fresh if kind == _EXACT],
-            pinned_rows,
-        ))
-        self._journal_bounds.extend(heapq.merge(
-            [
+        if self._journal_pinned is not None:
+            # Pair-id order is sorted pair order, the order the journal
+            # has always had: checkpoint bytes depend on it.
+            fresh = list(zip(
+                self.table.pairs(found.evaluate), values.tolist(),
+                kinds.tolist(),
+            ))
+            self._journal_pinned.extend(
+                key + (value,) for key, value, kind in fresh if kind == _EXACT
+            )
+            self._journal_bounds.extend(
                 key + (value, KINDS[kind])
                 for key, value, kind in fresh
                 if kind != _EXACT
-            ],
-            bound_rows,
-        ))
+            )
+        return tally[_EXACT]
 
     def matches(self, found: Buckets, delta: float) -> Dict[PairKey, float]:
-        """The candidates' exactly known scores that reach ``delta``, in
-        sorted pair order (after :meth:`store`)."""
+        """The candidates' pinned scores that reach ``delta``, in sorted
+        pair order (after :meth:`store`)."""
         pids = found.pids
         np = numpy_or_none()
         if np is None:
-            lazy = dict(zip(found.lazy_pids, found.lazy_scores))
-            selected, scores = [], []
-            for pid in pids:
-                score = (
-                    self._value[pid] if self._kind[pid] == _EXACT
-                    else lazy.get(pid)
-                )
-                if score is not None and score >= delta:
-                    selected.append(pid)
-                    scores.append(score)
+            selected = [
+                pid for pid in pids
+                if self._kind[pid] == _EXACT and self._value[pid] >= delta
+            ]
+            scores = list(map(self._value.__getitem__, selected))
         elif len(pids):
-            exact = view(self._kind, np.int8)[pids] == _EXACT
             values = view(self._value, np.float64)[pids]
-            if len(found.lazy_pids):
-                positions = np.searchsorted(pids, found.lazy_pids)
-                exact[positions] = True
-                values[positions] = found.lazy_scores
-            reach = exact & (values >= delta)
+            reach = view(self._kind, np.int8)[pids] == _EXACT
+            reach &= values >= delta
             selected, scores = pids[reach], values[reach].tolist()
         else:
             selected, scores = pids, []
-        result = dict(zip(self.table.pairs(selected), scores))
-        off_table = {
-            key: score
-            for key, score in found.known.items()
-            if score >= delta
-        }
-        for key in found.evaluate_extra:
-            score = self._pinned.get(key)
-            if score is not None and score >= delta:
-                off_table[key] = score
-        if off_table:
-            result = dict(sorted({**result, **off_table}.items()))
-        return result
+        return dict(zip(self.table.pairs(selected), scores))
 
     # -- series seeding (repro.checkpoint.series) -----------------------------
 
@@ -626,34 +466,29 @@ class SimilarityCache:
             kinds == _EXACT if exact else kinds > _EXACT
         ).tolist()
 
-    def _rows_of_kind(self, exact: bool, keyed) -> List[List[object]]:
-        """Sorted rows of the pinned scores (``exact``) or the bounds:
-        the table's, in pair-id order, merged with the ``keyed`` ones."""
+    def _rows_of_kind(self, exact: bool) -> List[List[object]]:
+        """The pinned scores (``exact``) or the bounds as rows, in
+        pair-id order — sorted pair order."""
         pids = self._pids_of_kind(exact)
+        if not pids:
+            return []
         columns = [*self.table.ids(pids), map(self._value.__getitem__, pids)]
         if not exact:
             columns.append(
                 map(KINDS.__getitem__, map(self._kind.__getitem__, pids))
             )
-        rows = list(map(list, zip(*columns))) if pids else []
-        if not keyed:
-            return rows
-        return list(heapq.merge(rows, sorted(map(list, keyed))))
+        return list(map(list, zip(*columns)))
 
     def pinned_rows(self) -> List[List[object]]:
         """All pinned entries as sorted ``[old_id, new_id, score]`` rows —
         deterministic regardless of insertion order, so two runs that
         pinned the same set of scores serialize byte-identically."""
-        return self._rows_of_kind(
-            True, [key + (score,) for key, score in self._pinned.items()]
-        )
+        return self._rows_of_kind(True)
 
     def bound_rows(self) -> List[List[object]]:
         """All pruning bounds as sorted ``[old_id, new_id, bound, origin]``
         rows (same determinism contract as :meth:`pinned_rows`)."""
-        return self._rows_of_kind(
-            False, [key + bound for key, bound in self._bounds.items()]
-        )
+        return self._rows_of_kind(False)
 
     def seed(
         self,
@@ -672,8 +507,8 @@ class SimilarityCache:
         earlier δ round: pinned pairs skip scoring outright, bounded
         pairs stay pruned while the bound clears the round's cutoff and
         are re-evaluated fresh otherwise — which is why seeding can
-        never change a link decision.  Seed after :meth:`attach`, so
-        blocked pairs land in the arrays in one vectorized pass, and
+        never change a link decision.  Seed after :meth:`attach` (it
+        raises before): rows of pairs off the table are dropped.  Seed
         before :meth:`enable_export_journal`, so journalling captures
         the seeded entries too.
         """
@@ -712,9 +547,9 @@ class SimilarityCache:
         in exactly the order the original would have.  Pinned and
         bounds sections replay the journal: a later duplicate row
         supersedes an earlier one, and a bound row whose pair was later
-        pinned is dropped on import, mirroring :meth:`pin`.  The
-        hit/miss/eviction tallies ride along so a resumed run's
-        counters continue where the interrupted run stopped.
+        pinned is dropped on import.  The hit/miss/eviction tallies
+        ride along so a resumed run's counters continue where the
+        interrupted run stopped.
         """
         if self._journal_pinned is not None and self._journal_bounds is not None:
             pinned_parts = self._journal_pinned.parts()
@@ -741,36 +576,39 @@ class SimilarityCache:
     def from_export(
         cls,
         document: Dict[str, object],
+        table: PairTable,
         max_lazy_entries: Optional[int] = DEFAULT_MAX_LAZY_ENTRIES,
-        table: Optional[PairTable] = None,
     ) -> "SimilarityCache":
-        """Rebuild a cache from :meth:`export_state` output, over
-        ``table`` when the run has already blocked its pairs.
+        """Rebuild a cache from :meth:`export_state` output over the
+        run's pair table.
 
         The restored cache is observationally identical to the exported
         one: same entries, same LRU order, same bounds, same tallies —
         so a resumed pipeline run replays the exact hit/miss/eviction
         sequence an uninterrupted run would have produced.  Bound rows
         are replayed *before* pinned rows, and each pin evicts its
-        pair's bound, exactly as the live :meth:`pin` path does.  The
-        journals are re-armed from the parsed blobs, so checkpoints
-        written after a resume stay byte-compatible with the ones an
-        uninterrupted run would have written.
+        pair's bound, exactly as the live path does.  Rows that break
+        the one-home rule — pins and bounds of pairs off the table, lazy
+        rows of blocked pairs; only a checkpoint written before the rule
+        holds them — are dropped: their pairs are scored again when
+        asked, with the same result.  The journals are re-armed from
+        the parsed blobs, so checkpoints written after a resume stay
+        byte-compatible with the ones an uninterrupted run would have
+        written.
         """
         cache = cls(max_lazy_entries=max_lazy_entries)
-        if table is not None:
-            cache.attach(table)
+        cache.attach(table)
         pinned_parts = document["pinned"]
         bounds_parts = document["bounds"]
         cache._absorb(
             decompress_rows(pinned_parts), decompress_rows(bounds_parts)
         )
         lazy_rows = decompress_rows(document["lazy"])
-        cache._lazy.update(zip(
-            zip(map(itemgetter(0), lazy_rows), map(itemgetter(1), lazy_rows)),
-            map(itemgetter(2), lazy_rows),
-        ))
-        cache._mark_lazy()
+        cache._lazy.update(
+            ((row[0], row[1]), row[2])
+            for row, pid in zip(lazy_rows, cache._pids_of(lazy_rows))
+            if pid < 0
+        )
         cache.hits = document["hits"]
         cache.misses = document["misses"]
         cache.evictions = document["evictions"]
@@ -782,7 +620,7 @@ class SimilarityCache:
 
     @property
     def num_pinned(self) -> int:
-        return self._kind.count(_EXACT) + len(self._pinned)
+        return self._kind.count(_EXACT)
 
     @property
     def num_lazy(self) -> int:
@@ -791,10 +629,7 @@ class SimilarityCache:
     @property
     def num_bounds(self) -> int:
         kinds = self._kind
-        return (
-            len(kinds) - kinds.count(KIND_NONE) - kinds.count(_EXACT)
-            + len(self._bounds)
-        )
+        return len(kinds) - kinds.count(KIND_NONE) - kinds.count(_EXACT)
 
     def counters(self) -> Dict[str, int]:
         """Hit/miss/eviction tallies plus sizes, for instrumentation."""

@@ -281,37 +281,55 @@ def assemble_subgraph(
             if rp_sim is not None:
                 edges.append((index_a, index_b, rp_sim))
 
-    if not edges:
-        if not config.allow_singleton_subgraphs:
-            return None
-        kept_vertices = vertices
-        kept_edges: List[Tuple[int, int, float]] = []
-    else:
-        # Prune *fresh* vertices not incident to any matched edge (Fig. 4);
-        # anchors always stay.
+    kept = prune_fresh_vertices(
+        vertices, edges, num_anchors, config.allow_singleton_subgraphs
+    )
+    if kept is None:
+        return None
+    return SubgraphMatch(
+        old_group_id=old_household.household_id,
+        new_group_id=new_household.household_id,
+        vertices=kept[0],
+        edges=kept[1],
+        old_edge_total=old_household.num_relationships,
+        new_edge_total=new_household.num_relationships,
+        num_anchors=num_anchors,
+    )
+
+
+def prune_fresh_vertices(
+    vertices: Sequence[Tuple[str, str]],
+    edges: Sequence[Tuple[int, int, float]],
+    num_anchors: int,
+    allow_singleton: bool,
+) -> Optional[Tuple[List[Tuple[str, str]], List[Tuple[int, int, float]]]]:
+    """Fig. 4's prune rule over a subgraph's vertices (anchors first) and
+    edges (vertex index pairs): the kept vertices and re-indexed edges,
+    or ``None`` when no fresh vertex — hence no new record link — is
+    left.
+
+    A fresh vertex without an incident edge is dropped (attribute
+    similarity alone does not anchor a group link); anchors always
+    stay.  With no edge at all the subgraph survives only under
+    ``allow_singleton``.
+    """
+    if edges:
         incident: Set[int] = set(range(num_anchors))
         for index_a, index_b, _ in edges:
             incident.add(index_a)
             incident.add(index_b)
         keep = sorted(incident)
         remap = {old_index: new_index for new_index, old_index in enumerate(keep)}
-        kept_vertices = [vertices[index] for index in keep]
-        kept_edges = [
+        vertices = [vertices[index] for index in keep]
+        edges = [
             (remap[index_a], remap[index_b], rp_sim)
             for index_a, index_b, rp_sim in edges
         ]
-
-    if len(kept_vertices) <= num_anchors:
-        return None  # no new record link would result
-    return SubgraphMatch(
-        old_group_id=old_household.household_id,
-        new_group_id=new_household.household_id,
-        vertices=kept_vertices,
-        edges=kept_edges,
-        old_edge_total=old_household.num_relationships,
-        new_edge_total=new_household.num_relationships,
-        num_anchors=num_anchors,
-    )
+    elif not allow_singleton:
+        return None
+    if len(vertices) <= num_anchors:
+        return None
+    return list(vertices), list(edges)
 
 
 def candidate_group_pairs(

@@ -461,25 +461,6 @@ class _SkipCheck(Exception):
     """Raised inside a check to mark it skipped (with a reason)."""
 
 
-def _backend_exemptions(config: "LinkageConfig") -> Dict[str, str]:
-    """Invariants the configured group backend is documented-exempt from.
-
-    A :class:`~repro.core.backends.BackendCapabilities` may name
-    registry entries the backend cannot satisfy; those are reported as
-    skips with the declared reason instead of violations.  All shipped
-    backends declare no exemptions, so this is empty (and free) on every
-    default-configured run.
-    """
-    name = getattr(config, "group_backend", "default")
-    try:
-        from ..core.backends import get_backend
-
-        backend = get_backend(name)
-    except (ImportError, ValueError):
-        return {}
-    return backend.capabilities.exemption_reasons()
-
-
 def validate_result(
     result: "LinkageResult",
     old_dataset: "CensusDataset",
@@ -496,14 +477,7 @@ def validate_result(
     """
     context = ValidationContext(result, old_dataset, new_dataset, config)
     report = ValidationReport()
-    exemptions = _backend_exemptions(config)
     for name, entry in REGISTRY.items():
-        if name in exemptions:
-            report.skipped[name] = (
-                f"backend {config.group_backend!r} documented exemption: "
-                f"{exemptions[name]}"
-            )
-            continue
         try:
             violations = entry.check(context)
         except _SkipCheck as skip:
@@ -563,76 +537,59 @@ def validate_selection(
       round's δ (only when ``require_direct_pair_threshold`` is on).
     """
     report = ValidationReport()
-    # Invariants the configured group backend is documented-exempt from
-    # (repro.core.backends.BackendCapabilities) are reported as skips.
-    exemptions = _backend_exemptions(config)
-
-    def exempt(name: str) -> bool:
-        if name not in exemptions:
-            return False
-        report.skipped[name] = (
-            f"backend {config.group_backend!r} documented exemption: "
-            f"{exemptions[name]}"
-        )
-        return True
-
-    if not exempt("selection-record-disjoint"):
-        duplicated = selection.disjointness_violations()
-        already_linked = sorted(
-            {
-                record_id
-                for subgraph in selection.accepted
-                for old_id, new_id in subgraph.new_link_vertices
-                for record_id in (
-                    ([old_id] if prior_mapping.contains_old(old_id) else [])
-                    + ([new_id] if prior_mapping.contains_new(new_id) else [])
-                )
-            }
-        )
-        report.checked.append("selection-record-disjoint")
-        if duplicated:
-            report.violations.append(
-                Violation(
-                    "selection-record-disjoint",
-                    f"record claimed by two accepted subgraphs at "
-                    f"δ={delta:.4f}",
-                    _truncate(sorted(set(duplicated))),
-                )
-            )
-        if already_linked:
-            report.violations.append(
-                Violation(
-                    "selection-record-disjoint",
-                    f"record re-linked at δ={delta:.4f} despite an "
-                    "earlier-round link",
-                    _truncate(already_linked),
-                )
-            )
-
-    if not exempt("selection-group-links-consistent"):
-        accepted_groups = {
-            (subgraph.old_group_id, subgraph.new_group_id)
+    duplicated = selection.disjointness_violations()
+    already_linked = sorted(
+        {
+            record_id
             for subgraph in selection.accepted
+            for old_id, new_id in subgraph.new_link_vertices
+            for record_id in (
+                ([old_id] if prior_mapping.contains_old(old_id) else [])
+                + ([new_id] if prior_mapping.contains_new(new_id) else [])
+            )
         }
-        round_groups = set(selection.group_mapping.pairs())
-        report.checked.append("selection-group-links-consistent")
-        if accepted_groups != round_groups:
-            drift = sorted(
-                f"{old_id}->{new_id}"
-                for old_id, new_id in accepted_groups ^ round_groups
+    )
+    report.checked.append("selection-record-disjoint")
+    if duplicated:
+        report.violations.append(
+            Violation(
+                "selection-record-disjoint",
+                f"record claimed by two accepted subgraphs at "
+                f"δ={delta:.4f}",
+                _truncate(sorted(set(duplicated))),
             )
-            report.violations.append(
-                Violation(
-                    "selection-group-links-consistent",
-                    "round group mapping diverges from the accepted "
-                    "subgraphs",
-                    _truncate(drift),
-                )
+        )
+    if already_linked:
+        report.violations.append(
+            Violation(
+                "selection-record-disjoint",
+                f"record re-linked at δ={delta:.4f} despite an "
+                "earlier-round link",
+                _truncate(already_linked),
             )
+        )
 
-    if exempt("selection-links-reach-delta"):
-        pass
-    elif config.require_direct_pair_threshold:
+    accepted_groups = {
+        (subgraph.old_group_id, subgraph.new_group_id)
+        for subgraph in selection.accepted
+    }
+    round_groups = set(selection.group_mapping.pairs())
+    report.checked.append("selection-group-links-consistent")
+    if accepted_groups != round_groups:
+        drift = sorted(
+            f"{old_id}->{new_id}"
+            for old_id, new_id in accepted_groups ^ round_groups
+        )
+        report.violations.append(
+            Violation(
+                "selection-group-links-consistent",
+                "round group mapping diverges from the accepted "
+                "subgraphs",
+                _truncate(drift),
+            )
+        )
+
+    if config.require_direct_pair_threshold:
         report.checked.append("selection-links-reach-delta")
         too_low = [
             f"{old_id}->{new_id} ({score:.4f})"

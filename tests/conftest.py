@@ -1,7 +1,11 @@
-"""Shared fixtures: the paper's running example and small generated data."""
+"""Shared fixtures: the paper's running example, small generated data
+and the numpy fork switch."""
+
+from contextlib import contextmanager
 
 import pytest
 
+import repro.core.pairtable as pairtable_module
 import repro.model.roles as R
 from repro.core.config import LinkageConfig
 from repro.datagen import GeneratorConfig, generate_series
@@ -120,3 +124,29 @@ def small_pair():
             seed=7, start_year=1871, num_snapshots=2, initial_households=80
         )
     )
+
+
+@contextmanager
+def numpy_hidden():
+    """Run the block on the plain-loop fork: numpy hidden from
+    :func:`repro.core.pairtable.numpy_or_none`, which every vectorized
+    step asks before it runs."""
+    saved = pairtable_module._numpy
+    pairtable_module._numpy = None
+    try:
+        yield
+    finally:
+        pairtable_module._numpy = saved
+
+
+@pytest.fixture(params=["numpy", "loop"])
+def fork(request):
+    """Run the test on the vectorized steps and on their plain-loop twins
+    (:func:`numpy_hidden`), so the two stay interchangeable."""
+    if request.param == "loop":
+        with numpy_hidden():
+            yield request.param
+        return
+    if pairtable_module.numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    yield request.param

@@ -65,7 +65,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.checkpoint import analysis_ledger_hash, decision_ledger_hash
 from repro.core.backends import (
     _REGISTRY,
-    BackendCapabilities,
     RoundOutcome,
     register_backend,
 )
@@ -456,12 +455,6 @@ class _PreRefactorReferenceBackend:
     """
 
     name = "prerefactor-reference"
-
-    def __init__(self) -> None:
-        self.capabilities = BackendCapabilities(
-            summary="frozen pre-protocol copy of the paper's group stage "
-            "(differential reference only)",
-        )
 
     def match_round(self, ctx):
         config = ctx.config

@@ -97,7 +97,7 @@ class TestPreMatchResult:
         first = prematching(old, new, NAME_FUNC, blocker, cached_scores=cache)
         key = ("1871_1", "1881_1")
         assert len(cache) and key in first.matched_pairs  # populated
-        cache.pin(key, 0.0)  # prove the cache is consulted
+        cache[key] = 0.0  # prove the cache is consulted
         second = prematching(old, new, NAME_FUNC, blocker, cached_scores=cache)
         assert key not in second.matched_pairs
 

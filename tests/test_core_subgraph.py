@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.core.pairtable as pairtable_module
 import repro.core.subgraph as subgraph_module
 import repro.model.roles as R
 from repro.blocking.standard import CrossProductBlocker
@@ -348,18 +347,6 @@ class TestPairsThatCannotYieldASubgraph:
             ("p71", [("p_1", "r_1")]),
             ("q71", [("q_1", "r_2")]),
         ]
-
-
-@pytest.fixture(params=["numpy", "loop"])
-def fork(request, monkeypatch):
-    """The round pass's row-space join, or its plain-loop twin (numpy
-    hidden, as in ``tests/test_pairtable.py``)."""
-    if request.param == "numpy":
-        if pairtable_module.numpy_or_none() is None:
-            pytest.skip("numpy unavailable")
-    else:
-        monkeypatch.setattr(pairtable_module, "_numpy", None)
-    return request.param
 
 
 class TestAnchorMask:

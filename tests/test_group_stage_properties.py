@@ -49,6 +49,7 @@ from repro.datagen import generate_pair
 from repro.instrumentation import KERNEL_PAIRS, PAIRS_SCORED, Instrumentation
 from repro.similarity.vector import SimilarityFunction
 
+from tests.conftest import numpy_hidden
 from tests.group_reference import (
     one_pair_at_a_time,
     pair_anchors,
@@ -268,19 +269,6 @@ class TestBatchedGroupStageEqualsOnePairLoop:
         assert observed["left_out"] > 0
 
 
-@contextmanager
-def _numpy_hidden():
-    """Run the block on the plain-loop fork: numpy hidden from
-    :func:`repro.core.pairtable.numpy_or_none`, as ``tests/test_pairtable.py``
-    does."""
-    saved = pairtable_module._numpy
-    pairtable_module._numpy = None
-    try:
-        yield
-    finally:
-        pairtable_module._numpy = saved
-
-
 def _compare_row_join_with_loop_twin(observed):
     """A group-stage hook: run the round on both forks, each on private
     copies of the round and a fresh index, and require the same tasks,
@@ -290,7 +278,7 @@ def _compare_row_join_with_loop_twin(observed):
         prematch, old_households, new_households, config = args
         mapping = kwargs["record_mapping"]
         forks = []
-        for fork in (nullcontext, _numpy_hidden):
+        for fork in (nullcontext, numpy_hidden):
             with fork():
                 task_prematch = _private_copy(prematch)
                 tasks, _ = group_tasks(

@@ -4,9 +4,8 @@
 into pair ids in sorted ``(old_id, new_id)`` order, and the similarity
 cache keeps their pinned scores and bounds in arrays aligned with those
 ids.  Every vectorized step has a plain-loop twin for interpreters
-without numpy; the ``fork`` fixture runs each test on both (the loop
-fork by hiding numpy from :func:`repro.core.pairtable.numpy_or_none`),
-so the two stay interchangeable.
+without numpy; the ``fork`` fixture (``tests/conftest.py``) runs each
+test on both, so the two stay interchangeable.
 """
 
 from array import array
@@ -19,22 +18,14 @@ from repro.core.config import LinkageConfig
 from repro.core.filtering import PairScorer
 from repro.core.pairtable import PairTable
 from repro.core.pipeline import link_datasets
-from repro.core.simcache import SimilarityCache
+from repro.core.simcache import KIND_NONE, SimilarityCache
 from repro.datagen import generate_pair
+
+from tests.conftest import numpy_hidden
 
 OLD_IDS = ["a1", "a2", "a3"]
 NEW_IDS = ["b1", "b2"]
 PAIRS = {("a3", "b1"), ("a1", "b2"), ("a2", "b1"), ("a1", "b1")}
-
-
-@pytest.fixture(params=["numpy", "loop"])
-def fork(request, monkeypatch):
-    if request.param == "numpy":
-        if pairtable_module.numpy_or_none() is None:
-            pytest.skip("numpy unavailable")
-    else:
-        monkeypatch.setattr(pairtable_module, "_numpy", None)
-    return request.param
 
 
 def as_list(values):
@@ -93,37 +84,16 @@ class TestPairTable:
 class TestScoresOverTheTable:
     def test_blocked_pairs_live_in_the_arrays(self, fork):
         cache = table_cache()
-        cache.pin(("a1", "b1"), 0.9)
+        cache["a1", "b1"] = 0.9
         cache.seed([], [("a2", "b1", 0.4, "qgram")])
-        cache.pin(("a2", "b2"), 0.7)  # not blocked: kept by key
-        assert cache._pinned == {("a2", "b2"): 0.7}
-        assert cache._bounds == {}
+        cache["a2", "b2"] = 0.7  # not blocked: a lazy entry
+        assert as_list(cache._value) == [0.9, 0.0, 0.4, 0.0]
+        assert as_list(cache._kind) == [0, KIND_NONE, 2, KIND_NONE]
+        assert dict(cache._lazy) == {("a2", "b2"): 0.7}
         assert cache.get(("a1", "b1")) == 0.9
-        assert (cache.num_pinned, cache.num_bounds) == (2, 1)
-        assert cache.pinned_rows() == [["a1", "b1", 0.9], ["a2", "b2", 0.7]]
+        assert (cache.num_pinned, cache.num_bounds, cache.num_lazy) == (1, 1, 1)
+        assert cache.pinned_rows() == [["a1", "b1", 0.9]]
         assert cache.bound_rows() == [["a2", "b1", 0.4, "qgram"]]
-
-    def test_attach_moves_keyed_entries_into_the_arrays(self, fork):
-        keyed = SimilarityCache()
-        keyed.seed(
-            [["a1", "b1", 0.9], ["a2", "b2", 0.7]],
-            [["a3", "b1", 0.3, "length"], ["a1", "b1", 0.5, "qgram"]],
-        )
-        keyed["a1", "b2"] = 0.2
-        keyed.attach(PairTable(OLD_IDS, NEW_IDS, PAIRS))
-        direct = table_cache()
-        direct.seed(
-            [["a1", "b1", 0.9], ["a2", "b2", 0.7]],
-            [["a3", "b1", 0.3, "length"], ["a1", "b1", 0.5, "qgram"]],
-        )
-        direct["a1", "b2"] = 0.2
-        for cache in (keyed, direct):
-            assert cache._pinned == {("a2", "b2"): 0.7}
-            assert cache.pinned_rows() == [
-                ["a1", "b1", 0.9], ["a2", "b2", 0.7],
-            ]
-            assert cache.bound_rows() == [["a3", "b1", 0.3, "length"]]
-            assert as_list(cache._lazy_mark) == [0, 1, 0, 0]
 
     def test_export_roundtrip_over_a_table(self, fork):
         cache = table_cache()
@@ -132,23 +102,24 @@ class TestScoresOverTheTable:
         # Two rounds of the resolver: the bound of ("a1", "b1") is set,
         # then replaced at a lower cutoff, so its journal row repeats.
         cache.store(
-            cache.buckets(every_pair, [], 0.5),
+            cache.buckets(every_pair, 0.5),
             array("d", [0.2, 0.1, 0.4, 0.8]), array("b", [2, 1, 3, 0]),
         )
         cache.store(
-            cache.buckets(every_pair, [], 0.15),
+            cache.buckets(every_pair, 0.15),
             array("d", [0.3, 0.6]), array("b", [3, 0]),
         )
-        cache["a1", "b2"] = 0.25
+        cache["a1", "b2"] = 0.25  # pinned over its bound
+        cache["a2", "b2"] = 0.5  # not blocked: a lazy entry
         document = cache.export_state()
         restored = SimilarityCache.from_export(
             document, table=PairTable(OLD_IDS, NEW_IDS, PAIRS)
         )
-        assert restored.bound_rows() == [
-            ["a1", "b1", 0.3, "early_exit"], ["a1", "b2", 0.1, "length"],
+        assert restored.bound_rows() == [["a1", "b1", 0.3, "early_exit"]]
+        assert restored.pinned_rows() == [
+            ["a1", "b2", 0.25], ["a2", "b1", 0.6], ["a3", "b1", 0.8],
         ]
-        assert restored.pinned_rows() == [["a2", "b1", 0.6], ["a3", "b1", 0.8]]
-        assert as_list(restored._lazy_mark) == [0, 1, 0, 0]
+        assert dict(restored._lazy) == {("a2", "b2"): 0.5}
         assert list(restored.items()) == list(cache.items())
         assert restored.export_state() == document
 
@@ -158,18 +129,14 @@ class TestScoresOverTheTable:
             [("a1", "b1", 0.9)],
             [("a1", "b2", 0.3, "qgram"), ("a2", "b1", 0.69, "length")],
         )
-        cache["a2", "b1"] = 0.8  # a lazy score beats the bound
-        buckets = cache.buckets(
-            cache.table.select(OLD_IDS, NEW_IDS), [("a2", "b2")], 0.5
-        )
-        assert cache.hits == 2 and cache.misses == 3
+        cache["a2", "b1"] = 0.8  # an exact score supersedes the bound
+        buckets = cache.buckets(cache.table.select(OLD_IDS, NEW_IDS), 0.5)
+        assert cache.hits == 2 and cache.misses == 2
         assert buckets.pruned == {"length": 0, "qgram": 1, "early_exit": 0}
         assert as_list(buckets.evaluate) == [3]
-        assert buckets.evaluate_extra == [("a2", "b2")]
-        assert cache.table.pairs(buckets.lazy_pids) == [("a2", "b1")]
 
 
-def test_loop_fork_links_like_the_numpy_fork(monkeypatch):
+def test_loop_fork_links_like_the_numpy_fork():
     """The whole pipeline on the plain-loop fork: same ledger (decisions
     and effort counters) as the vectorized bookkeeping, per-pair scorer
     on both sides."""
@@ -178,5 +145,5 @@ def test_loop_fork_links_like_the_numpy_fork(monkeypatch):
     old, new = generate_pair(seed=7, initial_households=20).datasets
     config = LinkageConfig(scoring_backend="python", max_block_size=8)
     vectorized = ledger_hash(link_datasets(old, new, config))
-    monkeypatch.setattr(pairtable_module, "_numpy", None)
-    assert ledger_hash(link_datasets(old, new, config)) == vectorized
+    with numpy_hidden():
+        assert ledger_hash(link_datasets(old, new, config)) == vectorized

@@ -15,8 +15,11 @@ The similarity-cache rows a real run journals are pinned too: the
 (cold, then re-linked with a seed after a revision).  Those literals
 were taken before the score store moved into pair-id arrays, and
 re-taken when the group stage stopped scoring the vertex pairs of
-group pairs that cannot yield a subgraph: the caches hold fewer lazy
-scores, and fewer pruning bounds are superseded by them.
+group pairs that cannot yield a subgraph (the caches hold fewer lazy
+scores, and fewer pruning bounds are superseded by them), and again
+when every score got one home: a blocked pair that the group stage
+scores on demand is now pinned and journalled, and its pin supersedes
+its bound.
 """
 
 import hashlib
@@ -165,30 +168,30 @@ def _cache_parts(directory):
 
 RUN_CACHE_SECTIONS = {
     "round_0001.json":
-        "82605c9c366d5d450e77b1c563a83fa7c4ff2b371c6d07571cf6b88640816178",
+        "b9fcc1ccb39d5132d034931b0b0712da682700ee90ceeec7c670e2c8a33282ba",
     "round_0002.json":
-        "552835de68db66216faa51fa8358a2288c0c693ca3c7c4d0ac726803a004d69a",
+        "82a8d3db980c8fbcb975fd957d640a29c6d6bca385d13bf851aeb19cc61f4de5",
     "final.json":
-        "eaed0a99ea5e74440da5714412469645cf2eca49247b0eb24deada22783c084c",
+        "d88c8ad528a8e99ffc0acaf63f40fdb63ce585d116df0107512fd27d84b45300",
 }
 SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
-        "335b474601f5374a9dad24a78d019777daae0a8ba122ba828886b656fc3165b1",
-        "7417ac81c515f70e7e07e6f5adf5d2dd973a1ca4b09cff913e5b8c3823310aa8",
+        "fbcdc7aa78edf40a5e365c5e781f791db5aaab06dcb263b59ae81add778fa3be",
+        "199880ee883eec5f711a1e7bbacd3f49f7c85e865b1ac0042799d6a47a6f4519",
     ),
     "pair_1861_1871.json": (
-        "47c7d477ea7fa8fcd1e6e45c3e22b5a7a6b56d6aab9d88eb38878d1cabcc02f4",
-        "f66e21f8b14b08cddd97d407b468081d335b4a780ae5df9bb2ebf35afbf85442",
+        "94f878080a0a033372267396c7debf8c7ac542aa74b33e0b013e6b9b86233fd6",
+        "136caf673ccdfa2ff1ab931016ef6ac028097c9b55b1c2f83db83c3a4901f54a",
     ),
 }
 REVISED_SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
-        "335b474601f5374a9dad24a78d019777daae0a8ba122ba828886b656fc3165b1",
-        "4401817fcdff6c3918d91ee284319ee7a0f95b0e8632a6029696a279a19e4db4",
+        "fbcdc7aa78edf40a5e365c5e781f791db5aaab06dcb263b59ae81add778fa3be",
+        "968a82101a47de60adfde01e894b7caa329d4cbc143d511eb4bfb8ba89bf1bb0",
     ),
     "pair_1861_1871.json": (
-        "47c7d477ea7fa8fcd1e6e45c3e22b5a7a6b56d6aab9d88eb38878d1cabcc02f4",
-        "a551741b1bc61016b9ea716faa4712df0778830e223adee552ed2eb44ee58a1c",
+        "94f878080a0a033372267396c7debf8c7ac542aa74b33e0b013e6b9b86233fd6",
+        "fedfb80f6069dc018de005d9a76359f1b5045bc4a1347714e0ecf139d2354fd3",
     ),
 }
 RUN_STATE_SHA256 = (

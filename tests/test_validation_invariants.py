@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import LinkageConfig
+from repro.core.pairtable import PairTable
 from repro.core.pipeline import LinkOrigin, link_datasets
 from repro.core.selection import SelectionResult, select_group_matches
 from repro.core.simcache import SimilarityCache
@@ -167,12 +168,17 @@ def _subgraph(old_group, new_group, vertices):
 
 
 class _StubPrematch:
-    """Minimal PreMatchResult stand-in: fixed scores in a cache."""
+    """Minimal PreMatchResult stand-in: fixed scores, pinned in a cache
+    over a pair table of just those pairs."""
 
     def __init__(self, scores):
         self.scores = SimilarityCache()
-        for pair, score in scores.items():
-            self.scores.pin(pair, score)
+        self.scores.attach(PairTable(
+            sorted({old_id for old_id, _ in scores}),
+            sorted({new_id for _, new_id in scores}),
+            scores,
+        ))
+        self.scores.seed([pair + (score,) for pair, score in scores.items()])
         self.sim_func = None
         self.old_index = {}
         self.new_index = {}
