@@ -39,17 +39,51 @@ Identity contract (what invalidates what):
 
 On disk a :class:`SeriesStore` is one directory with one document per
 adjacent pair (``pair_<old>_<new>.json``): the shared
-:class:`repro.ioutil.Envelope` with schema key ``series_schema``.  A
-corrupt or unreadable pair file is treated as missing — the pair is
-simply re-linked from scratch and the file rewritten — so recovery is
-always convergent.
+:class:`repro.ioutil.Envelope` with schema key ``series_schema``
+(:data:`SERIES_SCHEMA_VERSION` 2).  The pinned scores and bounds are
+kept in the row space of the run's
+:class:`~repro.core.pairtable.PairTable`: the payload holds the two
+sorted record-id lists the table was built over (``old_ids``,
+``new_ids``) and one packed **cache section** (``cache``), the base64
+text of the zlib-compressed concatenation of four fixed-width
+little-endian columns, one value per entry, entries in pair-id order
+(strictly increasing ``(old_row, new_row)``):
+
+=========  =======  ==================================================
+column     type     meaning
+=========  =======  ==================================================
+old_row    uint32   index into ``old_ids``
+new_row    uint32   index into ``new_ids``
+value      float64  exact score, or pruning upper bound
+kind       int8     index into ``repro.core.filtering.KINDS``: 0 is an
+                    exact score, 1.. the filter that bounded the pair
+=========  =======  ==================================================
+
+so the order of ``KINDS`` is part of the format.  Writing reads the
+columns straight from the cache's arrays
+(:meth:`~repro.core.simcache.SimilarityCache.entries`), and seeding
+maps them onto the next run's table
+(:meth:`~repro.core.simcache.SimilarityCache.seed`): no arrival builds
+a Python object per entry.  The loader decodes and checks the section
+once; a defect in it (a byte count that is not a whole number of
+entries, a row outside its id list, entries out of order, an unknown
+kind code) raises :class:`CheckpointCorrupt` like a hash mismatch.
+A corrupt, unreadable or older-schema pair file is treated as missing —
+the pair is simply re-linked from scratch and the file rewritten — so
+recovery is always convergent.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import sys
+import zlib
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -65,7 +99,7 @@ from .state import CheckpointCorrupt, CheckpointSchemaError, record_row
 from .store import DocumentStore
 
 #: Series pair-state document schema (independent of the RunState schema).
-SERIES_SCHEMA_VERSION = 1
+SERIES_SCHEMA_VERSION = 2
 
 #: The on-disk format of pair states.
 SERIES_ENVELOPE = Envelope(
@@ -184,24 +218,157 @@ def dirty_record_ids(
     return records
 
 
+#: The columns of a packed cache section, in file order: (name, numpy
+#: dtype, :mod:`array` typecode).  Each is fixed-width little-endian
+#: with one value per entry (module docstring).
+SECTION_COLUMNS = (
+    ("old_row", "<u4", "I"),
+    ("new_row", "<u4", "I"),
+    ("value", "<f8", "d"),
+    ("kind", "<i1", "b"),
+)
+#: Bytes of one entry over all columns.
+SECTION_ENTRY_BYTES = 4 + 4 + 8 + 1
+#: zlib level of the section, the fastest: on the ``evolve`` benchmark's
+#: states level 6 writes 17% fewer bytes in 2.3 times the time.  The
+#: float64 values are most of the compressed bytes at any level.
+SECTION_COMPRESSION_LEVEL = 1
+
+
+def _numpy():
+    # Imported lazily: repro.core.pipeline imports this package at module
+    # load, so series must not import repro.core back at its own.
+    from ..core.pairtable import numpy_or_none
+
+    return numpy_or_none()
+
+
 @dataclass(frozen=True)
 class CacheSeed:
-    """Pre-validated similarity knowledge to pre-populate a fresh run's
-    :class:`~repro.core.simcache.SimilarityCache` with.
+    """Similarity knowledge in the row space of a stored run's pair
+    table, to pre-populate a fresh run's
+    :class:`~repro.core.simcache.SimilarityCache` with
+    (:meth:`~repro.core.simcache.SimilarityCache.seed`).
 
-    ``pinned`` rows are ``[old_id, new_id, score]`` exact scores;
-    ``bounds`` rows are ``[old_id, new_id, bound, origin]`` pruning
-    upper bounds.  Both are facts about record content only, so
-    replaying them is indistinguishable from having scored the pairs in
-    an earlier δ round.
+    ``old_ids``/``new_ids`` are the table's sorted record ids.  Entry
+    ``i`` is the pair ``(old_ids[old_row[i]], new_ids[new_row[i]])``
+    with ``value[i]``: its exact score when ``kind[i]`` is 0, else an
+    upper bound from the filter ``repro.core.filtering.KINDS[kind[i]]``.
+    Entries run in strictly increasing ``(old_row, new_row)`` order.
+    The columns are numpy arrays, or stdlib arrays without numpy.  Both
+    kinds of entry are facts about record content only, so replaying
+    them is indistinguishable from having scored the pairs in an
+    earlier δ round.
     """
 
-    pinned: Tuple[Tuple, ...] = ()
-    bounds: Tuple[Tuple, ...] = ()
+    old_ids: Sequence[str] = ()
+    new_ids: Sequence[str] = ()
+    old_row: Sequence[int] = ()
+    new_row: Sequence[int] = ()
+    value: Sequence[float] = ()
+    kind: Sequence[int] = ()
 
     @property
     def num_entries(self) -> int:
-        return len(self.pinned) + len(self.bounds)
+        return len(self.kind)
+
+
+def pack_section(columns: Sequence[Sequence]) -> str:
+    """The packed cache section of four entry columns (old rows, new
+    rows, values, kind codes; :data:`SECTION_COLUMNS`): "" when there
+    are no entries."""
+    if not len(columns[0]):
+        return ""
+    np = _numpy()
+    if np is None:
+        parts = []
+        for (_, _, typecode), column in zip(SECTION_COLUMNS, columns):
+            packed = array(typecode, column)
+            if sys.byteorder == "big":
+                packed.byteswap()
+            parts.append(packed.tobytes())
+    else:
+        parts = [
+            np.asarray(column).astype(dtype, copy=False).tobytes()
+            for (_, dtype, _), column in zip(SECTION_COLUMNS, columns)
+        ]
+    return base64.b64encode(
+        zlib.compress(b"".join(parts), SECTION_COMPRESSION_LEVEL)
+    ).decode("ascii")
+
+
+def unpack_section(
+    old_ids: Sequence[str], new_ids: Sequence[str], text: str
+) -> CacheSeed:
+    """Every entry of a packed cache section over its stored id lists,
+    checked: a defect raises :class:`ValueError` (the loader's
+    malformed block turns it into :class:`CheckpointCorrupt`)."""
+    for ids in (old_ids, new_ids):
+        if not all(isinstance(record_id, str) for record_id in ids) or any(
+            left >= right for left, right in zip(ids, ids[1:])
+        ):
+            raise ValueError("stored record ids must be sorted unique strings")
+    if not isinstance(text, str):
+        raise ValueError("cache section must be a string")
+    if not text:
+        return CacheSeed(old_ids, new_ids)
+    try:
+        data = zlib.decompress(base64.b64decode(text, validate=True))
+    except zlib.error as error:
+        raise ValueError(
+            f"cache section does not decompress: {error}"
+        ) from None
+    count, rest = divmod(len(data), SECTION_ENTRY_BYTES)
+    if rest:
+        raise ValueError(
+            f"cache section holds {len(data)} bytes, not a whole number "
+            f"of {SECTION_ENTRY_BYTES}-byte entries"
+        )
+    np = _numpy()
+    columns, offset = [], 0
+    for _, dtype, typecode in SECTION_COLUMNS:
+        if np is None:
+            column = array(typecode)
+            column.frombytes(data[offset:offset + column.itemsize * count])
+            if sys.byteorder == "big":
+                column.byteswap()
+        else:
+            column = np.frombuffer(data, dtype, count=count, offset=offset)
+        columns.append(column)
+        offset += column.itemsize * count
+    old_row, new_row, _, kind = columns
+    _check_entries(old_row, new_row, kind, len(old_ids), len(new_ids))
+    return CacheSeed(old_ids, new_ids, *columns)
+
+
+def _check_entries(old_row, new_row, kind, old_count, new_count) -> None:
+    """Raise :class:`ValueError` unless every row lies inside its id
+    list, the entries strictly increase in ``(old_row, new_row)`` and
+    every kind code indexes ``KINDS``."""
+    from ..core.filtering import KINDS  # see _numpy
+
+    if not len(kind):
+        return
+    np = _numpy()
+    if np is None:
+        outside = max(old_row) >= old_count or max(new_row) >= new_count
+        keys = [old * new_count + new for old, new in zip(old_row, new_row)]
+        unordered = any(left >= right for left, right in zip(keys, keys[1:]))
+        unknown = min(kind) < 0 or max(kind) >= len(KINDS)
+    else:
+        outside = old_row.max() >= old_count or new_row.max() >= new_count
+        keys = old_row.astype(np.int64) * new_count + new_row
+        unordered = bool((keys[1:] <= keys[:-1]).any())
+        unknown = kind.min() < 0 or kind.max() >= len(KINDS)
+    if outside:
+        raise ValueError("cache section row index outside its id list")
+    if unordered:
+        raise ValueError(
+            "cache section entries are not strictly increasing in "
+            "(old row, new row)"
+        )
+    if unknown:
+        raise ValueError("cache section kind code is not an index of KINDS")
 
 
 def build_seed(
@@ -209,29 +376,38 @@ def build_seed(
     clean_old_ids: Set[str],
     clean_new_ids: Set[str],
 ) -> CacheSeed:
-    """The stored cache entries whose both endpoints are clean records."""
-    # Imported lazily: repro.core.pipeline imports this package at module
-    # load, so series must not import repro.core back at its own.
-    from ..core.simcache import decompress_rows
+    """The stored cache entries whose both endpoints are clean records:
+    one boolean mask per stored id list, one mask over the entries."""
+    entries = state.entries
+    if not entries.num_entries:
+        return entries
+    old_clean = [record_id in clean_old_ids for record_id in entries.old_ids]
+    new_clean = [record_id in clean_new_ids for record_id in entries.new_ids]
+    np = _numpy()
+    columns = (entries.old_row, entries.new_row, entries.value, entries.kind)
+    if np is None:
+        keep = [
+            old_clean[old_row] and new_clean[new_row]
+            for old_row, new_row in zip(entries.old_row, entries.new_row)
+        ]
+        clean = [array(column.typecode, compress(column, keep))
+                 for column in columns]
+    else:
+        keep = np.array(old_clean, bool)[entries.old_row]
+        keep &= np.array(new_clean, bool)[entries.new_row]
+        clean = [column[keep] for column in columns]
+    return CacheSeed(entries.old_ids, entries.new_ids, *clean)
 
-    pinned = tuple(
-        tuple(row)
-        for row in decompress_rows(state.pinned)
-        if row[0] in clean_old_ids and row[1] in clean_new_ids
-    )
-    bounds = tuple(
-        tuple(row)
-        for row in decompress_rows(state.bounds)
-        if row[0] in clean_old_ids and row[1] in clean_new_ids
-    )
-    return CacheSeed(pinned=pinned, bounds=bounds)
 
-
-def cache_parts(rows: Sequence[Sequence[object]]) -> List[str]:
-    """Rows as a (possibly empty) list of compressed journal parts."""
-    from ..core.simcache import compress_rows  # see build_seed
-
-    return [compress_rows(rows)] if rows else []
+def cache_parts(cache) -> Dict[str, object]:
+    """The :class:`PairState` fields holding a run's final pinned scores
+    and pruning bounds, read straight from ``cache``'s pair-id arrays:
+    its pair table's id lists and the packed section."""
+    return {
+        "old_ids": cache.table.old_ids,
+        "new_ids": cache.table.new_ids,
+        "cache": pack_section(cache.entries()),
+    }
 
 
 @dataclass
@@ -252,11 +428,21 @@ class PairState:
     #: Accepted links, canonical sorted ``[old_id, new_id]`` rows.
     record_pairs: List[List[str]] = field(default_factory=list)
     group_pairs: List[List[str]] = field(default_factory=list)
-    #: Compressed journal parts of the run's final pinned scores and
-    #: pruning bounds (see :mod:`repro.core.simcache`); lazy entries are
-    #: deliberately absent — they are cheap, unbounded rediscoveries.
-    pinned: List[str] = field(default_factory=list)
-    bounds: List[str] = field(default_factory=list)
+    #: The sorted record ids of the run's pair table, per side: the row
+    #: spaces that :attr:`cache` indexes.
+    old_ids: List[str] = field(default_factory=list)
+    new_ids: List[str] = field(default_factory=list)
+    #: The packed cache section (module docstring): every pinned score
+    #: and pruning bound the run ended with, "" when it had none.  Lazy
+    #: entries are deliberately absent — they are cheap, unbounded
+    #: rediscoveries.
+    cache: str = ""
+
+    @cached_property
+    def entries(self) -> CacheSeed:
+        """Every entry of :attr:`cache`, decoded and checked once
+        (:func:`unpack_section`)."""
+        return unpack_section(self.old_ids, self.new_ids, self.cache)
 
     # -- serialization ---------------------------------------------------------
 
@@ -271,13 +457,14 @@ class PairState:
             "new_keys": dict(self.new_keys),
             "record_pairs": [list(pair) for pair in self.record_pairs],
             "group_pairs": [list(pair) for pair in self.group_pairs],
-            "pinned": list(self.pinned),
-            "bounds": list(self.bounds),
+            "old_ids": list(self.old_ids),
+            "new_ids": list(self.new_ids),
+            "cache": self.cache,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "PairState":
-        return cls(
+        state = cls(
             old_year=payload["old_year"],
             new_year=payload["new_year"],
             config_fingerprint=payload["config_fingerprint"],
@@ -287,9 +474,14 @@ class PairState:
             new_keys=dict(payload["new_keys"]),
             record_pairs=[list(pair) for pair in payload["record_pairs"]],
             group_pairs=[list(pair) for pair in payload["group_pairs"]],
-            pinned=list(payload["pinned"]),
-            bounds=list(payload["bounds"]),
+            old_ids=list(payload["old_ids"]),
+            new_ids=list(payload["new_ids"]),
+            cache=payload["cache"],
         )
+        # Decoded and checked here, inside the loader's malformed block:
+        # a defective section raises CheckpointCorrupt naming the file.
+        state.entries
+        return state
 
     def dumps(self) -> str:
         """The on-disk document (:data:`SERIES_ENVELOPE`)."""

@@ -136,9 +136,13 @@ class PairTable:
 
     def pid(self, old_id: str, new_id: str) -> int:
         """The pair id of one pair, or -1 when it is not in the table."""
-        old_row = self.old_index.get(old_id)
-        new_row = self.new_index.get(new_id)
-        if old_row is None or new_row is None:
+        return self.pid_of_rows(
+            self.old_index.get(old_id, -1), self.new_index.get(new_id, -1)
+        )
+
+    def pid_of_rows(self, old_row: int, new_row: int) -> int:
+        """:meth:`pid` of one pair given by its rows (-1: no row)."""
+        if old_row < 0 or new_row < 0:
             return -1
         key = old_row * self.width + new_row
         position = bisect_left(self.keys, key)
@@ -152,17 +156,20 @@ class PairTable:
         np = numpy_or_none()
         if np is None:
             return [self.pid(pair[0], pair[1]) for pair in pairs]
-        count = len(pairs)
+        return self.pids_of_rows(*(
+            np.fromiter(
+                map(index.get, map(itemgetter(side), pairs), repeat(-1)),
+                np.int64, count=len(pairs),
+            )
+            for side, index in ((0, self.old_index), (1, self.new_index))
+        ))
+
+    def pids_of_rows(self, old_rows, new_rows):
+        """:meth:`pid_of_rows` of int64 row arrays (numpy only): one
+        ``searchsorted`` of their keys into :attr:`keys`."""
+        np = numpy_or_none()
         if not len(self.keys):
-            return np.full(count, -1, dtype=np.int64)
-        old_rows = np.fromiter(
-            map(self.old_index.get, map(itemgetter(0), pairs), repeat(-1)),
-            np.int64, count=count,
-        )
-        new_rows = np.fromiter(
-            map(self.new_index.get, map(itemgetter(1), pairs), repeat(-1)),
-            np.int64, count=count,
-        )
+            return np.full(len(old_rows), -1, dtype=np.int64)
         wanted = old_rows * self.width + new_rows
         keys = view(self.keys, np.int64)
         positions = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)

@@ -307,7 +307,7 @@ class ResidentShard(Shard):
         if cache_seed is not None:
             # Seeded before the driver arms the export journal, so
             # checkpoints of a seeded run capture the seed rows too.
-            self.cache.seed(cache_seed.pinned, cache_seed.bounds)
+            self.cache.seed(cache_seed)
 
     def match_round(
         self, sim_func, blocker, config, backend, record_mapping, delta,

@@ -35,9 +35,13 @@ pinned.  The pre-matching resolver splits a round's candidates into its
 three buckets with masks over the arrays (:meth:`SimilarityCache.buckets`,
 ``store``, ``matches``).  Scores leave the arrays as Python floats.
 
-Series seeds and checkpoints carry pinned scores and bounds as rows.
-Importing them needs the table — it raises before ``attach`` — and
-drops the rows of pairs off it.
+Run checkpoints carry pinned scores and bounds as JSON rows of record
+ids (:meth:`SimilarityCache.export_state`).  Series pair states carry
+them in row space: the columns of :meth:`SimilarityCache.entries` over
+the table's sorted id lists (:mod:`repro.checkpoint.series`), seeded
+back by :meth:`SimilarityCache.seed` without a Python object per
+entry.  Importing either needs the table — it raises before ``attach``
+— and drops the entries of pairs off it.
 """
 
 from __future__ import annotations
@@ -453,6 +457,85 @@ class SimilarityCache:
 
     # -- series seeding (repro.checkpoint.series) -----------------------------
 
+    def entries(self) -> Tuple[object, object, object, object]:
+        """Every pinned score and bound as four columns in pair-id order
+        — sorted pair order: old rows, new rows, values and kind codes
+        (numpy arrays, or stdlib arrays without numpy)."""
+        np = numpy_or_none()
+        if np is None:
+            pids = [
+                pid for pid, kind in enumerate(self._kind) if kind != KIND_NONE
+            ]
+            return (
+                *self.table.rows(pids),
+                array("d", map(self._value.__getitem__, pids)),
+                array("b", map(self._kind.__getitem__, pids)),
+            )
+        kinds = view(self._kind, np.int8)
+        pids = np.flatnonzero(kinds != KIND_NONE)
+        return (
+            *self.table.rows(pids),
+            view(self._value, np.float64)[pids],
+            kinds[pids],
+        )
+
+    def seed(self, seed) -> None:
+        """Pre-populate a fresh cache with the scores and bounds of a
+        :class:`repro.checkpoint.series.CacheSeed`, settled by an earlier
+        run over the same (unchanged) records.
+
+        The seed's rows index its own stored id lists.  Each stored id
+        is mapped onto this table's rows with one dict lookup, and the
+        entries onto pair ids with one ``searchsorted`` of their keys
+        (:meth:`~repro.core.pairtable.PairTable.pids_of_rows`): no
+        Python object is built per entry.  Entries of pairs off the
+        table are dropped, and a bound never replaces a pinned score.
+        Unlike a resume import this is *knowledge*, not *run state*:
+        the hit/miss/eviction tallies stay untouched, so the seeded
+        run's own effort counters remain meaningful.  Pre-matching then
+        treats every seeded pair exactly as if it had been scored in an
+        earlier δ round: pinned pairs skip scoring outright, bounded
+        pairs stay pruned while the bound clears the round's cutoff and
+        are re-evaluated fresh otherwise — which is why seeding can
+        never change a link decision.  Seed after :meth:`attach` (it
+        raises before), and before :meth:`enable_export_journal`, so
+        journalling captures the seeded entries too.
+        """
+        table = self.table
+        if table is None:
+            raise ValueError("import scores after attaching the pair table")
+        if not seed.num_entries or not len(table):
+            return
+        old_rows, new_rows = (
+            [index.get(record_id, -1) for record_id in ids]
+            for index, ids in (
+                (table.old_index, seed.old_ids),
+                (table.new_index, seed.new_ids),
+            )
+        )
+        np = numpy_or_none()
+        if np is None:
+            for old_row, new_row, value, kind in zip(
+                seed.old_row, seed.new_row, seed.value, seed.kind
+            ):
+                pid = table.pid_of_rows(old_rows[old_row], new_rows[new_row])
+                if pid < 0 or (kind != _EXACT and self._kind[pid] == _EXACT):
+                    continue
+                self._value[pid] = value
+                self._kind[pid] = kind
+            return
+        pids = table.pids_of_rows(
+            np.array(old_rows, np.int64)[seed.old_row],
+            np.array(new_rows, np.int64)[seed.new_row],
+        )
+        kinds = view(self._kind, np.int8)
+        keep = pids >= 0
+        keep &= (seed.kind == _EXACT) | (kinds[pids] != _EXACT)
+        view(self._value, np.float64)[pids[keep]] = seed.value[keep]
+        kinds[pids[keep]] = seed.kind[keep]
+
+    # -- checkpoint export / import -------------------------------------------
+
     def _pids_of_kind(self, exact: bool) -> List[int]:
         """Pair ids holding a pinned score (``exact``) or a bound."""
         np = numpy_or_none()
@@ -489,32 +572,6 @@ class SimilarityCache:
         """All pruning bounds as sorted ``[old_id, new_id, bound, origin]``
         rows (same determinism contract as :meth:`pinned_rows`)."""
         return self._rows_of_kind(False)
-
-    def seed(
-        self,
-        pinned_rows: Sequence[Sequence[object]],
-        bounds_rows: Sequence[Sequence[object]] = (),
-    ) -> None:
-        """Pre-populate a fresh cache with scores and bounds settled by an
-        earlier run over the same (unchanged) records.
-
-        Replay follows the :meth:`from_export` discipline — bounds
-        first, then pins, each pin evicting its pair's bound — but
-        unlike a resume import this is *knowledge*, not *run state*:
-        the hit/miss/eviction tallies stay untouched, so the seeded
-        run's own effort counters remain meaningful.  Pre-matching then
-        treats every seeded pair exactly as if it had been scored in an
-        earlier δ round: pinned pairs skip scoring outright, bounded
-        pairs stay pruned while the bound clears the round's cutoff and
-        are re-evaluated fresh otherwise — which is why seeding can
-        never change a link decision.  Seed after :meth:`attach` (it
-        raises before): rows of pairs off the table are dropped.  Seed
-        before :meth:`enable_export_journal`, so journalling captures
-        the seeded entries too.
-        """
-        self._absorb(pinned_rows, bounds_rows)
-
-    # -- checkpoint export / import -------------------------------------------
 
     def enable_export_journal(self) -> None:
         """Start journalling entries for cheap :meth:`export_state` calls.

@@ -288,12 +288,7 @@ def _analyse_series_incremental(
                     new_keys=dict(new_key_fps),
                     record_pairs=result.record_mapping.as_jsonable(),
                     group_pairs=result.group_mapping.as_jsonable(),
-                    pinned=series_state_mod.cache_parts(
-                        result.cache.pinned_rows()
-                    ),
-                    bounds=series_state_mod.cache_parts(
-                        result.cache.bound_rows()
-                    ),
+                    **series_state_mod.cache_parts(result.cache),
                 ),
                 instrumentation=instrumentation,
             )

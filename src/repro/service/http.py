@@ -20,6 +20,9 @@ Everything observable about responses is decided in
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import signal
+import threading
 from typing import Optional, Tuple
 
 from .core import EvolutionQueryService, canonical_json
@@ -198,22 +201,33 @@ def serve(
     port: int = 8080,
     ready: Optional[object] = None,
 ) -> None:
-    """Blocking entry point of ``repro serve``: run until interrupted.
+    """Blocking entry point of ``repro serve``: run until SIGINT or
+    SIGTERM.
 
-    ``ready`` (any object with ``set()``, e.g. ``threading.Event``) is
-    signalled once the socket is bound — the hook tests use to start
-    the server on a thread and know when to connect.
+    On the main thread both signals are handled on the event loop:
+    either one closes the server and returns, whatever disposition
+    SIGINT was inherited with (a background job of a non-interactive
+    shell starts with it ignored).  ``ready`` (any object with
+    ``set()``, e.g. ``threading.Event``) is signalled once the socket
+    is bound — the hook tests use to start the server on a thread,
+    which installs no handlers, and know when to connect.
     """
 
     async def _run() -> None:
         server = await start_service_server(service, host=host, port=port)
+        stop = asyncio.Event()
+        if threading.current_thread() is threading.main_thread():
+            loop = asyncio.get_running_loop()
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                with contextlib.suppress(NotImplementedError):  # Windows
+                    loop.add_signal_handler(signum, stop.set)
         bound = server.sockets[0].getsockname()
         print(f"serving evolution graph {service.graph_version} "
               f"on http://{bound[0]}:{bound[1]}")
         if ready is not None:
             ready.set()
         async with server:
-            await server.serve_forever()
+            await stop.wait()
 
     try:
         asyncio.run(_run())

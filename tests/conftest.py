@@ -1,5 +1,5 @@
-"""Shared fixtures: the paper's running example, small generated data
-and the numpy fork switch."""
+"""Shared fixtures: the paper's running example, small generated data,
+the numpy fork switch and series cache seeds."""
 
 from contextlib import contextmanager
 
@@ -7,7 +7,9 @@ import pytest
 
 import repro.core.pairtable as pairtable_module
 import repro.model.roles as R
+from repro.checkpoint.series import pack_section, unpack_section
 from repro.core.config import LinkageConfig
+from repro.core.filtering import KIND_CODES
 from repro.datagen import GeneratorConfig, generate_series
 from repro.model import CensusDataset, PersonRecord
 
@@ -137,6 +139,22 @@ def numpy_hidden():
         yield
     finally:
         pairtable_module._numpy = saved
+
+
+def cache_seed(entries):
+    """A series cache seed of ``(old_id, new_id, value, kind)`` entries
+    (``kind`` a name of :data:`repro.core.filtering.KINDS`) over the
+    sorted ids they name, packed and read back through the pair-state
+    codec, so its columns are those of the fork in force."""
+    old_ids = sorted({entry[0] for entry in entries})
+    new_ids = sorted({entry[1] for entry in entries})
+    rows = sorted(
+        (old_ids.index(old_id), new_ids.index(new_id), value, KIND_CODES[kind])
+        for old_id, new_id, value, kind in entries
+    )
+    return unpack_section(
+        old_ids, new_ids, pack_section([list(column) for column in zip(*rows)])
+    )
 
 
 @pytest.fixture(params=["numpy", "loop"])

@@ -17,6 +17,8 @@ from repro.core.simcache import SimilarityCache, compress_rows, decompress_rows
 from repro.datagen import generate_pair
 from repro.instrumentation import PAIRS_SCORED
 
+from tests.conftest import cache_seed
+
 #: The table's pairs; every other pair is off the table.
 BLOCKED = [(f"p{index}", f"q{index}") for index in range(10)]
 
@@ -103,7 +105,7 @@ class TestEviction:
         """A blocked pair's score never enters the LRU, so no lazy copy
         can shadow its pin."""
         cache = table_cache()
-        cache.seed([BLOCKED[0] + (0.9,)])
+        cache.seed(cache_seed([BLOCKED[0] + (0.9, "exact")]))
         cache[BLOCKED[0]] = 0.9
         assert cache[BLOCKED[0]] == 0.9
         assert cache.num_lazy == 0
@@ -175,14 +177,18 @@ def _off_table_pairs(result, count):
 
 class TestOneHome:
     def test_seed_rows_off_the_table_are_dropped(self, fork):
+        """Entries whose ids the table lacks, and entries of unblocked
+        pairs of its ids, are dropped."""
         cache = table_cache()
-        cache.seed(
-            [["p0", "q0", 0.9], ["x", "y", 0.8]],
-            [["p1", "q1", 0.3, "qgram"], ["x", "z", 0.2, "length"]],
-        )
+        cache.seed(cache_seed([
+            ("p0", "q0", 0.9, "exact"), ("x", "y", 0.8, "exact"),
+            ("p1", "q1", 0.3, "qgram"), ("x", "z", 0.2, "length"),
+            ("p0", "q1", 0.5, "exact"),
+        ]))
         assert cache.pinned_rows() == [["p0", "q0", 0.9]]
         assert cache.bound_rows() == [["p1", "q1", 0.3, "qgram"]]
-        assert ("x", "y") not in cache and cache.num_lazy == 0
+        assert ("x", "y") not in cache and ("p0", "q1") not in cache
+        assert cache.num_lazy == 0
 
     def test_export_rows_breaking_the_rule_are_dropped(self, fork):
         """A checkpoint written before the rule may hold pins and bounds
@@ -203,7 +209,7 @@ class TestOneHome:
 
     def test_seed_before_attach_raises(self):
         with pytest.raises(ValueError, match="attach"):
-            SimilarityCache().seed([["p0", "q0", 0.9]])
+            SimilarityCache().seed(cache_seed([("p0", "q0", 0.9, "exact")]))
 
     def test_blocked_pair_scored_on_demand_is_pinned(self, fork):
         result = _round(max_lazy_entries=1)

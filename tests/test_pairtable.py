@@ -21,7 +21,7 @@ from repro.core.pipeline import link_datasets
 from repro.core.simcache import KIND_NONE, SimilarityCache
 from repro.datagen import generate_pair
 
-from tests.conftest import numpy_hidden
+from tests.conftest import cache_seed, numpy_hidden
 
 OLD_IDS = ["a1", "a2", "a3"]
 NEW_IDS = ["b1", "b2"]
@@ -85,7 +85,7 @@ class TestScoresOverTheTable:
     def test_blocked_pairs_live_in_the_arrays(self, fork):
         cache = table_cache()
         cache["a1", "b1"] = 0.9
-        cache.seed([], [("a2", "b1", 0.4, "qgram")])
+        cache.seed(cache_seed([("a2", "b1", 0.4, "qgram")]))
         cache["a2", "b2"] = 0.7  # not blocked: a lazy entry
         assert as_list(cache._value) == [0.9, 0.0, 0.4, 0.0]
         assert as_list(cache._kind) == [0, KIND_NONE, 2, KIND_NONE]
@@ -125,10 +125,10 @@ class TestScoresOverTheTable:
 
     def test_buckets_count_every_candidate_once(self, fork):
         cache = table_cache()
-        cache.seed(
-            [("a1", "b1", 0.9)],
-            [("a1", "b2", 0.3, "qgram"), ("a2", "b1", 0.69, "length")],
-        )
+        cache.seed(cache_seed([
+            ("a1", "b1", 0.9, "exact"),
+            ("a1", "b2", 0.3, "qgram"), ("a2", "b1", 0.69, "length"),
+        ]))
         cache["a2", "b1"] = 0.8  # an exact score supersedes the bound
         buckets = cache.buckets(cache.table.select(OLD_IDS, NEW_IDS), 0.5)
         assert cache.hits == 2 and cache.misses == 2

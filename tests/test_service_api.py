@@ -9,11 +9,18 @@ over the same core.
 
 import asyncio
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import LinkageConfig
 from repro.datagen.generator import GeneratorConfig, generate_series
 from repro.evolution.analysis import analyse_series
@@ -438,6 +445,37 @@ class TestHttpServer:
         )
         thread.start()
         assert ready.wait(timeout=10)
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_repro_serve_stops_cleanly_on_signal(self, store, signum):
+        """``repro serve`` started with SIGINT ignored, as a background
+        job of a non-interactive shell starts, still closes its server
+        and exits 0 on SIGINT and on SIGTERM."""
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH"),
+        ]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             str(store.directory), "--port", "0"],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 60)
+            assert ready, "the server did not announce itself"
+            assert process.stdout.readline().startswith(b"serving ")
+            process.send_signal(signum)
+            assert process.wait(timeout=10) == 0, process.stderr.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            process.stderr.close()
 
 
 class TestAsgiAdapter:

@@ -10,16 +10,18 @@ when checkpoints became shard-major (schema 3, per-shard round ledgers
 instead of mid-round accumulators); older states are refused by schema.
 
 The similarity-cache rows a real run journals are pinned too: the
-``cache`` section of every checkpoint of a resident run, and the
-``pinned``/``bounds`` parts of the pair states a series analysis writes
-(cold, then re-linked with a seed after a revision).  Those literals
-were taken before the score store moved into pair-id arrays, and
-re-taken when the group stage stopped scoring the vertex pairs of
-group pairs that cannot yield a subgraph (the caches hold fewer lazy
-scores, and fewer pruning bounds are superseded by them), and again
-when every score got one home: a blocked pair that the group stage
-scores on demand is now pinned and journalled, and its pin supersedes
-its bound.
+``cache`` section of every checkpoint of a resident run, and the cache
+knowledge of the pair states a series analysis writes (cold, then
+re-linked with a seed after a revision).  Those literals were taken
+before the score store moved into pair-id arrays, and re-taken when
+the group stage stopped scoring the vertex pairs of group pairs that
+cannot yield a subgraph (the caches hold fewer lazy scores, and fewer
+pruning bounds are superseded by them), and again when every score got
+one home: a blocked pair that the group stage scores on demand is now
+pinned and journalled, and its pin supersedes its bound.  The pair-state
+literals were re-taken once more when pair states moved to row space
+(series schema 2): the id lists and one packed cache section replace
+the ``pinned``/``bounds`` row parts, holding the same entries.
 """
 
 import hashlib
@@ -88,8 +90,10 @@ def fixed_pair_state():
         new_keys={"0|smith": "cccc" * 4},
         record_pairs=[["o1", "n1"]],
         group_pairs=[["ga", "gb"]],
-        pinned=["eJyLjgUAARUAuQ=="],
-        bounds=[],
+        old_ids=["o1", "o2"],
+        new_ids=["n1"],
+        # ("o1", "n1") exact 0.9, ("o2", "n1") bounded 0.25 by q-grams.
+        cache="eAFjYGBgYARiGDh7BgTe2EP4F+wZmABcMgcH",
     )
 
 
@@ -155,13 +159,17 @@ def test_series_cache_parts_bytes(tmp_path):
 
 
 def _cache_parts(directory):
-    """Hashes of the pinned and bounds parts of every pair state."""
+    """Hashes of the id lists and the packed cache section of every
+    pair state."""
     states = {
         path.name: PairState.loads(path.read_text())
         for path in directory.glob("pair_*.json")
     }
     return {
-        name: (content_hash(state.pinned), content_hash(state.bounds))
+        name: (
+            content_hash([state.old_ids, state.new_ids]),
+            content_hash(state.cache),
+        )
         for name, state in states.items()
     }
 
@@ -176,29 +184,29 @@ RUN_CACHE_SECTIONS = {
 }
 SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
-        "fbcdc7aa78edf40a5e365c5e781f791db5aaab06dcb263b59ae81add778fa3be",
-        "199880ee883eec5f711a1e7bbacd3f49f7c85e865b1ac0042799d6a47a6f4519",
+        "c950396d8ffba481eb169d8a5e65cee08217abac7126e0d1c122f41c2a3153f6",
+        "25905add2c3e0e36642b59be7bdaeffab93d7a2d9c97c82d152b91b25c68ffe8",
     ),
     "pair_1861_1871.json": (
-        "94f878080a0a033372267396c7debf8c7ac542aa74b33e0b013e6b9b86233fd6",
-        "136caf673ccdfa2ff1ab931016ef6ac028097c9b55b1c2f83db83c3a4901f54a",
+        "eb70db41084034c3edeee3fdabd275724ad095df11d71103d52b4edad5924b59",
+        "f1d1af1c6b5d0f589c4ed8abd36cc67982df0ae47837dce645657db1eda48be9",
     ),
 }
 REVISED_SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
-        "fbcdc7aa78edf40a5e365c5e781f791db5aaab06dcb263b59ae81add778fa3be",
-        "968a82101a47de60adfde01e894b7caa329d4cbc143d511eb4bfb8ba89bf1bb0",
+        "c950396d8ffba481eb169d8a5e65cee08217abac7126e0d1c122f41c2a3153f6",
+        "a5db69fb988f92cf82a477fc8afd5ce80433bf58862612e5328ec22f9a0400e2",
     ),
     "pair_1861_1871.json": (
-        "94f878080a0a033372267396c7debf8c7ac542aa74b33e0b013e6b9b86233fd6",
-        "fedfb80f6069dc018de005d9a76359f1b5045bc4a1347714e0ecf139d2354fd3",
+        "eb70db41084034c3edeee3fdabd275724ad095df11d71103d52b4edad5924b59",
+        "c6510bf790098f2ee5c21a2b6564ec0a2d8ebb77939ea670a0e709352ccd395a",
     ),
 }
 RUN_STATE_SHA256 = (
     "68e0bb89ff2ee9a3380883b6ed7757951b486d0da43a9e8b6692cde466bf5cfd"
 )
 PAIR_STATE_SHA256 = (
-    "8d3e839dead176930d8976ad0ec7eda8ea8079790b87fbfdf458e2bdaf3d8581"
+    "c2efe76ac264b68555f8247e402aec648bab427fb264cb00825566f4ff206168"
 )
 SEGMENT_NAMES = ["seg_1871_2579112cb375.json", "seg_1881_db8f03eedf54.json"]
 SEGMENT_SHA256 = {

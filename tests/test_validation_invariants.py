@@ -178,7 +178,7 @@ class _StubPrematch:
             sorted({new_id for _, new_id in scores}),
             scores,
         ))
-        self.scores.seed([pair + (score,) for pair, score in scores.items()])
+        self.scores.add(list(scores), list(scores.values()))
         self.sim_func = None
         self.old_index = {}
         self.new_index = {}
