@@ -17,6 +17,8 @@ Layout::
 
     checkpoint/
       state.py    RunState, its errors and its document envelope
+      section.py  the packed cache section both stores hold: pinned
+                  scores and bounds in a pair table's row space
       store.py    CheckpointStore: naming, recovery scan, inspection
       ledger.py   the canonical "resumed == uninterrupted" comparison docs
       series.py   SeriesState: settled pair linkage for incremental re-runs
@@ -43,6 +45,7 @@ from .state import (
     RunState,
     dataset_fingerprint,
 )
+from .section import CacheSeed
 from .store import CheckpointEntry, CheckpointStore, coerce_store
 
 # .series is imported last: it pulls in repro.blocking, and it must be
@@ -50,7 +53,6 @@ from .store import CheckpointEntry, CheckpointStore, coerce_store
 # then repro.checkpoint.series) finishes importing.
 from .series import (
     SERIES_SCHEMA_VERSION,
-    CacheSeed,
     PairState,
     SeriesStore,
     coerce_series_store,

@@ -10,18 +10,27 @@ resident run, optionally — the full cross-round
 :class:`~repro.core.simcache.SimilarityCache` export.  The final state
 instead holds the merged result: the record and group links (with
 :class:`~repro.core.pipeline.LinkOrigin` provenance when the run is
-validated) and the per-round statistics ledger.  Because every stage
-downstream of a boundary is deterministic in that state (canonical
-sorted mappings, hash-seed-independent selection), a run resumed from a
-snapshot makes the same decisions as one that never stopped; with the
-cache export it also does the same work.
+validated) and the per-round statistics ledger, and no cache: resuming
+from it is pure reconstruction.  Because every stage downstream of a
+boundary is deterministic in that state (canonical sorted mappings,
+hash-seed-independent selection), a run resumed from a snapshot makes
+the same decisions as one that never stopped; with the cache export it
+also does the same work.
+
+The cache export keeps the pinned scores and pruning bounds as series
+pair states do: the pair table's two sorted id lists and one packed
+cache section (:mod:`repro.checkpoint.section`), written whole from the
+cache's pair-id arrays at every state, so a state written after a
+resume equals the uninterrupted run's by construction.  The section is
+decoded and checked once, when the state is loaded
+(:attr:`RunState.cache_entries`).
 
 In-RAM and sharded runs write this one format
 (:func:`repro.core.pipeline.run_linkage`).  On disk a checkpoint is the
 shared :class:`repro.ioutil.Envelope` with schema key ``schema``
 (:data:`CHECKPOINT_ENVELOPE`): a tampered or torn file raises
 :class:`CheckpointCorrupt`, and any schema but :data:`SCHEMA_VERSION` —
-schemas 1 and 2 included — raises :class:`CheckpointSchemaError` before
+schemas 1 to 3 included — raises :class:`CheckpointSchemaError` before
 the payload is interpreted.
 """
 
@@ -30,15 +39,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..ioutil import CorruptFile, Envelope, UnsupportedSchema
+from .section import CacheSeed, unpack_section
 
 #: Checkpoint document schema version (bump on incompatible layout changes).
 #: Schema 2 added shard progress and dropped the sharded driver's
 #: separate state format; schema 3 records progress shard-major, with
-#: per-shard round ledgers instead of mid-round accumulators.
-SCHEMA_VERSION = 3
+#: per-shard round ledgers instead of mid-round accumulators; schema 4
+#: holds the cache's pinned scores and bounds as one packed section
+#: instead of journals of JSON rows.
+SCHEMA_VERSION = 4
 
 #: ``RunState.phase`` while δ rounds are in progress.
 PHASE_ROUND = "round"
@@ -124,7 +137,8 @@ class RunState:
     records provenance (``LinkageConfig.validate``).  ``cache`` is the
     optional :meth:`SimilarityCache.export_state` document of a resident
     run's one cache that makes resumed *effort* counters — not just
-    mappings — identical to an uninterrupted run.
+    mappings — identical to an uninterrupted run; round and boundary
+    states only.
     """
 
     #: δ rounds the shard in flight completed (0 at a shard boundary);
@@ -152,7 +166,10 @@ class RunState:
     provenance: Optional[List[List[object]]] = None
     #: Instrumentation counter snapshot at this boundary.
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Optional similarity-cache export (see module docstring).
+    #: Optional similarity-cache export (see module docstring):
+    #: ``old_ids``, ``new_ids``, the packed section ``cache``, the
+    #: ``lazy`` rows in LRU order and the ``hits``/``misses``/
+    #: ``evictions`` tallies.
     cache: Optional[Dict[str, object]] = None
     #: Fingerprint of the LinkageConfig that produced this state.
     config_fingerprint: str = ""
@@ -170,6 +187,17 @@ class RunState:
     shard_parts: List[Dict[str, object]] = field(default_factory=list)
     #: Fingerprint of the shard plan (``""`` for one resident shard).
     plan_fingerprint: str = ""
+
+    @cached_property
+    def cache_entries(self) -> Optional[CacheSeed]:
+        """The pinned scores and bounds of :attr:`cache`, decoded and
+        checked once (:func:`repro.checkpoint.section.unpack_section`);
+        ``None`` without a cache."""
+        if self.cache is None:
+            return None
+        return unpack_section(
+            self.cache["old_ids"], self.cache["new_ids"], self.cache["cache"]
+        )
 
     @property
     def record_links(self) -> int:
@@ -230,7 +258,7 @@ class RunState:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "RunState":
-        return cls(
+        state = cls(
             round_index=payload["round_index"],
             phase=payload["phase"],
             delta=payload["delta"],
@@ -255,6 +283,10 @@ class RunState:
             shard_parts=[dict(part) for part in payload["shard_parts"]],
             plan_fingerprint=payload["plan_fingerprint"],
         )
+        # Decoded and checked here, inside the loader's malformed block:
+        # a defective section raises CheckpointCorrupt naming the file.
+        state.cache_entries
+        return state
 
     def dumps(self) -> str:
         """The full on-disk document (:data:`CHECKPOINT_ENVELOPE`)."""

@@ -305,8 +305,6 @@ class ResidentShard(Shard):
         # imported into the table's arrays, so they need the table.
         intern_pairs(self, self.visit, blocker, instrumentation)
         if cache_seed is not None:
-            # Seeded before the driver arms the export journal, so
-            # checkpoints of a seeded run capture the seed rows too.
             self.cache.seed(cache_seed)
 
     def match_round(
@@ -740,10 +738,6 @@ def run_linkage(
     exported = (
         shards[0] if config.checkpoint_cache and shards[0].resident else None
     )
-    if store is not None and exported is not None:
-        # Journalled exports: rows are serialized as they are pinned or
-        # bounded, so checkpoints don't rebuild the whole cache document.
-        exported.cache.enable_export_journal()
     # The group-matching slot (§3.3–§3.4) is pluggable: the paper's
     # subgraph engine is the "default" registered backend, selected like
     # any alternative via config.group_backend (see repro.core.backends).
@@ -771,8 +765,9 @@ def run_linkage(
         if resumed.cache is not None:
             shards[0].cache = SimilarityCache.from_export(
                 resumed.cache,
-                max_lazy_entries=config.max_lazy_cache_entries or None,
+                resumed.cache_entries,
                 table=shards[0].cache.table,
+                max_lazy_entries=config.max_lazy_cache_entries or None,
             )
         for shard, ledger, document in zip(
             shards, ledgers, resumed.shard_parts
@@ -800,8 +795,10 @@ def run_linkage(
                 delta=schedule[round_index - 1] if round_index else None,
                 schedule=tuple(schedule),
                 counters=dict(instrumentation.counters),
+                # The final state holds no cache: resuming from it is
+                # pure reconstruction (_reconstruct_final).
                 cache=(
-                    None if exported is None
+                    None if exported is None or phase == PHASE_FINAL
                     else exported.cache.export_state()
                 ),
                 config_fingerprint=config_fp,
@@ -1145,7 +1142,7 @@ class IterativeGroupLinkage:
         recorded under a different configuration or different input
         data is rejected with :class:`CheckpointMismatch`.
 
-        ``cache_seed`` (a :class:`repro.checkpoint.series.CacheSeed`)
+        ``cache_seed`` (a :class:`repro.checkpoint.section.CacheSeed`)
         pre-populates the similarity cache with scores and bounds a
         previous run settled for unchanged records — the decisions are
         provably unaffected (see :meth:`SimilarityCache.seed`), only the

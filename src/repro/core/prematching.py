@@ -325,8 +325,8 @@ def _lazy_scores(
     sims, missing = scores.get_many(pairs)
     if not missing:
         return sims
-    # Scored and stored in sorted pair order: the order of the pinned
-    # journal and the lazy LRU's insertion (hence eviction) order.
+    # Scored and stored in sorted pair order: the lazy LRU's insertion
+    # (hence eviction) order.
     missing = sorted(set(missing))
     fresh = score_pairs_chunked(
         scorer, *scores.table.rows_of(missing),

@@ -35,13 +35,13 @@ pinned.  The pre-matching resolver splits a round's candidates into its
 three buckets with masks over the arrays (:meth:`SimilarityCache.buckets`,
 ``store``, ``matches``).  Scores leave the arrays as Python floats.
 
-Run checkpoints carry pinned scores and bounds as JSON rows of record
-ids (:meth:`SimilarityCache.export_state`).  Series pair states carry
-them in row space: the columns of :meth:`SimilarityCache.entries` over
-the table's sorted id lists (:mod:`repro.checkpoint.series`), seeded
-back by :meth:`SimilarityCache.seed` without a Python object per
-entry.  Importing either needs the table — it raises before ``attach``
-— and drops the entries of pairs off it.
+Run checkpoints (:meth:`SimilarityCache.export_state`) and series pair
+states carry pinned scores and bounds in one form, row space: the
+columns of :meth:`SimilarityCache.entries` over the table's sorted id
+lists, packed as one section (:mod:`repro.checkpoint.section`) and
+seeded back by :meth:`SimilarityCache.seed` without a Python object per
+entry.  Importing needs the table — it raises before ``attach`` — and
+drops the entries of pairs off it.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ import zlib
 from array import array
 from collections import OrderedDict
 from itertools import compress
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..checkpoint.section import CacheSeed, cache_parts
 from .filtering import KIND_CODES, KINDS
 from .pairtable import PairTable, numpy_or_none, view
 
@@ -70,14 +70,13 @@ KIND_NONE = -1
 _EXACT = KIND_CODES[KINDS[0]]
 
 
-#: zlib level for journal parts: the rows are extremely redundant
-#: (shared record-id prefixes, repeated filter names), so the fastest
-#: level already shrinks them ~8×.
+#: zlib level for lazy rows: they are extremely redundant (shared
+#: record-id prefixes), so the fastest level already shrinks them ~8×.
 _PART_COMPRESSION_LEVEL = 1
 
 
 def compress_rows(rows: Sequence[Sequence[object]]) -> str:
-    """One self-contained journal part: compact JSON rows → zlib → base64."""
+    """One self-contained part of rows: compact JSON → zlib → base64."""
     body = json.dumps(rows, separators=(",", ":"))
     return base64.b64encode(
         zlib.compress(body.encode("ascii"), _PART_COMPRESSION_LEVEL)
@@ -85,40 +84,12 @@ def compress_rows(rows: Sequence[Sequence[object]]) -> str:
 
 
 def decompress_rows(parts: Sequence[str]) -> List[list]:
-    """All rows of a sequence of journal parts, in order."""
+    """All rows of a sequence of :func:`compress_rows` parts, in order."""
     rows: List[list] = []
     for part in parts:
         decoded = zlib.decompress(base64.b64decode(part)).decode("ascii")
         rows.extend(json.loads(decoded))
     return rows
-
-
-class _RowJournal:
-    """Incrementally serialized append-only rows (checkpoint export).
-
-    Appends are plain tuple pushes — nothing on the scoring hot path
-    pays for serialization.  :meth:`parts` encodes only the rows added
-    since the previous call (one :func:`compress_rows` batch) and keeps
-    the already-encoded parts, so exporting an N-entry journal every
-    round costs O(new rows), not O(N).  A journal restored from a
-    checkpoint carries the original parts verbatim, which keeps
-    checkpoints written after a resume byte-compatible with the ones an
-    uninterrupted run would have written.
-    """
-
-    def __init__(self, parts: Optional[Sequence[str]] = None) -> None:
-        self._parts: List[str] = list(parts or ())
-        self._pending: List[Sequence[object]] = []
-
-    def extend(self, rows: Iterable[Sequence[object]]) -> None:
-        self._pending.extend(rows)
-
-    def parts(self) -> List[str]:
-        """All rows as encoded parts (see :func:`compress_rows`)."""
-        if self._pending:
-            self._parts.append(compress_rows(self._pending))
-            self._pending.clear()
-        return list(self._parts)
 
 
 def _as_list(values) -> list:
@@ -169,12 +140,6 @@ class SimilarityCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Export journals (checkpointing): rows collected as entries
-        # arrive so export_state() never rebuilds the (large,
-        # append-mostly) pinned and bounds sections.  Off by default —
-        # non-checkpointed runs pay nothing on the hot path.
-        self._journal_pinned: Optional[_RowJournal] = None
-        self._journal_bounds: Optional[_RowJournal] = None
 
     # -- the pair table ----------------------------------------------------------
 
@@ -198,52 +163,6 @@ class SimilarityCache:
         if len(rows) < 64:  # a batch lookup costs more than a few bisects
             return [self.table.pid(row[0], row[1]) for row in rows]
         return _as_list(self.table.pids(rows))
-
-    def _absorb(
-        self,
-        pinned_rows: Sequence[Sequence[object]],
-        bound_rows: Sequence[Sequence[object]],
-    ) -> None:
-        """Replay ``[old_id, new_id, score]`` and ``[old_id, new_id,
-        bound, origin]`` rows of the table's pairs: bounds first,
-        skipping pairs already pinned, then pins, each superseding its
-        pair's bound; a later duplicate row wins.  Rows of pairs off the
-        table are dropped.  Tallies are untouched."""
-        table = self.table
-        if table is None:
-            raise ValueError("import scores after attaching the pair table")
-        np = numpy_or_none()
-        for rows, pins in ((list(bound_rows), False), (list(pinned_rows), True)):
-            if not rows or not len(table):
-                continue
-            if np is None:
-                for row, pid in zip(rows, table.pids(rows)):
-                    if pid < 0 or (not pins and self._kind[pid] == _EXACT):
-                        continue
-                    self._value[pid] = row[2]
-                    self._kind[pid] = _EXACT if pins else KIND_CODES[row[3]]
-                continue
-            values = view(self._value, np.float64)
-            kinds = view(self._kind, np.int8)
-            pids = table.pids(rows)
-            # The last row of each pair wins (journals repeat pairs).
-            backwards = np.flatnonzero(pids >= 0)[::-1]
-            last = backwards[np.unique(pids[backwards], return_index=True)[1]]
-            targets = pids[last]
-            row_values = np.fromiter(
-                map(itemgetter(2), rows), np.float64, count=len(rows)
-            )[last]
-            if pins:
-                values[targets] = row_values
-                kinds[targets] = _EXACT
-                continue
-            row_kinds = np.fromiter(
-                map(KIND_CODES.__getitem__, map(itemgetter(3), rows)),
-                np.int8, count=len(rows),
-            )[last]
-            keep = kinds[targets] != _EXACT
-            values[targets[keep]] = row_values[keep]
-            kinds[targets[keep]] = row_kinds[keep]
 
     # -- lookups -------------------------------------------------------------
 
@@ -316,9 +235,18 @@ class SimilarityCache:
     def __len__(self) -> int:
         return self.num_pinned + len(self._lazy)
 
+    def _pinned_pids(self) -> List[int]:
+        """Pair ids holding a pinned score, ascending."""
+        np = numpy_or_none()
+        if np is None:
+            return [
+                pid for pid, kind in enumerate(self._kind) if kind == _EXACT
+            ]
+        return np.flatnonzero(view(self._kind, np.int8) == _EXACT).tolist()
+
     def items(self) -> Iterator[Tuple[PairKey, float]]:
         """All (pair, score) entries, pinned first."""
-        pids = self._pids_of_kind(exact=True)
+        pids = self._pinned_pids()
         if pids:
             yield from zip(
                 self.table.pairs(pids), map(self._value.__getitem__, pids)
@@ -333,15 +261,12 @@ class SimilarityCache:
 
     def add(self, keys: Sequence[PairKey], scores: Sequence[float]) -> None:
         """Store exact scores, in order, each in its pair's home: a
-        blocked pair's is pinned (and journalled), any other pair's
-        joins the lazy LRU, evicting the least recently used beyond
-        ``max_lazy_entries``."""
-        pinned = []
+        blocked pair's is pinned, any other pair's joins the lazy LRU,
+        evicting the least recently used beyond ``max_lazy_entries``."""
         for key, pid, score in zip(keys, self._pids_of(keys), scores):
             if pid >= 0:
                 self._value[pid] = score
                 self._kind[pid] = _EXACT
-                pinned.append(key + (score,))
                 continue
             self._lazy[key] = score
             self._lazy.move_to_end(key)
@@ -351,8 +276,6 @@ class SimilarityCache:
             ):
                 self._lazy.popitem(last=False)
                 self.evictions += 1
-        if pinned and self._journal_pinned is not None:
-            self._journal_pinned.extend(pinned)
 
     # -- the resolver's buckets (repro.core.prematching) ----------------------
 
@@ -418,21 +341,6 @@ class SimilarityCache:
             tally = np.bincount(kinds, minlength=len(KINDS)).tolist()
         for code, kind in enumerate(KINDS[1:], start=1):
             found.pruned[kind] += tally[code]
-        if self._journal_pinned is not None:
-            # Pair-id order is sorted pair order, the order the journal
-            # has always had: checkpoint bytes depend on it.
-            fresh = list(zip(
-                self.table.pairs(found.evaluate), values.tolist(),
-                kinds.tolist(),
-            ))
-            self._journal_pinned.extend(
-                key + (value,) for key, value, kind in fresh if kind == _EXACT
-            )
-            self._journal_bounds.extend(
-                key + (value, KINDS[kind])
-                for key, value, kind in fresh
-                if kind != _EXACT
-            )
         return tally[_EXACT]
 
     def matches(self, found: Buckets, delta: float) -> Dict[PairKey, float]:
@@ -455,7 +363,7 @@ class SimilarityCache:
             selected, scores = pids, []
         return dict(zip(self.table.pairs(selected), scores))
 
-    # -- series seeding (repro.checkpoint.series) -----------------------------
+    # -- row-space entries (repro.checkpoint.section) -------------------------
 
     def entries(self) -> Tuple[object, object, object, object]:
         """Every pinned score and bound as four columns in pair-id order
@@ -479,10 +387,10 @@ class SimilarityCache:
             kinds[pids],
         )
 
-    def seed(self, seed) -> None:
+    def seed(self, seed: CacheSeed) -> None:
         """Pre-populate a fresh cache with the scores and bounds of a
-        :class:`repro.checkpoint.series.CacheSeed`, settled by an earlier
-        run over the same (unchanged) records.
+        :class:`repro.checkpoint.section.CacheSeed`, settled by an
+        earlier run over the same (unchanged) records.
 
         The seed's rows index its own stored id lists.  Each stored id
         is mapped onto this table's rows with one dict lookup, and the
@@ -498,8 +406,7 @@ class SimilarityCache:
         pairs stay pruned while the bound clears the round's cutoff and
         are re-evaluated fresh otherwise — which is why seeding can
         never change a link decision.  Seed after :meth:`attach` (it
-        raises before), and before :meth:`enable_export_journal`, so
-        journalling captures the seeded entries too.
+        raises before).
         """
         table = self.table
         if table is None:
@@ -536,94 +443,27 @@ class SimilarityCache:
 
     # -- checkpoint export / import -------------------------------------------
 
-    def _pids_of_kind(self, exact: bool) -> List[int]:
-        """Pair ids holding a pinned score (``exact``) or a bound."""
-        np = numpy_or_none()
-        if np is None:
-            return [
-                pid for pid, kind in enumerate(self._kind)
-                if (kind == _EXACT if exact else kind > _EXACT)
-            ]
-        kinds = view(self._kind, np.int8)
-        return np.flatnonzero(
-            kinds == _EXACT if exact else kinds > _EXACT
-        ).tolist()
-
-    def _rows_of_kind(self, exact: bool) -> List[List[object]]:
-        """The pinned scores (``exact``) or the bounds as rows, in
-        pair-id order — sorted pair order."""
-        pids = self._pids_of_kind(exact)
-        if not pids:
-            return []
-        columns = [*self.table.ids(pids), map(self._value.__getitem__, pids)]
-        if not exact:
-            columns.append(
-                map(KINDS.__getitem__, map(self._kind.__getitem__, pids))
-            )
-        return list(map(list, zip(*columns)))
-
-    def pinned_rows(self) -> List[List[object]]:
-        """All pinned entries as sorted ``[old_id, new_id, score]`` rows —
-        deterministic regardless of insertion order, so two runs that
-        pinned the same set of scores serialize byte-identically."""
-        return self._rows_of_kind(True)
-
-    def bound_rows(self) -> List[List[object]]:
-        """All pruning bounds as sorted ``[old_id, new_id, bound, origin]``
-        rows (same determinism contract as :meth:`pinned_rows`)."""
-        return self._rows_of_kind(False)
-
-    def enable_export_journal(self) -> None:
-        """Start journalling entries for cheap :meth:`export_state` calls.
-
-        Pinned entries and pruning bounds are append-mostly (a pin is
-        never removed; a bound only dies when its pair is pinned, which
-        the import replay reproduces), so once journalling is on, every
-        export serializes only the rows added since the previous export
-        — O(new entries) per checkpoint instead of O(cache) rebuilds.
-        Idempotent; captures any entries inserted before the call, in
-        sorted pair order.
-        """
-        if self._journal_pinned is None:
-            self._journal_pinned = _RowJournal()
-            self._journal_pinned.extend(self.pinned_rows())
-        if self._journal_bounds is None:
-            self._journal_bounds = _RowJournal()
-            self._journal_bounds.extend(self.bound_rows())
-
     def export_state(self) -> Dict[str, object]:
-        """The complete cache as a JSON-safe document (checkpointing).
+        """The complete cache as a JSON-safe document (run checkpoints).
 
-        Each entry section is a list of :func:`compress_rows` parts —
-        rows are ``[old_id, new_id, score]`` for pinned and lazy
-        entries, ``[old_id, new_id, bound, origin]`` for pruning bounds
-        — kept as pre-encoded text so a round-boundary checkpoint write
-        neither re-walks nor re-compresses the hundreds of thousands of
-        entries it already exported last round.  Lazy rows are in LRU
-        order (least recently used first), so a restored cache evicts
-        in exactly the order the original would have.  Pinned and
-        bounds sections replay the journal: a later duplicate row
-        supersedes an earlier one, and a bound row whose pair was later
-        pinned is dropped on import.  The hit/miss/eviction tallies
-        ride along so a resumed run's counters continue where the
-        interrupted run stopped.
+        The pinned scores and bounds are the table's id lists and the
+        packed section of :meth:`entries`
+        (:func:`repro.checkpoint.section.cache_parts`), written whole
+        each time: their pair-id order is fixed by the entries, so two
+        caches holding the same entries export the same bytes.  Lazy
+        entries are ``[old_id, new_id, score]`` rows in LRU order (least
+        recently used first), as :func:`compress_rows` parts, so a
+        restored cache evicts in exactly the order the original would
+        have.  The hit/miss/eviction tallies ride along so a resumed
+        run's counters continue where the interrupted run stopped.
         """
-        if self._journal_pinned is not None and self._journal_bounds is not None:
-            pinned_parts = self._journal_pinned.parts()
-            bounds_parts = self._journal_bounds.parts()
-        else:
-            pinned_rows = self.pinned_rows()
-            bounds_rows = self.bound_rows()
-            pinned_parts = [compress_rows(pinned_rows)] if pinned_rows else []
-            bounds_parts = [compress_rows(bounds_rows)] if bounds_rows else []
         lazy_rows = [
             [old_id, new_id, score]
             for (old_id, new_id), score in self._lazy.items()
         ]
         return {
-            "pinned": pinned_parts,
+            **cache_parts(self),
             "lazy": [compress_rows(lazy_rows)] if lazy_rows else [],
-            "bounds": bounds_parts,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -633,33 +473,28 @@ class SimilarityCache:
     def from_export(
         cls,
         document: Dict[str, object],
+        entries: CacheSeed,
         table: PairTable,
         max_lazy_entries: Optional[int] = DEFAULT_MAX_LAZY_ENTRIES,
     ) -> "SimilarityCache":
         """Rebuild a cache from :meth:`export_state` output over the
-        run's pair table.
+        run's pair table; ``entries`` is the document's section, decoded
+        and checked once by its loader
+        (:attr:`repro.checkpoint.RunState.cache_entries`).
 
-        The restored cache is observationally identical to the exported
-        one: same entries, same LRU order, same bounds, same tallies —
-        so a resumed pipeline run replays the exact hit/miss/eviction
-        sequence an uninterrupted run would have produced.  Bound rows
-        are replayed *before* pinned rows, and each pin evicts its
-        pair's bound, exactly as the live path does.  Rows that break
-        the one-home rule — pins and bounds of pairs off the table, lazy
-        rows of blocked pairs; only a checkpoint written before the rule
-        holds them — are dropped: their pairs are scored again when
-        asked, with the same result.  The journals are re-armed from
-        the parsed blobs, so checkpoints written after a resume stay
-        byte-compatible with the ones an uninterrupted run would have
-        written.
+        The entries are seeded (:meth:`seed`), the lazy rows replayed in
+        order and the tallies restored, so the cache is observationally
+        identical to the exported one: same entries, same LRU order,
+        same bounds, same tallies.  A resumed pipeline run thus replays
+        the exact hit/miss/eviction sequence an uninterrupted run would
+        have produced.  Entries that break the one-home rule — section
+        entries of pairs off the table, lazy rows of blocked pairs — are
+        dropped: their pairs are scored again when asked, with the same
+        result.
         """
         cache = cls(max_lazy_entries=max_lazy_entries)
         cache.attach(table)
-        pinned_parts = document["pinned"]
-        bounds_parts = document["bounds"]
-        cache._absorb(
-            decompress_rows(pinned_parts), decompress_rows(bounds_parts)
-        )
+        cache.seed(entries)
         lazy_rows = decompress_rows(document["lazy"])
         cache._lazy.update(
             ((row[0], row[1]), row[2])
@@ -669,8 +504,6 @@ class SimilarityCache:
         cache.hits = document["hits"]
         cache.misses = document["misses"]
         cache.evictions = document["evictions"]
-        cache._journal_pinned = _RowJournal(pinned_parts)
-        cache._journal_bounds = _RowJournal(bounds_parts)
         return cache
 
     # -- introspection -------------------------------------------------------

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checkpoint import series as series_state_mod
-from ..checkpoint.series import CacheSeed, PairState, coerce_series_store
+from ..checkpoint.section import CacheSeed
+from ..checkpoint.series import PairState, coerce_series_store
 from ..core.config import LinkageConfig
 from ..core.pipeline import IterativeGroupLinkage
 from ..instrumentation import (

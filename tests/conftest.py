@@ -1,15 +1,23 @@
 """Shared fixtures: the paper's running example, small generated data,
-the numpy fork switch and series cache seeds."""
+the numpy fork switch, cache sections and their defects."""
 
+import base64
+import struct
+import zlib
 from contextlib import contextmanager
 
 import pytest
 
 import repro.core.pairtable as pairtable_module
 import repro.model.roles as R
-from repro.checkpoint.series import pack_section, unpack_section
+from repro.checkpoint.section import (
+    SECTION_ENTRY_BYTES,
+    pack_section,
+    unpack_section,
+)
 from repro.core.config import LinkageConfig
-from repro.core.filtering import KIND_CODES
+from repro.core.filtering import KIND_CODES, KINDS
+from repro.core.simcache import SimilarityCache
 from repro.datagen import GeneratorConfig, generate_series
 from repro.model import CensusDataset, PersonRecord
 
@@ -141,20 +149,117 @@ def numpy_hidden():
         pairtable_module._numpy = saved
 
 
-def cache_seed(entries):
-    """A series cache seed of ``(old_id, new_id, value, kind)`` entries
-    (``kind`` a name of :data:`repro.core.filtering.KINDS`) over the
-    sorted ids they name, packed and read back through the pair-state
-    codec, so its columns are those of the fork in force."""
+def cache_section(entries):
+    """The ``old_ids``, ``new_ids`` and packed ``cache`` section of
+    ``(old_id, new_id, value, kind)`` entries (``kind`` a name of
+    :data:`repro.core.filtering.KINDS`) over the sorted ids they name."""
     old_ids = sorted({entry[0] for entry in entries})
     new_ids = sorted({entry[1] for entry in entries})
     rows = sorted(
         (old_ids.index(old_id), new_ids.index(new_id), value, KIND_CODES[kind])
         for old_id, new_id, value, kind in entries
     )
+    return {
+        "old_ids": old_ids,
+        "new_ids": new_ids,
+        "cache": pack_section([list(column) for column in zip(*rows)]),
+    }
+
+
+def cache_seed(entries):
+    """A cache seed of ``entries`` (see :func:`cache_section`), packed
+    and read back through the section codec, so its columns are those
+    of the fork in force."""
+    section = cache_section(entries)
     return unpack_section(
-        old_ids, new_ids, pack_section([list(column) for column in zip(*rows)])
+        section["old_ids"], section["new_ids"], section["cache"]
     )
+
+
+def restored_cache(document, table):
+    """A similarity cache rebuilt over ``table`` from an
+    ``export_state`` document, its section decoded as a run state's
+    loader decodes it."""
+    entries = unpack_section(
+        document["old_ids"], document["new_ids"], document["cache"]
+    )
+    return SimilarityCache.from_export(document, entries, table)
+
+
+def entry_rows(cache):
+    """A similarity cache's pinned scores as ``[old_id, new_id, score]``
+    rows and its bounds as ``[old_id, new_id, bound, kind]`` rows, in
+    pair-id order, read through ``SimilarityCache.entries``."""
+    table = cache.table
+    pinned, bounds = [], []
+    for old_row, new_row, value, kind in zip(
+        *(column.tolist() for column in cache.entries())
+    ):
+        row = [table.old_ids[old_row], table.new_ids[new_row], value]
+        if kind:
+            bounds.append(row + [KINDS[kind]])
+        else:
+            pinned.append(row)
+    return pinned, bounds
+
+
+# -- defects of a cache section -----------------------------------------------
+#
+# Each takes the stored document (its ``old_ids``), the decompressed
+# section and its entry count, and returns damaged section bytes.
+# Layout: old_row uint32, new_row uint32, value float64, kind int8
+# columns, entries in order.
+
+
+def torn_entry(document, data, count):
+    return data[:-1]
+
+
+def row_outside_its_ids(document, data, count):
+    """The last entry's old row points one past the old id list (the
+    entries stay strictly increasing)."""
+    offset = 4 * (count - 1)
+    return (data[:offset] + struct.pack("<I", len(document["old_ids"]))
+            + data[offset + 4:])
+
+
+def repeated_entry(document, data, count):
+    """The second entry repeats the first pair."""
+    data = bytearray(data)
+    for column in (0, 4 * count):
+        data[column + 4:column + 8] = data[column:column + 4]
+    return bytes(data)
+
+
+def unknown_kind(document, data, count):
+    data = bytearray(data)
+    data[16 * count] = len(KINDS)
+    return bytes(data)
+
+
+def not_compressed(document, data, count):
+    return None
+
+
+#: Every structural defect of a section, with the loader's message.
+SECTION_DEFECTS = [
+    (torn_entry, "not a whole number"),
+    (row_outside_its_ids, "outside its id list"),
+    (repeated_entry, "not strictly increasing"),
+    (unknown_kind, "not an index of KINDS"),
+    (not_compressed, "does not decompress"),
+]
+
+
+def damaged_section(document, defect):
+    """The ``cache`` section of ``document`` (a pair-state payload or a
+    run state's cache document) damaged by ``defect``, packed again so
+    that only the section checks can tell."""
+    data = zlib.decompress(base64.b64decode(document["cache"]))
+    damaged = defect(document, data, len(data) // SECTION_ENTRY_BYTES)
+    return base64.b64encode(
+        b"\x00" * 8 if damaged is None else zlib.compress(damaged)
+    ).decode("ascii")
 
 
 @pytest.fixture(params=["numpy", "loop"])

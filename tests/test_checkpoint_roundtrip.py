@@ -14,8 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.simcache import compress_rows
-
 from repro.checkpoint import (
     PHASE_FINAL,
     PHASE_ROUND,
@@ -26,6 +24,9 @@ from repro.checkpoint import (
     RunState,
     content_hash,
 )
+from repro.checkpoint.section import pack_section
+from repro.core.filtering import KINDS
+from repro.core.simcache import compress_rows
 from tests.strategies import words
 
 # -- strategies ---------------------------------------------------------------
@@ -56,27 +57,40 @@ iteration_dicts = st.fixed_dictionaries(
     }
 )
 
-def _parts(rows):
-    """Encoded journal parts — SimilarityCache's export section form."""
-    return [compress_rows(rows)] if rows else []
-
-
-cache_documents = st.fixed_dictionaries(
-    {
-        "pinned": st.lists(
-            st.tuples(words, words, scores).map(list), max_size=8
-        ).map(_parts),
-        "lazy": st.lists(
-            st.tuples(words, words, scores).map(list), max_size=8
-        ).map(_parts),
-        "bounds": st.lists(
-            st.tuples(words, words, scores, words).map(list), max_size=8
-        ).map(_parts),
-        "hits": st.integers(min_value=0, max_value=10**9),
-        "misses": st.integers(min_value=0, max_value=10**9),
-        "evictions": st.integers(min_value=0, max_value=10**9),
+@st.composite
+def cache_documents(draw):
+    """A resident run's cache export (``SimilarityCache.export_state``):
+    sorted id lists, a packed section of entries over them in strictly
+    increasing row order, lazy rows and the tallies."""
+    old_ids = sorted(draw(st.sets(words, max_size=4)))
+    new_ids = sorted(draw(st.sets(words, max_size=4)))
+    cells = [
+        (old_row, new_row)
+        for old_row in range(len(old_ids))
+        for new_row in range(len(new_ids))
+    ]
+    entries = []
+    if cells:
+        entries = sorted(draw(st.sets(st.sampled_from(cells), max_size=8)))
+    kinds = st.integers(min_value=0, max_value=len(KINDS) - 1)
+    columns = [
+        [old_row for old_row, _ in entries],
+        [new_row for _, new_row in entries],
+        [draw(scores) for _ in entries],
+        [draw(kinds) for _ in entries],
+    ]
+    lazy = draw(
+        st.lists(st.tuples(words, words, scores).map(list), max_size=8)
+    )
+    return {
+        "old_ids": old_ids,
+        "new_ids": new_ids,
+        "cache": pack_section(columns),
+        "lazy": [compress_rows(lazy)] if lazy else [],
+        "hits": draw(st.integers(min_value=0, max_value=10**9)),
+        "misses": draw(st.integers(min_value=0, max_value=10**9)),
+        "evictions": draw(st.integers(min_value=0, max_value=10**9)),
     }
-)
 
 provenance_rows = st.lists(
     st.tuples(
@@ -131,7 +145,7 @@ def run_states(draw):
         counters=draw(
             st.dictionaries(words, st.integers(min_value=0), max_size=8)
         ),
-        cache=draw(st.one_of(st.none(), cache_documents)),
+        cache=draw(st.one_of(st.none(), cache_documents())),
         config_fingerprint=draw(words),
         data_fingerprint=draw(words),
         subgraph_record_links=(
@@ -310,6 +324,28 @@ class TestStoreRecovery:
             "payload": payload,
         })
         with pytest.raises(CheckpointSchemaError, match="schema 2"):
+            RunState.loads(document)
+        (tmp_path / "round_0002.json").write_text(document, encoding="utf-8")
+        assert store.load_latest().round_index == 1
+        [(path, reason)] = store.skipped
+        assert path.name == "round_0002.json"
+
+    def test_schema_3_state_rejected(self, tmp_path):
+        """A state whose cache holds journals of JSON rows (schema 3) is
+        refused before its payload is read, and resume falls back past
+        it."""
+        store = self.write_rounds(tmp_path, 1)
+        payload = {
+            "round_index": 2,
+            "phase": "round",
+            "cache": {"pinned": [], "bounds": [], "lazy": []},
+        }
+        document = json.dumps({
+            "schema": 3,
+            "content_hash": content_hash(payload),
+            "payload": payload,
+        })
+        with pytest.raises(CheckpointSchemaError, match="schema 3"):
             RunState.loads(document)
         (tmp_path / "round_0002.json").write_text(document, encoding="utf-8")
         assert store.load_latest().round_index == 1

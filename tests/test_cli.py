@@ -110,6 +110,13 @@ class TestLinkCheckpoints:
         output = capsys.readouterr().out
         assert "final.json" in output
         assert "phase" in output  # header line
+        # The final state holds no cache: resuming from it rebuilds the
+        # result outright.
+        [final] = [
+            line for line in output.splitlines()
+            if line.startswith("final.json")
+        ]
+        assert final.split()[-2] == "no"
 
     def test_checkpoints_empty_directory(self, tmp_path, capsys):
         assert main(["checkpoints", str(tmp_path)]) == 0

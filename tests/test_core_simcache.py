@@ -13,11 +13,13 @@ from repro.core.config import LinkageConfig
 from repro.core.pairtable import PairTable
 from repro.core.pipeline import link_datasets
 from repro.core.prematching import _lazy_scores, prematching
-from repro.core.simcache import SimilarityCache, compress_rows, decompress_rows
+from repro.core.simcache import SimilarityCache, compress_rows
 from repro.datagen import generate_pair
 from repro.instrumentation import PAIRS_SCORED
 
-from tests.conftest import cache_seed
+from tests.conftest import (
+    cache_section, cache_seed, entry_rows, restored_cache,
+)
 
 #: The table's pairs; every other pair is off the table.
 BLOCKED = [(f"p{index}", f"q{index}") for index in range(10)]
@@ -109,7 +111,7 @@ class TestEviction:
         cache[BLOCKED[0]] = 0.9
         assert cache[BLOCKED[0]] == 0.9
         assert cache.num_lazy == 0
-        assert cache.pinned_rows() == [["p0", "q0", 0.9]]
+        assert entry_rows(cache)[0] == [["p0", "q0", 0.9]]
 
     def test_unbounded_when_disabled(self):
         cache = table_cache(max_lazy_entries=None)
@@ -185,25 +187,27 @@ class TestOneHome:
             ("p1", "q1", 0.3, "qgram"), ("x", "z", 0.2, "length"),
             ("p0", "q1", 0.5, "exact"),
         ]))
-        assert cache.pinned_rows() == [["p0", "q0", 0.9]]
-        assert cache.bound_rows() == [["p1", "q1", 0.3, "qgram"]]
+        assert entry_rows(cache) == (
+            [["p0", "q0", 0.9]], [["p1", "q1", 0.3, "qgram"]]
+        )
         assert ("x", "y") not in cache and ("p0", "q1") not in cache
         assert cache.num_lazy == 0
 
     def test_export_rows_breaking_the_rule_are_dropped(self, fork):
-        """A checkpoint written before the rule may hold pins and bounds
-        of pairs off the table, and lazy rows of blocked pairs."""
+        """Section entries of pairs off the table, and lazy rows of
+        blocked pairs, are dropped on import."""
         document = {
-            "pinned": [compress_rows([["p0", "q0", 0.9], ["x", "y", 0.8]])],
+            **cache_section([
+                ("p0", "q0", 0.9, "exact"), ("x", "y", 0.8, "exact"),
+                ("x", "z", 0.2, "length"),
+            ]),
             "lazy": [compress_rows([["p2", "q2", 0.7], ["u", "v", 0.6]])],
-            "bounds": [compress_rows([["x", "z", 0.2, "length"]])],
             "hits": 3,
             "misses": 4,
             "evictions": 0,
         }
-        restored = SimilarityCache.from_export(document, table_cache().table)
-        assert restored.pinned_rows() == [["p0", "q0", 0.9]]
-        assert restored.bound_rows() == []
+        restored = restored_cache(document, table_cache().table)
+        assert entry_rows(restored) == ([["p0", "q0", 0.9]], [])
         assert list(restored.items()) == [(("p0", "q0"), 0.9), (("u", "v"), 0.6)]
         assert restored.peek(("p2", "q2")) is None
 
@@ -214,7 +218,6 @@ class TestOneHome:
     def test_blocked_pair_scored_on_demand_is_pinned(self, fork):
         result = _round(max_lazy_entries=1)
         cache = result.scores
-        cache.enable_export_journal()
         blocked = next(
             pair
             for pair in cache.table.pairs(range(len(cache.table)))
@@ -225,10 +228,10 @@ class TestOneHome:
         result.pair_sims(off_table)  # the one-entry LRU evicts once
         assert cache.evictions == 1 and cache.num_lazy == 1
         assert cache.peek(blocked) == score
-        assert list(blocked) + [score] in cache.pinned_rows()
-        # The checkpoint's cache section journals the pin.
-        journal = decompress_rows(cache.export_state()["pinned"])
-        assert list(blocked) + [score] in journal
+        assert list(blocked) + [score] in entry_rows(cache)[0]
+        # The checkpoint's cache section holds the pin.
+        exported = restored_cache(cache.export_state(), cache.table)
+        assert list(blocked) + [score] in entry_rows(exported)[0]
 
     def test_evicted_off_table_pair_is_scored_again(self, fork):
         result = _round(max_lazy_entries=1)
@@ -265,7 +268,9 @@ class TestOneHome:
         cache = result.cache
         assert beyond and all(cache.table.pid(*pair) < 0 for pair in beyond)
         assert all(pair in cache._lazy for pair in beyond)
-        rows = cache.pinned_rows() + cache.bound_rows()
-        assert all(cache.table.pid(row[0], row[1]) >= 0 for row in rows)
+        pinned, bounds = entry_rows(cache)
+        assert all(
+            cache.table.pid(row[0], row[1]) >= 0 for row in pinned + bounds
+        )
         assert result.num_record_links == 108
         assert result.remaining_record_links == 24

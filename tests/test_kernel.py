@@ -282,8 +282,8 @@ class TestChunkBitIdentity:
 
     def test_chunk_results_are_plain_floats(self):
         """The kernel answers in numpy arrays; what leaves the score
-        store for clustering, the group stage, ledgers and journals must
-        be plain Python floats, never numpy scalars."""
+        store for clustering, the group stage and ledgers must be plain
+        Python floats, never numpy scalars."""
         old, new = generate_pair(seed=7, initial_households=5).datasets
         old_records = list(old.iter_records())
         new_records = list(new.iter_records())
@@ -303,7 +303,6 @@ class TestChunkBitIdentity:
         )
         leaving = [cache.get(pair) for pair in result.matched_pairs]
         leaving += [score for _, score in cache.items()]
-        leaving += [row[2] for row in cache.pinned_rows() + cache.bound_rows()]
         leaving += list(sims.values())
         assert {type(score) for score in leaving} == {float}
 

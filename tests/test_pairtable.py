@@ -21,7 +21,7 @@ from repro.core.pipeline import link_datasets
 from repro.core.simcache import KIND_NONE, SimilarityCache
 from repro.datagen import generate_pair
 
-from tests.conftest import cache_seed, numpy_hidden
+from tests.conftest import cache_seed, entry_rows, numpy_hidden, restored_cache
 
 OLD_IDS = ["a1", "a2", "a3"]
 NEW_IDS = ["b1", "b2"]
@@ -92,15 +92,15 @@ class TestScoresOverTheTable:
         assert dict(cache._lazy) == {("a2", "b2"): 0.7}
         assert cache.get(("a1", "b1")) == 0.9
         assert (cache.num_pinned, cache.num_bounds, cache.num_lazy) == (1, 1, 1)
-        assert cache.pinned_rows() == [["a1", "b1", 0.9]]
-        assert cache.bound_rows() == [["a2", "b1", 0.4, "qgram"]]
+        assert entry_rows(cache) == (
+            [["a1", "b1", 0.9]], [["a2", "b1", 0.4, "qgram"]]
+        )
 
     def test_export_roundtrip_over_a_table(self, fork):
         cache = table_cache()
-        cache.enable_export_journal()
         every_pair = cache.table.select(OLD_IDS, NEW_IDS)
         # Two rounds of the resolver: the bound of ("a1", "b1") is set,
-        # then replaced at a lower cutoff, so its journal row repeats.
+        # then replaced at a lower cutoff.
         cache.store(
             cache.buckets(every_pair, 0.5),
             array("d", [0.2, 0.1, 0.4, 0.8]), array("b", [2, 1, 3, 0]),
@@ -112,13 +112,11 @@ class TestScoresOverTheTable:
         cache["a1", "b2"] = 0.25  # pinned over its bound
         cache["a2", "b2"] = 0.5  # not blocked: a lazy entry
         document = cache.export_state()
-        restored = SimilarityCache.from_export(
-            document, table=PairTable(OLD_IDS, NEW_IDS, PAIRS)
+        restored = restored_cache(document, PairTable(OLD_IDS, NEW_IDS, PAIRS))
+        assert entry_rows(restored) == (
+            [["a1", "b2", 0.25], ["a2", "b1", 0.6], ["a3", "b1", 0.8]],
+            [["a1", "b1", 0.3, "early_exit"]],
         )
-        assert restored.bound_rows() == [["a1", "b1", 0.3, "early_exit"]]
-        assert restored.pinned_rows() == [
-            ["a1", "b2", 0.25], ["a2", "b1", 0.6], ["a3", "b1", 0.8],
-        ]
         assert dict(restored._lazy) == {("a2", "b2"): 0.5}
         assert list(restored.items()) == list(cache.items())
         assert restored.export_state() == document

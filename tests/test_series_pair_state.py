@@ -2,18 +2,15 @@
 
 A pair state keeps the pinned scores and bounds of its run as the pair
 table's two sorted id lists plus one packed cache section (see
-:mod:`repro.checkpoint.series`).  These tests pin that both numpy forks
+:mod:`repro.checkpoint.section`).  These tests pin that both numpy forks
 write and read that layout alike, that every structural defect of a
 section is refused with the typed error (the pair is then re-linked,
 like any unusable pair state), and that a state of the previous layout
 is refused by schema and its pair re-linked cold.
 """
 
-import base64
 import json
 import shutil
-import struct
-import zlib
 from contextlib import nullcontext
 
 import pytest
@@ -24,7 +21,7 @@ from repro.checkpoint import (
     SeriesStore,
     analysis_ledger_hash,
 )
-from repro.checkpoint.series import SERIES_ENVELOPE, SECTION_ENTRY_BYTES
+from repro.checkpoint.series import SERIES_ENVELOPE
 from repro.core.config import LinkageConfig
 from repro.core.filtering import KINDS
 from repro.core.pairtable import numpy_or_none
@@ -39,7 +36,7 @@ from repro.instrumentation import (
 )
 from repro.ioutil import Envelope
 
-from tests.conftest import numpy_hidden
+from tests.conftest import SECTION_DEFECTS, damaged_section, numpy_hidden
 
 #: The per-pair scorer on both forks: the batch kernel needs numpy, and
 #: the configuration fingerprint must match for states to be reused.
@@ -133,54 +130,13 @@ class TestForks:
         )
 
 
-# -- defects of the cache section ----------------------------------------------
-#
-# Each takes the stored id lists, the decompressed section and its entry
-# count, and returns damaged section bytes.  Layout: old_row uint32,
-# new_row uint32, value float64, kind int8 columns, entries in order.
+# -- defects of the cache section (shared: tests/conftest.py) -----------------
 
 
-def torn_entry(payload, data, count):
-    return data[:-1]
-
-
-def row_outside_its_ids(payload, data, count):
-    """The last entry's old row points one past the old id list (the
-    entries stay strictly increasing)."""
-    offset = 4 * (count - 1)
-    return (data[:offset] + struct.pack("<I", len(payload["old_ids"]))
-            + data[offset + 4:])
-
-
-def repeated_entry(payload, data, count):
-    """The second entry repeats the first pair."""
-    data = bytearray(data)
-    for column in (0, 4 * count):
-        data[column + 4:column + 8] = data[column:column + 4]
-    return bytes(data)
-
-
-def unknown_kind(payload, data, count):
-    data = bytearray(data)
-    data[16 * count] = len(KINDS)
-    return bytes(data)
-
-
-def not_compressed(payload, data, count):
-    return None
-
-
-DEFECTS = [
-    (torn_entry, "not a whole number"),
-    (row_outside_its_ids, "outside its id list"),
-    (repeated_entry, "not strictly increasing"),
-    (unknown_kind, "not an index of KINDS"),
-    (not_compressed, "does not decompress"),
-]
-
-
-@pytest.mark.parametrize("defect, message", DEFECTS,
-                         ids=[defect.__name__ for defect, _ in DEFECTS])
+@pytest.mark.parametrize(
+    "defect, message", SECTION_DEFECTS,
+    ids=[defect.__name__ for defect, _ in SECTION_DEFECTS],
+)
 def test_malformed_section_is_refused_and_relinked(
     defect, message, fork, series, scratch, warm, tmp_path
 ):
@@ -190,11 +146,7 @@ def test_malformed_section_is_refused_and_relinked(
     shutil.copytree(warm, tmp_path, dirs_exist_ok=True)
     victim = sorted(tmp_path.glob("pair_*.json"))[-1]
     payload = json.loads(victim.read_text())["payload"]
-    data = zlib.decompress(base64.b64decode(payload["cache"]))
-    damaged = defect(payload, data, len(data) // SECTION_ENTRY_BYTES)
-    payload["cache"] = base64.b64encode(
-        b"\x00" * 8 if damaged is None else zlib.compress(damaged)
-    ).decode("ascii")
+    payload["cache"] = damaged_section(payload, defect)
     victim.write_text(SERIES_ENVELOPE.dumps(payload))
     with pytest.raises(CheckpointCorrupt, match=message) as error:
         SeriesStore(tmp_path).load(victim)

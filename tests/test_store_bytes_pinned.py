@@ -7,21 +7,25 @@ primitive in :mod:`repro.ioutil`, so a green run proves that no byte of
 an existing format changed: pair states, segments and service manifests
 stay readable without a migration.  The run-state literal was re-taken
 when checkpoints became shard-major (schema 3, per-shard round ledgers
-instead of mid-round accumulators); older states are refused by schema.
+instead of mid-round accumulators), and again when their cache moved to
+row space (schema 4); older states are refused by schema.
 
-The similarity-cache rows a real run journals are pinned too: the
-``cache`` section of every checkpoint of a resident run, and the cache
-knowledge of the pair states a series analysis writes (cold, then
-re-linked with a seed after a revision).  Those literals were taken
-before the score store moved into pair-id arrays, and re-taken when
-the group stage stopped scoring the vertex pairs of group pairs that
-cannot yield a subgraph (the caches hold fewer lazy scores, and fewer
-pruning bounds are superseded by them), and again when every score got
-one home: a blocked pair that the group stage scores on demand is now
-pinned and journalled, and its pin supersedes its bound.  The pair-state
-literals were re-taken once more when pair states moved to row space
-(series schema 2): the id lists and one packed cache section replace
-the ``pinned``/``bounds`` row parts, holding the same entries.
+The similarity caches a real run persists are pinned too: the ``cache``
+document of every checkpoint of a resident run, and the cache knowledge
+of the pair states a series analysis writes (cold, then re-linked with
+a seed after a revision).  Those literals were taken before the score
+store moved into pair-id arrays, and re-taken when the group stage
+stopped scoring the vertex pairs of group pairs that cannot yield a
+subgraph (the caches hold fewer lazy scores, and fewer pruning bounds
+are superseded by them), and again when every score got one home: a
+blocked pair that the group stage scores on demand is now pinned, and
+its pin supersedes its bound.  The pair-state literals were re-taken
+once more when pair states moved to row space (series schema 2): the id
+lists and one packed cache section replace the ``pinned``/``bounds``
+row parts, holding the same entries.  The run-state literals were
+re-taken when run checkpoints adopted that section (schema 4), holding
+the same entries as the journals they replace; the final state holds
+no cache.
 """
 
 import hashlib
@@ -56,7 +60,17 @@ def fixed_run_state():
         schedule=(0.7, 0.65, 0.6),
         rounds_finished=False,
         counters={"pairs_scored": 41, "cache_hits": 3},
-        cache={"pinned": ["eJyLjgUAARUAuQ=="], "hits": 3, "misses": 41},
+        # The pair state's section below: ("o1", "n1") exact 0.9,
+        # ("o2", "n1") bounded 0.25 by q-grams.
+        cache={
+            "old_ids": ["o1", "o2"],
+            "new_ids": ["n1"],
+            "cache": "eAFjYGBgYARiGDh7BgTe2EP4F+wZmABcMgcH",
+            "lazy": [],
+            "hits": 3,
+            "misses": 41,
+            "evictions": 0,
+        },
         config_fingerprint="cafe" * 4,
         data_fingerprint="beef" * 4,
         shards_total=3,
@@ -133,15 +147,20 @@ def test_segment_and_manifest_bytes(tmp_path):
 
 def test_run_cache_journal_bytes(tmp_path):
     """Checkpoint every round of the 50-household pair: the hash of each
-    state's cache section (pinned, bounds and lazy parts plus tallies)
-    is pinned; the rest of a state holds round timings."""
+    state's cache document (id lists, packed section, lazy rows and
+    tallies) is pinned, and the final state holds none; the rest of a
+    state holds round timings."""
     old, new = generate_pair(seed=20170321, initial_households=50).datasets
     link_datasets(
         old, new, LinkageConfig(checkpoint_every=1), checkpoint_dir=tmp_path
     )
-    assert {
-        path.name: content_hash(RunState.loads(path.read_text()).cache)
+    caches = {
+        path.name: RunState.loads(path.read_text()).cache
         for path in tmp_path.glob("*.json")
+    }
+    assert {
+        name: None if cache is None else content_hash(cache)
+        for name, cache in caches.items()
     } == RUN_CACHE_SECTIONS
 
 
@@ -176,11 +195,10 @@ def _cache_parts(directory):
 
 RUN_CACHE_SECTIONS = {
     "round_0001.json":
-        "b9fcc1ccb39d5132d034931b0b0712da682700ee90ceeec7c670e2c8a33282ba",
+        "2e4468ada6cf0e209e49af598264f9aa99e0d871233a343bfa3b18cfd27566ad",
     "round_0002.json":
-        "82a8d3db980c8fbcb975fd957d640a29c6d6bca385d13bf851aeb19cc61f4de5",
-    "final.json":
-        "d88c8ad528a8e99ffc0acaf63f40fdb63ce585d116df0107512fd27d84b45300",
+        "f4d3464e476b7a220e3bb63c479ba97df2c22449fbd4bf5188a00ab30bc93055",
+    "final.json": None,
 }
 SERIES_CACHE_PARTS = {
     "pair_1851_1861.json": (
@@ -203,7 +221,7 @@ REVISED_SERIES_CACHE_PARTS = {
     ),
 }
 RUN_STATE_SHA256 = (
-    "68e0bb89ff2ee9a3380883b6ed7757951b486d0da43a9e8b6692cde466bf5cfd"
+    "c5bab3c3b7ace064644e367a6f1c4c080f6e12ed10645df3135c5094a7bbab23"
 )
 PAIR_STATE_SHA256 = (
     "c2efe76ac264b68555f8247e402aec648bab427fb264cb00825566f4ff206168"

@@ -19,7 +19,12 @@ documented fallback:
 
 * checkpoint store — ``load_latest`` falls back one state and records
   the file in ``skipped`` (a donor state is refused on resume by
-  :class:`~repro.checkpoint.CheckpointMismatch`);
+  :class:`~repro.checkpoint.CheckpointMismatch`).  Three victims:
+  ``final.json`` of a completed run, and, for a run killed before its
+  final write, the resident run's newest ``round_NNNN.json`` (which
+  holds the packed cache section) and a 2-shard run's newest
+  shard-major state; those two resume to the uninterrupted run's
+  ``ledger_hash`` and ``decision_ledger_hash``;
 * series store — the pair is treated as missing and re-linked, reaching
   the same ``analysis_ledger_hash``;
 * evolution store — ``EvolutionQueryService.refresh`` keeps the last
@@ -38,6 +43,7 @@ from repro.checkpoint import (
     CheckpointStore,
     SeriesStore,
     analysis_ledger_hash,
+    decision_ledger_hash,
     ledger_hash,
 )
 from repro.checkpoint.faults import CrashingSeriesStore, CrashingStore
@@ -112,6 +118,7 @@ def damage(fault, victim, donor, schema_key):
 # -- checkpoint store ---------------------------------------------------------
 
 CHECKPOINT_CONFIG = LinkageConfig(validate=True)
+SHARDED_CONFIG = LinkageConfig(validate=True, blocking="region", shards=2)
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +134,30 @@ def checkpoint_runs(tmp_path_factory):
         CHECKPOINT_CONFIG,
         checkpoint_dir=donor,
     )
-    entries = CheckpointStore(directory).entries()
+    store = CheckpointStore(directory)
+    entries = store.entries()
     assert [entry.kind for entry in entries][-2:] == ["round", "final"]
+    assert store.load(entries[-2].path).cache_entries.num_entries
+    return pair, directory, baseline, donor
+
+
+@pytest.fixture(scope="module")
+def sharded_runs(tmp_path_factory):
+    """A completed 2-shard checkpoint directory, its run, and a donor
+    directory of a 2-shard run over another country.  Region blocking
+    gives each shard one region's work."""
+    def country_pair(seed):
+        return generate_country(CountryConfig(
+            seed=seed, regions=2, households_per_region=8
+        )).successive_pairs()[0]
+
+    pair = country_pair(7)
+    directory = tmp_path_factory.mktemp("sharded-pristine")
+    baseline = link_datasets(*pair, SHARDED_CONFIG, checkpoint_dir=directory)
+    donor = tmp_path_factory.mktemp("sharded-donor")
+    link_datasets(*country_pair(11), SHARDED_CONFIG, checkpoint_dir=donor)
+    entries = CheckpointStore(directory).entries()
+    assert {entry.shards_done for entry in entries[:-1]} == {0, 1}
     return pair, directory, baseline, donor
 
 
@@ -161,6 +190,42 @@ def checkpoint_cell(fault, runs, tmp_path):
         *pair, CHECKPOINT_CONFIG, checkpoint_dir=directory, resume=True
     )
     assert ledger_hash(resumed) == ledger_hash(baseline)
+
+
+def interrupted_cell(fault, runs, config, ledger, tmp_path):
+    """A run killed before its final write: its newest state is damaged,
+    or the run is killed while writing it.  ``load_latest`` falls back
+    to the state before it in ``CheckpointStore.entries()`` order, and
+    the resumed run's ``ledger`` equals the uninterrupted run's."""
+    pair, pristine, baseline, donor = runs
+    directory = tmp_path / "checkpoints"
+    entries = CheckpointStore(pristine).entries()
+    *_, previous, newest, _ = entries
+    victim = directory / newest.path.name
+    if fault == "kill_mid_write":
+        store = CrashingStore(directory, fail_replace_at=len(entries) - 1)
+        with pytest.raises(OSError, match="injected failure"):
+            link_datasets(*pair, config, checkpoint_dir=store)
+        skipped = []
+    else:
+        shutil.copytree(pristine, directory)
+        (directory / "final.json").unlink()
+        donor_newest = CheckpointStore(donor).entries()[-2].path
+        damage(fault, victim, donor_newest, "schema")
+        skipped = [victim]
+    if fault == "donor_swap":
+        with pytest.raises(CheckpointMismatch, match="input data"):
+            link_datasets(
+                *pair, config, checkpoint_dir=directory, resume=True
+            )
+        return
+    store = CheckpointStore(directory)
+    assert store.load_latest() == store.load(directory / previous.path.name)
+    assert [path for path, _ in store.skipped] == skipped
+    resumed = link_datasets(
+        *pair, config, checkpoint_dir=directory, resume=True
+    )
+    assert ledger(resumed) == ledger(baseline)
 
 
 # -- series store -------------------------------------------------------------
@@ -326,9 +391,10 @@ def shard_cell(fault, snapshots, tmp_path, format):
 # -- the matrix ---------------------------------------------------------------
 
 SHARD_FORMATS = ("npy", "jsonl") if HAVE_NUMPY else ("jsonl",)
-STORES = ("checkpoint", "series", "evolution") + tuple(
-    f"shard-{format}" for format in SHARD_FORMATS
-)
+STORES = (
+    "checkpoint", "checkpoint-round", "checkpoint-shard", "series",
+    "evolution",
+) + tuple(f"shard-{format}" for format in SHARD_FORMATS)
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -337,6 +403,16 @@ def test_fault(store, fault, request, tmp_path):
     if store == "checkpoint":
         checkpoint_cell(
             fault, request.getfixturevalue("checkpoint_runs"), tmp_path
+        )
+    elif store == "checkpoint-round":
+        interrupted_cell(
+            fault, request.getfixturevalue("checkpoint_runs"),
+            CHECKPOINT_CONFIG, ledger_hash, tmp_path,
+        )
+    elif store == "checkpoint-shard":
+        interrupted_cell(
+            fault, request.getfixturevalue("sharded_runs"), SHARDED_CONFIG,
+            decision_ledger_hash, tmp_path,
         )
     elif store == "series":
         series_cell(fault, request.getfixturevalue("series_runs"), tmp_path)
