@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Protocol, Sequence, Set, Tuple
+from array import array
+from bisect import bisect_left
+from collections import abc
+from typing import Dict, Iterable, Iterator, List, Protocol, Sequence, Set, Tuple
 
 from ..model.records import PersonRecord
 from ..similarity.vector import SimilarityFunction
+
+#: (old record id, new record id).
+PairKey = Tuple[str, str]
 
 
 class Blocker(Protocol):
@@ -15,8 +21,75 @@ class Blocker(Protocol):
         self,
         old_records: Sequence[PersonRecord],
         new_records: Sequence[PersonRecord],
-    ) -> Set[Tuple[str, str]]:
+    ) -> abc.Set[PairKey]:
         ...
+
+
+def _row(ids: Sequence[str], record_id: object) -> int:
+    """The position of ``record_id`` in the sorted ``ids``, or -1."""
+    position = bisect_left(ids, record_id)
+    if position < len(ids) and ids[position] == record_id:
+        return position
+    return -1
+
+
+class BlockedPairs(abc.Set):
+    """Blocked ``(old_id, new_id)`` pairs in row space.
+
+    A record's *row* is its position in one of two sorted, unique id
+    lists, ``old_ids`` and ``new_ids``.  Pair ``(old_ids[o],
+    new_ids[n])`` is the integer key ``o * width + n`` (``width`` is the
+    number of new ids, at least 1), and :attr:`keys` holds every pair's
+    key once, ascending, in an ``array('q')``.  That is the form
+    :class:`repro.core.pairtable.PairTable` interns, so a table over the
+    same id lists adopts the keys as they are, and the remaining pass
+    filters them on row arrays.
+
+    As a set of id tuples it iterates in sorted pair order, answers
+    ``in`` by bisecting the id lists and the keys, and compares equal to
+    any set of the same pairs.  ``|``, ``&`` and ``-`` return a plain
+    ``set``.  Immutable once built.
+    """
+
+    def __init__(
+        self, old_ids: List[str], new_ids: List[str], keys: array
+    ) -> None:
+        self.old_ids = old_ids
+        self.new_ids = new_ids
+        self.width = max(1, len(new_ids))
+        self.keys = keys
+
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[PairKey]) -> Set[PairKey]:
+        return set(iterable)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[PairKey]:
+        old_ids, new_ids, width = self.old_ids, self.new_ids, self.width
+        for key in self.keys:
+            old_row, new_row = divmod(key, width)
+            yield old_ids[old_row], new_ids[new_row]
+
+    def __contains__(self, pair: object) -> bool:
+        try:
+            old_id, new_id = pair
+            old_row = _row(self.old_ids, old_id)
+            new_row = _row(self.new_ids, new_id)
+        except (TypeError, ValueError):  # not a pair of strings
+            return False
+        if old_row < 0 or new_row < 0:
+            return False
+        key = old_row * self.width + new_row
+        position = bisect_left(self.keys, key)
+        return position < len(self.keys) and self.keys[position] == key
+
+    def __repr__(self) -> str:
+        return (
+            f"BlockedPairs({len(self)} pairs over {len(self.old_ids)} x "
+            f"{len(self.new_ids)} rows)"
+        )
 
 
 class UnionBlocker:
@@ -37,8 +110,8 @@ class UnionBlocker:
         self,
         old_records: Sequence[PersonRecord],
         new_records: Sequence[PersonRecord],
-    ) -> Set[Tuple[str, str]]:
-        pairs: Set[Tuple[str, str]] = set()
+    ) -> Set[PairKey]:
+        pairs: Set[PairKey] = set()
         for blocker in self.blockers:
             pairs.update(blocker.candidate_pairs(old_records, new_records))
         return pairs

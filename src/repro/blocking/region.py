@@ -12,17 +12,20 @@ This is the documented scale trade-off of the paper's pre-matching
 (§3.2): cross-region migration links are sacrificed for a candidate
 space that is linear in the number of regions.  The base blocker's
 behaviour (multi-pass phonetic keys, ``max_block_size`` skips) is
-unchanged inside each region.
+unchanged inside each region: over a
+:class:`~repro.blocking.standard.StandardBlocker` (the default) the
+base's row-space join runs once with the region folded into every
+block key, and any other base runs once per region.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import abc, defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..model.records import PersonRecord
 from .pairs import Blocker
-from .standard import StandardBlocker
+from .standard import StandardBlocker, join_blocks
 
 
 def record_region(record: PersonRecord) -> str:
@@ -47,6 +50,8 @@ class RegionBlocker:
     def _by_region(
         self, records: Sequence[PersonRecord]
     ) -> Dict[str, List[PersonRecord]]:
+        """Records grouped by region (for a base that is not a
+        :class:`StandardBlocker`)."""
         grouped: Dict[str, List[PersonRecord]] = defaultdict(list)
         for record in records:
             grouped[record_region(record)].append(record)
@@ -56,8 +61,13 @@ class RegionBlocker:
         self,
         old_records: Sequence[PersonRecord],
         new_records: Sequence[PersonRecord],
-    ) -> Set[Tuple[str, str]]:
+    ) -> abc.Set[Tuple[str, str]]:
         """Union of the base blocker's pairs within each shared region."""
+        if isinstance(self.base, StandardBlocker):
+            return join_blocks(
+                old_records, new_records, self.base.key_functions,
+                self.base.max_block_size, region=record_region,
+            )
         old_by_region = self._by_region(old_records)
         new_by_region = self._by_region(new_records)
         pairs: Set[Tuple[str, str]] = set()

@@ -32,16 +32,24 @@ that do not decompress) raises :class:`ValueError`, which the loader's
 malformed block turns into :class:`~repro.checkpoint.CheckpointCorrupt`
 naming the file.  Without numpy the same columns are stdlib arrays,
 packed and read byte-identically.
+
+A run checkpoint's cache document also holds the cache's *lazy* rows,
+``[old_id, new_id, score]`` in LRU order (an order the section's
+strictly increasing pairs cannot hold), as :func:`compress_rows` parts;
+:func:`unpack_lazy_rows` decodes and checks them, with the same
+:class:`ValueError` on a defect.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
+import json
 import sys
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 #: The columns of a packed cache section, in file order: (name, numpy
 #: dtype, :mod:`array` typecode).  Each is fixed-width little-endian
@@ -54,6 +62,9 @@ SECTION_COLUMNS = (
 )
 #: Bytes of one entry over all columns.
 SECTION_ENTRY_BYTES = 4 + 4 + 8 + 1
+#: zlib level of lazy rows: they are extremely redundant (shared
+#: record-id prefixes), so the fastest level already shrinks them ~8×.
+ROWS_COMPRESSION_LEVEL = 1
 #: zlib level of the section, the fastest: on the ``evolve`` benchmark's
 #: states level 6 writes 17% fewer bytes in 2.3 times the time.  The
 #: float64 values are most of the compressed bytes at any level.
@@ -206,3 +217,44 @@ def cache_parts(cache) -> Dict[str, object]:
         "new_ids": cache.table.new_ids,
         "cache": pack_section(cache.entries()),
     }
+
+
+def compress_rows(rows: Sequence[Sequence[object]]) -> str:
+    """One self-contained part of rows: compact JSON → zlib → base64."""
+    body = json.dumps(rows, separators=(",", ":"))
+    return base64.b64encode(
+        zlib.compress(body.encode("ascii"), ROWS_COMPRESSION_LEVEL)
+    ).decode("ascii")
+
+
+def unpack_lazy_rows(parts: Sequence[str]) -> List[list]:
+    """The ``[old_id, new_id, score]`` rows of a cache document's
+    ``lazy`` parts, in order, checked: a part that is not base64 of
+    zlib-compressed JSON rows, or a row that is not two ids and a
+    number, raises :class:`ValueError` (see :func:`unpack_section`)."""
+    if not isinstance(parts, list):
+        raise ValueError("lazy rows must be a list of parts")
+    rows: List[list] = []
+    for part in parts:
+        try:
+            data = base64.b64decode(part, validate=True)
+        except binascii.Error as error:
+            raise ValueError(f"lazy rows are not base64: {error}") from None
+        try:
+            body = zlib.decompress(data)
+        except zlib.error as error:
+            raise ValueError(f"lazy rows do not decompress: {error}") from None
+        rows.extend(json.loads(body.decode("ascii")))
+    for row in rows:
+        if not (
+            isinstance(row, list)
+            and len(row) == 3
+            and isinstance(row[0], str)
+            and isinstance(row[1], str)
+            and isinstance(row[2], (int, float))
+            and not isinstance(row[2], bool)
+        ):
+            raise ValueError(
+                f"lazy row {row!r} is not [old_id, new_id, number]"
+            )
+    return rows

@@ -21,9 +21,9 @@ The cache export keeps the pinned scores and pruning bounds as series
 pair states do: the pair table's two sorted id lists and one packed
 cache section (:mod:`repro.checkpoint.section`), written whole from the
 cache's pair-id arrays at every state, so a state written after a
-resume equals the uninterrupted run's by construction.  The section is
-decoded and checked once, when the state is loaded
-(:attr:`RunState.cache_entries`).
+resume equals the uninterrupted run's by construction.  The section and
+the lazy rows are decoded and checked once, when the state is loaded
+(:attr:`RunState.cache_entries`, :attr:`RunState.cache_lazy`).
 
 In-RAM and sharded runs write this one format
 (:func:`repro.core.pipeline.run_linkage`).  On disk a checkpoint is the
@@ -43,7 +43,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..ioutil import CorruptFile, Envelope, UnsupportedSchema
-from .section import CacheSeed, unpack_section
+from .section import CacheSeed, unpack_lazy_rows, unpack_section
 
 #: Checkpoint document schema version (bump on incompatible layout changes).
 #: Schema 2 added shard progress and dropped the sharded driver's
@@ -199,6 +199,16 @@ class RunState:
             self.cache["old_ids"], self.cache["new_ids"], self.cache["cache"]
         )
 
+    @cached_property
+    def cache_lazy(self) -> Optional[List[list]]:
+        """The lazy rows of :attr:`cache`, ``[old_id, new_id, score]``
+        in LRU order, decoded and checked once
+        (:func:`repro.checkpoint.section.unpack_lazy_rows`); ``None``
+        without a cache."""
+        if self.cache is None:
+            return None
+        return unpack_lazy_rows(self.cache["lazy"])
+
     @property
     def record_links(self) -> int:
         """Distinct record links the state holds: the final result's,
@@ -284,8 +294,10 @@ class RunState:
             plan_fingerprint=payload["plan_fingerprint"],
         )
         # Decoded and checked here, inside the loader's malformed block:
-        # a defective section raises CheckpointCorrupt naming the file.
+        # a defective section or lazy row raises CheckpointCorrupt
+        # naming the file.
         state.cache_entries
+        state.cache_lazy
         return state
 
     def dumps(self) -> str:

@@ -7,6 +7,10 @@ shard's sorted id list, the rows the pair scorer is built over — and a
 blocked pair becomes a *pair id*, its position in two row arrays sorted
 by ``(old_id, new_id)``.  That is the order every round has always
 walked its candidates in, so tie-breaks and counter orders stay put.
+The standard and region blockers already hand their pairs over in this
+row space (:class:`~repro.blocking.pairs.BlockedPairs`: sorted integer
+keys over the same sorted id lists), so interning them maps no id and
+sorts nothing; other blockers' id pairs are mapped to rows once.
 
 The similarity cache keeps each pair's pinned score or pruning bound in
 arrays aligned with pair ids
@@ -29,8 +33,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-#: (old record id, new record id).
-PairKey = Tuple[str, str]
+from ..blocking.pairs import BlockedPairs, PairKey
 
 _UNSET = object()
 _numpy = _UNSET
@@ -53,6 +56,18 @@ def view(buffer, dtype):
     """A numpy array over ``buffer``'s memory (no copy); writes go
     through to the buffer."""
     return numpy_or_none().frombuffer(buffer, dtype=dtype)
+
+
+def sorted_unique(keys):
+    """The distinct values of an int64 numpy array, ascending: one sort
+    and an adjacent-difference mask.  Plain ``np.unique`` gives the same
+    values, but since numpy 2.3 it finds them by hashing, which is
+    15-30x slower on pair keys."""
+    np = numpy_or_none()
+    keys = np.sort(keys)
+    if len(keys) > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
 
 
 def _sorted_ids(ids: Sequence[str], side: str) -> List[str]:
@@ -81,9 +96,10 @@ class PairTable:
         new_ids: Sequence[str],
         pairs: Iterable[PairKey],
     ) -> None:
-        """Intern ``pairs`` (ids of the two row spaces; duplicates are
-        dropped) in integer space: ids → rows, one key per pair, one
-        sort."""
+        """Intern ``pairs`` (ids of the two row spaces) as sorted,
+        unique keys: a :class:`BlockedPairs` over these id lists hands
+        over its keys as they are, any other collection of id pairs is
+        mapped to rows first (:meth:`_keys_of`)."""
         self.old_ids = _sorted_ids(old_ids, "old")
         self.new_ids = _sorted_ids(new_ids, "new")
         self.old_index: Dict[str, int] = {
@@ -93,17 +109,36 @@ class PairTable:
             record_id: row for row, record_id in enumerate(self.new_ids)
         }
         self.width = width = max(1, len(self.new_ids))
-        if not isinstance(pairs, (set, frozenset, list, tuple)):
-            pairs = list(pairs)
+        if (
+            isinstance(pairs, BlockedPairs)
+            and pairs.old_ids == self.old_ids
+            and pairs.new_ids == self.new_ids
+        ):
+            self.keys = pairs.keys
+        else:
+            self.keys = self._keys_of(pairs)
         np = numpy_or_none()
         if np is None:
-            self.keys = array("q", sorted({
-                self.old_index[old_id] * width + self.new_index[new_id]
-                for old_id, new_id in pairs
-            }))
             self.old_row = array("q", [key // width for key in self.keys])
             self.new_row = array("q", [key % width for key in self.keys])
             return
+        keys = view(self.keys, np.int64)
+        self.old_row = array("q", (keys // width).tobytes())
+        self.new_row = array("q", (keys % width).tobytes())
+
+    def _keys_of(self, pairs: Iterable[PairKey]) -> array:
+        """The sorted, unique keys of id pairs of this table's row spaces
+        (a custom blocker's set, ``standard+qgram``, ``cross``): ids →
+        rows, one key per pair, repeats dropped."""
+        if not isinstance(pairs, (set, frozenset, list, tuple)):
+            pairs = list(pairs)
+        width = self.width
+        np = numpy_or_none()
+        if np is None:
+            return array("q", sorted({
+                self.old_index[old_id] * width + self.new_index[new_id]
+                for old_id, new_id in pairs
+            }))
         old_rows, new_rows = (
             np.fromiter(
                 map(index.__getitem__, map(itemgetter(side), pairs)),
@@ -111,13 +146,7 @@ class PairTable:
             )
             for side, index in ((0, self.old_index), (1, self.new_index))
         )
-        keys = old_rows * width + new_rows
-        keys.sort()
-        if len(keys):  # drop repeated pairs
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        self.keys = array("q", keys.tobytes())
-        self.old_row = array("q", (keys // width).tobytes())
-        self.new_row = array("q", (keys % width).tobytes())
+        return array("q", sorted_unique(old_rows * width + new_rows).tobytes())
 
     def __len__(self) -> int:
         return len(self.keys)

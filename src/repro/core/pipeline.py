@@ -766,6 +766,7 @@ def run_linkage(
             shards[0].cache = SimilarityCache.from_export(
                 resumed.cache,
                 resumed.cache_entries,
+                resumed.cache_lazy,
                 table=shards[0].cache.table,
                 max_lazy_entries=config.max_lazy_cache_entries or None,
             )

@@ -5,7 +5,9 @@ subgraph — movers, members of dissolved households, singletons — get one
 more chance: a conservative attribute-only matcher (``Sim_func_rem``)
 with a hard temporal age filter, resolved greedily to a 1:1 mapping.
 
-The age-plausible pairs are settled by pre-matching's one resolver
+The pass re-blocks the leftover records and keeps the age-plausible
+pairs on row arrays (:func:`plausible_pairs`); id pairs are built only
+for the pairs it keeps.  They are settled by pre-matching's one resolver
 (:func:`repro.core.prematching._filtered_bulk_scores`, bound here as
 this module's ``_filtered_bulk_scores``), with pruning against the
 remaining threshold on or off.  When ``Sim_func_rem`` uses the same
@@ -23,18 +25,20 @@ lazy LRU.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from itertools import compress
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..blocking.pairs import Blocker
+from ..blocking.pairs import BlockedPairs, Blocker
 from ..instrumentation import REMAINING_PAIRS, Instrumentation
 from ..model.mappings import RecordMapping
 from ..model.records import PersonRecord
 from ..similarity.numeric import normalised_age_difference
 from ..similarity.vector import SimilarityFunction
 from .filtering import CandidateFilter, PairScorer
-from .pairtable import PairTable
+from .pairtable import PairTable, numpy_or_none, view
 from .parallel import DEFAULT_CHUNK_SIZE
 from .prematching import _filtered_bulk_scores, _lazy_scores
 from .simcache import SimilarityCache
@@ -104,22 +108,16 @@ def match_remaining(
         )
 
     # Age-plausible candidate pairs first (cheap filter before scoring).
-    plausible: List[Tuple[str, str]] = []
-    for old_id, new_id in blocker.candidate_pairs(
-        list(old_records), list(new_records)
-    ):
-        age_gap = normalised_age_difference(
-            old_index[old_id].age, new_index[new_id].age, year_gap
-        )
-        if age_gap is not None and age_gap > max_normalised_age_difference:
-            continue
-        plausible.append((old_id, new_id))
-    plausible.sort()
+    kept = plausible_pairs(
+        blocker.candidate_pairs(list(old_records), list(new_records)),
+        old_index, new_index, year_gap, max_normalised_age_difference,
+    )
+    plausible = list(kept)
     instrumentation.count(REMAINING_PAIRS, len(plausible))
 
     scores = cached_scores if cached_scores is not None else SimilarityCache()
     if scores.table is None:
-        scores.attach(PairTable(scorer.old_ids, scorer.new_ids, plausible))
+        scores.attach(PairTable(scorer.old_ids, scorer.new_ids, kept))
     scores.table.check_scorer(scorer)
     pids, beyond = scores.table.split(plausible)
     exact_scores = _filtered_bulk_scores(
@@ -157,6 +155,45 @@ def match_remaining(
                 continue
         mapping.add(old_id, new_id)
     return mapping
+
+
+def plausible_pairs(
+    pairs,
+    old_index: Dict[str, PersonRecord],
+    new_index: Dict[str, PersonRecord],
+    year_gap: int,
+    max_normalised_age_difference: float,
+) -> BlockedPairs:
+    """The blocked ``pairs`` of the records in ``old_index`` and
+    ``new_index`` whose normalised age difference is at most the bound
+    (a missing age passes), kept on the row arrays of a pair table over
+    the records' sorted ids — which adopts the blocker's
+    :class:`BlockedPairs` as it is."""
+    table = PairTable(sorted(old_index), sorted(new_index), pairs)
+    old_ages = [old_index[record_id].age for record_id in table.old_ids]
+    new_ages = [new_index[record_id].age for record_id in table.new_ids]
+    bound = max_normalised_age_difference
+    np = numpy_or_none()
+    if np is None:
+        gaps = (
+            normalised_age_difference(old_ages[old_row], new_ages[new_row],
+                                      year_gap)
+            for old_row, new_row in zip(table.old_row, table.new_row)
+        )
+        kept = array("q", compress(
+            table.keys, (gap is None or gap <= bound for gap in gaps)
+        ))
+    else:
+        old_age, new_age = (
+            np.array([-1 if age is None else age for age in ages],
+                     dtype=np.int64)[view(rows, np.int64)]
+            for ages, rows in ((old_ages, table.old_row),
+                               (new_ages, table.new_row))
+        )
+        keep = (old_age < 0) | (new_age < 0)
+        keep |= np.abs(new_age - (old_age + year_gap)) <= bound
+        kept = array("q", view(table.keys, np.int64)[keep].tobytes())
+    return BlockedPairs(table.old_ids, table.new_ids, kept)
 
 
 def _beats_rest(scores: List[float], score: float, margin: float) -> bool:

@@ -46,15 +46,12 @@ drops the entries of pairs off it.
 
 from __future__ import annotations
 
-import base64
-import json
-import zlib
 from array import array
 from collections import OrderedDict
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..checkpoint.section import CacheSeed, cache_parts
+from ..checkpoint.section import CacheSeed, cache_parts, compress_rows
 from .filtering import KIND_CODES, KINDS
 from .pairtable import PairTable, numpy_or_none, view
 
@@ -68,28 +65,6 @@ DEFAULT_MAX_LAZY_ENTRIES = 200_000
 #: of a pinned (exact) score is 0, bounds count up from 1 (see KINDS).
 KIND_NONE = -1
 _EXACT = KIND_CODES[KINDS[0]]
-
-
-#: zlib level for lazy rows: they are extremely redundant (shared
-#: record-id prefixes), so the fastest level already shrinks them ~8×.
-_PART_COMPRESSION_LEVEL = 1
-
-
-def compress_rows(rows: Sequence[Sequence[object]]) -> str:
-    """One self-contained part of rows: compact JSON → zlib → base64."""
-    body = json.dumps(rows, separators=(",", ":"))
-    return base64.b64encode(
-        zlib.compress(body.encode("ascii"), _PART_COMPRESSION_LEVEL)
-    ).decode("ascii")
-
-
-def decompress_rows(parts: Sequence[str]) -> List[list]:
-    """All rows of a sequence of :func:`compress_rows` parts, in order."""
-    rows: List[list] = []
-    for part in parts:
-        decoded = zlib.decompress(base64.b64decode(part)).decode("ascii")
-        rows.extend(json.loads(decoded))
-    return rows
 
 
 def _as_list(values) -> list:
@@ -474,13 +449,15 @@ class SimilarityCache:
         cls,
         document: Dict[str, object],
         entries: CacheSeed,
+        lazy_rows: Sequence[Sequence[object]],
         table: PairTable,
         max_lazy_entries: Optional[int] = DEFAULT_MAX_LAZY_ENTRIES,
     ) -> "SimilarityCache":
         """Rebuild a cache from :meth:`export_state` output over the
-        run's pair table; ``entries`` is the document's section, decoded
-        and checked once by its loader
-        (:attr:`repro.checkpoint.RunState.cache_entries`).
+        run's pair table.  ``entries`` is the document's section and
+        ``lazy_rows`` its lazy rows, each decoded and checked once by
+        the loader (:attr:`repro.checkpoint.RunState.cache_entries` and
+        :attr:`~repro.checkpoint.RunState.cache_lazy`).
 
         The entries are seeded (:meth:`seed`), the lazy rows replayed in
         order and the tallies restored, so the cache is observationally
@@ -495,7 +472,6 @@ class SimilarityCache:
         cache = cls(max_lazy_entries=max_lazy_entries)
         cache.attach(table)
         cache.seed(entries)
-        lazy_rows = decompress_rows(document["lazy"])
         cache._lazy.update(
             ((row[0], row[1]), row[2])
             for row, pid in zip(lazy_rows, cache._pids_of(lazy_rows))

@@ -47,7 +47,7 @@ from ..model.households import Household
 from ..model.mappings import RecordMapping
 from ..similarity.numeric import age_difference_similarity
 from .config import LinkageConfig
-from .pairtable import numpy_or_none
+from .pairtable import numpy_or_none, sorted_unique
 from .parallel import GroupTask, build_subgraphs_chunked, resolve_workers
 from .prematching import PreMatchResult
 
@@ -524,14 +524,14 @@ class GroupPairIndex:
 
     def candidate_keys(self, prematch: PreMatchResult):
         """:meth:`candidate_pairs` as sorted household-row keys (numpy
-        only): the matched pairs' households, one ``np.unique``."""
-        np = numpy_or_none()
+        only): the matched pairs' households, sorted and deduplicated
+        (:func:`~repro.core.pairtable.sorted_unique`)."""
         old, new = self.sides()
         matched = prematch.matched_pairs
         old_rows = old.rows(map(itemgetter(0), matched))
         new_rows = new.rows(map(itemgetter(1), matched))
         found = (old_rows >= 0) & (new_rows >= 0)
-        return np.unique(
+        return sorted_unique(
             old.group_of_row[old_rows[found]] * self.width
             + new.group_of_row[new_rows[found]]
         )

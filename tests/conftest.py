@@ -13,6 +13,7 @@ import repro.model.roles as R
 from repro.checkpoint.section import (
     SECTION_ENTRY_BYTES,
     pack_section,
+    unpack_lazy_rows,
     unpack_section,
 )
 from repro.core.config import LinkageConfig
@@ -178,12 +179,14 @@ def cache_seed(entries):
 
 def restored_cache(document, table):
     """A similarity cache rebuilt over ``table`` from an
-    ``export_state`` document, its section decoded as a run state's
-    loader decodes it."""
+    ``export_state`` document, its section and lazy rows decoded as a
+    run state's loader decodes them."""
     entries = unpack_section(
         document["old_ids"], document["new_ids"], document["cache"]
     )
-    return SimilarityCache.from_export(document, entries, table)
+    return SimilarityCache.from_export(
+        document, entries, unpack_lazy_rows(document["lazy"]), table
+    )
 
 
 def entry_rows(cache):

@@ -24,9 +24,8 @@ from repro.checkpoint import (
     RunState,
     content_hash,
 )
-from repro.checkpoint.section import pack_section
+from repro.checkpoint.section import compress_rows, pack_section
 from repro.core.filtering import KINDS
-from repro.core.simcache import compress_rows
 from tests.strategies import words
 
 # -- strategies ---------------------------------------------------------------

@@ -9,11 +9,12 @@ from importlib import import_module
 
 import pytest
 
+from repro.checkpoint.section import compress_rows
 from repro.core.config import LinkageConfig
 from repro.core.pairtable import PairTable
 from repro.core.pipeline import link_datasets
 from repro.core.prematching import _lazy_scores, prematching
-from repro.core.simcache import SimilarityCache, compress_rows
+from repro.core.simcache import SimilarityCache
 from repro.datagen import generate_pair
 from repro.instrumentation import PAIRS_SCORED
 

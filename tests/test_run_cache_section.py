@@ -3,13 +3,14 @@
 A resident run's checkpoint keeps the pinned scores and bounds of its
 similarity cache as series pair states do: the pair table's two sorted
 id lists plus one packed cache section (see
-:mod:`repro.checkpoint.section`).  These tests pin that a section sealed
-with a valid content hash but structurally defective is refused with
-the typed error naming its file, so resume falls back one state instead
-of crashing, and that both numpy forks write the same bytes and resume
-from each other's states.
+:mod:`repro.checkpoint.section`), and its lazy rows beside them.  These
+tests pin that a section or lazy rows sealed with a valid content hash
+but structurally defective are refused with the typed error naming the
+file, so resume falls back one state instead of crashing, and that both
+numpy forks write the same bytes and resume from each other's states.
 """
 
+import base64
 import shutil
 import types
 from contextlib import nullcontext
@@ -18,6 +19,7 @@ import pytest
 
 import repro.instrumentation as instrumentation_module
 from repro.checkpoint import CheckpointCorrupt, CheckpointStore, ledger_hash
+from repro.checkpoint.section import compress_rows
 from repro.core.config import LinkageConfig
 from repro.core.pairtable import numpy_or_none
 from repro.core.pipeline import link_datasets
@@ -41,6 +43,33 @@ def uninterrupted(pair):
     return ledger_hash(link_datasets(*pair, CONFIG))
 
 
+def section_defect(defect):
+    """A cache document's change: its section damaged by ``defect``."""
+    return lambda cache: dict(cache, cache=damaged_section(cache, defect))
+
+
+def lazy_defect(parts):
+    """A cache document's change: its lazy rows replaced by ``parts``."""
+    return lambda cache: dict(cache, lazy=parts)
+
+
+#: Every defect of a run state's cache document — each section defect,
+#: then lazy parts that are not base64, base64 that is not zlib, and a
+#: row that is not two ids and a number — with the loader's message.
+CACHE_DEFECTS = [
+    (defect.__name__, section_defect(defect), message)
+    for defect, message in SECTION_DEFECTS
+] + [
+    ("lazy_not_base64", lazy_defect(["not base64 at all!"]),
+     "lazy rows are not base64"),
+    ("lazy_not_zlib",
+     lazy_defect([base64.b64encode(b"not zlib").decode("ascii")]),
+     "lazy rows do not decompress"),
+    ("lazy_row_without_a_score", lazy_defect([compress_rows([["a", "b"]])]),
+     r"not \[old_id, new_id, number\]"),
+]
+
+
 def state_files(directory):
     return {
         path.name: path.read_bytes()
@@ -49,22 +78,23 @@ def state_files(directory):
 
 
 @pytest.mark.parametrize(
-    "defect, message", SECTION_DEFECTS,
-    ids=[defect.__name__ for defect, _ in SECTION_DEFECTS],
+    "damage, message", [defect[1:] for defect in CACHE_DEFECTS],
+    ids=[name for name, _, _ in CACHE_DEFECTS],
 )
 def test_malformed_section_falls_back_one_state(
-    defect, message, fork, pair, uninterrupted, tmp_path
+    damage, message, fork, pair, uninterrupted, tmp_path
 ):
     """A run killed before its final write whose newest round state
-    holds a defective section: loading that state raises the typed error
-    naming it, ``load_latest`` falls back to the state before it, and
-    the resumed run equals the uninterrupted one."""
+    holds a defective section or defective lazy rows: loading that
+    state raises the typed error naming it, ``load_latest`` falls back
+    to the state before it, and the resumed run equals the
+    uninterrupted one."""
     link_datasets(*pair, CONFIG, checkpoint_dir=tmp_path)
     (tmp_path / "final.json").unlink()
     store = CheckpointStore(tmp_path)
     *_, previous, newest = store.entries()
     state = store.load(newest.path)
-    state.cache = dict(state.cache, cache=damaged_section(state.cache, defect))
+    state.cache = damage(state.cache)
     assert store.write_state(state) == newest.path
     with pytest.raises(CheckpointCorrupt, match=message) as error:
         store.load(newest.path)

@@ -21,11 +21,11 @@ from repro.checkpoint import (
     SeriesStore,
     analysis_ledger_hash,
 )
+from repro.checkpoint.section import compress_rows
 from repro.checkpoint.series import SERIES_ENVELOPE
 from repro.core.config import LinkageConfig
 from repro.core.filtering import KINDS
 from repro.core.pairtable import numpy_or_none
-from repro.core.simcache import compress_rows
 from repro.datagen import revise_middle_record
 from repro.datagen.generator import GeneratorConfig, generate_series
 from repro.evolution.analysis import analyse_series
