@@ -357,7 +357,8 @@ class LinkageConfig:
     ):
         """The pair scorer for ``sim_func`` over both record lists: the
         batch kernel (:mod:`repro.core.kernel`) under the
-        ``"vectorized"`` backend when numpy is available, else the
+        ``"vectorized"`` backend when it can run here (numpy >= 2.0,
+        :func:`~repro.core.kernel.kernel_available`), else the
         per-pair :class:`~repro.core.filtering.PairScorer`.  Both have
         ``agg_sim_chunk``/``evaluate_chunk`` and bit-identical outcomes.
         When a ``candidate_filter`` is given the scorer replays its exact

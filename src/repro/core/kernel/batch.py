@@ -24,14 +24,13 @@ zero/neutral missing policies).  ``docs/KERNEL.md`` walks through the
 argument; ``tests/test_kernel.py`` and ``vectorized_vs_python`` in
 ``tests/differential.py`` enforce it.
 
-**What is vectorized.**  Census columns repeat heavily, so every
-expensive quantity is computed once per *distinct value combination*
-per chunk (``np.unique`` over paired codes) and broadcast back.  Q-gram
-multiset overlap runs as one sorted set intersection over the whole
-chunk (see :meth:`_intersection_counts`); only comparators with no
-array form (Levenshtein, Jaro-Winkler, custom callables) fall back to
-one scalar Python call per distinct combination — still never once per
-pair.
+**What is vectorized.**  Q-gram multiset overlap is the popcount of the
+AND of two token bitsets, computed for exactly the rows a stage needs
+(see :meth:`_common_grams`); exact attributes compare integer codes.
+Only comparators with no array form (Levenshtein, Jaro-Winkler, custom
+callables) fall back to one scalar Python call per *distinct value
+combination* per batch (``np.unique`` over paired codes), broadcast
+back — still never once per pair.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from ..filtering import (
     FilteringConfig,
     comparator_tag,
 )
-from .encoding import EncodedColumn, encode_columns, np
+from .encoding import encode_columns, np
 
 #: Kind codes of the outcome arrays (see repro.core.filtering.KINDS).
 _KIND_LENGTH_ID = KIND_CODES[PRUNED_LENGTH]
@@ -66,10 +65,9 @@ _QGRAM_TAGS = (CMP_QGRAM2, CMP_QGRAM3)
 
 #: Upper bound on the pairs scored by one internal batch.  Each pair's
 #: outcome is computed independently, so splitting a chunk changes
-#: nothing about the results — but it keeps the sort/unique working sets
-#: cache-resident: one giant batch pays O(n log n) on multi-million-
-#: element key arrays and measures ~25% slower per pair than 8k batches
-#: on the benchmark grid.
+#: nothing about the results — but it bounds the per-batch temporaries
+#: (masks, gathered codes and words, per-attribute bound arrays), and
+#: with them the peak resident memory of scoring a large chunk.
 MAX_BATCH_PAIRS = 8192
 
 
@@ -125,70 +123,38 @@ class BatchScoringKernel:
         self._has_qgram = any(tag in _QGRAM_TAGS for tag in self._tags)
         self.old_ids = [record.record_id for record in old_records]
         self.new_ids = [record.record_id for record in new_records]
-        self._old_cols, self._new_cols, self._token_space = encode_columns(
+        self._old_cols, self._new_cols = encode_columns(
             sim_func, old_records, new_records
         )
 
-    # -- gather helpers -------------------------------------------------------
+    def _common_grams(self, index: int, old_codes, new_codes):
+        """Multiset q-gram overlap of each (old code, new code) pair.
 
-    def _intersection_counts(
-        self,
-        index: int,
-        old_codes,
-        new_codes,
-    ):
-        """Multiset q-gram overlap for each (old, new) distinct-value
-        combination — the vectorized heart of the kernel.
-
-        Occurrence expansion (see :mod:`.encoding`) made each side's
-        token array duplicate-free, so the multiset overlap Σ min counts
-        equals plain set intersection.  Both sides of every combination
-        are merged into one key array ``combo_index * (n_tokens + 1) +
-        token``; after a single sort, a token common to both sides of a
-        combination is exactly an adjacent equal key pair, and a
-        ``bincount`` of those collisions by combination yields all
-        overlaps at once — no per-pair Python loop.
+        Occurrence expansion (see :mod:`.encoding`) made each value's
+        tokens a set, so the overlap Σ min counts is the size of the
+        set intersection: the popcount of the AND of the two bitsets,
+        word by word.  ``np.bitwise_count`` answers in uint8, so the
+        words are summed into int64 (a long value shares more than 255
+        grams).  Words past the shorter bitset hold no token of the
+        other side.
         """
-        old_col = self._old_cols[index]
-        new_col = self._new_cols[index]
-        count = len(old_codes)
-        lens_old = old_col.tok_off[old_codes + 1] - old_col.tok_off[old_codes]
-        lens_new = new_col.tok_off[new_codes + 1] - new_col.tok_off[new_codes]
-        combo_ids = np.arange(count, dtype=np.int64)
-
-        def gather(col: EncodedColumn, codes, lens):
-            total = int(lens.sum())
-            if total == 0:
-                return np.empty(0, dtype=np.int64)
-            starts = col.tok_off[codes]
-            shift = np.cumsum(lens) - lens
-            flat_index = np.repeat(starts - shift, lens) + np.arange(
-                total, dtype=np.int64
+        old_bits = self._old_cols[index].bits
+        new_bits = self._new_cols[index].bits
+        common = np.zeros(len(old_codes), dtype=np.int64)
+        for word in range(min(len(old_bits), len(new_bits))):
+            common += np.bitwise_count(
+                old_bits[word][old_codes] & new_bits[word][new_codes]
             )
-            return col.tok_flat[flat_index]
-
-        modulus = self._token_space[index] + 1
-        keys = np.concatenate(
-            [
-                np.repeat(combo_ids * modulus, lens_old) + gather(
-                    old_col, old_codes, lens_old
-                ),
-                np.repeat(combo_ids * modulus, lens_new) + gather(
-                    new_col, new_codes, lens_new
-                ),
-            ]
-        )
-        keys.sort()
-        collisions = keys[:-1][keys[1:] == keys[:-1]] if len(keys) else keys
-        return np.bincount(collisions // modulus, minlength=count)
+        return common
 
     # -- per-attribute similarity arrays --------------------------------------
 
     def _similarities(self, index: int, old_rows, new_rows, need):
         """Unweighted comparator values for the chunk rows where ``need``
         is set (raw comparator semantics; rows outside ``need`` are 0 and
-        must be masked by the caller).  One evaluation per distinct value
-        combination, broadcast back over the chunk."""
+        must be masked by the caller).  Q-gram and exact attributes are
+        computed row by row; the scalar fallback runs once per distinct
+        value combination, broadcast back over the chunk."""
         tag = self._tags[index]
         old_col = self._old_cols[index]
         new_col = self._new_cols[index]
@@ -204,42 +170,38 @@ class BatchScoringKernel:
             sims[rows] = np.where(equal, 1.0, 0.0)
             return sims
 
-        combos = old_codes * new_col.n_distinct + new_codes
-        unique, inverse = np.unique(combos, return_inverse=True)
-        unique_old = unique // new_col.n_distinct
-        unique_new = unique % new_col.n_distinct
-
         if tag in _QGRAM_TAGS:
-            common = self._intersection_counts(index, unique_old, unique_new)
-            count_old = old_col.gram_count[unique_old]
-            count_new = new_col.gram_count[unique_new]
+            common = self._common_grams(index, old_codes, new_codes)
+            count_old = old_col.gram_count[old_codes]
+            count_new = new_col.gram_count[new_codes]
             totals = count_old + count_new
             # Same float ops as qgram_similarity: 2.0 * common (int ->
             # float64, exact) divided by the int gram total.
-            unique_sims = 2.0 * common / np.where(totals == 0, 1, totals)
-            unique_sims = np.where(
-                (count_old == 0) | (count_new == 0), 0.0, unique_sims
+            dice = 2.0 * common / np.where(totals == 0, 1, totals)
+            dice = np.where((count_old == 0) | (count_new == 0), 0.0, dice)
+            sims[rows] = np.where(
+                (count_old == 0) & (count_new == 0), 1.0, dice
             )
-            unique_sims = np.where(
-                (count_old == 0) & (count_new == 0), 1.0, unique_sims
-            )
-        else:
-            # Scalar fallback (Levenshtein / Jaro-Winkler / custom):
-            # the reference comparator itself, once per distinct value
-            # combination instead of once per pair — trivially
-            # bit-identical.
-            comparator = self._attrs[index].comparator
-            old_values = old_col.values
-            new_values = new_col.values
-            unique_sims = np.array(
-                [
-                    comparator(old_values[o], new_values[n])
-                    for o, n in zip(
-                        unique_old.tolist(), unique_new.tolist()
-                    )
-                ],
-                dtype=np.float64,
-            )
+            return sims
+
+        # Scalar fallback (Levenshtein / Jaro-Winkler / custom): the
+        # reference comparator itself, once per distinct value
+        # combination instead of once per pair — trivially bit-identical.
+        combos = old_codes * new_col.n_distinct + new_codes
+        unique, inverse = np.unique(combos, return_inverse=True)
+        comparator = self._attrs[index].comparator
+        old_values = old_col.values
+        new_values = new_col.values
+        unique_sims = np.array(
+            [
+                comparator(old_values[o], new_values[n])
+                for o, n in zip(
+                    (unique // new_col.n_distinct).tolist(),
+                    (unique % new_col.n_distinct).tolist(),
+                )
+            ],
+            dtype=np.float64,
+        )
         sims[rows] = unique_sims[inverse]
         return sims
 

@@ -19,10 +19,11 @@ arrays the kernel can gather from with integer indexing:
     ``gram_count[code]``      int64 — q-gram multiset size, equal to what
                               :func:`repro.core.filtering.qgram_count`
                               computes (q-gram comparators)
-    ``tok_off``/``tok_flat``  CSR layout of the q-gram multiset: row ``c``
-                              owns ``tok_flat[tok_off[c]:tok_off[c+1]]``, a
-                              *sorted, duplicate-free* int64 token array
-                              (q-gram comparators)
+    ``bits[w][code]``         uint64 — the value's token set as a bitset,
+                              word-major: token ``t`` is bit ``t % 64`` of
+                              word ``t // 64``; ``ceil(tokens / 64)`` words
+                              over the tokens known when the column was
+                              encoded (q-gram comparators)
     ``eq_codes[code]``        int64 — id of the comparator-normalised string
                               (``exact_similarity`` comparators): two codes
                               are an exact match iff their ``eq_codes`` agree
@@ -33,10 +34,10 @@ Two tricks make the numbers land bit-identically to the scalar path:
 * **Occurrence expansion** — q-gram similarity is defined over gram
   *multisets* (Eq. 3 uses Dice over ``Counter`` overlap).  The encoder
   maps the *k*-th occurrence of gram ``g`` in a string to the distinct
-  token ``vocab[(g, k)]``, so each string's token array is a plain set
-  and multiset overlap (Σ min counts) becomes exact set intersection —
-  computable for whole chunks with one sort (see
-  :meth:`BatchScoringKernel._intersection_counts`).
+  token ``vocab[(g, k)]``, so each string's tokens form a plain set and
+  multiset overlap (Σ min counts) becomes exact set intersection: the
+  popcount of the AND of two bitsets (see
+  :meth:`BatchScoringKernel._common_grams`).
 * **Shared vocabularies** — the token vocabulary and the exact-match
   normalisation table are shared between the old and new dataset of one
   attribute, so cross-dataset comparisons reduce to integer equality.
@@ -67,16 +68,19 @@ from ..filtering import (
     normalised_length,
 )
 
-#: True when the vectorized backend can run in this interpreter.
+#: True when numpy is importable.
 HAVE_NUMPY = np is not None
+#: True when numpy has ``bitwise_count`` (numpy >= 2.0), which counts
+#: the common q-grams of two bitsets.
+HAVE_BITWISE_COUNT = HAVE_NUMPY and hasattr(np, "bitwise_count")
 
 
 class EncodedColumn:
     """One dataset's encoded view of one compared attribute.
 
     See the module docstring for the array layout.  Fields irrelevant to
-    the attribute's comparator class stay ``None`` (e.g. no token arrays
-    for an exact comparator).
+    the attribute's comparator class stay ``None`` (e.g. no bitsets for
+    an exact comparator).
     """
 
     __slots__ = (
@@ -85,20 +89,18 @@ class EncodedColumn:
         "values",
         "norm_len",
         "gram_count",
-        "tok_off",
-        "tok_flat",
+        "bits",
         "eq_codes",
     )
 
     def __init__(self, missing, codes, values, norm_len, gram_count,
-                 tok_off, tok_flat, eq_codes) -> None:
+                 bits, eq_codes) -> None:
         self.missing = missing
         self.codes = codes
         self.values = values
         self.norm_len = norm_len
         self.gram_count = gram_count
-        self.tok_off = tok_off
-        self.tok_flat = tok_flat
+        self.bits = bits
         self.eq_codes = eq_codes
 
     @property
@@ -135,7 +137,7 @@ class ColumnEncoder:
         return len(self._token_vocab)
 
     def _tokens_of(self, value: object) -> List[int]:
-        """Occurrence-expanded, sorted token ids of a value's q-grams."""
+        """Occurrence-expanded token ids of a value's q-grams (a set)."""
         seen: Dict[str, int] = {}
         tokens: List[int] = []
         vocab = self._token_vocab
@@ -148,7 +150,6 @@ class ColumnEncoder:
                 token = len(vocab)
                 vocab[key] = token
             tokens.append(token)
-        tokens.sort()
         return tokens
 
     def encode(self, records: Sequence[PersonRecord]) -> EncodedColumn:
@@ -165,8 +166,8 @@ class ColumnEncoder:
         values: List[object] = [None]
         norm_len: List[int] = [0]
         gram_count: List[int] = [0]
-        tok_off: List[int] = [0, 0]  # the dummy owns the empty slice [0:0]
-        tok_flat: List[int] = []
+        owners: List[int] = []  # code of each token in ``tokens``
+        tokens: List[int] = []
         eq_codes: List[int] = [0]
 
         for row, record in enumerate(records):
@@ -183,10 +184,10 @@ class ColumnEncoder:
                     # The comparator receives the raw value (so does
                     # qgrams here); the *bound* normalises via str() as
                     # CandidateFilter._string_bound does.
-                    tokens = self._tokens_of(value)
-                    tok_flat.extend(tokens)
-                    tok_off.append(len(tok_flat))
-                    gram_count.append(len(tokens))
+                    own = self._tokens_of(value)
+                    tokens.extend(own)
+                    owners.extend([code] * len(own))
+                    gram_count.append(len(own))
                     norm_len.append(normalised_length(str(value)))
                 elif tag == CMP_LENGTH:
                     norm_len.append(normalised_length(str(value)))
@@ -211,32 +212,46 @@ class ColumnEncoder:
                 else None
             ),
             gram_count=as_i64(gram_count) if is_qgram else None,
-            tok_off=as_i64(tok_off) if is_qgram else None,
-            tok_flat=as_i64(tok_flat) if is_qgram else None,
+            bits=(
+                _pack_bits(owners, tokens, len(values), self.n_tokens)
+                if is_qgram
+                else None
+            ),
             eq_codes=as_i64(eq_codes) if tag == CMP_EXACT else None,
         )
+
+
+def _pack_bits(owners: List[int], tokens: List[int], n_codes: int,
+               n_tokens: int):
+    """Word-major uint64 bitsets of ``n_codes`` token sets: bit ``t % 64``
+    of ``bits[t // 64][code]`` is set iff token ``t`` belongs to
+    ``code`` (``owners[i]`` owns ``tokens[i]``)."""
+    bits = np.zeros(((n_tokens + 63) // 64, n_codes), dtype=np.uint64)
+    token_ids = np.asarray(tokens, dtype=np.int64)
+    np.bitwise_or.at(
+        bits,
+        (token_ids >> 6, np.asarray(owners, dtype=np.int64)),
+        np.left_shift(np.uint64(1), (token_ids & 63).astype(np.uint64)),
+    )
+    return bits
 
 
 def encode_columns(
     sim_func: SimilarityFunction,
     old_records: Sequence[PersonRecord],
     new_records: Sequence[PersonRecord],
-) -> Tuple[List[EncodedColumn], List[EncodedColumn], List[int]]:
+) -> Tuple[List[EncodedColumn], List[EncodedColumn]]:
     """Encode every compared attribute of both datasets.
 
-    Returns ``(old_columns, new_columns, token_space)`` with one entry
-    per comparator of ``sim_func`` (in comparator order); ``token_space``
-    is each attribute's token-vocabulary size, the modulus the kernel
-    uses to build sort keys for chunked set intersection.
+    Returns ``(old_columns, new_columns)`` with one entry per comparator
+    of ``sim_func``, in comparator order.
     """
     if np is None:  # pragma: no cover - guarded by build_scoring_kernel
         raise RuntimeError("numpy is required to encode kernel columns")
     old_columns: List[EncodedColumn] = []
     new_columns: List[EncodedColumn] = []
-    token_space: List[int] = []
     for item in sim_func.comparators:
         encoder = ColumnEncoder(item.attribute, comparator_tag(item.comparator))
         old_columns.append(encoder.encode(old_records))
         new_columns.append(encoder.encode(new_records))
-        token_space.append(encoder.n_tokens)
-    return old_columns, new_columns, token_space
+    return old_columns, new_columns

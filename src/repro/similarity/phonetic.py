@@ -27,8 +27,25 @@ def _clean(text: str) -> str:
     return _LETTERS_RE.sub("", text.lower())
 
 
+#: Memoised Soundex codes: census names repeat heavily (a few hundred
+#: distinct names per thousand records), and every blocking pass, the
+#: shard planner and the series fingerprints code the same names again.
+_SOUNDEX_CACHE: dict = {}
+_SOUNDEX_CACHE_LIMIT = 200_000
+
+
 def soundex(text: str, length: int = 4) -> str:
     """American Soundex code of ``text`` (empty string for empty input)."""
+    key = (text, length)
+    code = _SOUNDEX_CACHE.get(key)
+    if code is None:
+        code = _soundex(text, length)
+        if len(_SOUNDEX_CACHE) < _SOUNDEX_CACHE_LIMIT:
+            _SOUNDEX_CACHE[key] = code
+    return code
+
+
+def _soundex(text: str, length: int) -> str:
     cleaned = _clean(text)
     if not cleaned:
         return ""

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.backends import available_backends, hausdorff_similarity
 from repro.core.config import LinkageConfig
-from repro.core.kernel import HAVE_NUMPY
+from repro.core.kernel import kernel_available
 from repro.core.pipeline import link_datasets
 from repro.datagen import generate_pair
 from repro.instrumentation import FULL_AGG_SIM_CALLS, KERNEL_PAIRS, PAIRS_SCORED
@@ -63,7 +63,7 @@ def test_scoring_effort_independent_of_scoring_backend(backend):
         effort[scoring] = (
             profile.value(PAIRS_SCORED), profile.value(FULL_AGG_SIM_CALLS)
         )
-        if scoring == "vectorized" and HAVE_NUMPY:
+        if scoring == "vectorized" and kernel_available():
             assert profile.value(KERNEL_PAIRS) > 0
     assert effort["python"] == effort["vectorized"]
 

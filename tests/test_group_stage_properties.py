@@ -34,7 +34,7 @@ import repro.core.backends as backends
 import repro.core.pairtable as pairtable_module
 from repro.core.config import LinkageConfig
 from repro.core.enrichment import complete_groups
-from repro.core.kernel import HAVE_NUMPY
+from repro.core.kernel import kernel_available
 from repro.core.pipeline import link_datasets
 from repro.core.prematching import prematching
 from repro.core.scoring import score_subgraphs
@@ -334,7 +334,9 @@ def test_row_join_and_loop_twin_give_the_same_round(direct, singletons):
     assert observed["tasks"] > 0 and observed["anchored"] > 0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the batch kernel needs numpy")
+@pytest.mark.skipif(
+    not kernel_available(), reason="the batch kernel needs numpy >= 2.0"
+)
 def test_kernel_round_batch_makes_no_scalar_agg_sim_call():
     """With a kernel, the group stage scores its vertex pairs in one
     batch per round: no per-pair ``SimilarityFunction.agg_sim`` call runs

@@ -6,15 +6,19 @@ same pruning kinds, same effort accounting.  This module proves that
 claim from the bottom up:
 
 * the columnar encoding preserves every per-string fact the reference
-  comparators derive (q-gram multisets via occurrence expansion,
-  normalised lengths, exact-match keys, missing flags);
+  comparators derive (q-gram multisets via occurrence expansion, stored
+  as bitsets, normalised lengths, exact-match keys, missing flags);
 * ``agg_sim_chunk`` and ``evaluate_chunk`` equal the same calls on
   :class:`PairScorer`, the per-pair scorer the pipeline runs without
   the kernel, bit for bit — value *and* pruning kind — for every missing
   policy, filter-stage subset and δ, given the same row arrays;
+* the popcount of multi-word bitsets counts common grams exactly: words
+  0, 1 and 2, the word boundary at bits 63/64, repeated grams and more
+  than 255 common grams;
 * :class:`PairScorer` itself is :meth:`SimilarityFunction.agg_sim` and
   :meth:`CandidateFilter.evaluate`, pair by pair;
-* the no-numpy fallback degrades to the reference path losslessly;
+* the fallback without numpy, or with a numpy older than 2.0, degrades
+  to the reference path losslessly;
 * the kernel pickles (it is shipped to worker pools via initializer).
 
 These properties gate the tentpole: if any fails, the vectorized
@@ -32,6 +36,7 @@ from repro.core.config import LinkageConfig
 from repro.core.filtering import (
     CMP_EXACT,
     CMP_QGRAM2,
+    CMP_QGRAM3,
     KINDS,
     CandidateFilter,
     FilteringConfig,
@@ -127,6 +132,21 @@ def outcomes(result):
     return list(zip(values.tolist(), [KINDS[code] for code in kinds.tolist()]))
 
 
+def token_set(column, code):
+    """The token ids whose bits are set in ``code``'s bitset."""
+    return {
+        word * 64 + bit
+        for word in range(len(column.bits))
+        for bit in range(64)
+        if int(column.bits[word][code]) >> bit & 1
+    }
+
+
+def code_of(column, value):
+    """The distinct-value code ``column`` gave ``value``."""
+    return column.values.index(value, 1)
+
+
 # -- encoder: every per-string fact survives the packing ---------------------
 
 
@@ -135,28 +155,26 @@ class TestColumnEncoder:
     @given(st.lists(person_records(), min_size=1, max_size=6))
     @settings(max_examples=100)
     def test_qgram_tokens_roundtrip_the_multiset(self, records):
-        """Occurrence expansion is lossless: each distinct value's token
-        array has exactly one token per padded q-gram occurrence, sorted
-        and duplicate-free — multiset overlap becomes set intersection."""
+        """Occurrence expansion is lossless: each distinct value's bitset
+        has exactly one set bit per padded q-gram occurrence, and its set
+        bits are its tokens — multiset overlap becomes set intersection,
+        a popcount of the AND."""
         encoder = ColumnEncoder("first_name", CMP_QGRAM2)
         column = encoder.encode(records)
+        assert column.bits.dtype == "uint64"
+        assert column.bits.shape == (
+            (encoder.n_tokens + 63) // 64, column.n_distinct
+        )
+        assert token_set(column, 0) == set()  # the missing rows' dummy
         for record in records:
             value = record.first_name
             if _is_missing(value):
                 continue
-            code = None
-            for candidate, stored in enumerate(column.values):
-                if stored == value:
-                    code = candidate
-                    break
-            assert code is not None
-            tokens = column.tok_flat[
-                column.tok_off[code]:column.tok_off[code + 1]
-            ]
+            code = code_of(column, value)
+            tokens = token_set(column, code)
             grams = qgrams(value, 2, padded=True)
             assert len(tokens) == len(grams)
-            assert len(set(tokens.tolist())) == len(tokens)  # true set
-            assert sorted(tokens.tolist()) == tokens.tolist()
+            assert tokens == set(encoder._tokens_of(value))
             assert column.gram_count[code] == len(grams)
             assert column.gram_count[code] == qgram_count(str(value), 2, True)
             assert column.norm_len[code] == normalised_length(str(value))
@@ -213,11 +231,11 @@ class TestColumnEncoder:
         sim_func = build_similarity_function(
             [("first_name", "qgram", 1.0)], 0.7
         )
-        old_cols, new_cols, token_space = encode_columns(sim_func, old, new)
-        old_tokens = old_cols[0].tok_flat.tolist()
-        new_tokens = new_cols[0].tok_flat.tolist()
+        old_cols, new_cols = encode_columns(sim_func, old, new)
+        old_tokens = token_set(old_cols[0], code_of(old_cols[0], "mary"))
+        new_tokens = token_set(new_cols[0], code_of(new_cols[0], "mary"))
         assert old_tokens == new_tokens  # same value -> same token ids
-        assert token_space[0] == len(set(old_tokens))
+        assert old_tokens == set(range(len(qgrams("mary", 2, padded=True))))
 
 
 def person_record_with(**overrides):
@@ -328,6 +346,103 @@ class TestChunkBitIdentity:
         )
 
 
+# -- multi-word bitsets: the popcount against the per-pair scorer ------------
+
+#: 200 distinct characters: each of their grams is a new token, so the
+#: first value encoded owns token ids 0, 1, 2, ... in gram order.
+WIDE = "".join(chr(0x4E00 + offset) for offset in range(200))
+
+#: Old and new first names.  ``WIDE`` comes first, so its grams span
+#: words 0-3 of the bitsets; the new values share its grams in words 0
+#: and 1 (a prefix), across the word boundary at bits 63 and 64 (a
+#: slice), in word 2 (a later slice) and almost everywhere (one changed
+#: character).  The other values repeat grams, and ``"a" * 300`` shares
+#: 281 bigrams with ``"a" * 280``, more than a uint8 holds.
+WIDE_OLD = (WIDE, "a" * 300, "hannah annah", "abcabcabc", None)
+WIDE_NEW = (
+    WIDE[:70],
+    WIDE[61:65],
+    WIDE[130:140],
+    WIDE[:100] + "x" + WIDE[101:],
+    "a" * 280,
+    "annah hannah",
+    "cabcab",
+    None,
+)
+
+
+def wide_records():
+    """Records over ``WIDE_OLD`` / ``WIDE_NEW``, with an all-missing
+    q-gram column (``address``)."""
+    old = [
+        person_record_with(
+            record_id=f"o{row}", first_name=name, surname=name,
+            sex="m" if row % 2 else "f",
+        )
+        for row, name in enumerate(WIDE_OLD)
+    ]
+    new = [
+        person_record_with(
+            record_id=f"n{row}", first_name=name,
+            surname=WIDE_OLD[row % len(WIDE_OLD)],
+            sex="f" if row % 3 else "m",
+        )
+        for row, name in enumerate(WIDE_NEW)
+    ]
+    return old, new
+
+
+@needs_numpy
+class TestMultiWordBitsets:
+    @pytest.mark.parametrize("tag, q", [(CMP_QGRAM2, 2), (CMP_QGRAM3, 3)])
+    def test_wide_vocabularies_cover_every_word_case(self, tag, q):
+        """The data reaches what the popcount must get right: more than
+        128 tokens, common tokens in words 0, 1 and 2 and at bits 63 and
+        64, and a pair with more than 255 common grams."""
+        old, new = wide_records()
+        encoder = ColumnEncoder("first_name", tag)
+        old_col = encoder.encode(old)
+        new_col = encoder.encode(new)
+        assert encoder.n_tokens > 128 and len(new_col.bits) >= 3
+        common = set()
+        for old_value in WIDE_OLD[:-1]:
+            for new_value in WIDE_NEW[:-1]:
+                common |= token_set(old_col, code_of(old_col, old_value)) & (
+                    token_set(new_col, code_of(new_col, new_value))
+                )
+        assert {63, 64} <= common
+        assert {token // 64 for token in common} >= {0, 1, 2}
+        overlap = Counter(qgrams("a" * 300, q)) & Counter(qgrams("a" * 280, q))
+        assert sum(overlap.values()) > 255
+
+    @pytest.mark.parametrize(
+        "policy", (MISSING_ZERO, MISSING_NEUTRAL, MISSING_IGNORE)
+    )
+    @pytest.mark.parametrize("comparator", ("qgram", "trigram"))
+    def test_popcount_bit_identical(self, comparator, policy):
+        old, new = wide_records()
+        sim_func = build_similarity_function(
+            [
+                ("first_name", comparator, 0.5),
+                ("surname", comparator, 0.2),
+                ("sex", "exact", 0.2),
+                ("address", comparator, 0.1),
+            ],
+            0.7,
+            policy,
+        )
+        rows = cross_rows(old, new)
+        kernel = BatchScoringKernel(sim_func, old, new)
+        scorer = PairScorer(sim_func, old, new)
+        assert kernel.agg_sim_chunk(*rows).tolist() == (
+            scorer.agg_sim_chunk(*rows).tolist()
+        )
+        for delta in (0.0, 0.5, 0.7, 0.95):
+            assert outcomes(kernel.evaluate_chunk(*rows, delta)) == outcomes(
+                scorer.evaluate_chunk(*rows, delta)
+            )
+
+
 # -- the per-pair scorer: the reference, pair by pair ------------------------
 
 
@@ -406,32 +521,37 @@ class TestBackendPlumbing:
         assert isinstance(kernel, BatchScoringKernel)
 
     def test_no_numpy_falls_back_to_reference_path(self, monkeypatch):
-        """Without numpy, scoring_backend='vectorized' silently takes the
-        per-pair path: build returns None, the pipeline still links, and
-        the result matches the explicit python backend exactly."""
+        """Without numpy, or with a numpy older than 2.0 (no
+        ``np.bitwise_count``), scoring_backend='vectorized' silently
+        takes the per-pair path: the probe says so, build returns None
+        and the config a PairScorer, the pipeline still links, and the
+        result matches the explicit python backend exactly."""
         import repro.core.kernel as kernel_mod
-
-        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-        assert not kernel_mod.kernel_available()
-        assert build_scoring_kernel(None, [], []) is None
 
         series = generate_pair(seed=7, initial_households=10)
         old, new = series.datasets
-        fallback = link_datasets(
-            old, new, LinkageConfig(scoring_backend="vectorized")
-        )
-        monkeypatch.undo()
         reference = link_datasets(
             old, new, LinkageConfig(scoring_backend="python")
         )
-        assert sorted(fallback.record_mapping.pairs()) == sorted(
-            reference.record_mapping.pairs()
-        )
-        assert sorted(fallback.group_mapping.pairs()) == sorted(
-            reference.group_mapping.pairs()
-        )
-        assert fallback.profile.value(KERNEL_BATCHES) == 0
-        assert fallback.profile.value(KERNEL_PAIRS) == 0
+        config = LinkageConfig(scoring_backend="vectorized")
+        sim_func = config.build_sim_func()
+        for probe in ("HAVE_NUMPY", "HAVE_BITWISE_COUNT"):
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel_mod, probe, False)
+                assert not kernel_mod.kernel_available()
+                assert build_scoring_kernel(None, [], []) is None
+                assert isinstance(
+                    config.build_scoring_kernel(sim_func, [], []), PairScorer
+                )
+                fallback = link_datasets(old, new, config)
+            assert sorted(fallback.record_mapping.pairs()) == sorted(
+                reference.record_mapping.pairs()
+            ), probe
+            assert sorted(fallback.group_mapping.pairs()) == sorted(
+                reference.group_mapping.pairs()
+            ), probe
+            assert fallback.profile.value(KERNEL_BATCHES) == 0
+            assert fallback.profile.value(KERNEL_PAIRS) == 0
 
     @needs_numpy
     def test_kernel_counters_track_batched_share(self):

@@ -1,7 +1,10 @@
 """Unit tests for numeric similarities and phonetic encodings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.similarity import phonetic
 from repro.similarity.numeric import (
     absolute_difference_similarity,
     age_difference_similarity,
@@ -74,6 +77,32 @@ class TestSoundex:
 
     def test_case_insensitive(self):
         assert soundex("Ashworth") == soundex("ASHWORTH")
+
+    @given(st.text(max_size=30), st.integers(1, 6))
+    @settings(max_examples=200)
+    def test_memo_returns_the_uncached_code(self, text, length):
+        """Cold (first call) and warm (memo hit), the memoised code is
+        the one the uncached computation gives."""
+        phonetic._SOUNDEX_CACHE.pop((text, length), None)
+        expected = phonetic._soundex(text, length)
+        assert soundex(text, length) == expected
+        assert phonetic._SOUNDEX_CACHE[(text, length)] == expected
+        assert soundex(text, length) == expected
+
+    def test_memo_keys_on_length(self):
+        assert soundex("ashworth") == "A263"
+        assert soundex("ashworth", 2) == "A2"
+        assert soundex("ashworth", 6) == "A26300"
+
+    def test_memo_stops_growing_at_its_limit(self, monkeypatch):
+        monkeypatch.setattr(phonetic, "_SOUNDEX_CACHE", {})
+        monkeypatch.setattr(phonetic, "_SOUNDEX_CACHE_LIMIT", 5)
+        names = [f"name{chr(ord('a') + i)}" for i in range(12)]
+        for name in names:
+            assert soundex(name) == phonetic._soundex(name, 4)
+        assert len(phonetic._SOUNDEX_CACHE) == 5
+        assert soundex(names[-1]) == phonetic._soundex(names[-1], 4)
+        assert len(phonetic._SOUNDEX_CACHE) == 5
 
 
 class TestNysiis:
