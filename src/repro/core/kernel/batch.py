@@ -29,8 +29,8 @@ AND of two token bitsets, computed for exactly the rows a stage needs
 (see :meth:`_common_grams`); exact attributes compare integer codes.
 Only comparators with no array form (Levenshtein, Jaro-Winkler, custom
 callables) fall back to one scalar Python call per *distinct value
-combination* per batch (``np.unique`` over paired codes), broadcast
-back — still never once per pair.
+combination* per batch (the sorted distinct paired codes, each pair's
+found by ``searchsorted``), broadcast back — still never once per pair.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from ..filtering import (
     FilteringConfig,
     comparator_tag,
 )
+from ..pairtable import sorted_unique
 from .encoding import encode_columns, np
 
 #: Kind codes of the outcome arrays (see repro.core.filtering.KINDS).
@@ -188,7 +189,8 @@ class BatchScoringKernel:
         # reference comparator itself, once per distinct value
         # combination instead of once per pair — trivially bit-identical.
         combos = old_codes * new_col.n_distinct + new_codes
-        unique, inverse = np.unique(combos, return_inverse=True)
+        unique = sorted_unique(combos)
+        inverse = np.searchsorted(unique, combos)
         comparator = self._attrs[index].comparator
         old_values = old_col.values
         new_values = new_col.values

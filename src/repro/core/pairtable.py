@@ -59,15 +59,30 @@ def view(buffer, dtype):
 
 
 def sorted_unique(keys):
-    """The distinct values of an int64 numpy array, ascending: one sort
-    and an adjacent-difference mask.  Plain ``np.unique`` gives the same
-    values, but since numpy 2.3 it finds them by hashing, which is
-    15-30x slower on pair keys."""
-    np = numpy_or_none()
+    """The distinct values of an integer numpy array, ascending: one
+    sort and an adjacent-difference mask.  Plain ``np.unique`` gives the
+    same values, but since numpy 2.3 it finds them by hashing, which is
+    15-30x slower on pair keys, and its first call imports
+    ``numpy.ma``.  Membership in the result is a ``searchsorted``
+    (:func:`sorted_member`)."""
+    import numpy as np  # called on numpy arrays only, on either fork
+
     keys = np.sort(keys)
     if len(keys) > 1:
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return keys
+
+
+def sorted_member(values, keys):
+    """Whether each of ``values`` is among ``keys``, a sorted, unique
+    numpy array (:func:`sorted_unique`): one ``searchsorted``, where
+    ``np.isin`` would sort both sides and import ``numpy.ma``."""
+    import numpy as np  # called on numpy arrays only, on either fork
+
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    positions = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[positions] == values
 
 
 def _sorted_ids(ids: Sequence[str], side: str) -> List[str]:
@@ -117,6 +132,7 @@ class PairTable:
             self.keys = pairs.keys
         else:
             self.keys = self._keys_of(pairs)
+        self._nodes = None
         np = numpy_or_none()
         if np is None:
             self.old_row = array("q", [key // width for key in self.keys])
@@ -207,7 +223,11 @@ class PairTable:
 
     def split(self, pairs: Sequence[PairKey]) -> Tuple[object, List[PairKey]]:
         """Sorted ``pairs`` as their pair ids (ascending) and the pairs
-        the table lacks (still sorted)."""
+        the table lacks (still sorted).  A :class:`BlockedPairs` over
+        sorted ids of this table's records is split in row space
+        (:meth:`_split_blocked`)."""
+        if isinstance(pairs, BlockedPairs):
+            return self._split_blocked(pairs)
         pids = self.pids(pairs)
         np = numpy_or_none()
         if np is None:
@@ -218,10 +238,27 @@ class PairTable:
         missing = np.flatnonzero(pids < 0).tolist()
         return pids[pids >= 0], [pairs[index] for index in missing]
 
-    def select(self, old_ids: Iterable[str], new_ids: Iterable[str]):
-        """Pair ids, ascending, of the pairs whose two records are both
-        among the given ids (a round's frontier): one boolean array per
-        side, one mask over the pairs."""
+    def nodes(self) -> Tuple[array, array, List[str]]:
+        """The table's records as *nodes*, numbered by their position in
+        the sorted union of the two id lists: each old row's node, each
+        new row's node, and the node ids.  An old and a new record with
+        the same id are one node.  Computed once per table."""
+        if self._nodes is None:
+            node_ids = sorted(set(self.old_ids).union(self.new_ids))
+            node_of = {record_id: node for node, record_id in enumerate(node_ids)}
+            self._nodes = (
+                array("q", map(node_of.__getitem__, self.old_ids)),
+                array("q", map(node_of.__getitem__, self.new_ids)),
+                node_ids,
+            )
+        return self._nodes
+
+    def frontier(
+        self, old_ids: Iterable[str], new_ids: Iterable[str]
+    ) -> Tuple[bytearray, bytearray]:
+        """One boolean array per side over the rows: set at the rows of
+        the given ids (a round's frontier); ids off the table are
+        skipped."""
         old_mask = bytearray(len(self.old_ids))
         new_mask = bytearray(len(self.new_ids))
         for mask, index, ids in (
@@ -232,6 +269,16 @@ class PairTable:
                 row = index.get(record_id)
                 if row is not None:
                     mask[row] = 1
+        return old_mask, new_mask
+
+    def select(self, old_ids: Iterable[str], new_ids: Iterable[str]):
+        """Pair ids, ascending, of the pairs whose two records are both
+        among the given ids (a round's frontier)."""
+        return self.select_rows(*self.frontier(old_ids, new_ids))
+
+    def select_rows(self, old_mask: bytearray, new_mask: bytearray):
+        """Pair ids, ascending, of the pairs whose two rows are both set
+        in the :meth:`frontier` masks: one mask over the pairs."""
         np = numpy_or_none()
         if np is None:
             return [
@@ -244,6 +291,42 @@ class PairTable:
         selected = view(old_mask, np.bool_)[view(self.old_row, np.int64)]
         selected &= view(new_mask, np.bool_)[view(self.new_row, np.int64)]
         return np.flatnonzero(selected)
+
+    def _split_blocked(self, pairs: BlockedPairs) -> Tuple[object, List[PairKey]]:
+        """:meth:`split` of blocked pairs over their own sorted id lists:
+        each of those ids is mapped to this table's row once, then every
+        pair's rows come from one gather and its pair id from one
+        ``searchsorted`` (:meth:`pids_of_rows`); only the pairs the table
+        lacks are turned into id pairs."""
+        old_map, new_map = (
+            array("q", [index.get(record_id, -1) for record_id in ids])
+            for index, ids in (
+                (self.old_index, pairs.old_ids),
+                (self.new_index, pairs.new_ids),
+            )
+        )
+        width = pairs.width
+        np = numpy_or_none()
+        if np is None:
+            pids, beyond = [], []
+            for key in pairs.keys:
+                old_row, new_row = divmod(key, width)
+                pid = self.pid_of_rows(old_map[old_row], new_map[new_row])
+                if pid >= 0:
+                    pids.append(pid)
+                else:
+                    beyond.append((pairs.old_ids[old_row], pairs.new_ids[new_row]))
+            return pids, beyond
+        keys = view(pairs.keys, np.int64)
+        pids = self.pids_of_rows(
+            view(old_map, np.int64)[keys // width],
+            view(new_map, np.int64)[keys % width],
+        )
+        missing = keys[pids < 0]
+        return pids[pids >= 0], list(zip(
+            map(pairs.old_ids.__getitem__, (missing // width).tolist()),
+            map(pairs.new_ids.__getitem__, (missing % width).tolist()),
+        ))
 
     def rows(self, pids) -> Tuple[object, object]:
         """The old and new rows of the given pairs, in order."""

@@ -15,19 +15,26 @@ with its :class:`~repro.core.pairtable.PairTable`.  A round selects its
 candidates from that table with one frontier mask.  One resolver,
 :func:`_filtered_bulk_scores`, settles the pair ids of a round (and of
 the remaining pass) against the cache with masks, pruning on or off,
-and hands the rows of the rest to the run's pair scorer — the vectorized
+hands the rows of the rest to the run's pair scorer — the vectorized
 kernel or the per-pair :class:`~repro.core.filtering.PairScorer` — on
 worker processes when asked (:mod:`repro.core.parallel`), with results
-joined deterministically.  Pairs asked for by id — the group stage's
-vertex pairs, and the remaining pass's pairs beyond the table — take
-the lazy path, :func:`_lazy_scores`: exact scores, unpruned, stored in
-their pair's home in the cache.
+joined deterministically, and returns the pair ids that reach δ.  The
+round stays in the table's row space from there: the matched pair ids
+are clustered over its rows (:func:`~repro.core.clustering.cluster_records`),
+and the group stage reads the pair ids and the row labels as they are.
+Pairs asked for lazily — the group stage's vertex pairs, by their rows
+(:func:`_lazy_row_scores`), and pairs asked for by id, such as the
+remaining pass's pairs beyond the table (:func:`_lazy_scores`) — get
+exact scores, unpruned, stored in their pair's home in the cache.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,9 +60,9 @@ from .filtering import (
     CandidateFilter,
     PairScorer,
 )
-from .pairtable import PairTable
+from .pairtable import PairTable, numpy_or_none
 from .parallel import DEFAULT_CHUNK_SIZE, score_pairs_chunked
-from .simcache import SimilarityCache
+from .simcache import SimilarityCache, _as_list
 
 #: Pruning-kind -> instrumentation counter, for per-filter attribution.
 _PRUNE_COUNTERS = {
@@ -82,26 +89,70 @@ def _count_scored(
 class PreMatchResult:
     """Clusters, labels and pair similarities produced by pre-matching.
 
-    ``scores`` holds ``agg_sim`` for every exactly scored *candidate*
-    pair (not only the matching ones); :meth:`pair_sim` and
-    :meth:`pair_sims` compute missing entries lazily so the group stage
-    can always obtain the record similarity of a vertex pair.  A lazy
-    score of a blocked pair is pinned; any other goes through the
-    cache's bounded LRU, so long series runs cannot accumulate unbounded
-    per-pair state.  ``scorer`` is the round's pair scorer, which
-    :meth:`pair_sims` batches through.
+    The round's result lives in the row space of the cache's pair table
+    (``scores.table``): :attr:`matched_pids` are the pair ids, ascending,
+    of the candidates whose exact ``agg_sim`` reaches δ, and
+    :attr:`row_labels` holds the cluster label of every old and every
+    new row of the table (:func:`~repro.core.clustering.cluster_records`;
+    -1 off the round's frontier).  The group stage reads both as they
+    are.  Their id forms — :attr:`matched_pairs`, :attr:`labels`,
+    :attr:`clusters` — are derived on first use, for the callers that
+    work with ids.
+
+    :attr:`scores` holds ``agg_sim`` for every exactly scored candidate
+    pair (not only the matching ones); :meth:`pair_sim`,
+    :meth:`pair_sims` and :meth:`row_sims` compute missing entries
+    lazily so the group stage can always obtain the record similarity
+    of a vertex pair.  A lazy score of a blocked pair is pinned; any
+    other goes through the cache's bounded LRU, so long series runs
+    cannot accumulate unbounded per-pair state.  ``scorer`` is the
+    round's pair scorer, which the batches go through.
     """
 
     sim_func: SimilarityFunction
     old_index: Dict[str, PersonRecord]
     new_index: Dict[str, PersonRecord]
     scorer: object
-    labels: Dict[str, int] = field(default_factory=dict)
-    clusters: Dict[int, List[str]] = field(default_factory=dict)
     scores: SimilarityCache = field(default_factory=SimilarityCache)
-    matched_pairs: List[Tuple[str, str]] = field(default_factory=list)
+    #: Pair ids of the table's matched pairs, ascending.
+    matched_pids: object = ()
+    #: The cluster label of each old and each new row of the table.
+    row_labels: Tuple[object, object] = ((), ())
     #: Event-counter sink shared with the pipeline.
     instrumentation: Instrumentation = field(default_factory=Instrumentation)
+
+    @cached_property
+    def matched_pairs(self) -> List[Tuple[str, str]]:
+        """The matched pairs as (old id, new id) tuples, sorted."""
+        return self.scores.table.pairs(self.matched_pids)
+
+    @cached_property
+    def labels(self) -> Dict[str, int]:
+        """Record id → cluster label, for every labelled record."""
+        table = self.scores.table
+        return {
+            record_id: label
+            for ids, side in zip((table.old_ids, table.new_ids), self.row_labels)
+            for record_id, label in zip(ids, _as_list(side))
+            if label >= 0
+        }
+
+    @cached_property
+    def clusters(self) -> Dict[int, List[str]]:
+        """Cluster label → member ids, sorted; labels ascending (a
+        cluster's label follows its smallest member id)."""
+        clusters: Dict[int, List[str]] = {}
+        labels = self.labels
+        for record_id in self.scores.table.nodes()[2]:
+            label = labels.get(record_id)
+            if label is not None:
+                clusters.setdefault(label, []).append(record_id)
+        return clusters
+
+    @cached_property
+    def _cluster_sizes(self) -> Counter:
+        """Cluster label → the number of records carrying it."""
+        return Counter(self.labels.values())
 
     def label_of(self, record_id: str) -> int:
         """The record's cluster label (Fig. 3)."""
@@ -113,7 +164,7 @@ class PreMatchResult:
 
     def cluster_size(self, record_id: str) -> int:
         """|label(r)| of Eq. 7: records carrying this record's label."""
-        return len(self.cluster_of(record_id))
+        return self._cluster_sizes[self.labels[record_id]]
 
     def same_label(self, old_id: str, new_id: str) -> bool:
         """True when both records share a cluster label (Fig. 3)."""
@@ -144,9 +195,24 @@ class PreMatchResult:
             self.instrumentation,
         )
 
+    def row_sims(
+        self,
+        old_rows,
+        new_rows,
+        n_workers: int = 1,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+    ):
+        """:meth:`pair_sims` for pairs given by their rows in the table,
+        each pair at most once: their scores in order
+        (:func:`_lazy_row_scores`)."""
+        return _lazy_row_scores(
+            old_rows, new_rows, self.scores, self.scorer, n_workers,
+            chunk_size, self.instrumentation,
+        )
+
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self._cluster_sizes)
 
     def multi_record_clusters(self) -> Dict[int, List[str]]:
         """Clusters containing more than one record (A–F of Fig. 3)."""
@@ -217,41 +283,35 @@ def prematching(
         )
     scores.table.check_scorer(scorer)
 
-    candidates = scores.table.select(old_index, new_index)
+    table = scores.table
+    frontier = table.frontier(old_index, new_index)
+    if frontier[0].count(1) + frontier[1].count(1) < len(old_index) + len(new_index):
+        raise ValueError(
+            "every record to pre-match must be a record of the pair table"
+        )
+    candidates = table.select_rows(*frontier)
     instrumentation.count(CANDIDATE_PAIRS, len(candidates))
     pruning = candidate_filter is not None and candidate_filter.active
     with instrumentation.stage("filtering") if pruning else nullcontext():
-        matched_scores = _filtered_bulk_scores(
+        # A pruned pair's similarity is provably below δ, so restricting
+        # the threshold test to exactly-scored pairs loses nothing.
+        matched = _filtered_bulk_scores(
             candidates, scores, scorer, sim_func.threshold,
             candidate_filter, n_workers, chunk_size, instrumentation,
         )
-    # A pruned pair's similarity is provably below δ, so restricting the
-    # threshold test to exactly-scored pairs loses nothing.
-    matched = list(matched_scores)
 
-    # Cluster the match links (transitive closure by default); singleton
-    # clusters are emitted for unmatched records, as in Fig. 3.
-    all_ids = list(old_index) + list(new_index)
-    groups = cluster_records(
-        all_ids, matched_scores, sim_func.threshold, clustering
-    )
-
-    labels: Dict[str, int] = {}
-    clusters: Dict[int, List[str]] = {}
-    for label, members in enumerate(groups):
-        clusters[label] = members
-        for record_id in members:
-            labels[record_id] = label
-
+    # Cluster the match links (transitive closure by default); unmatched
+    # records are singleton clusters, as in Fig. 3.
     return PreMatchResult(
         sim_func=sim_func,
         old_index=old_index,
         new_index=new_index,
         scorer=scorer,
-        labels=labels,
-        clusters=clusters,
         scores=scores,
-        matched_pairs=matched,
+        matched_pids=matched,
+        row_labels=cluster_records(
+            table, frontier, matched, scores.values(matched), clustering
+        ),
         instrumentation=instrumentation,
     )
 
@@ -265,9 +325,9 @@ def _filtered_bulk_scores(
     n_workers: int,
     chunk_size: int,
     instrumentation: Instrumentation,
-) -> Dict[Tuple[str, str], float]:
-    """Resolve every candidate pair against δ; return the exactly-known
-    scores that reach δ, in sorted pair order.  The one resolver of
+):
+    """Resolve every candidate pair against δ; return the pair ids,
+    ascending, whose exactly-known score reaches δ.  The one resolver of
     pre-matching and the remaining pass.
 
     ``candidates`` are pair ids of the cache's table (ascending).  Each
@@ -301,7 +361,7 @@ def _filtered_bulk_scores(
     for kind, counter in _PRUNE_COUNTERS.items():
         if buckets.pruned[kind]:
             instrumentation.count(counter, buckets.pruned[kind])
-    return scores.matches(buckets, delta)
+    return scores.reaching(candidates, delta)
 
 
 def _lazy_scores(
@@ -313,26 +373,63 @@ def _lazy_scores(
     instrumentation: Instrumentation,
 ) -> Dict[Tuple[str, str], float]:
     """The exact ``agg_sim`` of every pair (ids of the rows of the
-    cache's table, blocked or not), scoring those the cache lacks.
+    cache's table, blocked or not, each pair at most once), scoring
+    those the cache lacks: :func:`_lazy_row_scores` over their rows."""
+    values = _lazy_row_scores(
+        *scores.table.rows_of(pairs), scores, scorer, n_workers,
+        chunk_size, instrumentation,
+    )
+    return dict(zip(pairs, _as_list(values)))
 
-    Each pair is looked up once; the missing ones are scored in one
+
+def _lazy_row_scores(
+    old_rows,
+    new_rows,
+    scores: SimilarityCache,
+    scorer,
+    n_workers: int,
+    chunk_size: int,
+    instrumentation: Instrumentation,
+):
+    """The exact ``agg_sim`` of every pair given by its rows in the
+    cache's table (blocked or not, each pair at most once), scoring
+    those the cache lacks: a float64 array in order, or a stdlib array
+    without numpy.
+
+    Each pair is looked up once (:meth:`SimilarityCache.get_rows`); the
+    missing ones are scored in one
     :func:`~repro.core.parallel.score_pairs_chunked` call through
-    ``scorer``, unpruned, and stored in the cache — pinned when blocked,
-    in the lazy LRU otherwise — then counted as ``pairs_scored`` and
-    ``full_agg_sim_calls``, plus ``kernel_batches`` / ``kernel_pairs``
-    when the scorer is the vectorized kernel.
+    ``scorer``, unpruned, in (old row, new row) order — sorted pair
+    order, the lazy LRU's insertion (hence eviction) order — and stored
+    in the cache (:meth:`SimilarityCache.add_rows`): pinned when
+    blocked, in the lazy LRU otherwise.  They are counted as
+    ``pairs_scored`` and ``full_agg_sim_calls``, plus
+    ``kernel_batches`` / ``kernel_pairs`` when the scorer is the
+    vectorized kernel.
     """
-    sims, missing = scores.get_many(pairs)
-    if not missing:
-        return sims
-    # Scored and stored in sorted pair order: the lazy LRU's insertion
-    # (hence eviction) order.
-    missing = sorted(set(missing))
+    np = numpy_or_none()
+    if np is not None:
+        old_rows = np.asarray(old_rows, dtype=np.int64)
+        new_rows = np.asarray(new_rows, dtype=np.int64)
+    values, missing = scores.get_rows(old_rows, new_rows)
+    if not len(missing):
+        return values
+    if np is None:
+        missing.sort(key=lambda at: (old_rows[at], new_rows[at]))
+        fresh_old = array("q", [old_rows[at] for at in missing])
+        fresh_new = array("q", [new_rows[at] for at in missing])
+    else:
+        missing = missing[np.lexsort((new_rows[missing], old_rows[missing]))]
+        fresh_old, fresh_new = old_rows[missing], new_rows[missing]
     fresh = score_pairs_chunked(
-        scorer, *scores.table.rows_of(missing),
+        scorer, fresh_old, fresh_new,
         n_workers=n_workers, chunk_size=chunk_size,
-    ).tolist()
-    scores.add(missing, fresh)
-    sims.update(zip(missing, fresh))
+    )
+    scores.add_rows(fresh_old, fresh_new, fresh)
+    if np is None:
+        for at, score in zip(missing, fresh):
+            values[at] = score
+    else:
+        values[missing] = fresh
     _count_scored(instrumentation, scorer, len(missing), len(missing))
-    return sims
+    return values

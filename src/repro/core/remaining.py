@@ -6,11 +6,14 @@ more chance: a conservative attribute-only matcher (``Sim_func_rem``)
 with a hard temporal age filter, resolved greedily to a 1:1 mapping.
 
 The pass re-blocks the leftover records and keeps the age-plausible
-pairs on row arrays (:func:`plausible_pairs`); id pairs are built only
-for the pairs it keeps.  They are settled by pre-matching's one resolver
+pairs on row arrays (:func:`plausible_pairs`), which map onto the pair
+ids of the shard's table with one gather
+(:meth:`~repro.core.pairtable.PairTable.split`).  They are settled by
+pre-matching's one resolver
 (:func:`repro.core.prematching._filtered_bulk_scores`, bound here as
 this module's ``_filtered_bulk_scores``), with pruning against the
-remaining threshold on or off.  When ``Sim_func_rem`` uses the same
+remaining threshold on or off; id pairs are built only for the pairs
+that reach it.  When ``Sim_func_rem`` uses the same
 attribute weights as the main ``Sim_func`` (the default), the pipeline
 shares its cross-round similarity cache, pair table and pair scorer with
 this pass, so pairs already scored during pre-matching are looked up
@@ -18,7 +21,7 @@ instead of recomputed; fresh pairs are bulk-scored, optionally on worker
 processes.  The pass re-blocks the leftover records, and with a block
 size cap (``max_block_size``) that proposes pairs the first blocking
 dropped.  Those have no pair id: they are scored exactly, unpruned,
-through the lazy path the group stage uses
+through pre-matching's lazy path for pairs given by id
 (:func:`repro.core.prematching._lazy_scores`), and kept in the cache's
 lazy LRU.
 """
@@ -41,7 +44,7 @@ from .filtering import CandidateFilter, PairScorer
 from .pairtable import PairTable, numpy_or_none, view
 from .parallel import DEFAULT_CHUNK_SIZE
 from .prematching import _filtered_bulk_scores, _lazy_scores
-from .simcache import SimilarityCache
+from .simcache import SimilarityCache, _as_list
 
 
 def match_remaining(
@@ -112,31 +115,36 @@ def match_remaining(
         blocker.candidate_pairs(list(old_records), list(new_records)),
         old_index, new_index, year_gap, max_normalised_age_difference,
     )
-    plausible = list(kept)
-    instrumentation.count(REMAINING_PAIRS, len(plausible))
+    instrumentation.count(REMAINING_PAIRS, len(kept))
 
     scores = cached_scores if cached_scores is not None else SimilarityCache()
     if scores.table is None:
         scores.attach(PairTable(scorer.old_ids, scorer.new_ids, kept))
-    scores.table.check_scorer(scorer)
-    pids, beyond = scores.table.split(plausible)
-    exact_scores = _filtered_bulk_scores(
-        pids, scores, scorer, sim_func_rem.threshold, candidate_filter,
+    table = scores.table
+    table.check_scorer(scorer)
+    pids, beyond = table.split(kept)
+    threshold = sim_func_rem.threshold
+    matched = _filtered_bulk_scores(
+        pids, scores, scorer, threshold, candidate_filter,
         n_workers, chunk_size, instrumentation,
     )
-    exact_scores.update(_lazy_scores(
+    lazy = _lazy_scores(
         beyond, scores, scorer, n_workers, chunk_size, instrumentation
-    ))
+    )
 
-    scored: List[Tuple[float, str, str]] = []
+    scored: List[Tuple[float, str, str]] = list(
+        zip(_as_list(scores.values(matched)), *table.ids(matched))
+    )
+    scored.extend(
+        (score, old_id, new_id)
+        for (old_id, new_id), score in lazy.items()
+        if score >= threshold
+    )
     old_scores: Dict[str, List[float]] = defaultdict(list)
     new_scores: Dict[str, List[float]] = defaultdict(list)
-    for old_id, new_id in plausible:
-        score = exact_scores.get((old_id, new_id))
-        if score is not None and score >= sim_func_rem.threshold:
-            scored.append((score, old_id, new_id))
-            old_scores[old_id].append(score)
-            new_scores[new_id].append(score)
+    for score, old_id, new_id in scored:
+        old_scores[old_id].append(score)
+        new_scores[new_id].append(score)
 
     # Highest similarity first; ids as deterministic tie-break.
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))

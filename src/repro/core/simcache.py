@@ -4,8 +4,8 @@
 test does — so the iterative schedule of Alg. 1 can score each candidate
 pair once and re-test the cached value every round.  The cache also backs
 the lazy lookups of the group stage
-(:meth:`repro.core.prematching.PreMatchResult.pair_sims`: subgraph vertex
-assignment and Eq. 5 scoring) and, when the remaining pass (Alg. 1 line
+(:meth:`repro.core.prematching.PreMatchResult.row_sims` and
+``pair_sims``: subgraph vertex assignment and Eq. 5 scoring) and, when the remaining pass (Alg. 1 line
 17) runs with the same attribute weights, the final attribute-only
 matching as well.
 
@@ -33,7 +33,9 @@ cached bound and only re-runs the engine when it no longer rules the
 pair out.  A bound is superseded the moment the pair's exact score is
 pinned.  The pre-matching resolver splits a round's candidates into its
 three buckets with masks over the arrays (:meth:`SimilarityCache.buckets`,
-``store``, ``matches``).  Scores leave the arrays as Python floats.
+``store``) and hands on the pair ids that reach δ (``reaching``).  The
+group stage reads its vertex pairs by their rows
+(:meth:`SimilarityCache.get_rows`, ``add_rows``).
 
 Run checkpoints (:meth:`SimilarityCache.export_state`) and series pair
 states carry pinned scores and bounds in one form, row space: the
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..checkpoint.section import CacheSeed, cache_parts, compress_rows
@@ -60,6 +61,9 @@ PairKey = Tuple[str, str]
 
 #: Default cap on lazily-added entries (~a few MiB of floats and keys).
 DEFAULT_MAX_LAZY_ENTRIES = 200_000
+
+#: The score of a pair :meth:`SimilarityCache.get_rows` misses.
+NAN = float("nan")
 
 #: Kind code of a pair with neither a pinned score nor a bound; the code
 #: of a pinned (exact) score is 0, bounds count up from 1 (see KINDS).
@@ -78,7 +82,6 @@ class Buckets:
     evaluate (see :meth:`SimilarityCache.buckets`)."""
 
     def __init__(self, pids) -> None:
-        self.pids = pids
         #: Pair ids to hand to the scorer.
         self.evaluate = pids[:0]
         #: Pairs pruned per kind: by a cached bound, then fresh rejects.
@@ -91,11 +94,12 @@ class SimilarityCache:
     Each score has one home (module docstring): a pair of the attached
     :class:`~repro.core.pairtable.PairTable` keeps its pinned score or
     bound in the pair-id arrays, any other pair only an exact score in
-    the lazy LRU.  ``get``/``get_many``, item access and ``peek`` read
-    either home; item assignment and :meth:`add` store an exact score in
-    its pair's home.  ``hits``/``misses``/``evictions`` tally every
-    lookup: while ``evictions == 0``, every miss that was scored added
-    one entry, so no pair was scored twice.
+    the lazy LRU.  ``get``/``get_rows``, item access and
+    ``peek`` read either home; item assignment, :meth:`add` and
+    :meth:`add_rows` store an exact score in its pair's home.
+    ``hits``/``misses``/``evictions`` tally every lookup: while
+    ``evictions == 0``, every miss that was scored added one entry, so
+    no pair was scored twice.
     """
 
     def __init__(
@@ -161,41 +165,59 @@ class SimilarityCache:
         self.hits += 1
         return score
 
-    def get_many(
-        self, keys: Sequence[PairKey]
-    ) -> Tuple[Dict[PairKey, float], List[PairKey]]:
-        """:meth:`get` for every key, in order: the found scores, and the
-        keys that missed (in order, repeats kept)."""
+    def get_rows(self, old_rows, new_rows) -> Tuple[object, object]:
+        """:meth:`get` for pairs given by their rows in the table (int64
+        arrays, or sequences of ints without numpy), each pair at most
+        once: their scores in order (NaN where missing; a float64 array,
+        or a stdlib array without numpy) and the positions of the
+        misses, ascending.
+
+        A pair of the table is read off the pair-id arrays
+        (:meth:`~repro.core.pairtable.PairTable.pids_of_rows`); only a
+        pair off it is looked up, by its ids, in the lazy LRU, which a
+        hit refreshes.  Each pair counts one hit or one miss."""
+        table = self.table
+        old_ids, new_ids = table.old_ids, table.new_ids
         np = numpy_or_none()
-        if self.table is None or np is None or not len(self.table):
-            found: Dict[PairKey, float] = {}
-            missing: List[PairKey] = []
-            for key in keys:
-                score = self.get(key)
-                if score is None:
-                    missing.append(key)
+        if np is None:
+            values, missing = array("d"), []
+            for position, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
+                pid = table.pid_of_rows(old_row, new_row)
+                if pid < 0:
+                    score = self._touch((old_ids[old_row], new_ids[new_row]))
+                elif self._kind[pid] == _EXACT:
+                    score = self._value[pid]
                 else:
-                    found[key] = score
-            return found, missing
-        pids = self.table.pids(keys)
-        safe = np.maximum(pids, 0)
-        exact = (pids >= 0) & (view(self._kind, np.int8)[safe] == _EXACT)
-        found = dict(compress(
-            zip(keys, view(self._value, np.float64)[safe].tolist()),
-            exact.tolist(),
-        ))
-        missing = []
-        for position in np.flatnonzero(~exact).tolist():
-            key = keys[position]
-            score = self._lazy.get(key)
-            if score is None:
-                missing.append(key)
-            else:
-                self._lazy.move_to_end(key)
-                found[key] = score
+                    score = None
+                if score is None:
+                    missing.append(position)
+                values.append(NAN if score is None else score)
+        else:
+            pids = table.pids_of_rows(old_rows, new_rows)
+            found = pids >= 0
+            found[found] = view(self._kind, np.int8)[pids[found]] == _EXACT
+            values = np.full(len(pids), NAN)
+            values[found] = view(self._value, np.float64)[pids[found]]
+            if self._lazy:
+                off = np.flatnonzero(pids < 0)
+                for position, old_row, new_row in zip(
+                    off.tolist(), old_rows[off].tolist(), new_rows[off].tolist()
+                ):
+                    score = self._touch((old_ids[old_row], new_ids[new_row]))
+                    if score is not None:
+                        values[position] = score
+                        found[position] = True
+            missing = np.flatnonzero(~found)
         self.misses += len(missing)
-        self.hits += len(keys) - len(missing)
-        return found, missing
+        self.hits += len(values) - len(missing)
+        return values, missing
+
+    def _touch(self, key: PairKey) -> Optional[float]:
+        """The lazy LRU's score of ``key`` (refreshed), or ``None``."""
+        score = self._lazy.get(key)
+        if score is not None:
+            self._lazy.move_to_end(key)
+        return score
 
     def __getitem__(self, key: PairKey) -> float:
         score = self.get(key)
@@ -242,15 +264,50 @@ class SimilarityCache:
             if pid >= 0:
                 self._value[pid] = score
                 self._kind[pid] = _EXACT
-                continue
-            self._lazy[key] = score
-            self._lazy.move_to_end(key)
-            if (
-                self.max_lazy_entries is not None
-                and len(self._lazy) > self.max_lazy_entries
-            ):
-                self._lazy.popitem(last=False)
-                self.evictions += 1
+            else:
+                self._remember(key, score)
+
+    def add_rows(self, old_rows, new_rows, scores) -> None:
+        """:meth:`add` for pairs given by their rows in the table, in
+        order: a pair of the table is pinned in the pair-id arrays, and
+        only a pair off it is turned into ids, for the lazy LRU."""
+        table = self.table
+        np = numpy_or_none()
+        if np is None:
+            for old_row, new_row, score in zip(old_rows, new_rows, scores):
+                pid = table.pid_of_rows(old_row, new_row)
+                if pid >= 0:
+                    self._value[pid] = score
+                    self._kind[pid] = _EXACT
+                else:
+                    self._remember(
+                        (table.old_ids[old_row], table.new_ids[new_row]), score
+                    )
+            return
+        old_rows = np.asarray(old_rows, dtype=np.int64)
+        new_rows = np.asarray(new_rows, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        pids = table.pids_of_rows(old_rows, new_rows)
+        pinned = pids >= 0
+        view(self._value, np.float64)[pids[pinned]] = scores[pinned]
+        view(self._kind, np.int8)[pids[pinned]] = _EXACT
+        off = ~pinned
+        for old_row, new_row, score in zip(
+            old_rows[off].tolist(), new_rows[off].tolist(), scores[off].tolist()
+        ):
+            self._remember((table.old_ids[old_row], table.new_ids[new_row]), score)
+
+    def _remember(self, key: PairKey, score: float) -> None:
+        """Put an off-table pair's exact score at the LRU's recent end,
+        evicting the least recently used beyond ``max_lazy_entries``."""
+        self._lazy[key] = score
+        self._lazy.move_to_end(key)
+        if (
+            self.max_lazy_entries is not None
+            and len(self._lazy) > self.max_lazy_entries
+        ):
+            self._lazy.popitem(last=False)
+            self.evictions += 1
 
     # -- the resolver's buckets (repro.core.prematching) ----------------------
 
@@ -318,25 +375,27 @@ class SimilarityCache:
             found.pruned[kind] += tally[code]
         return tally[_EXACT]
 
-    def matches(self, found: Buckets, delta: float) -> Dict[PairKey, float]:
-        """The candidates' pinned scores that reach ``delta``, in sorted
-        pair order (after :meth:`store`)."""
-        pids = found.pids
+    def reaching(self, pids, delta: float):
+        """The pair ids among ``pids`` (ascending) whose pinned score
+        reaches ``delta``, ascending (after :meth:`store`)."""
         np = numpy_or_none()
         if np is None:
-            selected = [
+            return [
                 pid for pid in pids
                 if self._kind[pid] == _EXACT and self._value[pid] >= delta
             ]
-            scores = list(map(self._value.__getitem__, selected))
-        elif len(pids):
-            values = view(self._value, np.float64)[pids]
-            reach = view(self._kind, np.int8)[pids] == _EXACT
-            reach &= values >= delta
-            selected, scores = pids[reach], values[reach].tolist()
-        else:
-            selected, scores = pids, []
-        return dict(zip(self.table.pairs(selected), scores))
+        pids = np.asarray(pids, dtype=np.int64)
+        reach = view(self._kind, np.int8)[pids] == _EXACT
+        reach &= view(self._value, np.float64)[pids] >= delta
+        return pids[reach]
+
+    def values(self, pids):
+        """The pinned scores (or bounds) of the given pair ids, in order:
+        a float64 array, or a list of floats without numpy."""
+        np = numpy_or_none()
+        if np is None:
+            return list(map(self._value.__getitem__, pids))
+        return view(self._value, np.float64)[np.asarray(pids, dtype=np.int64)]
 
     # -- row-space entries (repro.checkpoint.section) -------------------------
 

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import compress
 from typing import (
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -47,7 +45,7 @@ from ..model.households import Household
 from ..model.mappings import RecordMapping
 from ..similarity.numeric import age_difference_similarity
 from .config import LinkageConfig
-from .pairtable import numpy_or_none, sorted_unique
+from .pairtable import numpy_or_none, sorted_member, sorted_unique
 from .parallel import GroupTask, build_subgraphs_chunked, resolve_workers
 from .prematching import PreMatchResult
 
@@ -390,64 +388,53 @@ def brute_force_group_pairs(
 
 
 class MemberRows:
-    """One side's households in row space (numpy only).
+    """One side's households over the rows of the round's pair table
+    (numpy only).
 
-    Households are numbered in sorted-id order (*household rows*) and
-    member records in sorted-id order (*record rows*).  The members are
-    listed household by household, each household's in member-id order
-    (a CSR layout): ``member_group``, ``member_row`` and ``member_age``
-    hold each member's household row, record row and age (NaN when
-    unknown).
+    Households are numbered in sorted-id order (*household rows*); a
+    member's *record row* is its row in the table's sorted id list of
+    this side (``ids``, indexed by ``row_of``), the rows the round's
+    labels and vertex pairs are given in.  The members are listed
+    household by household, each household's in member-id order (a CSR
+    layout): ``member_group``, ``member_row`` and ``member_age`` hold
+    each member's household row, record row and age (NaN when unknown).
+    A member off the table carries no label and is left out.
+    ``group_of_row`` is each record row's household row (-1: none).
     """
 
-    def __init__(self, households: Dict[str, Household]) -> None:
+    def __init__(
+        self,
+        households: Dict[str, Household],
+        ids: Sequence[str],
+        row_of: Dict[str, int],
+    ) -> None:
         np = numpy_or_none()
+        self.ids = ids
+        self.row_of = row_of
         self.group_ids = sorted(households)
         self.group_row = {
             group_id: row for row, group_id in enumerate(self.group_ids)
         }
-        members = [
-            record
-            for group_id in self.group_ids
-            for record in households[group_id].iter_records()
-        ]
-        self.ids = sorted(record.record_id for record in members)
-        self.row_of = {
-            record_id: row for row, record_id in enumerate(self.ids)
-        }
-        self.member_group = np.repeat(
-            np.arange(len(self.group_ids)),
-            [households[group_id].size for group_id in self.group_ids],
-        )
-        self.member_row = np.fromiter(
-            (self.row_of[record.record_id] for record in members),
-            np.int64, count=len(members),
-        )
-        self.member_age = np.fromiter(
-            (np.nan if record.age is None else record.age
-             for record in members),
-            np.float64, count=len(members),
-        )
-        self.group_of_row = np.empty(len(self.ids), np.int64)
+        groups, rows, ages = [], [], []
+        for group, group_id in enumerate(self.group_ids):
+            for record in households[group_id].iter_records():
+                row = row_of.get(record.record_id)
+                if row is not None:
+                    groups.append(group)
+                    rows.append(row)
+                    ages.append(np.nan if record.age is None else record.age)
+        self.member_group = np.array(groups, np.int64)
+        self.member_row = np.array(rows, np.int64)
+        self.member_age = np.array(ages, np.float64)
+        self.group_of_row = np.full(len(ids), -1, np.int64)
         self.group_of_row[self.member_row] = self.member_group
 
-    def rows(self, ids: Iterable[str]):
-        """The record row of each id, -1 for ids of no member."""
-        np = numpy_or_none()
-        ids = list(ids)
-        return np.fromiter(
-            map(self.row_of.get, ids, repeat(-1)), np.int64, count=len(ids)
-        )
-
-    def by_group_label(self, labels: Mapping[str, int], span: int):
+    def by_group_label(self, row_labels, span: int):
         """The labelled members sorted by ``household row * span +
-        label`` (each run in member-id order): ``(keys, members)``."""
+        label`` (each run in member-id order), given the label of each
+        record row: ``(keys, members)``."""
         np = numpy_or_none()
-        row_label = np.fromiter(
-            map(labels.get, self.ids, repeat(-1)), np.int64,
-            count=len(self.ids),
-        )
-        member_label = row_label[self.member_row]
+        member_label = row_labels[self.member_row]
         members = np.flatnonzero(member_label >= 0)
         keys = self.member_group[members] * span + member_label[members]
         order = np.argsort(keys, kind="stable")
@@ -470,9 +457,10 @@ class GroupPairIndex:
     The index is δ-independent (household membership does not change
     across rounds), so the pipeline builds it once per visit and reuses
     it for the whole schedule.  With numpy, :meth:`sides` holds both
-    sides in row space (:class:`MemberRows`, built at the first round
-    that asks), and :meth:`candidate_keys` gives a round's candidates as
-    household-row keys, for the default backend's vertex-candidate join
+    sides over the rows of the visit's pair table (:class:`MemberRows`,
+    built at the first round that asks), and :meth:`candidate_keys`
+    gives a round's candidates as household-row keys, read off its
+    matched pair ids, for the default backend's vertex-candidate join
     (:func:`group_tasks`).
     """
 
@@ -494,19 +482,23 @@ class GroupPairIndex:
             for record_id in household.members
         }
         self._sides: Optional[Tuple[MemberRows, MemberRows]] = None
+        self._sides_table = None
 
     @property
     def cross_product_size(self) -> int:
         """|G_i| × |G_{i+1}| — what a brute-force scan would examine."""
         return len(self.old_households) * len(self.new_households)
 
-    def sides(self) -> Tuple[MemberRows, MemberRows]:
-        """The old and new sides in row space (numpy only)."""
-        if self._sides is None:
+    def sides(self, table) -> Tuple[MemberRows, MemberRows]:
+        """The old and new sides over the rows of ``table``, a
+        :class:`~repro.core.pairtable.PairTable` (numpy only); built
+        once per table, which a visit interns once."""
+        if self._sides_table is not table:
             self._sides = (
-                MemberRows(self.old_households),
-                MemberRows(self.new_households),
+                MemberRows(self.old_households, table.old_ids, table.old_index),
+                MemberRows(self.new_households, table.new_ids, table.new_index),
             )
+            self._sides_table = table
         return self._sides
 
     @property
@@ -524,22 +516,20 @@ class GroupPairIndex:
 
     def candidate_keys(self, prematch: PreMatchResult):
         """:meth:`candidate_pairs` as sorted household-row keys (numpy
-        only): the matched pairs' households, sorted and deduplicated
-        (:func:`~repro.core.pairtable.sorted_unique`)."""
-        old, new = self.sides()
-        matched = prematch.matched_pairs
-        old_rows = old.rows(map(itemgetter(0), matched))
-        new_rows = new.rows(map(itemgetter(1), matched))
-        found = (old_rows >= 0) & (new_rows >= 0)
-        return sorted_unique(
-            old.group_of_row[old_rows[found]] * self.width
-            + new.group_of_row[new_rows[found]]
-        )
+        only): the households of the matched pair ids' rows, sorted and
+        deduplicated (:func:`~repro.core.pairtable.sorted_unique`)."""
+        table = prematch.scores.table
+        old, new = self.sides(table)
+        old_rows, new_rows = table.rows(prematch.matched_pids)
+        old_group = old.group_of_row[old_rows]
+        new_group = new.group_of_row[new_rows]
+        found = (old_group >= 0) & (new_group >= 0)
+        return sorted_unique(old_group[found] * self.width + new_group[found])
 
-    def keys_of(self, group_pairs: Sequence[Tuple[str, str]]):
+    def keys_of(self, group_pairs: Sequence[Tuple[str, str]], table):
         """The household-row keys of group id pairs (numpy only)."""
         np = numpy_or_none()
-        old, new = self.sides()
+        old, new = self.sides(table)
         return np.fromiter(
             (
                 old.group_row[old_group] * self.width
@@ -574,7 +564,7 @@ def round_group_pairs(
             prematch, index.old_households, index.new_households
         )
         if keys:
-            group_pairs = index.keys_of(group_pairs)
+            group_pairs = index.keys_of(group_pairs, prematch.scores.table)
         skipped = 0  # the brute-force scan examined the full cross product
     if instrumentation is not None:
         instrumentation.count(GROUP_PAIRS, len(group_pairs))
@@ -676,9 +666,13 @@ def _row_tasks(
     instrumentation: Optional[Instrumentation],
     n_workers: int,
 ) -> Tuple[List[GroupTask], Dict[Tuple[str, str], float]]:
-    """:func:`group_tasks` in row space (numpy)."""
+    """:func:`group_tasks` in row space (numpy), over the rows of the
+    round's pair table: the candidate group pairs come from the matched
+    pair ids, the join from the row labels, and the vertex pairs' scores
+    from :meth:`PreMatchResult.row_sims`."""
     np = numpy_or_none()
-    old, new = index.sides()
+    table = prematch.scores.table
+    old, new = index.sides(table)
     keys = round_group_pairs(prematch, index, config, instrumentation, True)
     pair_old, pair_new = keys // index.width, keys % index.width
 
@@ -692,23 +686,24 @@ def _row_tasks(
         ],
         np.int64,
     ).reshape(-1, 2)
+    old_linked_group = old.group_of_row[linked[:, 0]]
+    new_linked_group = new.group_of_row[linked[:, 1]]
     old_partner_group = np.full(len(old.ids), -1, np.int64)
     new_partner_group = np.full(len(new.ids), -1, np.int64)
-    old_partner_group[linked[:, 0]] = new.group_of_row[linked[:, 1]]
-    new_partner_group[linked[:, 1]] = old.group_of_row[linked[:, 0]]
-    anchored = np.isin(
-        keys,
-        old.group_of_row[linked[:, 0]] * index.width
-        + new.group_of_row[linked[:, 1]],
-    )
+    old_partner_group[linked[:, 0]] = new_linked_group
+    new_partner_group[linked[:, 1]] = old_linked_group
+    grouped = (old_linked_group >= 0) & (new_linked_group >= 0)
+    anchored = sorted_member(keys, sorted_unique(
+        old_linked_group[grouped] * index.width + new_linked_group[grouped]
+    ))
     exempt = anchored | config.allow_singleton_subgraphs
 
     # Old members of each group pair, label by label in member-id order,
     # anchors excluded; then the join on (new household row, label).
-    labels = prematch.labels
-    span = max(labels.values(), default=0) + 1
-    old_keys, old_members = old.by_group_label(labels, span)
-    new_keys, new_members = new.by_group_label(labels, span)
+    old_labels, new_labels = prematch.row_labels
+    span = int(max(old_labels.max(initial=0), new_labels.max(initial=0))) + 1
+    old_keys, old_members = old.by_group_label(old_labels, span)
+    new_keys, new_members = new.by_group_label(new_labels, span)
     first = np.searchsorted(old_keys, pair_old * span)
     pair, at = _expand(
         first, np.searchsorted(old_keys, (pair_old + 1) * span) - first
@@ -742,22 +737,22 @@ def _row_tasks(
     del old_member, new_member
     deviation[np.isnan(deviation)] = gap
     kept = _yielding(pair, old_row, new_row, exempt)
-    keep = np.isin(pair, kept)
+    keep = sorted_member(pair, kept)
     pair, old_row, new_row = pair[keep], old_row[keep], new_row[keep]
     deviation = deviation[keep]
 
-    old_ids = list(map(old.ids.__getitem__, old_row.tolist()))
-    new_ids = list(map(new.ids.__getitem__, new_row.tolist()))
-    sims = prematch.pair_sims(
-        list(zip(old_ids, new_ids)),
+    # Each (old row, new row) pair is one record pair of one group pair
+    # and one label: no candidate repeats.
+    values = prematch.row_sims(
+        old_row, new_row,
         n_workers=n_workers,
         chunk_size=config.worker_chunk_size,
     )
+    old_ids = list(map(old.ids.__getitem__, old_row.tolist()))
+    new_ids = list(map(new.ids.__getitem__, new_row.tolist()))
+    sims = dict(zip(zip(old_ids, new_ids), values.tolist()))
     if config.require_direct_pair_threshold:
-        reach = np.fromiter(
-            map(sims.__getitem__, zip(old_ids, new_ids)), np.float64,
-            count=len(old_ids),
-        ) >= prematch.sim_func.threshold
+        reach = values >= prematch.sim_func.threshold
         kept = _yielding(pair[reach], old_row[reach], new_row[reach], exempt)
 
     group_pairs = list(zip(

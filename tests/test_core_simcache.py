@@ -13,8 +13,11 @@ from repro.checkpoint.section import compress_rows
 from repro.core.config import LinkageConfig
 from repro.core.pairtable import PairTable
 from repro.core.pipeline import link_datasets
-from repro.core.prematching import _lazy_scores, prematching
-from repro.core.simcache import SimilarityCache
+from repro.core.prematching import (
+    _filtered_bulk_scores, _lazy_scores, prematching,
+)
+from repro.core.remaining import plausible_pairs
+from repro.core.simcache import SimilarityCache, _as_list
 from repro.datagen import generate_pair
 from repro.instrumentation import PAIRS_SCORED
 
@@ -178,6 +181,31 @@ def _off_table_pairs(result, count):
     ][:count]
 
 
+def _reference_pair_sims(result, pairs):
+    """The id-keyed lazy lookups: one scalar ``get`` per pair (a hit or
+    a miss; a hit in the LRU refreshes it), then the misses scored one
+    by one in sorted pair order and stored with ``add``."""
+    cache = result.scores
+    found, missing = {}, []
+    for pair in pairs:
+        score = cache.get(pair)
+        if score is None:
+            missing.append(pair)
+        else:
+            found[pair] = score
+    missing = sorted(missing)
+    fresh = [
+        result.sim_func.agg_sim(
+            result.old_index[old_id], result.new_index[new_id]
+        )
+        for old_id, new_id in missing
+    ]
+    cache.add(missing, fresh)
+    result.instrumentation.count(PAIRS_SCORED, len(missing))
+    found.update(zip(missing, fresh))
+    return found
+
+
 class TestOneHome:
     def test_seed_rows_off_the_table_are_dropped(self, fork):
         """Entries whose ids the table lacks, and entries of unblocked
@@ -274,4 +302,75 @@ class TestOneHome:
             cache.table.pid(row[0], row[1]) >= 0 for row in pinned + bounds
         )
         assert result.num_record_links == 108
+        assert result.remaining_record_links == 24
+
+    @pytest.mark.parametrize("max_lazy_entries", [1, 3])
+    @pytest.mark.parametrize("entry", ["rows", "ids"])
+    def test_lazy_lookups_match_the_id_reference(
+        self, fork, entry, max_lazy_entries
+    ):
+        """The group stage's row entry point (``row_sims``), and
+        ``pair_sims`` over it, leave the cache as the id-keyed lookups
+        did (:func:`_reference_pair_sims`): the same scores, hits,
+        misses, evictions, pins, bounds, LRU order and ``pairs_scored``.
+        The pairs mix pinned and bounded blocked pairs with off-table
+        pairs in an unsorted order; of the two off-table pairs already
+        scored, the older one is asked for again (a hit that refreshes
+        it, unless the one-entry LRU evicted it)."""
+        reference, result = _round(max_lazy_entries), _round(max_lazy_entries)
+        cache = reference.scores
+        pinned, bounds = entry_rows(cache)
+        assert pinned and bounds
+        off_table = _off_table_pairs(reference, 3)
+        _reference_pair_sims(reference, off_table[:2])
+        result.pair_sims(off_table[:2])
+        pairs = (
+            off_table[2:] + [tuple(row[:2]) for row in bounds[2::-1]]
+            + [tuple(row[:2]) for row in pinned[:2]] + off_table[:1]
+        )
+        expected = _reference_pair_sims(reference, pairs)
+        if entry == "ids":
+            found = result.pair_sims(pairs)
+        else:
+            values = result.row_sims(*cache.table.rows_of(pairs))
+            found = dict(zip(pairs, values.tolist()))
+        assert found == expected
+        assert result.scores.counters() == cache.counters()
+        assert entry_rows(result.scores) == entry_rows(cache)
+        assert list(result.scores._lazy.items()) == list(cache._lazy.items())
+        assert result.instrumentation.value(PAIRS_SCORED) == (
+            reference.instrumentation.value(PAIRS_SCORED)
+        )
+        assert cache.evictions == (3 if max_lazy_entries == 1 else 0)
+
+    def test_remaining_pass_maps_its_pairs_like_split(self, fork, monkeypatch):
+        """The remaining pass hands the resolver the pair ids and the
+        lazy path the pairs beyond the table that ``PairTable.split``
+        gives for its age-plausible pairs as id tuples."""
+        remaining = import_module("repro.core.remaining")
+        seen = {}
+
+        def kept_spy(*args):
+            seen["kept"] = kept = plausible_pairs(*args)
+            return kept
+
+        def resolver_spy(pids, scores, *args):
+            seen["pids"], seen["table"] = pids, scores.table
+            return _filtered_bulk_scores(pids, scores, *args)
+
+        def lazy_spy(pairs, *args):
+            seen["beyond"] = list(pairs)
+            return _lazy_scores(pairs, *args)
+
+        monkeypatch.setattr(remaining, "plausible_pairs", kept_spy)
+        monkeypatch.setattr(remaining, "_filtered_bulk_scores", resolver_spy)
+        monkeypatch.setattr(remaining, "_lazy_scores", lazy_spy)
+        old, new = generate_pair(seed=20170321, initial_households=50).datasets
+        result = link_datasets(
+            old, new,
+            LinkageConfig(scoring_backend="python", max_block_size=8),
+        )
+        pids, beyond = seen["table"].split(list(seen["kept"]))
+        assert _as_list(seen["pids"]) == _as_list(pids)
+        assert seen["beyond"] == beyond and len(beyond) == 19
         assert result.remaining_record_links == 24
