@@ -4,7 +4,6 @@ linkage (Sections 3.1–3.4, Algorithms 1 and 2)."""
 from .config import OMEGA1, OMEGA2, LinkageConfig
 from .filtering import (
     CandidateFilter,
-    FilteringConfig,
     PairOutcome,
     PairScorer,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "OMEGA2",
     "LinkageConfig",
     "CandidateFilter",
-    "FilteringConfig",
     "PairOutcome",
     "PairScorer",
     "age_difference",

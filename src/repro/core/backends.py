@@ -76,7 +76,7 @@ class GroupRoundContext:
 
     The pipeline owns the loop; the backend sees one round at a time:
     the round's pre-matching result (clusters, labels, lazily-memoising
-    ``pair_sim`` over the shared cache), the enriched household graphs,
+    ``pair_sims`` over the shared cache), the enriched household graphs,
     the links settled in earlier rounds (``record_mapping`` — a backend
     must only propose links over still-unlinked records) and the
     δ-independent :class:`GroupPairIndex`.  Pair scores beyond the
@@ -125,7 +125,7 @@ class GroupMatcherBackend(abc.ABC):
     """One δ round's group matching: pre-match result → selected links.
 
     Contract: links may only involve records absent from
-    ``ctx.record_mapping``; every accepted link must carry ``pair_sim ≥
+    ``ctx.record_mapping``; every accepted link must carry ``agg_sim ≥
     ctx.delta``; and the returned
     :class:`SelectionResult` must be record-disjoint (routing candidates
     through :func:`select_group_matches` guarantees that).  Backends are
@@ -353,7 +353,7 @@ class RobustGroupLinkageBackend(_MemberMatrixBackend):
     (``0.7 · seed_avg + 0.3 · coverage``); relationship structure is
     deliberately ignored, so households whose recorded relationships are
     erroneous or incomplete can still link on membership evidence.  All
-    proposed links carry ``pair_sim ≥ δ`` and are routed through
+    proposed links carry ``agg_sim ≥ δ`` and are routed through
     Alg. 2 selection, so the full invariant registry holds.
     """
 
@@ -416,9 +416,9 @@ class RobustGroupLinkageBackend(_MemberMatrixBackend):
 def hausdorff_similarity(
     old_ids: Sequence[str],
     new_ids: Sequence[str],
-    pair_sim: Callable[[str, str], float],
+    similarity: Callable[[str, str], float],
 ) -> float:
-    """Hausdorff similarity of two record sets under ``pair_sim``.
+    """Hausdorff similarity of two record sets under ``similarity``.
 
     ``min`` over both directions of the worst member's best
     cross-household similarity — i.e. ``1 − H(A, B)`` for the Hausdorff
@@ -430,11 +430,11 @@ def hausdorff_similarity(
     if not old_ids or not new_ids:
         return 0.0
     forward = min(
-        max(pair_sim(old_id, new_id) for new_id in new_ids)
+        max(similarity(old_id, new_id) for new_id in new_ids)
         for old_id in old_ids
     )
     backward = min(
-        max(pair_sim(old_id, new_id) for old_id in old_ids)
+        max(similarity(old_id, new_id) for old_id in old_ids)
         for new_id in new_ids
     )
     return min(forward, backward)

@@ -22,7 +22,7 @@ from ..similarity.vector import (
     SimilarityFunction,
     build_similarity_function,
 )
-from .filtering import CandidateFilter, FilteringConfig, PairScorer
+from .filtering import CandidateFilter, PairScorer
 
 #: Weight spec entries: (attribute, comparator name, weight).
 WeightSpec = Tuple[str, str, float]
@@ -185,12 +185,11 @@ class LinkageConfig:
     #: Lossless candidate pruning for the §3.2 hot path (see
     #: repro.core.filtering): cheap per-pair upper bounds on ``agg_sim``
     #: reject pairs that cannot reach the round's δ before the full Eq. 3
-    #: sum runs.  ``True``/``"on"`` (the default), ``False``/``"off"``, or
-    #: a :class:`repro.core.filtering.FilteringConfig` for per-filter
-    #: control.  Mappings are byte-identical either way (enforced by
-    #: ``filtering_on_vs_off`` in ``tests/differential.py``); only the
-    #: amount of computation changes.
-    filtering: object = True
+    #: sum runs.  ``True`` (the default) or ``False``.  Mappings are
+    #: byte-identical either way (enforced by ``filtering_on_vs_off`` in
+    #: ``tests/differential.py``); only the amount of computation
+    #: changes.
+    filtering: bool = True
     #: Batch scoring backend for the §3.2 hot path (see
     #: repro.core.kernel and docs/KERNEL.md).  ``"vectorized"`` (the
     #: default) encodes attribute columns once per run and scores whole
@@ -291,8 +290,10 @@ class LinkageConfig:
                 f"{', '.join(available_backends())}, "
                 f"got {self.group_backend!r}"
             )
-        # Reject malformed filtering settings at construction time.
-        FilteringConfig.coerce(self.filtering)
+        if not isinstance(self.filtering, bool):
+            raise ValueError(
+                f"filtering must be True or False, got {self.filtering!r}"
+            )
 
     @property
     def uniqueness_weight(self) -> float:
@@ -341,12 +342,9 @@ class LinkageConfig:
     def build_candidate_filter(
         self, sim_func: SimilarityFunction
     ) -> Optional[CandidateFilter]:
-        """The candidate-pruning engine for ``sim_func`` per the
-        ``filtering`` setting, or ``None`` when filtering is off."""
-        config = FilteringConfig.coerce(self.filtering)
-        if not config.enabled:
-            return None
-        return CandidateFilter(sim_func, config)
+        """The candidate-pruning engine for ``sim_func``, or ``None``
+        when ``filtering`` is off."""
+        return CandidateFilter(sim_func) if self.filtering else None
 
     def build_scoring_kernel(
         self,
@@ -361,25 +359,15 @@ class LinkageConfig:
         :func:`~repro.core.kernel.kernel_available`), else the
         per-pair :class:`~repro.core.filtering.PairScorer`.  Both have
         ``agg_sim_chunk``/``evaluate_chunk`` and bit-identical outcomes.
-        When a ``candidate_filter`` is given the scorer replays its exact
-        :class:`~repro.core.filtering.FilteringConfig` (the per-pair
-        scorer runs that engine itself)."""
+        The per-pair scorer runs the given ``candidate_filter`` (or its
+        own), so its memoised string lengths stay warm across scorers."""
         if self.scoring_backend == "vectorized":
             # Imported lazily: the kernel package probes for numpy, and the
             # python backend must not pay for (or depend on) that probe.
             from .kernel import BatchScoringKernel, kernel_available
 
             if kernel_available():
-                return BatchScoringKernel(
-                    sim_func,
-                    old_records,
-                    new_records,
-                    filtering=(
-                        candidate_filter.config
-                        if candidate_filter is not None
-                        else None
-                    ),
-                )
+                return BatchScoringKernel(sim_func, old_records, new_records)
         return PairScorer(sim_func, old_records, new_records, candidate_filter)
 
     def build_blocker(self) -> Blocker:

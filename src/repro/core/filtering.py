@@ -20,11 +20,11 @@ similarity, without ever running the full comparison:
   reach δ.
 
 Every decision is *lossless*: a pair is pruned only when its upper bound
-falls below δ by more than :data:`FilteringConfig.margin`, and a pair
-that survives all filters is evaluated with exactly the float-operation
-sequence of :meth:`SimilarityFunction.agg_sim`, so mappings are
-byte-identical to an unfiltered run (proved by ``filtering_on_vs_off``
-in ``tests/differential.py`` and the soundness battery in
+falls below δ by more than :data:`MARGIN`, and a pair that survives all
+filters is evaluated with exactly the float-operation sequence of
+:meth:`SimilarityFunction.agg_sim`, so mappings are byte-identical to an
+unfiltered run (proved by ``filtering_on_vs_off`` in
+``tests/differential.py`` and the soundness battery in
 ``tests/test_filtering_soundness.py``).
 
 Bounds are δ-independent facts about a pair, so prune decisions are
@@ -43,7 +43,6 @@ reference the kernel is held bit-identical to.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..model.records import PersonRecord
@@ -69,6 +68,12 @@ PRUNED_EARLY_EXIT = "early_exit"
 #: carry (chunk scoring, the similarity cache): 0 is exact.
 KINDS = (KIND_EXACT, PRUNED_LENGTH, PRUNED_QGRAM, PRUNED_EARLY_EXIT)
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+
+#: Float-safety slack subtracted from δ before any prune decision:
+#: composed weighted bounds are mathematically ≥ the true similarity but
+#: may be re-associated float sums, so a pair is pruned only when
+#: ``bound < δ - MARGIN``.
+MARGIN = 1e-9
 
 #: Comparator classification tags.  Shared with the vectorized batch
 #: kernel (:mod:`repro.core.kernel`), which must bucket comparators the
@@ -110,45 +115,6 @@ class PairOutcome(NamedTuple):
     @property
     def is_exact(self) -> bool:
         return self.kind == KIND_EXACT
-
-
-@dataclass(frozen=True)
-class FilteringConfig:
-    """Knobs of the pruning engine (``LinkageConfig(filtering=...)``).
-
-    Individual filters can be switched off for ablation; ``margin`` is
-    the float-safety slack subtracted from δ before any prune decision —
-    composed weighted bounds are mathematically ≥ the true similarity
-    but may be re-associated float sums, so a pair is pruned only when
-    ``bound < δ - margin``.
-    """
-
-    enabled: bool = True
-    length_filter: bool = True
-    qgram_filter: bool = True
-    exact_shortcircuit: bool = True
-    early_exit: bool = True
-    margin: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-
-    @classmethod
-    def coerce(cls, value: object) -> "FilteringConfig":
-        """Normalise a ``LinkageConfig.filtering`` value: ``True``/``"on"``
-        (all filters), ``False``/``"off"``/``None`` (disabled), or an
-        explicit :class:`FilteringConfig`."""
-        if isinstance(value, FilteringConfig):
-            return value
-        if value is True or value == "on":
-            return cls()
-        if value is False or value is None or value == "off":
-            return cls(enabled=False)
-        raise ValueError(
-            f"filtering must be a bool, 'on'/'off' or FilteringConfig, "
-            f"got {value!r}"
-        )
 
 
 # -- scalar bounds (the testable primitives) ---------------------------------
@@ -211,26 +177,13 @@ class CandidateFilter:
     shipped to scoring workers by :mod:`repro.core.parallel`.
     """
 
-    def __init__(
-        self,
-        sim_func: SimilarityFunction,
-        config: Optional[FilteringConfig] = None,
-    ) -> None:
+    def __init__(self, sim_func: SimilarityFunction) -> None:
         self.sim_func = sim_func
-        self.config = config or FilteringConfig()
         self._tags: Tuple[str, ...] = tuple(
             comparator_tag(item.comparator) for item in sim_func.comparators
         )
         #: Per-comparator memo: attribute value -> normalised length.
         self._length_memo: List[dict] = [dict() for _ in sim_func.comparators]
-
-    @property
-    def active(self) -> bool:
-        return self.config.enabled
-
-    @property
-    def margin(self) -> float:
-        return self.config.margin
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -270,7 +223,7 @@ class CandidateFilter:
     ) -> float:
         """Tightest cheap (pre-evaluation) upper bound on ``agg_sim``:
         the composed length / q-gram-count / exact-short-circuit bound.
-        ``upper_bound(a, b) + margin >= agg_sim(a, b)`` always."""
+        ``upper_bound(a, b) + MARGIN >= agg_sim(a, b)`` always."""
         known, bounds, denominator = self._attribute_terms(
             old_record, new_record
         )
@@ -289,8 +242,8 @@ class CandidateFilter:
 
         Returns ``(known, bounds, denominator)``: ``known[i]`` is the
         exactly-resolved weighted numerator contribution of attribute
-        ``i`` (missing-policy filler, or an exact comparator's value when
-        the short-circuit is on) or ``None`` when the comparator still
+        ``i`` (missing-policy filler, or an exact comparator's value:
+        the short-circuit) or ``None`` when the comparator still
         needs evaluating; ``bounds[i]`` is the weighted upper bound used
         in place of an unresolved contribution (equal to ``known[i]``
         when resolved).  ``denominator`` is 1 for the zero/neutral
@@ -301,7 +254,6 @@ class CandidateFilter:
         policy = sim_func.missing_policy
         ignore = policy == MISSING_IGNORE
         filler = 0.0 if policy == MISSING_ZERO else 0.5
-        shortcircuit = self.config.exact_shortcircuit
         known: List[Optional[float]] = []
         bounds: List[float] = []
         denominator = 0.0 if ignore else 1.0
@@ -316,7 +268,7 @@ class CandidateFilter:
             if ignore:
                 denominator += item.weight
             tag = self._tags[index]
-            if tag == CMP_EXACT and shortcircuit:
+            if tag == CMP_EXACT:
                 contribution = item.weight * item.comparator(
                     old_value, new_value
                 )
@@ -324,11 +276,7 @@ class CandidateFilter:
                 bounds.append(contribution)
                 continue
             known.append(None)
-            if tag in (CMP_QGRAM2, CMP_QGRAM3) and self.config.qgram_filter:
-                bound = self._string_bound(
-                    index, tag, str(old_value), str(new_value)
-                )
-            elif tag == CMP_LENGTH and self.config.length_filter:
+            if tag in (CMP_LENGTH, CMP_QGRAM2, CMP_QGRAM3):
                 bound = self._string_bound(
                     index, tag, str(old_value), str(new_value)
                 )
@@ -349,10 +297,11 @@ class CandidateFilter:
 
         Filters are staged strictly tightest-last, so each prune is
         attributed to the cheapest filter that resolved it: (a) length,
-        (b) q-gram count, (d) early exit.  A completed evaluation
-        replays :meth:`SimilarityFunction.agg_sim`'s accumulation
-        order exactly, so surviving pairs score bit-identically to an
-        unfiltered run.
+        (b) q-gram count, (d) early exit.  A stage runs wherever its
+        comparators exist: (a) needs a length comparator, (b) a q-gram
+        one.  A completed evaluation replays
+        :meth:`SimilarityFunction.agg_sim`'s accumulation order exactly,
+        so surviving pairs score bit-identically to an unfiltered run.
 
         This method is the scalar reference for
         :meth:`repro.core.kernel.BatchScoringKernel.evaluate_chunk`,
@@ -360,9 +309,8 @@ class CandidateFilter:
         chunks and is held to bit-identical ``(value, kind)`` outcomes
         (see docs/KERNEL.md).
         """
-        config = self.config
         sim_func = self.sim_func
-        cutoff = delta - config.margin
+        cutoff = delta - MARGIN
         known, bounds, denominator = self._attribute_terms(
             old_record, new_record
         )
@@ -372,7 +320,7 @@ class CandidateFilter:
 
         # Stage (a): exact short-circuits plus length bounds only (q-gram
         # attributes count their full weight).
-        if config.length_filter and CMP_LENGTH in self._tags:
+        if CMP_LENGTH in self._tags:
             total = 0.0
             for index in range(len(bounds)):
                 if known[index] is None and self._tags[index] in (
@@ -386,9 +334,7 @@ class CandidateFilter:
                 return PairOutcome(bound, PRUNED_LENGTH)
 
         # Stage (b): all cheap bounds composed (q-gram counts included).
-        if config.qgram_filter and (
-            CMP_QGRAM2 in self._tags or CMP_QGRAM3 in self._tags
-        ):
+        if CMP_QGRAM2 in self._tags or CMP_QGRAM3 in self._tags:
             total = 0.0
             for value in bounds:
                 total += value
@@ -402,14 +348,12 @@ class CandidateFilter:
         # completed run equals agg_sim bit for bit.
         comparators = sim_func.comparators
         count = len(comparators)
-        early_exit = config.early_exit
         suffix: List[float] = [0.0] * (count + 1)
-        if early_exit:
-            for index in range(count - 1, -1, -1):
-                suffix[index] = suffix[index + 1] + bounds[index]
+        for index in range(count - 1, -1, -1):
+            suffix[index] = suffix[index + 1] + bounds[index]
         result = 0.0
         for index, item in enumerate(comparators):
-            if early_exit and index > 0:
+            if index > 0:
                 possible = (result + suffix[index]) / denominator
                 if possible < cutoff:
                     return PairOutcome(possible, PRUNED_EARLY_EXIT)
@@ -434,10 +378,10 @@ class PairScorer:
     call per pair, into stdlib :mod:`array` buffers.  Built over the
     records it may be asked about, like the kernel — row ``i`` of a side
     is its ``i``-th record, and ``old_ids``/``new_ids`` list the rows'
-    record ids — and around a pruning engine (by default one with every
-    filter on), whose memoised string lengths then stay warm across
-    calls; picklable, so :mod:`repro.core.parallel` ships either scorer
-    to its workers the same way.
+    record ids — and around a pruning engine (by default its own),
+    whose memoised string lengths then stay warm across calls;
+    picklable, so :mod:`repro.core.parallel` ships either scorer to its
+    workers the same way.
     """
 
     #: Whether chunks are scored as arrays (and counted as ``kernel_*``

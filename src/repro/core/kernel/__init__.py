@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..filtering import FilteringConfig
 from .batch import BatchScoringKernel
 from .encoding import (
     HAVE_BITWISE_COUNT,
@@ -53,15 +52,12 @@ def build_scoring_kernel(
     sim_func,
     old_records: Sequence,
     new_records: Sequence,
-    filtering: Optional[FilteringConfig] = None,
 ) -> Optional[BatchScoringKernel]:
     """A :class:`BatchScoringKernel` over both record lists, or ``None``
     when the kernel cannot run here (:func:`kernel_available`)."""
     if not kernel_available():
         return None
-    return BatchScoringKernel(
-        sim_func, old_records, new_records, filtering=filtering
-    )
+    return BatchScoringKernel(sim_func, old_records, new_records)
 
 
 __all__ = [

@@ -35,7 +35,7 @@ found by ``searchsorted``), broadcast back — still never once per pair.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ...similarity.vector import (
     MISSING_IGNORE,
@@ -48,10 +48,10 @@ from ..filtering import (
     CMP_QGRAM2,
     CMP_QGRAM3,
     KIND_CODES,
+    MARGIN,
     PRUNED_EARLY_EXIT,
     PRUNED_LENGTH,
     PRUNED_QGRAM,
-    FilteringConfig,
     comparator_tag,
 )
 from ..pairtable import sorted_unique
@@ -92,10 +92,6 @@ class BatchScoringKernel:
         weights, comparator order and missing policy are taken from it.
     old_records / new_records:
         Records to encode, in row order.
-    filtering:
-        The :class:`FilteringConfig` :meth:`evaluate_chunk` replays
-        (stage toggles and the δ margin).  Defaults to all filters on,
-        matching :class:`CandidateFilter`.
     """
 
     #: Chunks are scored as arrays (counted as ``kernel_*`` effort).
@@ -106,14 +102,12 @@ class BatchScoringKernel:
         sim_func: SimilarityFunction,
         old_records: Sequence,
         new_records: Sequence,
-        filtering: Optional[FilteringConfig] = None,
     ) -> None:
         if np is None:  # pragma: no cover - guarded by build_scoring_kernel
             raise RuntimeError(
                 "numpy is unavailable; use the python scoring backend"
             )
         self.sim_func = sim_func
-        self.filtering = filtering or FilteringConfig()
         self._attrs = sim_func.comparators
         self._tags: Tuple[str, ...] = tuple(
             comparator_tag(item.comparator) for item in self._attrs
@@ -217,7 +211,6 @@ class BatchScoringKernel:
         weighted upper bound standing in for unresolved contributions —
         matching the scalar engine's values bit for bit.
         """
-        config = self.filtering
         item = self._attrs[index]
         weight = item.weight
         tag = self._tags[index]
@@ -232,7 +225,7 @@ class BatchScoringKernel:
         known = np.where(missing, missing_term, 0.0)
         resolved = missing.copy()
 
-        if tag == CMP_EXACT and config.exact_shortcircuit:
+        if tag == CMP_EXACT:
             equal = old_col.eq_codes[old_codes] == new_col.eq_codes[new_codes]
             known = np.where(
                 missing, missing_term, np.where(equal, weight * 1.0, weight * 0.0)
@@ -240,7 +233,7 @@ class BatchScoringKernel:
             resolved = np.ones(len(old_rows), dtype=bool)
             return missing, resolved, known, known
 
-        if tag in _QGRAM_TAGS and config.qgram_filter:
+        if tag in _QGRAM_TAGS:
             count_old = old_col.gram_count[old_codes]
             count_new = new_col.gram_count[new_codes]
             totals = count_old + count_new
@@ -255,7 +248,7 @@ class BatchScoringKernel:
             unweighted = np.where(
                 (count_old == 0) & (count_new == 0), 1.0, unweighted
             )
-        elif tag == CMP_LENGTH and config.length_filter:
+        elif tag == CMP_LENGTH:
             len_old = old_col.norm_len[old_codes]
             len_new = new_col.norm_len[new_codes]
             longest = np.maximum(len_old, len_new)
@@ -353,8 +346,7 @@ class BatchScoringKernel:
         )
 
     def _evaluate_batch(self, old_rows, new_rows, delta: float):
-        config = self.filtering
-        cutoff = delta - config.margin
+        cutoff = delta - MARGIN
         count = len(old_rows)
         attr_count = len(self._attrs)
 
@@ -388,7 +380,7 @@ class BatchScoringKernel:
             alive[failed] = False
 
         # Stage (a): length bounds (q-gram attributes at full weight).
-        if config.length_filter and self._has_length:
+        if self._has_length:
             total = np.zeros(count)
             for index, item in enumerate(self._attrs):
                 _, resolved, _, bounds = per_attr[index]
@@ -400,7 +392,7 @@ class BatchScoringKernel:
             prune(total / divisor, _KIND_LENGTH_ID)
 
         # Stage (b): all cheap bounds composed.
-        if config.qgram_filter and self._has_qgram:
+        if self._has_qgram:
             total = np.zeros(count)
             for index in range(attr_count):
                 total = total + per_attr[index][3]
@@ -415,15 +407,13 @@ class BatchScoringKernel:
                     index, old_rows, new_rows, alive & ~resolved
                 )
                 terms.append(np.where(resolved, known, item.weight * sims))
-            early_exit = config.early_exit
-            if early_exit:
-                suffix = [None] * (attr_count + 1)
-                suffix[attr_count] = np.zeros(count)
-                for index in range(attr_count - 1, -1, -1):
-                    suffix[index] = suffix[index + 1] + per_attr[index][3]
+            suffix = [None] * (attr_count + 1)
+            suffix[attr_count] = np.zeros(count)
+            for index in range(attr_count - 1, -1, -1):
+                suffix[index] = suffix[index + 1] + per_attr[index][3]
             result = np.zeros(count)
             for index in range(attr_count):
-                if early_exit and index > 0:
+                if index > 0:
                     prune(
                         (result + suffix[index]) / divisor, _KIND_EARLY_ID
                     )

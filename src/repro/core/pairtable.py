@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -179,14 +178,9 @@ class PairTable:
 
     # -- lookups ---------------------------------------------------------------
 
-    def pid(self, old_id: str, new_id: str) -> int:
-        """The pair id of one pair, or -1 when it is not in the table."""
-        return self.pid_of_rows(
-            self.old_index.get(old_id, -1), self.new_index.get(new_id, -1)
-        )
-
     def pid_of_rows(self, old_row: int, new_row: int) -> int:
-        """:meth:`pid` of one pair given by its rows (-1: no row)."""
+        """The pair id of the pair at ``(old_row, new_row)``, or -1 when
+        the table lacks it (or a row is negative)."""
         if old_row < 0 or new_row < 0:
             return -1
         key = old_row * self.width + new_row
@@ -194,20 +188,6 @@ class PairTable:
         if position < len(self.keys) and self.keys[position] == key:
             return position
         return -1
-
-    def pids(self, pairs: Sequence[PairKey]):
-        """:meth:`pid` of every pair, in order (an int64 array with
-        numpy, a list without)."""
-        np = numpy_or_none()
-        if np is None:
-            return [self.pid(pair[0], pair[1]) for pair in pairs]
-        return self.pids_of_rows(*(
-            np.fromiter(
-                map(index.get, map(itemgetter(side), pairs), repeat(-1)),
-                np.int64, count=len(pairs),
-            )
-            for side, index in ((0, self.old_index), (1, self.new_index))
-        ))
 
     def pids_of_rows(self, old_rows, new_rows):
         """:meth:`pid_of_rows` of int64 row arrays (numpy only): one
@@ -221,22 +201,47 @@ class PairTable:
         found = (old_rows >= 0) & (new_rows >= 0) & (keys[positions] == wanted)
         return np.where(found, positions, -1)
 
-    def split(self, pairs: Sequence[PairKey]) -> Tuple[object, List[PairKey]]:
-        """Sorted ``pairs`` as their pair ids (ascending) and the pairs
-        the table lacks (still sorted).  A :class:`BlockedPairs` over
-        sorted ids of this table's records is split in row space
-        (:meth:`_split_blocked`)."""
-        if isinstance(pairs, BlockedPairs):
-            return self._split_blocked(pairs)
-        pids = self.pids(pairs)
+    def split(
+        self, pairs: BlockedPairs
+    ) -> Tuple[object, Tuple[object, object]]:
+        """Blocked pairs over sorted ids of this table's records as
+        their pair ids (ascending) and the rows of the pairs the table
+        lacks: old rows and new rows, in sorted pair order.  Each of the
+        pairs' ids is mapped to this table's row once, then every pair's
+        rows come from one gather and its pair id from one
+        ``searchsorted`` (:meth:`pids_of_rows`)."""
+        old_map, new_map = (
+            array("q", [index.get(record_id, -1) for record_id in ids])
+            for index, ids in (
+                (self.old_index, pairs.old_ids),
+                (self.new_index, pairs.new_ids),
+            )
+        )
+        if -1 in old_map or -1 in new_map:
+            raise ValueError(
+                "every record of the pairs to split must be a record of "
+                "the pair table"
+            )
+        width = pairs.width
         np = numpy_or_none()
         if np is None:
-            return (
-                [pid for pid in pids if pid >= 0],
-                [pair for pair, pid in zip(pairs, pids) if pid < 0],
-            )
-        missing = np.flatnonzero(pids < 0).tolist()
-        return pids[pids >= 0], [pairs[index] for index in missing]
+            pids, old_rows, new_rows = [], array("q"), array("q")
+            for key in pairs.keys:
+                old_row, new_row = divmod(key, width)
+                old_row, new_row = old_map[old_row], new_map[new_row]
+                pid = self.pid_of_rows(old_row, new_row)
+                if pid >= 0:
+                    pids.append(pid)
+                else:
+                    old_rows.append(old_row)
+                    new_rows.append(new_row)
+            return pids, (old_rows, new_rows)
+        keys = view(pairs.keys, np.int64)
+        old_rows = view(old_map, np.int64)[keys // width]
+        new_rows = view(new_map, np.int64)[keys % width]
+        pids = self.pids_of_rows(old_rows, new_rows)
+        beyond = pids < 0
+        return pids[~beyond], (old_rows[beyond], new_rows[beyond])
 
     def nodes(self) -> Tuple[array, array, List[str]]:
         """The table's records as *nodes*, numbered by their position in
@@ -291,42 +296,6 @@ class PairTable:
         selected = view(old_mask, np.bool_)[view(self.old_row, np.int64)]
         selected &= view(new_mask, np.bool_)[view(self.new_row, np.int64)]
         return np.flatnonzero(selected)
-
-    def _split_blocked(self, pairs: BlockedPairs) -> Tuple[object, List[PairKey]]:
-        """:meth:`split` of blocked pairs over their own sorted id lists:
-        each of those ids is mapped to this table's row once, then every
-        pair's rows come from one gather and its pair id from one
-        ``searchsorted`` (:meth:`pids_of_rows`); only the pairs the table
-        lacks are turned into id pairs."""
-        old_map, new_map = (
-            array("q", [index.get(record_id, -1) for record_id in ids])
-            for index, ids in (
-                (self.old_index, pairs.old_ids),
-                (self.new_index, pairs.new_ids),
-            )
-        )
-        width = pairs.width
-        np = numpy_or_none()
-        if np is None:
-            pids, beyond = [], []
-            for key in pairs.keys:
-                old_row, new_row = divmod(key, width)
-                pid = self.pid_of_rows(old_map[old_row], new_map[new_row])
-                if pid >= 0:
-                    pids.append(pid)
-                else:
-                    beyond.append((pairs.old_ids[old_row], pairs.new_ids[new_row]))
-            return pids, beyond
-        keys = view(pairs.keys, np.int64)
-        pids = self.pids_of_rows(
-            view(old_map, np.int64)[keys // width],
-            view(new_map, np.int64)[keys % width],
-        )
-        missing = keys[pids < 0]
-        return pids[pids >= 0], list(zip(
-            map(pairs.old_ids.__getitem__, (missing // width).tolist()),
-            map(pairs.new_ids.__getitem__, (missing % width).tolist()),
-        ))
 
     def rows(self, pids) -> Tuple[object, object]:
         """The old and new rows of the given pairs, in order."""

@@ -192,8 +192,8 @@ def build_visit(
     for every round.  The pair scorer covers *all* the shard's records,
     so each round's shrinking frontier just gathers rows from the same
     tables (the kernel's encoded columns), and worker pools inherit it
-    through their initializer; it replays the pruning engine's exact
-    FilteringConfig.
+    through their initializer; it replays the pruning engine's stages
+    exactly.
     """
     households = group_index = None
     if groups:

@@ -22,10 +22,11 @@ joined deterministically, and returns the pair ids that reach δ.  The
 round stays in the table's row space from there: the matched pair ids
 are clustered over its rows (:func:`~repro.core.clustering.cluster_records`),
 and the group stage reads the pair ids and the row labels as they are.
-Pairs asked for lazily — the group stage's vertex pairs, by their rows
-(:func:`_lazy_row_scores`), and pairs asked for by id, such as the
-remaining pass's pairs beyond the table (:func:`_lazy_scores`) — get
-exact scores, unpruned, stored in their pair's home in the cache.
+Pairs asked for lazily — the group stage's vertex pairs and the
+remaining pass's pairs beyond the table, by their rows
+(:func:`_lazy_row_scores`), and pairs asked for by id, which
+:func:`_lazy_scores` maps to rows — get exact scores, unpruned, stored
+in their pair's home in the cache.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from ..model.records import PersonRecord
 from ..similarity.vector import SimilarityFunction
 from .clustering import CONNECTED_COMPONENTS, cluster_records
 from .filtering import (
+    MARGIN,
     PRUNED_EARLY_EXIT,
     PRUNED_LENGTH,
     PRUNED_QGRAM,
@@ -100,13 +102,13 @@ class PreMatchResult:
     work with ids.
 
     :attr:`scores` holds ``agg_sim`` for every exactly scored candidate
-    pair (not only the matching ones); :meth:`pair_sim`,
-    :meth:`pair_sims` and :meth:`row_sims` compute missing entries
-    lazily so the group stage can always obtain the record similarity
-    of a vertex pair.  A lazy score of a blocked pair is pinned; any
-    other goes through the cache's bounded LRU, so long series runs
-    cannot accumulate unbounded per-pair state.  ``scorer`` is the
-    round's pair scorer, which the batches go through.
+    pair (not only the matching ones); :meth:`row_sims` (pairs by their
+    rows) and :meth:`pair_sims` (pairs by their ids, mapped to rows)
+    compute missing entries lazily so the group stage can always obtain
+    the record similarity of a vertex pair.  A lazy score of a blocked
+    pair is pinned; any other goes through the cache's bounded LRU, so
+    long series runs cannot accumulate unbounded per-pair state.
+    ``scorer`` is the round's pair scorer, which the batches go through.
     """
 
     sim_func: SimilarityFunction
@@ -170,26 +172,16 @@ class PreMatchResult:
         """True when both records share a cluster label (Fig. 3)."""
         return self.labels.get(old_id) == self.labels.get(new_id)
 
-    def pair_sim(self, old_id: str, new_id: str) -> float:
-        """``agg_sim`` (Eq. 3) of a cross-dataset pair, computed lazily
-        and memoised in :attr:`scores` when not already present."""
-        key = (old_id, new_id)
-        score = self.scores.get(key)
-        if score is None:
-            score = self.sim_func.agg_sim(self.old_index[old_id], self.new_index[new_id])
-            self.scores[key] = score
-            self.instrumentation.count(PAIRS_SCORED)
-            self.instrumentation.count(FULL_AGG_SIM_CALLS)
-        return score
-
     def pair_sims(
         self,
         pairs: Sequence[Tuple[str, str]],
         n_workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> Dict[Tuple[str, str], float]:
-        """:meth:`pair_sim` for many pairs, in one batch through
-        :attr:`scorer` (:func:`_lazy_scores`)."""
+        """``agg_sim`` (Eq. 3) of cross-dataset pairs given by their ids
+        (each pair at most once), computed lazily and memoised in
+        :attr:`scores`: one batch through :attr:`scorer`
+        (:func:`_lazy_scores`)."""
         return _lazy_scores(
             pairs, self.scores, self.scorer, n_workers, chunk_size,
             self.instrumentation,
@@ -252,14 +244,15 @@ def prematching(
     identical to serial).  ``clustering`` selects the strategy of
     :mod:`repro.core.clustering` (the paper uses connected components).
 
-    With an active ``candidate_filter`` (:mod:`repro.core.filtering`),
-    unscored pairs first pass the pruning engine: a pair whose similarity
-    upper bound already falls below this round's δ is rejected without
-    the full ``agg_sim`` — losslessly, since such a pair could never
-    enter ``matched_pairs``.  Pruning bounds are δ-independent, so they
-    are remembered in the cache across rounds and only re-examined once
-    the schedule's δ drops past them.  Either scorer gives bit-identical
-    outcomes, and hence identical clusters and scores.
+    With a ``candidate_filter`` (:mod:`repro.core.filtering`; ``None``
+    turns pruning off), unscored pairs first pass the pruning engine: a
+    pair whose similarity upper bound already falls below this round's
+    δ is rejected without the full ``agg_sim`` — losslessly, since such
+    a pair could never enter ``matched_pairs``.  Pruning bounds are
+    δ-independent, so they are remembered in the cache across rounds and
+    only re-examined once the schedule's δ drops past them.  Either
+    scorer gives bit-identical outcomes, and hence identical clusters
+    and scores.
     """
     old_index = {record.record_id: record for record in old_records}
     new_index = {record.record_id: record for record in new_records}
@@ -291,7 +284,7 @@ def prematching(
         )
     candidates = table.select_rows(*frontier)
     instrumentation.count(CANDIDATE_PAIRS, len(candidates))
-    pruning = candidate_filter is not None and candidate_filter.active
+    pruning = candidate_filter is not None
     with instrumentation.stage("filtering") if pruning else nullcontext():
         # A pruned pair's similarity is provably below δ, so restricting
         # the threshold test to exactly-scored pairs loses nothing.
@@ -336,17 +329,17 @@ def _filtered_bulk_scores(
 
     1. exact score already in the cache (earlier round, or a lazy
        lookup) — reuse it;
-    2. with pruning on (an active ``candidate_filter``), a cached pruning
-       bound still below δ − margin — the pair stays pruned without
-       recomputing anything (counted under the filter that set the
-       bound);
+    2. with pruning on (a ``candidate_filter``), a cached pruning bound
+       still below δ − :data:`~repro.core.filtering.MARGIN` — the pair
+       stays pruned without recomputing anything (counted under the
+       filter that set the bound);
     3. everything else goes to ``scorer`` as row arrays in one
        :func:`repro.core.parallel.score_pairs_chunked` call: exact
        scores are pinned in the cache; with pruning on, rejects record
        their fresh bound for later rounds.
     """
-    pruning = candidate_filter is not None and candidate_filter.active
-    cutoff = delta - candidate_filter.margin if pruning else None
+    pruning = candidate_filter is not None
+    cutoff = delta - MARGIN if pruning else None
     buckets = scores.buckets(candidates, cutoff)
     if len(buckets.evaluate):
         outcome = score_pairs_chunked(

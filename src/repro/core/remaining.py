@@ -20,10 +20,10 @@ this pass, so pairs already scored during pre-matching are looked up
 instead of recomputed; fresh pairs are bulk-scored, optionally on worker
 processes.  The pass re-blocks the leftover records, and with a block
 size cap (``max_block_size``) that proposes pairs the first blocking
-dropped.  Those have no pair id: they are scored exactly, unpruned,
-through pre-matching's lazy path for pairs given by id
-(:func:`repro.core.prematching._lazy_scores`), and kept in the cache's
-lazy LRU.
+dropped.  Those have no pair id: ``split`` hands them on as rows, and
+they are scored exactly, unpruned, through pre-matching's lazy path
+(:func:`repro.core.prematching._lazy_row_scores`) and kept in the
+cache's lazy LRU.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from ..similarity.vector import SimilarityFunction
 from .filtering import CandidateFilter, PairScorer
 from .pairtable import PairTable, numpy_or_none, view
 from .parallel import DEFAULT_CHUNK_SIZE
-from .prematching import _filtered_bulk_scores, _lazy_scores
+from .prematching import _filtered_bulk_scores, _lazy_row_scores
 from .simcache import SimilarityCache, _as_list
 
 
@@ -85,7 +85,7 @@ def match_remaining(
     weights); by default it is a
     :class:`~repro.core.filtering.PairScorer` over the given records.
 
-    With an active ``candidate_filter`` the table's pairs are pruned
+    With a ``candidate_filter`` the table's pairs are pruned
     against the remaining threshold (pairs beyond the table are scored
     exactly): a pruned pair's ``agg_sim`` is provably below it, and the
     greedy resolution below only ever looks at pairs at or above the
@@ -122,22 +122,25 @@ def match_remaining(
         scores.attach(PairTable(scorer.old_ids, scorer.new_ids, kept))
     table = scores.table
     table.check_scorer(scorer)
-    pids, beyond = table.split(kept)
+    pids, (beyond_old, beyond_new) = table.split(kept)
     threshold = sim_func_rem.threshold
     matched = _filtered_bulk_scores(
         pids, scores, scorer, threshold, candidate_filter,
         n_workers, chunk_size, instrumentation,
     )
-    lazy = _lazy_scores(
-        beyond, scores, scorer, n_workers, chunk_size, instrumentation
+    lazy = _lazy_row_scores(
+        beyond_old, beyond_new, scores, scorer, n_workers, chunk_size,
+        instrumentation,
     )
 
     scored: List[Tuple[float, str, str]] = list(
         zip(_as_list(scores.values(matched)), *table.ids(matched))
     )
     scored.extend(
-        (score, old_id, new_id)
-        for (old_id, new_id), score in lazy.items()
+        (score, table.old_ids[old_row], table.new_ids[new_row])
+        for old_row, new_row, score in zip(
+            _as_list(beyond_old), _as_list(beyond_new), _as_list(lazy)
+        )
         if score >= threshold
     )
     old_scores: Dict[str, List[float]] = defaultdict(list)

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping, Tuple
 
 from .config import LinkageConfig
 from .prematching import PreMatchResult
@@ -19,9 +19,10 @@ from .subgraph import SubgraphMatch
 
 
 def average_record_similarity(
-    subgraph: SubgraphMatch, prematch: PreMatchResult
+    subgraph: SubgraphMatch, sims: Mapping[Tuple[str, str], float]
 ) -> float:
-    """Eq. 5: mean ``agg_sim`` over the new-link vertex record pairs.
+    """Eq. 5: mean ``agg_sim`` over the new-link vertex record pairs,
+    read from ``sims`` (:meth:`PreMatchResult.pair_sims` of them).
 
     Anchor vertices (links accepted in earlier rounds) are excluded:
     they carry scores from earlier similarity functions and would only
@@ -30,8 +31,7 @@ def average_record_similarity(
     vertices = subgraph.new_link_vertices
     if not vertices:
         return 0.0
-    total = sum(prematch.pair_sim(old_id, new_id) for old_id, new_id in vertices)
-    return total / len(vertices)
+    return sum(map(sims.__getitem__, vertices)) / len(vertices)
 
 
 def edge_similarity(subgraph: SubgraphMatch) -> float:
@@ -77,16 +77,8 @@ def score_subgraph(
     subgraph: SubgraphMatch, prematch: PreMatchResult, config: LinkageConfig
 ) -> SubgraphMatch:
     """Fill the four score fields of a subgraph in place (and return it):
-    ``avg_sim``, ``e_sim``, ``unique`` and their combination ``g_sim``
-    (Eq. 4–7, §3.4).  Record similarities come from the pre-matching
-    score store via :meth:`PreMatchResult.pair_sim`, so nothing is
-    recomputed for already-scored pairs."""
-    subgraph.avg_sim = average_record_similarity(subgraph, prematch)
-    subgraph.e_sim = edge_similarity(subgraph)
-    subgraph.unique = uniqueness(subgraph, prematch)
-    subgraph.g_sim = aggregate_group_similarity(
-        subgraph.avg_sim, subgraph.e_sim, subgraph.unique, config
-    )
+    :func:`score_subgraphs` of this one subgraph."""
+    score_subgraphs([subgraph], prematch, config)
     return subgraph
 
 
@@ -95,6 +87,26 @@ def score_subgraphs(
     prematch: PreMatchResult,
     config: LinkageConfig,
 ) -> None:
-    """Score a batch of subgraphs in place (Eq. 4–7; Alg. 1, line 8)."""
+    """Score a batch of subgraphs in place (Eq. 4–7; Alg. 1, line 8):
+    ``avg_sim``, ``e_sim``, ``unique`` and their combination ``g_sim``.
+
+    The record similarities of every subgraph's new-link vertices come
+    from the pre-matching score store in one
+    :meth:`PreMatchResult.pair_sims` batch, so nothing is recomputed
+    for already-scored pairs.  A record pair lies in one household
+    pair, and each subgraph is one household pair's, so no pair is
+    asked for twice.
+    """
+    subgraphs = list(subgraphs)
+    sims = prematch.pair_sims([
+        vertex
+        for subgraph in subgraphs
+        for vertex in subgraph.new_link_vertices
+    ])
     for subgraph in subgraphs:
-        score_subgraph(subgraph, prematch, config)
+        subgraph.avg_sim = average_record_similarity(subgraph, sims)
+        subgraph.e_sim = edge_similarity(subgraph)
+        subgraph.unique = uniqueness(subgraph, prematch)
+        subgraph.g_sim = aggregate_group_similarity(
+            subgraph.avg_sim, subgraph.e_sim, subgraph.unique, config
+        )

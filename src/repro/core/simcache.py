@@ -3,15 +3,16 @@
 ``agg_sim`` (Eq. 3) does not depend on the threshold δ — only the cut-off
 test does — so the iterative schedule of Alg. 1 can score each candidate
 pair once and re-test the cached value every round.  The cache also backs
-the lazy lookups of the group stage
-(:meth:`repro.core.prematching.PreMatchResult.row_sims` and
-``pair_sims``: subgraph vertex assignment and Eq. 5 scoring) and, when the remaining pass (Alg. 1 line
-17) runs with the same attribute weights, the final attribute-only
-matching as well.
+the lazy lookups of the group stage (subgraph vertex assignment and
+Eq. 5 scoring, through
+:meth:`repro.core.prematching.PreMatchResult.row_sims` and
+``pair_sims``) and, when the remaining pass (Alg. 1 line 17) runs with
+the same attribute weights, the final attribute-only matching as well.
 
 Every score has one home, set by whether its pair is one of the shard's
 blocked pairs — the :class:`~repro.core.pairtable.PairTable` attached
-once per shard (:meth:`SimilarityCache.attach`):
+once per shard (:meth:`SimilarityCache.attach`) — and one key, the
+pair's rows in that table:
 
 * a **blocked pair** keeps its exact score or its bound in two arrays
   aligned with pair ids — a value and a kind (:data:`KIND_NONE`, or the
@@ -19,10 +20,13 @@ once per shard (:meth:`SimilarityCache.attach`):
   exact score there is *pinned*: never evicted, whether the resolver
   scored the pair or a lazy lookup did.  Their number is bounded by
   blocking, and they are exactly the pairs re-tested every δ round.
-* any **other pair** — same-cluster household members that blocking
-  never proposed, remaining-pass pairs that re-blocking the leftovers
-  proposes afresh — keeps only an exact score, in an LRU of at most
-  ``max_lazy_entries``; an evicted pair is simply re-scored on next use.
+* any **other pair** of the table's rows — same-cluster household
+  members that blocking never proposed, remaining-pass pairs that
+  re-blocking the leftovers proposes afresh — keeps only an exact
+  score, in an LRU of at most ``max_lazy_entries`` keyed by the pair's
+  integer key ``old_row * width + new_row`` (the form of
+  :attr:`PairTable.keys <repro.core.pairtable.PairTable.keys>`); an
+  evicted pair is simply re-scored on next use.
 
 The candidate-pruning engine (:mod:`repro.core.filtering`) adds a
 weaker kind of knowledge: an *upper bound* on a blocked pair's
@@ -33,8 +37,8 @@ cached bound and only re-runs the engine when it no longer rules the
 pair out.  A bound is superseded the moment the pair's exact score is
 pinned.  The pre-matching resolver splits a round's candidates into its
 three buckets with masks over the arrays (:meth:`SimilarityCache.buckets`,
-``store``) and hands on the pair ids that reach δ (``reaching``).  The
-group stage reads its vertex pairs by their rows
+``store``) and hands on the pair ids that reach δ (``reaching``).  Every
+other lookup and store names its pairs by their rows
 (:meth:`SimilarityCache.get_rows`, ``add_rows``).
 
 Run checkpoints (:meth:`SimilarityCache.export_state`) and series pair
@@ -43,21 +47,21 @@ columns of :meth:`SimilarityCache.entries` over the table's sorted id
 lists, packed as one section (:mod:`repro.checkpoint.section`) and
 seeded back by :meth:`SimilarityCache.seed` without a Python object per
 entry.  Importing needs the table — it raises before ``attach`` — and
-drops the entries of pairs off it.
+drops the entries of pairs off it.  Only a run checkpoint's lazy rows
+name their pairs by id, ``[old_id, new_id, score]`` in LRU order:
+:meth:`SimilarityCache.export_state` maps each key back to its ids, and
+:meth:`SimilarityCache.from_export` maps them to keys again.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..checkpoint.section import CacheSeed, cache_parts, compress_rows
 from .filtering import KIND_CODES, KINDS
 from .pairtable import PairTable, numpy_or_none, view
-
-#: (old record id, new record id) — the cache key.
-PairKey = Tuple[str, str]
 
 #: Default cap on lazily-added entries (~a few MiB of floats and keys).
 DEFAULT_MAX_LAZY_ENTRIES = 200_000
@@ -89,14 +93,15 @@ class Buckets:
 
 
 class SimilarityCache:
-    """Bounded ``agg_sim`` memo keyed by (old id, new id) pairs.
+    """Bounded ``agg_sim`` memo over the pairs of one pair table's rows.
 
-    Each score has one home (module docstring): a pair of the attached
-    :class:`~repro.core.pairtable.PairTable` keeps its pinned score or
-    bound in the pair-id arrays, any other pair only an exact score in
-    the lazy LRU.  ``get``/``get_rows``, item access and
-    ``peek`` read either home; item assignment, :meth:`add` and
-    :meth:`add_rows` store an exact score in its pair's home.
+    Each score has one home and one key (module docstring): a pair of
+    the attached :class:`~repro.core.pairtable.PairTable` keeps its
+    pinned score or bound in the pair-id arrays, any other pair only an
+    exact score in the lazy LRU, keyed ``old_row * width + new_row``.
+    :meth:`get_rows` reads either home and :meth:`add_rows` stores an
+    exact score in its pair's home; the resolver works on pair ids
+    (:meth:`buckets`, :meth:`store`, :meth:`reaching`).
     ``hits``/``misses``/``evictions`` tally every lookup: while
     ``evictions == 0``, every miss that was scored added one entry, so
     no pair was scored twice.
@@ -114,8 +119,9 @@ class SimilarityCache:
         # Per pair id: the pinned score or bound, and its kind code.
         self._value = array("d")
         self._kind = array("b")
-        # Exact scores of pairs off the table, least recently used first.
-        self._lazy: "OrderedDict[PairKey, float]" = OrderedDict()
+        # Exact scores of pairs off the table by their integer keys,
+        # least recently used first.
+        self._lazy: "OrderedDict[int, float]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -132,190 +138,114 @@ class SimilarityCache:
         self._value = array("d", bytes(8 * count))
         self._kind = array("b", [KIND_NONE]) * count
 
-    def _pid(self, key: PairKey) -> int:
-        return -1 if self.table is None else self.table.pid(*key)
-
-    def _pids_of(self, rows: Sequence[Sequence[object]]) -> List[int]:
-        """The pair id (or -1) of each row's ``(row[0], row[1])`` pair."""
-        if self.table is None:
-            return [-1] * len(rows)
-        if len(rows) < 64:  # a batch lookup costs more than a few bisects
-            return [self.table.pid(row[0], row[1]) for row in rows]
-        return _as_list(self.table.pids(rows))
-
     # -- lookups -------------------------------------------------------------
 
-    def peek(self, key: PairKey) -> Optional[float]:
-        """Cached score without side effects: no hit/miss tally and no
-        LRU refresh.  Used by the validation layer, which must observe
-        the cache without altering eviction order or instrumentation."""
-        pid = self._pid(key)
-        if pid < 0:
-            return self._lazy.get(key)
-        return self._value[pid] if self._kind[pid] == _EXACT else None
-
-    def get(self, key: PairKey, default: Optional[float] = None) -> Optional[float]:
-        """Cached score for ``key``, counting a hit or a miss."""
-        score = self.peek(key)
-        if score is None:
-            self.misses += 1
-            return default
-        if key in self._lazy:
-            self._lazy.move_to_end(key)  # LRU refresh
-        self.hits += 1
-        return score
-
     def get_rows(self, old_rows, new_rows) -> Tuple[object, object]:
-        """:meth:`get` for pairs given by their rows in the table (int64
-        arrays, or sequences of ints without numpy), each pair at most
-        once: their scores in order (NaN where missing; a float64 array,
-        or a stdlib array without numpy) and the positions of the
-        misses, ascending.
+        """The cached scores of pairs given by their rows in the table
+        (int64 arrays or sequences of ints), each pair at most once:
+        their scores in order (NaN where missing; a float64 array, or a
+        stdlib array without numpy) and the positions of the misses,
+        ascending.
 
         A pair of the table is read off the pair-id arrays
         (:meth:`~repro.core.pairtable.PairTable.pids_of_rows`); only a
-        pair off it is looked up, by its ids, in the lazy LRU, which a
+        pair off it is looked up, by its key, in the lazy LRU, which a
         hit refreshes.  Each pair counts one hit or one miss."""
         table = self.table
-        old_ids, new_ids = table.old_ids, table.new_ids
+        width, lazy = table.width, self._lazy
         np = numpy_or_none()
         if np is None:
             values, missing = array("d"), []
-            for position, (old_row, new_row) in enumerate(zip(old_rows, new_rows)):
+            for position, (old_row, new_row) in enumerate(
+                zip(old_rows, new_rows)
+            ):
                 pid = table.pid_of_rows(old_row, new_row)
-                if pid < 0:
-                    score = self._touch((old_ids[old_row], new_ids[new_row]))
-                elif self._kind[pid] == _EXACT:
-                    score = self._value[pid]
+                if pid >= 0:
+                    exact = self._kind[pid] == _EXACT
+                    score = self._value[pid] if exact else None
                 else:
-                    score = None
+                    key = old_row * width + new_row
+                    score = lazy.get(key)
+                    if score is not None:
+                        lazy.move_to_end(key)
                 if score is None:
                     missing.append(position)
                 values.append(NAN if score is None else score)
         else:
+            old_rows = np.asarray(old_rows, dtype=np.int64)
+            new_rows = np.asarray(new_rows, dtype=np.int64)
             pids = table.pids_of_rows(old_rows, new_rows)
             found = pids >= 0
             found[found] = view(self._kind, np.int8)[pids[found]] == _EXACT
             values = np.full(len(pids), NAN)
             values[found] = view(self._value, np.float64)[pids[found]]
-            if self._lazy:
+            if lazy:
                 off = np.flatnonzero(pids < 0)
-                for position, old_row, new_row in zip(
-                    off.tolist(), old_rows[off].tolist(), new_rows[off].tolist()
-                ):
-                    score = self._touch((old_ids[old_row], new_ids[new_row]))
+                keys = old_rows[off] * width + new_rows[off]
+                hit_at, hit_scores = [], []
+                for position, key in zip(off.tolist(), keys.tolist()):
+                    score = lazy.get(key)
                     if score is not None:
-                        values[position] = score
-                        found[position] = True
+                        lazy.move_to_end(key)
+                        hit_at.append(position)
+                        hit_scores.append(score)
+                values[hit_at] = hit_scores
+                found[hit_at] = True
             missing = np.flatnonzero(~found)
         self.misses += len(missing)
         self.hits += len(values) - len(missing)
         return values, missing
 
-    def _touch(self, key: PairKey) -> Optional[float]:
-        """The lazy LRU's score of ``key`` (refreshed), or ``None``."""
-        score = self._lazy.get(key)
-        if score is not None:
-            self._lazy.move_to_end(key)
-        return score
-
-    def __getitem__(self, key: PairKey) -> float:
-        score = self.get(key)
-        if score is None:
-            raise KeyError(key)
-        return score
-
-    def __contains__(self, key: PairKey) -> bool:
-        """Membership test; does not touch the hit/miss tallies."""
-        return self.peek(key) is not None
-
     def __len__(self) -> int:
         return self.num_pinned + len(self._lazy)
 
-    def _pinned_pids(self) -> List[int]:
-        """Pair ids holding a pinned score, ascending."""
-        np = numpy_or_none()
-        if np is None:
-            return [
-                pid for pid, kind in enumerate(self._kind) if kind == _EXACT
-            ]
-        return np.flatnonzero(view(self._kind, np.int8) == _EXACT).tolist()
-
-    def items(self) -> Iterator[Tuple[PairKey, float]]:
-        """All (pair, score) entries, pinned first."""
-        pids = self._pinned_pids()
-        if pids:
-            yield from zip(
-                self.table.pairs(pids), map(self._value.__getitem__, pids)
-            )
-        yield from self._lazy.items()
-
     # -- insertion -----------------------------------------------------------
 
-    def __setitem__(self, key: PairKey, score: float) -> None:
-        """:meth:`add` for one pair."""
-        self.add([key], [score])
-
-    def add(self, keys: Sequence[PairKey], scores: Sequence[float]) -> None:
-        """Store exact scores, in order, each in its pair's home: a
-        blocked pair's is pinned, any other pair's joins the lazy LRU,
-        evicting the least recently used beyond ``max_lazy_entries``."""
-        for key, pid, score in zip(keys, self._pids_of(keys), scores):
-            if pid >= 0:
-                self._value[pid] = score
-                self._kind[pid] = _EXACT
-            else:
-                self._remember(key, score)
-
     def add_rows(self, old_rows, new_rows, scores) -> None:
-        """:meth:`add` for pairs given by their rows in the table, in
-        order: a pair of the table is pinned in the pair-id arrays, and
-        only a pair off it is turned into ids, for the lazy LRU."""
+        """Store exact scores of pairs given by their rows in the table
+        (as :meth:`get_rows` takes them), in order, each in its pair's
+        home: a pair of the table is pinned in the pair-id arrays, any
+        other pair joins the lazy LRU under its key, evicting the least
+        recently used beyond ``max_lazy_entries``."""
         table = self.table
+        width = table.width
         np = numpy_or_none()
         if np is None:
+            keys, lazy_scores = [], []
             for old_row, new_row, score in zip(old_rows, new_rows, scores):
                 pid = table.pid_of_rows(old_row, new_row)
                 if pid >= 0:
                     self._value[pid] = score
                     self._kind[pid] = _EXACT
                 else:
-                    self._remember(
-                        (table.old_ids[old_row], table.new_ids[new_row]), score
-                    )
-            return
-        old_rows = np.asarray(old_rows, dtype=np.int64)
-        new_rows = np.asarray(new_rows, dtype=np.int64)
-        scores = np.asarray(scores, dtype=np.float64)
-        pids = table.pids_of_rows(old_rows, new_rows)
-        pinned = pids >= 0
-        view(self._value, np.float64)[pids[pinned]] = scores[pinned]
-        view(self._kind, np.int8)[pids[pinned]] = _EXACT
-        off = ~pinned
-        for old_row, new_row, score in zip(
-            old_rows[off].tolist(), new_rows[off].tolist(), scores[off].tolist()
-        ):
-            self._remember((table.old_ids[old_row], table.new_ids[new_row]), score)
-
-    def _remember(self, key: PairKey, score: float) -> None:
-        """Put an off-table pair's exact score at the LRU's recent end,
-        evicting the least recently used beyond ``max_lazy_entries``."""
-        self._lazy[key] = score
-        self._lazy.move_to_end(key)
-        if (
-            self.max_lazy_entries is not None
-            and len(self._lazy) > self.max_lazy_entries
-        ):
-            self._lazy.popitem(last=False)
-            self.evictions += 1
+                    keys.append(old_row * width + new_row)
+                    lazy_scores.append(score)
+        else:
+            old_rows = np.asarray(old_rows, dtype=np.int64)
+            new_rows = np.asarray(new_rows, dtype=np.int64)
+            scores = np.asarray(scores, dtype=np.float64)
+            pids = table.pids_of_rows(old_rows, new_rows)
+            pinned = pids >= 0
+            view(self._value, np.float64)[pids[pinned]] = scores[pinned]
+            view(self._kind, np.int8)[pids[pinned]] = _EXACT
+            off = ~pinned
+            keys = (old_rows[off] * width + new_rows[off]).tolist()
+            lazy_scores = scores[off].tolist()
+        lazy, cap = self._lazy, self.max_lazy_entries
+        for key, score in zip(keys, lazy_scores):
+            lazy[key] = score
+            lazy.move_to_end(key)
+            if cap is not None and len(lazy) > cap:
+                lazy.popitem(last=False)
+                self.evictions += 1
 
     # -- the resolver's buckets (repro.core.prematching) ----------------------
 
     def buckets(self, pids, cutoff: Optional[float]) -> Buckets:
         """Split candidates — pair ids, ascending — into the resolver's
         three buckets.  Each candidate counts one hit (pinned) or one
-        miss.  With a ``cutoff`` (δ − margin; pruning on) a miss whose
-        cached bound is below it stays pruned."""
+        miss.  With a ``cutoff`` (δ − ``MARGIN``; pruning on) a miss
+        whose cached bound is below it stays pruned."""
         found = Buckets(pids)
         pruned = found.pruned
         np = numpy_or_none()
@@ -486,14 +416,17 @@ class SimilarityCache:
         each time: their pair-id order is fixed by the entries, so two
         caches holding the same entries export the same bytes.  Lazy
         entries are ``[old_id, new_id, score]`` rows in LRU order (least
-        recently used first), as :func:`compress_rows` parts, so a
-        restored cache evicts in exactly the order the original would
-        have.  The hit/miss/eviction tallies ride along so a resumed
-        run's counters continue where the interrupted run stopped.
+        recently used first), each key mapped back to its ids, as
+        :func:`compress_rows` parts, so a restored cache evicts in
+        exactly the order the original would have.  The
+        hit/miss/eviction tallies ride along so a resumed run's counters
+        continue where the interrupted run stopped.
         """
+        old_ids, new_ids = self.table.old_ids, self.table.new_ids
+        width = self.table.width
         lazy_rows = [
-            [old_id, new_id, score]
-            for (old_id, new_id), score in self._lazy.items()
+            [old_ids[key // width], new_ids[key % width], score]
+            for key, score in self._lazy.items()
         ]
         return {
             **cache_parts(self),
@@ -518,24 +451,28 @@ class SimilarityCache:
         the loader (:attr:`repro.checkpoint.RunState.cache_entries` and
         :attr:`~repro.checkpoint.RunState.cache_lazy`).
 
-        The entries are seeded (:meth:`seed`), the lazy rows replayed in
-        order and the tallies restored, so the cache is observationally
-        identical to the exported one: same entries, same LRU order,
-        same bounds, same tallies.  A resumed pipeline run thus replays
-        the exact hit/miss/eviction sequence an uninterrupted run would
-        have produced.  Entries that break the one-home rule — section
-        entries of pairs off the table, lazy rows of blocked pairs — are
-        dropped: their pairs are scored again when asked, with the same
-        result.
+        The entries are seeded (:meth:`seed`), the lazy rows mapped to
+        keys and replayed in order and the tallies restored, so the
+        cache is observationally identical to the exported one: same
+        entries, same LRU order, same bounds, same tallies.  A resumed
+        pipeline run thus replays the exact hit/miss/eviction sequence
+        an uninterrupted run would have produced.  Entries that break
+        the one-home rule — section entries of pairs off the table, lazy
+        rows of blocked pairs — and lazy rows whose ids are not rows of
+        the table are dropped: their pairs are scored again when asked,
+        with the same result.
         """
         cache = cls(max_lazy_entries=max_lazy_entries)
         cache.attach(table)
         cache.seed(entries)
-        cache._lazy.update(
-            ((row[0], row[1]), row[2])
-            for row, pid in zip(lazy_rows, cache._pids_of(lazy_rows))
-            if pid < 0
-        )
+        for old_id, new_id, score in lazy_rows:
+            old_row = table.old_index.get(old_id, -1)
+            new_row = table.new_index.get(new_id, -1)
+            if (
+                old_row >= 0 and new_row >= 0
+                and table.pid_of_rows(old_row, new_row) < 0
+            ):
+                cache._lazy[old_row * table.width + new_row] = score
         cache.hits = document["hits"]
         cache.misses = document["misses"]
         cache.evictions = document["evictions"]

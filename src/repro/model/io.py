@@ -8,8 +8,9 @@ the paper, so that real census extracts (or the synthetic data emitted by
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import roles
 from .dataset import CensusDataset
@@ -31,6 +32,10 @@ RECORD_FIELDS = (
 
 #: Columns every census CSV must have (``entity_id`` is optional).
 REQUIRED_FIELDS = ("year",) + RECORD_FIELDS[:-1]
+
+#: A character that ``errors="surrogateescape"`` decoded from a byte
+#: that is not UTF-8 (U+DC80..U+DCFF stand for bytes 0x80..0xFF).
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 PathLike = Union[str, Path]
 
@@ -80,24 +85,28 @@ def read_dataset(path: PathLike) -> CensusDataset:
     """Read a dataset previously written by :func:`write_dataset`.
 
     Raises :class:`IngestError` naming the file, line and column of the
-    first defect: a missing required column, a row of the wrong width, a
-    malformed or mixed year, a malformed or negative age, a blank record
-    or household id, an invalid sex, an unknown role, or a duplicate
-    record id.
+    first defect: a byte that is not UTF-8 or a field over the csv
+    module's size limit (no column), a missing required column, a row of
+    the wrong width, a malformed or mixed year, a malformed or negative
+    age, a blank record or household id, an invalid sex, an unknown
+    role, or a duplicate record id.
     """
     records: List[PersonRecord] = []
     first_seen: Dict[str, int] = {}
     year = None
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+    with open(
+        path, newline="", encoding="utf-8", errors="surrogateescape"
+    ) as handle:
+        reader = csv.DictReader(_utf8_lines(handle, path))
+        rows = _rows(reader, path)
+        header = next(rows)
         missing = [name for name in REQUIRED_FIELDS if name not in header]
         if missing:
             raise IngestError(
                 path, 1, missing[0],
                 f"missing required column(s) {', '.join(missing)}",
             )
-        for row in reader:
+        for row in rows:
             line = reader.line_num
 
             def fail(column, reason):
@@ -148,6 +157,35 @@ def read_dataset(path: PathLike) -> CensusDataset:
     if year is None:
         raise IngestError(path, None, None, "no records found")
     return CensusDataset.from_records(year, records)
+
+
+def _utf8_lines(lines: Iterable[str], path: PathLike) -> Iterator[str]:
+    """The physical lines of a file read with ``errors="surrogateescape"``,
+    raising :class:`IngestError` at the first that holds a byte that is
+    not UTF-8.  Only lines with non-ASCII text are searched."""
+    for number, line in enumerate(lines, start=1):
+        if not line.isascii():
+            escaped = _ESCAPED_BYTE.search(line)
+            if escaped:
+                raise IngestError(
+                    path, number, None,
+                    f"byte 0x{ord(escaped.group()) - 0xDC00:02x} is not UTF-8",
+                )
+        yield line
+
+
+def _rows(reader: csv.DictReader, path: PathLike) -> Iterator:
+    """The reader's header (a list), then its rows; a :class:`csv.Error`
+    (a field over the size limit) becomes :class:`IngestError` at the
+    physical line the underlying reader stopped on (``reader.line_num``
+    counts only the lines of whole rows)."""
+    try:
+        yield reader.fieldnames or []
+        yield from reader
+    except csv.Error as error:
+        raise IngestError(
+            path, reader.reader.line_num, None, str(error)
+        ) from None
 
 
 def _integer(text: str) -> Optional[int]:

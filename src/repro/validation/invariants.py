@@ -14,11 +14,11 @@ or inline per δ round via :func:`validate_selection` when
 Violations never pass silently: a failed check raises
 :class:`InvariantViolation` carrying a structured
 :class:`ValidationReport` that names the violated invariant and lists
-offending examples.  All checks are side-effect free — they use
-:meth:`repro.core.simcache.SimilarityCache.peek` (no hit/miss tally, no
-LRU refresh) or recompute ``agg_sim`` directly, so a validated run
-produces byte-identical mappings, counters and goldens to an unvalidated
-one.
+offending examples.  All checks are side-effect free — a pair's score
+is recomputed with ``agg_sim``, never read from the similarity cache
+(which would tally a hit or a miss and refresh its LRU), so a validated
+run produces byte-identical mappings, counters and goldens to an
+unvalidated one.
 """
 
 from __future__ import annotations
@@ -493,21 +493,15 @@ def validate_result(
 # -- round-level (inline) invariants -----------------------------------------
 
 
-def _peek_score(
+def _fresh_score(
     prematch: "PreMatchResult", old_id: str, new_id: str
 ) -> float:
-    """A pair's ``agg_sim`` without mutating cache state or counters.
-
-    Reads through :meth:`SimilarityCache.peek` and recomputes (without
-    storing) when the pair was evicted — validation must never perturb
-    what it observes.
-    """
-    score = prematch.scores.peek((old_id, new_id))
-    if score is None:
-        score = prematch.sim_func.agg_sim(
-            prematch.old_index[old_id], prematch.new_index[new_id]
-        )
-    return score
+    """A pair's ``agg_sim``, recomputed without touching the cache it
+    checks: validation must never perturb what it observes, and the
+    cached score it would read is bit-identical to this one."""
+    return prematch.sim_func.agg_sim(
+        prematch.old_index[old_id], prematch.new_index[new_id]
+    )
 
 
 def validate_selection(
@@ -595,7 +589,7 @@ def validate_selection(
             f"{old_id}->{new_id} ({score:.4f})"
             for subgraph in selection.accepted
             for old_id, new_id in subgraph.new_link_vertices
-            for score in [_peek_score(prematch, old_id, new_id)]
+            for score in [_fresh_score(prematch, old_id, new_id)]
             if score < delta - EPSILON
         ]
         if too_low:

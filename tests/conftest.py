@@ -18,7 +18,7 @@ from repro.checkpoint.section import (
 )
 from repro.core.config import LinkageConfig
 from repro.core.filtering import KIND_CODES, KINDS
-from repro.core.simcache import SimilarityCache
+from repro.core.simcache import SimilarityCache, _as_list
 from repro.datagen import GeneratorConfig, generate_series
 from repro.model import CensusDataset, PersonRecord
 
@@ -204,6 +204,39 @@ def entry_rows(cache):
         else:
             pinned.append(row)
     return pinned, bounds
+
+
+def add_scores(cache, pairs, scores):
+    """Store exact scores of id pairs of the cache's table rows."""
+    cache.add_rows(*cache.table.rows_of(pairs), scores)
+
+
+def lookup_scores(cache, pairs):
+    """The cached score of each id pair (``None`` on a miss), read with
+    one ``get_rows`` call: it tallies hits and misses and refreshes the
+    lazy LRU."""
+    values, missing = cache.get_rows(*cache.table.rows_of(pairs))
+    missed = set(_as_list(missing))
+    return [
+        None if position in missed else score
+        for position, score in enumerate(_as_list(values))
+    ]
+
+
+def cached_scores(cache):
+    """Every exact score a similarity cache holds, pinned and lazy, as
+    ``{(old_id, new_id): score}``: the pinned ones in pair-id order, then
+    the lazy LRU's, least recently used first, read through
+    ``SimilarityCache.entries`` and ``export_state``."""
+    scores = {
+        (old_id, new_id): score
+        for old_id, new_id, score in entry_rows(cache)[0]
+    }
+    for old_id, new_id, score in unpack_lazy_rows(
+        cache.export_state()["lazy"]
+    ):
+        scores[old_id, new_id] = score
+    return scores
 
 
 # -- defects of a cache section -----------------------------------------------

@@ -5,8 +5,8 @@ checked against.
 subgraphs in one pass and skips the group pairs that cannot yield one.
 The functions here do the same work the plain way — one candidate pair
 at a time, its own label buckets, anchors from a scan of the old
-household's members, lazy ``pair_sim`` scoring — so tests can require
-the same subgraphs from both.
+household's members, lazy scoring of one vertex pair at a time — so
+tests can require the same subgraphs from both.
 """
 
 from repro.core.scoring import score_subgraph
@@ -50,17 +50,16 @@ def build_subgraph(old_household, new_household, prematch, config,
     matching relationships (to its already-linked relatives).  ``None``
     means the pair shares no label, contributes no new link, or every
     new vertex lost all its edges (no structural evidence for a group
-    link).  Vertex pairs are scored one at a time through
-    :meth:`PreMatchResult.pair_sim`.
+    link).  Vertex pairs are scored one at a time, each its own
+    :meth:`PreMatchResult.pair_sims` batch.
     """
     anchors = anchors or []
     candidates = vertex_candidates(
         old_household, new_household, prematch, config, anchors
     )
-    sims = {
-        (old_id, new_id): prematch.pair_sim(old_id, new_id)
-        for old_id, new_id, _ in candidates
-    }
+    sims = {}
+    for old_id, new_id, _ in candidates:
+        sims.update(prematch.pair_sims([(old_id, new_id)]))
     return assemble_subgraph(
         old_household, new_household, candidates, sims,
         prematch.sim_func.threshold, config, anchors,

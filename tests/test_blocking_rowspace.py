@@ -31,7 +31,7 @@ from repro.blocking.standard import (
 from repro.core.config import LinkageConfig
 from repro.core.pairtable import PairTable
 from repro.core.pipeline import link_datasets
-from repro.core.prematching import _lazy_scores
+from repro.core.prematching import _lazy_row_scores
 from repro.core.remaining import match_remaining, plausible_pairs
 from repro.datagen import generate_pair
 from repro.instrumentation import REMAINING_PAIRS, Instrumentation
@@ -273,12 +273,12 @@ class TestRemainingRowFilter:
             calls.append((old_index, new_index, year_gap, bound, list(kept)))
             return kept
 
-        def spy_lazy(pairs, *args):
-            beyond.extend(pairs)
-            return _lazy_scores(pairs, *args)
+        def spy_lazy(old_rows, new_rows, *args):
+            beyond.extend(zip(old_rows, new_rows))
+            return _lazy_row_scores(old_rows, new_rows, *args)
 
         monkeypatch.setattr(remaining, "plausible_pairs", spy_plausible)
-        monkeypatch.setattr(remaining, "_lazy_scores", spy_lazy)
+        monkeypatch.setattr(remaining, "_lazy_row_scores", spy_lazy)
         old, new = generate_pair(seed=20170321, initial_households=50).datasets
         config = LinkageConfig(scoring_backend="python", max_block_size=8)
         result = link_datasets(old, new, config)

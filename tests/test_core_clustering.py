@@ -39,8 +39,8 @@ def prematch_of(old_ids, new_ids, scores, frontier, threshold, strategy):
     row labels."""
     cache = SimilarityCache()
     cache.attach(PairTable(old_ids, new_ids, list(scores)))
-    cache.add(list(scores), list(scores.values()))
     table = cache.table
+    cache.add_rows(*table.rows_of(list(scores)), list(scores.values()))
     rows = table.frontier(*frontier)
     matched = cache.reaching(table.select_rows(*rows), threshold)
     return PreMatchResult(

@@ -19,6 +19,8 @@ from repro.blocking.standard import CrossProductBlocker
 from repro.datagen import generate_pair
 from repro.similarity.vector import build_similarity_function
 
+from tests.conftest import cached_scores
+
 SIM = build_similarity_function(
     [("first_name", "qgram", 0.5), ("surname", "qgram", 0.5)], 0.7
 )
@@ -239,8 +241,8 @@ class TestParallelGroupStage:
             parallel_prematch, old, new, config, n_workers=2, chunk_size=4,
         )
         score_subgraphs(parallel, parallel_prematch, config)
-        assert dict(parallel_prematch.scores.items()) == dict(
-            serial_prematch.scores.items()
+        assert cached_scores(parallel_prematch.scores) == cached_scores(
+            serial_prematch.scores
         )
 
     def test_small_task_list_stays_serial(self, stage):

@@ -77,7 +77,7 @@ class TestPreMatchResult:
     def test_pair_sim_lazy_computation(self, census_1871, census_1881):
         result = run_prematch(census_1871, census_1881)
         # Alice/Alice is not a candidate at δ=1 but can still be scored.
-        value = result.pair_sim("1871_3", "1881_7")
+        value = result.pair_sims([("1871_3", "1881_7")])["1871_3", "1881_7"]
         assert 0.0 < value < 1.0
 
     def test_relaxed_threshold_merges_more(self, census_1871, census_1881):
@@ -97,7 +97,8 @@ class TestPreMatchResult:
         first = prematching(old, new, NAME_FUNC, blocker, cached_scores=cache)
         key = ("1871_1", "1881_1")
         assert len(cache) and key in first.matched_pairs  # populated
-        cache[key] = 0.0  # prove the cache is consulted
+        # Prove the cache is consulted.
+        cache.add_rows(*cache.table.rows_of([key]), [0.0])
         second = prematching(old, new, NAME_FUNC, blocker, cached_scores=cache)
         assert key not in second.matched_pairs
 

@@ -52,7 +52,8 @@ def worked_example(census_1871, census_1881):
 class TestEq8TruePair:
     def test_avg_sim(self, worked_example):
         prematch, config, true_pair, _ = worked_example
-        assert average_record_similarity(true_pair, prematch) == pytest.approx(1.0)
+        sims = prematch.pair_sims(true_pair.new_link_vertices)
+        assert average_record_similarity(true_pair, sims) == pytest.approx(1.0)
 
     def test_e_sim(self, worked_example):
         _, _, true_pair, _ = worked_example
@@ -68,7 +69,8 @@ class TestEq8TruePair:
 class TestEq8DecoyPair:
     def test_avg_sim(self, worked_example):
         prematch, _, _, decoy = worked_example
-        assert average_record_similarity(decoy, prematch) == pytest.approx(1.0)
+        sims = prematch.pair_sims(decoy.new_link_vertices)
+        assert average_record_similarity(decoy, sims) == pytest.approx(1.0)
 
     def test_e_sim_lower_than_true_pair(self, worked_example):
         _, _, true_pair, decoy = worked_example

@@ -27,10 +27,10 @@ def subgraph(old_group, new_group, vertices, g_sim, num_anchors=0, edges=None):
 
 
 class FakePrematch:
-    """The two-method surface re-scoring needs: pair_sim + cluster_size."""
+    """The two-method surface re-scoring needs: pair_sims + cluster_size."""
 
-    def pair_sim(self, old_id, new_id):
-        return 0.8
+    def pair_sims(self, pairs):
+        return dict.fromkeys(pairs, 0.8)
 
     def cluster_size(self, record_id):
         return 1

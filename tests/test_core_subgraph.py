@@ -27,6 +27,7 @@ from repro.model import CensusDataset, PersonRecord
 from repro.model.mappings import RecordMapping, household_of_map
 from repro.similarity.vector import build_similarity_function
 
+from tests.conftest import cached_scores
 from tests.group_reference import build_subgraph
 
 NAME_FUNC = build_similarity_function(
@@ -299,7 +300,10 @@ class TestPairsThatCannotYieldASubgraph:
             prematch, old, new, config, record_mapping=mapping
         )
         scored = prematch.instrumentation.value(PAIRS_SCORED) - before
-        return subgraphs, assembled, scored, prematch.scores.get(("p_1", "r_2"))
+        return (
+            subgraphs, assembled, scored,
+            cached_scores(prematch.scores).get(("p_1", "r_2")),
+        )
 
     def test_one_old_namesake_is_neither_scored_nor_assembled(
         self, namesakes, monkeypatch, fork

@@ -49,7 +49,7 @@ from repro.datagen import generate_pair
 from repro.instrumentation import KERNEL_PAIRS, PAIRS_SCORED, Instrumentation
 from repro.similarity.vector import SimilarityFunction
 
-from tests.conftest import numpy_hidden
+from tests.conftest import cached_scores, numpy_hidden
 from tests.group_reference import (
     one_pair_at_a_time,
     pair_anchors,
@@ -194,8 +194,8 @@ def _compare_with_one_pair_reference(observed):
             mapping, kwargs["index"],
         )
         assert _subgraph_signature(batched) == _subgraph_signature(reference)
-        batched_scores = dict(batched_prematch.scores.items())
-        reference_scores = dict(reference_prematch.scores.items())
+        batched_scores = cached_scores(batched_prematch.scores)
+        reference_scores = cached_scores(reference_prematch.scores)
         assert batched_scores.items() <= reference_scores.items()
         left_out = reference_scores.keys() - batched_scores.keys()
         group_of = {
@@ -294,9 +294,9 @@ def _compare_row_join_with_loop_twin(observed):
             forks.append((
                 tasks,
                 _subgraph_signature(subgraphs),
-                dict(task_prematch.scores.items()),
+                cached_scores(task_prematch.scores),
                 task_prematch.instrumentation.value(PAIRS_SCORED),
-                dict(stage_prematch.scores.items()),
+                cached_scores(stage_prematch.scores),
             ))
         assert forks[0] == forks[1]
         observed["rounds"] += 1

@@ -39,7 +39,6 @@ from repro.core.filtering import (
     CMP_QGRAM3,
     KINDS,
     CandidateFilter,
-    FilteringConfig,
     PairScorer,
     normalised_length,
     qgram_count,
@@ -270,30 +269,24 @@ class TestChunkBitIdentity:
         for pair, got, want in zip(zip(*rows), batch, reference):
             assert got == want, (pair, got, want)
 
-    @given(record_chunks(), spec_keys, policies, deltas, st.integers(0, 14))
+    @given(record_chunks(), spec_keys, policies, deltas)
     @settings(max_examples=150, deadline=None)
     def test_evaluate_chunk_bit_identical(
-        self, chunk, spec_key, policy, delta, mask
+        self, chunk, spec_key, policy, delta
     ):
-        """Value AND pruning kind match the per-pair scorer for every
-        subset of the four filter stages — the masked-pruning pipeline is
-        a faithful translation, not an approximation."""
+        """Value AND pruning kind match the per-pair scorer — the
+        masked-pruning pipeline is a faithful translation, not an
+        approximation."""
         old, new = chunk
         sim_func = build_similarity_function(
             list(WEIGHT_SPECS[spec_key]), delta, policy
         )
-        config = FilteringConfig(
-            length_filter=bool(mask & 1),
-            qgram_filter=bool(mask & 2),
-            exact_shortcircuit=bool(mask & 4),
-            early_exit=bool(mask & 8),
-        )
-        kernel = BatchScoringKernel(sim_func, old, new, filtering=config)
+        kernel = BatchScoringKernel(sim_func, old, new)
         rows = cross_rows(old, new)
         batch = outcomes(kernel.evaluate_chunk(*rows, delta))
-        reference = outcomes(PairScorer(
-            sim_func, old, new, CandidateFilter(sim_func, config)
-        ).evaluate_chunk(*rows, delta))
+        reference = outcomes(
+            PairScorer(sim_func, old, new).evaluate_chunk(*rows, delta)
+        )
         assert len(batch) == len(reference)
         for pair, got, want in zip(zip(*rows), batch, reference):
             assert got == want, (pair, got, want)
@@ -319,8 +312,9 @@ class TestChunkBitIdentity:
             [(o.record_id, n.record_id)
              for o in old_records[:5] for n in new_records[:5]]
         )
-        leaving = [cache.get(pair) for pair in result.matched_pairs]
-        leaving += [score for _, score in cache.items()]
+        assert cache.num_lazy
+        leaving = list(result.pair_sims(result.matched_pairs).values())
+        leaving += list(cache._lazy.values())
         leaving += list(sims.values())
         assert {type(score) for score in leaving} == {float}
 
@@ -332,9 +326,7 @@ class TestChunkBitIdentity:
         sim_func = build_similarity_function(
             list(WEIGHT_SPECS["omega2-qgram"]), 0.7
         )
-        kernel = BatchScoringKernel(
-            sim_func, old_records, new_records, filtering=FilteringConfig()
-        )
+        kernel = BatchScoringKernel(sim_func, old_records, new_records)
         clone = pickle.loads(pickle.dumps(kernel))
         rows = cross_rows(old_records[:4], new_records[:4])
         assert (
@@ -451,25 +443,17 @@ class TestPairScorer:
     call per pair — the claim that makes it the kernel's reference (and
     the only scorer without numpy)."""
 
-    @given(record_chunks(), spec_keys, policies, deltas, st.integers(0, 14))
+    @given(record_chunks(), spec_keys, policies, deltas)
     @settings(max_examples=60, deadline=None)
     def test_chunks_equal_per_pair_calls(
-        self, chunk, spec_key, policy, delta, mask
+        self, chunk, spec_key, policy, delta
     ):
         old, new = chunk
         sim_func = build_similarity_function(
             list(WEIGHT_SPECS[spec_key]), delta, policy
         )
-        config = FilteringConfig(
-            length_filter=bool(mask & 1),
-            qgram_filter=bool(mask & 2),
-            exact_shortcircuit=bool(mask & 4),
-            early_exit=bool(mask & 8),
-        )
-        scorer = PairScorer(
-            sim_func, old, new, CandidateFilter(sim_func, config)
-        )
-        engine = CandidateFilter(sim_func, config)
+        scorer = PairScorer(sim_func, old, new)
+        engine = CandidateFilter(sim_func)
         rows = cross_rows(old, new)
         assert scorer.agg_sim_chunk(*rows).tolist() == [
             sim_func.agg_sim(old[o], new[n]) for o, n in zip(*rows)

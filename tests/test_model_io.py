@@ -4,8 +4,11 @@ errors malformed census CSVs raise."""
 import csv
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.datagen import generate_pair
 from repro.model.io import (
     RECORD_FIELDS,
     IngestError,
@@ -194,3 +197,95 @@ class TestIngestErrors:
         err = capsys.readouterr().err
         assert f"{bad}:4 (column age)" in err
         assert "Traceback" not in err
+
+
+# -- mutated bytes -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def census_bytes(tmp_path_factory):
+    """A valid generated census CSV: its path (rewritten by each
+    example) and its bytes."""
+    path = tmp_path_factory.mktemp("mutated") / "census_1871.csv"
+    old = generate_pair(seed=7, initial_households=3).datasets[0]
+    write_dataset(old, path)
+    return path, path.read_bytes()
+
+
+#: One edit of a file's bytes: flip (XOR a byte with a nonzero mask),
+#: insert a byte, delete a byte, or truncate; positions wrap around the
+#: current length.
+edits = st.tuples(
+    st.sampled_from(("flip", "insert", "delete", "truncate")),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=1, max_value=255),
+)
+
+
+def mutate(data, changes):
+    data = bytearray(data)
+    for kind, position, value in changes:
+        if not data:
+            break
+        position %= len(data)
+        if kind == "flip":
+            data[position] ^= value
+        elif kind == "insert":
+            data.insert(position, value)
+        elif kind == "delete":
+            del data[position]
+        else:
+            del data[position:]
+    return bytes(data)
+
+
+class TestMutatedBytes:
+    """Any damage to a census CSV's bytes either leaves a file that
+    loads or raises :class:`IngestError` naming the file and, unless
+    the file holds no records, the physical line."""
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(changes=st.lists(edits, min_size=1, max_size=4))
+    @example(changes=[("flip", 120, 0x80)])  # not UTF-8 on line 2
+    @example(changes=[("truncate", 0, 1)])  # an empty file
+    def test_loads_or_raises_ingest_error(self, census_bytes, changes):
+        path, data = census_bytes
+        path.write_bytes(mutate(data, changes))
+        try:
+            read_dataset(path)
+        except IngestError as error:
+            assert error.path == str(path)
+            if error.reason != "no records found":
+                assert error.line is not None and error.line >= 1
+
+    def test_undecodable_byte_names_its_line(self, census_bytes, tmp_path):
+        path, data = census_bytes
+        lines = data.split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        with pytest.raises(IngestError) as caught:
+            read_dataset(bad)
+        assert (caught.value.path, caught.value.line) == (str(bad), 3)
+        assert "0xff" in caught.value.reason
+
+    def test_over_long_field_names_its_line(self, census_bytes, tmp_path):
+        path, data = census_bytes
+        lines = data.split(b"\n")
+        lines[1] = lines[1].replace(b",", b"," + b"x" * 200_000, 1)
+        bad = tmp_path / "long.csv"
+        bad.write_bytes(b"\n".join(lines))
+        with pytest.raises(IngestError) as caught:
+            read_dataset(bad)
+        assert (caught.value.path, caught.value.line) == (str(bad), 2)
+        assert "field limit" in caught.value.reason
+
+    def test_cli_exits_2_on_undecodable_bytes(self, census_bytes, capsys):
+        path, data = census_bytes
+        path.write_bytes(data.replace(b"\n", b"\n\xc3(", 1))
+        assert main(["link", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2" in err and "Traceback" not in err

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.core.config import LinkageConfig
-from repro.core.pairtable import PairTable
 from repro.core.pipeline import LinkOrigin, link_datasets
 from repro.core.selection import SelectionResult, select_group_matches
-from repro.core.simcache import SimilarityCache
 from repro.core.subgraph import SubgraphMatch
 from repro.datagen import generate_pair
 from repro.validation.invariants import (
@@ -167,21 +165,24 @@ def _subgraph(old_group, new_group, vertices):
     )
 
 
-class _StubPrematch:
-    """Minimal PreMatchResult stand-in: fixed scores, pinned in a cache
-    over a pair table of just those pairs."""
+class _FixedSimilarity:
+    """A similarity function that knows fixed scores of record pairs."""
 
     def __init__(self, scores):
-        self.scores = SimilarityCache()
-        self.scores.attach(PairTable(
-            sorted({old_id for old_id, _ in scores}),
-            sorted({new_id for _, new_id in scores}),
-            scores,
-        ))
-        self.scores.add(list(scores), list(scores.values()))
-        self.sim_func = None
-        self.old_index = {}
-        self.new_index = {}
+        self.scores = scores
+
+    def agg_sim(self, old_record, new_record):
+        return self.scores[old_record, new_record]
+
+
+class _StubPrematch:
+    """Minimal PreMatchResult stand-in: fixed scores from its similarity
+    function, over records that are their own ids."""
+
+    def __init__(self, scores):
+        self.sim_func = _FixedSimilarity(scores)
+        self.old_index = {old_id: old_id for old_id, _ in scores}
+        self.new_index = {new_id: new_id for _, new_id in scores}
 
 
 class TestValidateSelection:
